@@ -43,12 +43,18 @@
 //! let inst = EcoInstance::from_netlists(
 //!     "demo", &faulty, &golden, vec!["t".into()], &WeightTable::new(1),
 //! )?;
-//! // Two structurally identical jobs: the second hits the memo cache.
+//! // Two structurally identical jobs on one worker: the second hits the
+//! // memo cache. (Concurrent workers could both miss, since the cache
+//! // stores results only once a job has computed them.)
 //! let jobs = vec![
 //!     BatchJob::from_instance("one", inst.clone()),
 //!     BatchJob::from_instance("two", inst),
 //! ];
-//! let outcome = run_batch(&jobs, &BatchOptions::default());
+//! let opts = BatchOptions {
+//!     jobs: 1,
+//!     ..Default::default()
+//! };
+//! let outcome = run_batch(&jobs, &opts);
 //! assert!(outcome
 //!     .records
 //!     .iter()

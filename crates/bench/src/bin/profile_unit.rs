@@ -1,8 +1,6 @@
 //! Developer harness: stage-by-stage growth profiling of one suite unit.
 
-use eco_core::{
-    cluster_targets, generate_group_patches, on_off_sets, InitialPatchKind, TapMap, Workspace,
-};
+use eco_core::{cluster_targets, on_off_sets, Workspace};
 use eco_workgen::contest_suite;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -25,7 +23,6 @@ fn main() {
             .map(|c| (c.targets.len(), c.outputs.len()))
             .collect::<Vec<_>>()
     );
-    let _tap = TapMap::empty();
     for cluster in &clustering.clusters {
         // Manual phase-1 walk with growth reporting.
         let mut f_cur: Vec<_> = cluster.outputs.iter().map(|&j| ws.f_outs[j]).collect();
@@ -45,5 +42,4 @@ fn main() {
             );
         }
     }
-    let _ = (generate_group_patches, InitialPatchKind::OnSet);
 }

@@ -8,10 +8,14 @@
 //! tentatively replaced by a constant or one of its fanins, and the
 //! replacement is kept when a SAT check proves the mutated patch still
 //! lies inside the interval and the cone shrank.
+//!
+//! All trials of one patch share one incremental solver: the interval's
+//! cone is encoded once, each trial adds only its new nodes and asserts
+//! its violation under a fresh activation literal, retired afterwards.
 
 use std::collections::HashMap;
 
-use eco_aig::{Lit, Var};
+use eco_aig::{Aig, Lit, Var};
 use eco_sat::{encode_cone, Lit as SLit, SolveCtl, Solver};
 
 use crate::carediff::on_off_sets;
@@ -55,36 +59,55 @@ pub struct SizeOptStats {
     pub size_after: usize,
 }
 
-/// Validity check: is `candidate` inside the `[on, ¬off]` interval?
-/// Decides `(on ∧ ¬candidate) ∨ (off ∧ candidate)` unsat.
-fn patch_is_valid(
-    ws: &mut Workspace,
-    on: Lit,
-    off: Lit,
-    candidate: Lit,
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-    tel: &crate::Telemetry,
-) -> Option<bool> {
-    let viol = {
-        let mgr = &mut ws.mgr;
+/// One patch's validity checker: an incremental solver over the patch's
+/// `[on, ¬off]` interval, with the Tseitin map kept between trials so
+/// each check encodes only the nodes it adds.
+struct IntervalChecker {
+    solver: Solver,
+    map: HashMap<Var, SLit>,
+}
+
+impl IntervalChecker {
+    /// A checker enrolled in the governor's control block. The default
+    /// solver config runs no variable elimination, so every encoded node
+    /// stays usable by later trials.
+    fn new(ctl: &SolveCtl) -> Self {
+        let mut solver = Solver::new();
+        if !ctl.is_unlimited() {
+            solver.set_ctl(ctl);
+        }
+        IntervalChecker {
+            solver,
+            map: HashMap::new(),
+        }
+    }
+
+    /// Is `candidate` inside the `[on, ¬off]` interval? Decides
+    /// `(on ∧ ¬candidate) ∨ (off ∧ candidate)` unsat under a fresh
+    /// activation literal, which is retired by a unit clause afterwards
+    /// so the query's clauses are satisfied for good. `None` when the
+    /// per-check conflict budget or the control block stops the search.
+    fn is_valid(
+        &mut self,
+        mgr: &mut Aig,
+        on: Lit,
+        off: Lit,
+        candidate: Lit,
+        conflict_budget: u64,
+    ) -> Option<bool> {
         let bad_on = mgr.and(on, !candidate);
         let bad_off = mgr.and(off, candidate);
-        mgr.or(bad_on, bad_off)
-    };
-    if viol == Lit::FALSE {
-        return Some(true);
+        let viol = mgr.or(bad_on, bad_off);
+        if viol == Lit::FALSE {
+            return Some(true);
+        }
+        let root = encode_cone(mgr, &[viol], &mut self.map, &mut self.solver)[0];
+        let act = self.solver.new_var().pos();
+        self.solver.add_clause(&[!act, root]);
+        let solved = self.solver.solve_limited(&[act], conflict_budget);
+        self.solver.add_clause(&[!act]);
+        solved.map(|sat| !sat)
     }
-    let mut solver = Solver::new();
-    if !ctl.is_unlimited() {
-        solver.set_ctl(ctl);
-    }
-    let mut map: HashMap<Var, SLit> = HashMap::new();
-    let roots = encode_cone(&ws.mgr, &[viol], &mut map, &mut solver);
-    solver.add_clause(&[roots[0]]);
-    let solved = solver.solve_limited(&[], conflict_budget);
-    tel.record_solver(&solver.stats());
-    solved.map(|sat| !sat)
 }
 
 /// Shrinks each patch cone in place using the ECO don't cares.
@@ -103,10 +126,11 @@ pub fn reduce_patch_sizes(
 }
 
 /// [`reduce_patch_sizes`] under a resource governor: per-check budgets are
-/// capped by the governor's conflict allowance, each validity solver is
-/// enrolled in the deadline/cancellation control block, and remaining
-/// patches are skipped once the deadline fires. Like cost optimization,
-/// stopping early is always sound — the incoming patches stay valid.
+/// capped by the governor's conflict allowance, each patch's validity
+/// solver is enrolled in the deadline/cancellation control block, and
+/// remaining patches are skipped once the deadline fires. Like cost
+/// optimization, stopping early is always sound — the incoming patches
+/// stay valid.
 pub(crate) fn reduce_patch_sizes_governed(
     ws: &mut Workspace,
     patches: &mut [PatchFn],
@@ -118,22 +142,19 @@ pub(crate) fn reduce_patch_sizes_governed(
     let ctl = budget.ctl();
     let mut stats = SizeOptStats::default();
     for p in 0..patches.len() {
-        if budget.expired() {
-            // Count the untouched cones so before/after stay comparable.
-            let frontier = patches[p].cut.frontier_vars();
-            let n = ws.mgr.count_cone_ands_to_cut(&[patches[p].lit], &frontier);
-            stats.size_before += n;
-            stats.size_after += n;
+        let frontier = patches[p].cut.frontier_vars();
+        let cone_size = |ws: &Workspace, lit: Lit| ws.mgr.count_cone_ands_to_cut(&[lit], &frontier);
+        let size = cone_size(ws, patches[p].lit);
+        stats.size_before += size;
+        if budget.expired() || size > opts.max_cone {
+            // Untouched cones count on both sides so before/after stay
+            // comparable; an oversized cone never gets a specification.
+            stats.size_after += size;
             continue;
         }
-        let k = patches[p].target;
-        let frontier = patches[p].cut.frontier_vars();
-        let cone_size = |ws: &Workspace, lit: Lit, frontier: &std::collections::HashSet<Var>| {
-            ws.mgr.count_cone_ands_to_cut(&[lit], frontier)
-        };
-        stats.size_before += cone_size(ws, patches[p].lit, &frontier);
 
         // Specification with the other patches fixed.
+        let k = patches[p].target;
         let other_map: HashMap<Var, Lit> = patches
             .iter()
             .filter(|q| q.target != k)
@@ -145,15 +166,14 @@ pub(crate) fn reduce_patch_sizes_governed(
         let t = ws.target_vars[k];
         let onoff = on_off_sets(&mut ws.mgr, &f_spec, &g_outs, t);
 
+        // Built at the first check that needs a solver.
+        let mut checker: Option<IntervalChecker> = None;
         let mut trials_left = opts.max_trials;
-        if cone_size(ws, patches[p].lit, &frontier) > opts.max_cone {
-            trials_left = 0;
-        }
         let mut improved = true;
         while improved && trials_left > 0 {
             improved = false;
             let cur = patches[p].lit;
-            let cur_size = cone_size(ws, cur, &frontier);
+            let cur_size = cone_size(ws, cur);
             if cur_size == 0 {
                 break;
             }
@@ -177,21 +197,15 @@ pub(crate) fn reduce_patch_sizes_governed(
                     let mut map = HashMap::new();
                     map.insert(v, replacement);
                     let candidate = ws.mgr.substitute(&[cur], &map)[0];
-                    if cone_size(ws, candidate, &frontier) >= cur_size {
+                    if cone_size(ws, candidate) >= cur_size {
                         continue;
                     }
                     trials_left -= 1;
                     stats.trials += 1;
-                    if patch_is_valid(
-                        ws,
-                        onoff.on,
-                        onoff.off,
-                        candidate,
-                        conflict_budget,
-                        &ctl,
-                        tel,
-                    ) == Some(true)
-                    {
+                    let valid = checker
+                        .get_or_insert_with(|| IntervalChecker::new(&ctl))
+                        .is_valid(&mut ws.mgr, onoff.on, onoff.off, candidate, conflict_budget);
+                    if valid == Some(true) {
                         patches[p].lit = candidate;
                         stats.accepted += 1;
                         improved = true;
@@ -200,7 +214,10 @@ pub(crate) fn reduce_patch_sizes_governed(
                 }
             }
         }
-        stats.size_after += cone_size(ws, patches[p].lit, &frontier);
+        if let Some(c) = &checker {
+            tel.record_solver(&c.solver.stats());
+        }
+        stats.size_after += cone_size(ws, patches[p].lit);
     }
     stats
 }

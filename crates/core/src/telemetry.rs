@@ -99,6 +99,12 @@ pub struct SatTotals {
 pub struct SweepTotals {
     /// Sweeps folded in.
     pub sweeps: u64,
+    /// Sweeps decided by exhaustive simulation of a small support (no
+    /// solver built).
+    pub exhaustive_sweeps: u64,
+    /// Class merges decided by exhaustive simulation (not SAT queries:
+    /// `sat_calls` and `proven` count SAT work only).
+    pub exhaustive_merges: u64,
     /// Refinement rounds.
     pub rounds: u64,
     /// SAT equivalence queries issued.
@@ -331,6 +337,8 @@ impl TelemetrySnapshot {
             .u64("eliminated_vars", self.sat.eliminated_vars);
         let fraig = JsonObj::new()
             .u64("sweeps", self.sweep.sweeps)
+            .u64("exhaustive_sweeps", self.sweep.exhaustive_sweeps)
+            .u64("exhaustive_merges", self.sweep.exhaustive_merges)
             .u64("rounds", self.sweep.rounds)
             .u64("sat_calls", self.sweep.sat_calls)
             .u64("proven", self.sweep.proven)
@@ -418,9 +426,12 @@ impl std::fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(
             f,
-            "fraig: {} sweeps, {} rounds, {} sat calls, {} proven, {} disproved, \
-             {} budgeted out, {} cex patterns, {} activations retired",
+            "fraig: {} sweeps ({} exhaustive, {} merges), {} rounds, {} sat calls, \
+             {} proven, {} disproved, {} budgeted out, {} cex patterns, \
+             {} activations retired",
             self.sweep.sweeps,
+            self.sweep.exhaustive_sweeps,
+            self.sweep.exhaustive_merges,
             self.sweep.rounds,
             self.sweep.sat_calls,
             self.sweep.proven,
@@ -488,6 +499,8 @@ pub struct Telemetry {
     restarts: AtomicU64,
     learned: AtomicU64,
     sweeps: AtomicU64,
+    sweep_exhaustive: AtomicU64,
+    sweep_exhaustive_merges: AtomicU64,
     sweep_rounds: AtomicU64,
     sweep_sat_calls: AtomicU64,
     sweep_proven: AtomicU64,
@@ -565,10 +578,14 @@ impl Telemetry {
         }
     }
 
-    /// Folds one FRAIG sweep into the sweep totals (its internal solver
-    /// is also folded into the SAT totals).
+    /// Folds one FRAIG sweep into the sweep totals (its internal solver,
+    /// if it built one, is also folded into the SAT totals).
     pub fn record_sweep(&self, s: &SweepStats) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.sweep_exhaustive
+            .fetch_add(u64::from(s.exhaustive), Ordering::Relaxed);
+        self.sweep_exhaustive_merges
+            .fetch_add(s.exhaustive_merges, Ordering::Relaxed);
         self.sweep_rounds
             .fetch_add(s.rounds as u64, Ordering::Relaxed);
         self.sweep_sat_calls
@@ -586,7 +603,9 @@ impl Telemetry {
             .fetch_add(s.resim_columns, Ordering::Relaxed);
         self.sweep_resim_columns_saved
             .fetch_add(s.resim_columns_saved, Ordering::Relaxed);
-        self.record_solver(&s.sat);
+        if !s.exhaustive {
+            self.record_solver(&s.sat);
+        }
     }
 
     /// Counts `n` processed target clusters.
@@ -680,6 +699,8 @@ impl Telemetry {
             },
             sweep: SweepTotals {
                 sweeps: load(&self.sweeps),
+                exhaustive_sweeps: load(&self.sweep_exhaustive),
+                exhaustive_merges: load(&self.sweep_exhaustive_merges),
                 rounds: load(&self.sweep_rounds),
                 sat_calls: load(&self.sweep_sat_calls),
                 proven: load(&self.sweep_proven),
@@ -740,6 +761,11 @@ mod tests {
             },
             ..Default::default()
         });
+        tel.record_sweep(&SweepStats {
+            exhaustive: true,
+            exhaustive_merges: 5,
+            ..Default::default()
+        });
         tel.add_clusters(3);
         tel.set_jobs(4);
         tel.add_cluster_diagnosis(&crate::ClusterDiagnosis::Patched);
@@ -750,9 +776,13 @@ mod tests {
 
         let snap = tel.snapshot();
         assert_eq!(snap.stage_nanos(Stage::PatchGen), 5_000_000);
-        assert_eq!(snap.sat.solvers, 2); // explicit + sweep-internal
+        // Explicit + the SAT sweep's; the exhaustive sweep built none.
+        assert_eq!(snap.sat.solvers, 2);
         assert_eq!(snap.sat.conflicts, 7);
         assert_eq!(snap.sweep.sat_calls, 7);
+        assert_eq!(snap.sweep.sweeps, 2);
+        assert_eq!(snap.sweep.exhaustive_sweeps, 1);
+        assert_eq!(snap.sweep.exhaustive_merges, 5);
         assert_eq!(snap.clusters, 3);
         assert_eq!(snap.jobs, 4);
         assert_eq!(snap.clusters_patched, 1);
@@ -798,6 +828,8 @@ mod tests {
             "\"propagations\"",
             "\"sat_calls\"",
             "\"proven\"",
+            "\"exhaustive_sweeps\"",
+            "\"exhaustive_merges\"",
             "\"retired_activations\"",
             "\"resim_columns_saved\"",
             "\"clusters_patched\"",

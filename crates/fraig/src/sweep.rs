@@ -98,6 +98,12 @@ impl EquivClasses {
 /// Counters describing one FRAIG sweep.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepStats {
+    /// The sweep was decided by exhaustive simulation of its small
+    /// support: no solver was built, so `sat` stays zero.
+    pub exhaustive: bool,
+    /// Class merges decided by exhaustive simulation (each one a proof;
+    /// `sat_calls` and `proven` count SAT work only).
+    pub exhaustive_merges: u64,
     /// Refine/verify rounds executed.
     pub rounds: usize,
     /// SAT equivalence queries issued.
@@ -129,13 +135,9 @@ pub struct SweepStats {
 /// Runs simulation-guided SAT sweeping over the cones of all outputs of
 /// `aig` and returns the proven equivalence classes.
 ///
-/// The loop alternates (a) hashing nodes by canonical simulation
-/// fingerprint into candidate classes and (b) SAT-verifying candidates
-/// against their class representative; counterexamples are appended as new
-/// simulation columns, splitting spurious candidates in the next round.
-///
-/// Only *proven* equivalences are reported, so the result is sound even
-/// when the per-query conflict budget truncates verification.
+/// Only *proven* equivalences are reported — by SAT, or by exhaustive
+/// simulation when the cones read few enough inputs — so the result is
+/// sound even when the per-query conflict budget truncates verification.
 pub fn fraig_classes(aig: &Aig, opts: &FraigOptions) -> EquivClasses {
     fraig_classes_stats(aig, opts).0
 }
@@ -202,14 +204,122 @@ pub fn fraig_classes_memo(
 
 /// Like [`fraig_classes`], additionally returning [`SweepStats`] counters
 /// for telemetry.
+///
+/// The swept cone's support decides how candidates are proven. When all
+/// `2^n` assignments of its `n` support inputs fit in the `64 * sim_words`
+/// patterns of the random stimulus, exhaustive simulation decides every
+/// class and no solver is built; larger supports run the
+/// simulation-guided SAT loop.
 pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, SweepStats) {
-    let mut stats = SweepStats::default();
+    let (roots, nodes) = sweep_nodes(aig);
+    let support: Vec<AVar> = nodes.iter().copied().filter(|&v| aig.is_input(v)).collect();
+    if enumerable(support.len(), opts.sim_words) {
+        exhaustive_sweep(aig, opts, &nodes, &support)
+    } else {
+        sat_sweep(aig, opts, &roots, &nodes)
+    }
+}
+
+/// The output roots of `aig` and the nodes a sweep classifies: their cone
+/// plus the constant.
+fn sweep_nodes(aig: &Aig) -> (Vec<ALit>, Vec<AVar>) {
     let roots: Vec<ALit> = aig.outputs().iter().map(|o| o.lit).collect();
     let mut nodes = aig.cone_vars(&roots);
     if !nodes.contains(&AVar::CONST) {
         nodes.insert(0, AVar::CONST);
     }
+    (roots, nodes)
+}
 
+/// Whether all assignments of `n` support inputs fit in `sim_words`
+/// 64-pattern words (at the default 8 words: `n <= 9`).
+fn enumerable(n: usize, sim_words: usize) -> bool {
+    n < 64 && 1u128 << n <= 64 * sim_words as u128
+}
+
+/// Decides a small-support sweep by simulation alone.
+///
+/// Pattern `p` assigns bit `i` of `p` to `support[i]` and 0 to every
+/// input outside the support, which no swept node reads. Every node's
+/// words are then its complete truth table, so two nodes with equal
+/// canonical words are equivalent up to the phase: the merge is a proof,
+/// not a candidate, and no solver is built.
+fn exhaustive_sweep(
+    aig: &Aig,
+    opts: &FraigOptions,
+    nodes: &[AVar],
+    support: &[AVar],
+) -> (EquivClasses, SweepStats) {
+    let mut stats = SweepStats {
+        exhaustive: true,
+        ..Default::default()
+    };
+    // Governor gate, as in the SAT loop: a sweep entered with a spent
+    // allowance or a fired control block reports no classes.
+    if opts.ctl.expired() || opts.max_total_conflicts == 0 {
+        return (EquivClasses::default(), stats);
+    }
+    const TABLE: [u64; 6] = [
+        0xaaaa_aaaa_aaaa_aaaa,
+        0xcccc_cccc_cccc_cccc,
+        0xf0f0_f0f0_f0f0_f0f0,
+        0xff00_ff00_ff00_ff00,
+        0xffff_0000_ffff_0000,
+        0xffff_ffff_0000_0000,
+    ];
+    let words = (1usize << support.len()).div_ceil(64);
+    let mut patterns = vec![vec![0u64; words]; aig.num_inputs()];
+    for (i, &v) in support.iter().enumerate() {
+        let row = &mut patterns[aig.input_pos(v).expect("support vars are inputs")];
+        for (w, word) in row.iter_mut().enumerate() {
+            *word = if i < 6 {
+                TABLE[i]
+            } else if w >> (i - 6) & 1 == 1 {
+                !0
+            } else {
+                0
+            };
+        }
+    }
+    let sim = aig.simulate(&patterns);
+    stats.resim_columns = sim.words() as u64;
+
+    let mut uf = ParityUnionFind::new(aig.len());
+    let (mut sig_buf, mut flat, mut ranges) = (Vec::new(), Vec::new(), Vec::new());
+    candidate_groups(
+        &sim,
+        nodes,
+        |s, l| s.fingerprint(l).0,
+        &mut sig_buf,
+        &mut flat,
+        &mut ranges,
+    );
+    for &(start, len) in &ranges {
+        let members = &flat[start as usize..(start + len) as usize];
+        let repr = members[0];
+        for &m in &members[1..] {
+            let phase = sim.phase(repr) ^ sim.phase(m);
+            uf.union(repr.index() as usize, m.index() as usize, phase);
+            stats.exhaustive_merges += 1;
+        }
+    }
+    let classes = materialize(nodes, &mut uf, &mut stats);
+    (classes, stats)
+}
+
+/// The simulation-guided SAT loop over `nodes`, the cone of `roots`.
+///
+/// The loop alternates (a) hashing nodes by canonical simulation
+/// fingerprint into candidate classes and (b) SAT-verifying candidates
+/// against their class representative; counterexamples are appended as new
+/// simulation columns, splitting spurious candidates in the next round.
+fn sat_sweep(
+    aig: &Aig,
+    opts: &FraigOptions,
+    roots: &[ALit],
+    nodes: &[AVar],
+) -> (EquivClasses, SweepStats) {
+    let mut stats = SweepStats::default();
     // One incremental solver over the whole cone, enrolled in the
     // governor's control block (a no-op when unlimited).
     let mut solver = Solver::new();
@@ -217,7 +327,7 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
         solver.set_ctl(&opts.ctl);
     }
     let mut map: HashMap<AVar, SLit> = HashMap::new();
-    encode_cone(aig, &roots, &mut map, &mut solver);
+    encode_cone(aig, roots, &mut map, &mut solver);
     if !map.contains_key(&AVar::CONST) {
         // Outputs may not mention the constant; force-encode it.
         encode_cone(aig, &[ALit::FALSE], &mut map, &mut solver);
@@ -244,7 +354,7 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
 
         candidate_groups(
             sim,
-            &nodes,
+            nodes,
             |s, l| s.fingerprint(l).0,
             &mut sig_buf,
             &mut flat,
@@ -330,9 +440,16 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
     stats.resim_columns = isim.resim_columns();
     stats.resim_columns_saved = isim.resim_columns_saved();
 
-    // Materialize classes from the union-find.
+    stats.sat = solver.stats();
+    let classes = materialize(nodes, &mut uf, &mut stats);
+    (classes, stats)
+}
+
+/// Materializes the non-trivial classes of `uf` over `nodes`, each
+/// represented by its lowest var, and records their counts in `stats`.
+fn materialize(nodes: &[AVar], uf: &mut ParityUnionFind, stats: &mut SweepStats) -> EquivClasses {
     let mut groups: HashMap<usize, Vec<(AVar, bool)>> = HashMap::new();
-    for &v in &nodes {
+    for &v in nodes {
         let (root, phase) = uf.find(v.index() as usize);
         groups.entry(root).or_default().push((v, phase));
     }
@@ -356,8 +473,7 @@ pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, Swe
     classes.sort_by_key(|c| c.repr.index());
     stats.classes = classes.len();
     stats.class_members = classes.iter().map(|c| c.members.len()).sum();
-    stats.sat = solver.stats();
-    (EquivClasses { classes, repr_of }, stats)
+    EquivClasses { classes, repr_of }
 }
 
 /// Buckets `nodes` into candidate equivalence groups keyed by `fp`
@@ -601,18 +717,29 @@ mod tests {
         assert_eq!(classes.equivalent(maj1.var(), maj2.var()), Some(false));
     }
 
-    #[test]
-    fn sweep_counts_retired_activations_and_saved_columns() {
-        // Force at least one disproof (spurious candidate under 1 word of
-        // stimulus is likely across rounds) and check the new counters.
+    /// `f1 = a & b` and its redundant form `f2 = f1 & (a | b)`, plus an
+    /// output reading eight more inputs, so the swept support has ten
+    /// inputs — one more than exhaustive simulation takes at 8 words.
+    fn redundant_and_over_ten_inputs() -> (Aig, ALit, ALit) {
         let mut aig = Aig::new();
         let a = aig.add_input("a");
         let b = aig.add_input("b");
         let f1 = aig.and(a, b);
         let a_or_b = aig.or(a, b);
         let f2 = aig.and(f1, a_or_b);
+        let rest: Vec<ALit> = (0..8).map(|i| aig.add_input(format!("x{i}"))).collect();
+        let wide = aig.and_many(&rest);
         aig.add_output("f1", f1);
         aig.add_output("f2", f2);
+        aig.add_output("wide", wide);
+        (aig, f1, f2)
+    }
+
+    #[test]
+    fn sweep_counts_retired_activations_and_saved_columns() {
+        // The ten-input support keeps this sweep on the SAT path, whose
+        // counters are checked here.
+        let (aig, f1, f2) = redundant_and_over_ten_inputs();
         let (classes, stats) = fraig_classes_stats(&aig, &FraigOptions::default());
         assert_eq!(classes.equivalent(f1.var(), f2.var()), Some(false));
         assert_eq!(
@@ -654,6 +781,80 @@ mod tests {
         let (classes, stats) = fraig_classes_stats(&aig, &cancelled);
         assert!(classes.is_empty());
         assert_eq!(stats.sat_calls, 0);
+    }
+
+    /// A random AIG of AND/OR/XOR/MUX gates over `n` inputs and earlier
+    /// gates, whose last three nets are outputs. Over so few inputs,
+    /// equivalent and constant nodes are common.
+    fn random_aig(rng: &mut SplitMix64, n: usize) -> Aig {
+        let mut aig = Aig::new();
+        let mut nets: Vec<ALit> = (0..n).map(|i| aig.add_input(format!("x{i}"))).collect();
+        for _ in 0..rng.range_inclusive(4, 40) {
+            let pick = |rng: &mut SplitMix64| {
+                let l = nets[rng.index(nets.len())];
+                l.xor_complement(rng.chance(0.5))
+            };
+            let (a, b, c) = (pick(rng), pick(rng), pick(rng));
+            let w = match rng.below(4) {
+                0 => aig.and(a, b),
+                1 => aig.or(a, b),
+                2 => aig.xor(a, b),
+                _ => aig.mux(a, b, c),
+            };
+            nets.push(w);
+        }
+        for (k, &lit) in nets[nets.len().saturating_sub(3)..].iter().enumerate() {
+            aig.add_output(format!("o{k}"), lit);
+        }
+        aig
+    }
+
+    /// Exhaustive simulation must return exactly the classes the SAT loop
+    /// proves, on seeded random AIGs with supports of one to nine inputs.
+    #[test]
+    fn exhaustive_classes_match_the_sat_sweep() {
+        let opts = FraigOptions::default();
+        let mut rng = SplitMix64::new(0xec0_f4a1);
+        let mut exhaustive_merges = 0;
+        for case in 0..200 {
+            let n = 1 + case % 9;
+            let aig = random_aig(&mut rng, n);
+            let (classes, stats) = fraig_classes_stats(&aig, &opts);
+            assert!(
+                stats.exhaustive,
+                "case {case}: {n} inputs must be enumerated"
+            );
+            assert_eq!(stats.sat_calls, 0, "case {case}");
+
+            let (roots, nodes) = sweep_nodes(&aig);
+            let (reference, sat) = sat_sweep(&aig, &opts, &roots, &nodes);
+            assert_eq!(sat.budgeted_out, 0, "case {case}");
+            assert_eq!(classes.classes, reference.classes, "case {case}");
+            assert_eq!(stats.exhaustive_merges, sat.proven, "case {case}");
+            exhaustive_merges += stats.exhaustive_merges;
+        }
+        assert!(exhaustive_merges > 200, "too few merges to compare");
+    }
+
+    /// One input past the enumerable support, the sweep builds its solver
+    /// and proves the merge by SAT.
+    #[test]
+    fn ten_input_support_takes_the_sat_path() {
+        let (aig, f1, f2) = redundant_and_over_ten_inputs();
+        let (classes, stats) = fraig_classes_stats(&aig, &FraigOptions::default());
+        assert!(!stats.exhaustive);
+        assert_eq!(stats.exhaustive_merges, 0);
+        assert!(stats.sat_calls > 0 && stats.proven > 0, "{stats:?}");
+        assert_eq!(classes.equivalent(f1.var(), f2.var()), Some(false));
+
+        // With 16 words of stimulus the same ten inputs are enumerable.
+        let wider = FraigOptions {
+            sim_words: 16,
+            ..Default::default()
+        };
+        let (exhaustive, stats) = fraig_classes_stats(&aig, &wider);
+        assert!(stats.exhaustive && stats.sat_calls == 0, "{stats:?}");
+        assert_eq!(exhaustive.classes, classes.classes);
     }
 
     /// A deliberately colliding fingerprint must not corrupt candidate

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the tier-1 test suite.
+# Repo gate: formatting, lints, the tier-1 test suite, and the tests of
+# the standalone benchmark package (ecobench/).
 # Run from anywhere; operates on the workspace root.
 #
 # --bench-smoke additionally runs the simulation and FRAIG-sweep benches
@@ -113,6 +114,11 @@ cargo build --release --workspace
 
 echo "== cargo test -q"
 cargo test -q --workspace
+
+# The benchmark package is a workspace of its own; its tests fail the
+# gate when a public-API change stops it from building.
+echo "== cargo test -q --manifest-path ecobench/Cargo.toml"
+cargo test -q --offline --manifest-path ecobench/Cargo.toml
 
 if [ "$portfolio_smoke" -eq 1 ]; then
   echo "== portfolio smoke: unit04 byte-identical across --portfolio 1/4, wall times recorded"

@@ -8,6 +8,7 @@
 
 mod common;
 
+use eco::aig::write_aiger_ascii;
 use eco::core::{EcoEngine, EcoOptions};
 use eco::workgen::contest_suite;
 
@@ -28,6 +29,48 @@ fn suite_units_patch_and_verify() {
             .run()
             .unwrap_or_else(|e| panic!("{}: {e}", unit.spec.name));
         common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &result);
+    }
+}
+
+/// FNV-1a, 64-bit: a stable digest of the emitted patch bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Speed work must not move the output: cost, size and the ASCII AIGER
+/// bytes of the patch stay pinned on the fast subset plus unit17 (the
+/// slowest unit) and unit19.
+#[test]
+fn patch_bytes_are_pinned() {
+    let pinned: [(&str, u64, usize, u64); 10] = [
+        ("unit01", 2, 3, 0x11d6_cbd0_4997_1181),
+        ("unit02", 10, 0, 0xcc7e_001d_2545_7d11),
+        ("unit03", 33, 0, 0x168c_ebbf_b02d_c890),
+        ("unit04", 33, 1, 0x258f_77be_9534_16b8),
+        ("unit06", 10, 4, 0x611f_6e8f_67b0_c0c9),
+        ("unit10", 18, 9, 0x0eea_c928_bc37_23af),
+        ("unit12", 36, 0, 0xbaf4_05c5_b6b8_9086),
+        ("unit15", 8, 1, 0x0689_cd40_6a78_753f),
+        ("unit17", 90, 167, 0xd708_6ae5_d915_ff8d),
+        ("unit19", 14, 6, 0x7703_f37c_75aa_f7d9),
+    ];
+    for unit in contest_suite() {
+        let Some(&(name, cost, size, digest)) = pinned.iter().find(|p| p.0 == unit.spec.name)
+        else {
+            continue;
+        };
+        let inst = unit.instance().expect("valid instance");
+        let result = EcoEngine::new(inst, EcoOptions::default())
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bytes = write_aiger_ascii(&result.patch_aig);
+        assert_eq!(
+            (result.cost, result.size, fnv1a64(bytes.as_bytes())),
+            (cost, size, digest),
+            "{name}: (cost, size, patch digest) moved"
+        );
     }
 }
 
