@@ -1,8 +1,6 @@
 //! Benches regenerating the Table-2 timing series: full engine runs
-//! (ours and baseline) per representative unit, sequential vs.
-//! parallel (`jobs = 4`) cluster scheduling on multi-cluster units, and
-//! single-config vs. 4-member solver-portfolio runs on the
-//! solver-bound units.
+//! (ours and baseline) per representative unit, and sequential vs.
+//! parallel (`jobs = 4`) cluster scheduling on multi-cluster units.
 //!
 //! `cargo bench -p eco-bench --bench patch_generation -- --json BENCH_patchgen.json`
 
@@ -55,39 +53,6 @@ fn main() {
         }
     }
 
-    // Solver portfolio: the two units whose wall time is SAT-bound, cold
-    // engine runs, single configuration vs. the full 4-member race, at
-    // jobs 1 and 4. Results are byte-identical across all four variants
-    // (tests/determinism.rs); only wall time may differ. On a single-core
-    // host the portfolio rows measure the determinism overhead of the
-    // race (epoch accounting + thread spawn), not a speedup.
-    for unit in contest_suite() {
-        if !matches!(unit.spec.name.as_str(), "unit04" | "unit16") {
-            continue;
-        }
-        let inst = unit.instance().expect("valid");
-        for portfolio in [1usize, 4] {
-            for jobs in [1usize, 4] {
-                let opts = EcoOptions {
-                    portfolio,
-                    jobs,
-                    ..Default::default()
-                };
-                bench.run(
-                    &format!("portfolio{portfolio}-jobs{jobs}/{}", unit.spec.name),
-                    || {
-                        EcoEngine::new(inst.clone(), opts.clone())
-                            .run()
-                            .expect("rectifiable")
-                    },
-                );
-            }
-        }
-    }
-    bench.note(
-        "portfolio*/: cold runs; outputs byte-identical across portfolio/jobs values, \
-         wall time is the only degree of freedom",
-    );
     bench.note(
         "unit04/unit16 ours-vs-baseline before this series: 93.2ms vs 21.0ms (4.4x) and \
          57.4ms vs 9.1ms (6.3x); the gap was dominated by redundant decisions on retired \

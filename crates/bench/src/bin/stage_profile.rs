@@ -1,8 +1,8 @@
 //! Developer harness: one cold cost-aware run and one PI-only baseline
 //! run per requested suite unit (default: the solver-bound pair
 //! unit04/unit16), printing wall time, final cost, and the full
-//! telemetry block — per-stage timers, SAT/inprocessing/portfolio
-//! counters — for quick before/after comparisons while tuning.
+//! telemetry block — per-stage timers, SAT/inprocessing counters — for
+//! quick before/after comparisons while tuning.
 //!
 //! ```text
 //! cargo run --release -p eco-bench --bin stage_profile [unit04 unit16 ...]

@@ -13,11 +13,7 @@
 //!
 //! `--jobs N` sets the worker-thread count for the per-cluster
 //! patch-generation stage (0 = all cores; results are identical for any
-//! value). `--portfolio N` races hard unlimited-budget SAT queries across
-//! N (1..=4) diversified solver configurations, first answer wins; the
-//! deterministic tie-break and configuration-0 artifact pinning keep the
-//! output byte-identical for every N. `--stats` prints run telemetry
-//! (per-stage wall times, SAT and
+//! value). `--stats` prints run telemetry (per-stage wall times, SAT and
 //! FRAIG counters, flow events) to stderr; `--stats=json` emits the same
 //! as a single JSON object, keeping stdout clean for the patch netlist.
 //!
@@ -63,7 +59,6 @@ struct Args {
     optimize: bool,
     initial: InitialPatchKind,
     jobs: usize,
-    portfolio: usize,
     stats: StatsFormat,
     quiet: bool,
     timeout: Option<Duration>,
@@ -74,7 +69,7 @@ struct Args {
 
 const USAGE: &str = "usage: eco-patch -f <faulty.{v,blif}> -g <golden.{v,blif}> -t <t1,t2,...> \
 [-w <weights.txt>] [-o <patch.v>] [--no-localization] [--no-optimize] \
-[--initial onset|negoff|interpolant] [--jobs N] [--portfolio N] [--stats[=json]] [-q] \
+[--initial onset|negoff|interpolant] [--jobs N] [--stats[=json]] [-q] \
 [--timeout SECS] [--conflict-budget N] [--allow-partial] [--unroll K]";
 
 fn parse_args() -> Result<Args, String> {
@@ -88,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         optimize: true,
         initial: InitialPatchKind::OnSet,
         jobs: 0,
-        portfolio: 1,
         stats: StatsFormat::Off,
         quiet: false,
         timeout: None,
@@ -122,14 +116,6 @@ fn parse_args() -> Result<Args, String> {
                 args.jobs = v
                     .parse()
                     .map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
-            "--portfolio" => {
-                let v = value("--portfolio")?;
-                args.portfolio = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=4).contains(n))
-                    .ok_or_else(|| format!("--portfolio expects 1..=4, got `{v}`"))?;
             }
             "--timeout" => {
                 let v = value("--timeout")?;
@@ -263,7 +249,6 @@ fn run(args: &Args) -> Result<i32, String> {
         optimize: args.optimize,
         initial_patch: args.initial,
         jobs: args.jobs,
-        portfolio: args.portfolio,
         budget: BudgetOptions {
             timeout: args.timeout,
             cluster_conflicts: args.conflict_budget,

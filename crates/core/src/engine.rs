@@ -26,17 +26,16 @@ use crate::cluster::{cluster_targets, TargetCluster};
 use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport};
 use crate::localize::{Cut, CutSignal, TapMap};
 use crate::memo::{patch_memo_key, rect_memo_key, MemoCache};
-use crate::optimize::{optimize_patches_governed, total_cost, OptimizeOptions};
+use crate::optimize::{optimize_patches, total_cost, OptimizeOptions};
 use crate::patchgen::{
-    extract_patch_aig, generate_group_patches_governed, GroupPatches, PatchFn, PatchGenOptions,
+    extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,
 };
-use crate::rectifiable::{check_rect_cex_portfolio, check_rectifiable_portfolio, Rectifiability};
-use crate::sizeopt::{reduce_patch_sizes_governed, SizeOptOptions};
+use crate::rectifiable::{check_rect_cex, check_rectifiable, Rectifiability};
+use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions};
 use crate::synth::InitialPatchKind;
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
-use crate::verify::{check_equivalence_portfolio, VerifyOutcome};
+use crate::verify::{check_equivalence, VerifyOutcome};
 use crate::{EcoError, EcoInstance, Workspace};
-use eco_sat::PortfolioSpec;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -71,13 +70,6 @@ pub struct EcoOptions {
     /// sequentially (same code path, so results are identical for every
     /// value). Never more threads than clusters are spawned.
     pub jobs: usize,
-    /// Deterministic parallel solver portfolio size for hard unlimited-
-    /// budget SAT queries (rectifiability CEGAR, equivalence miters):
-    /// `1` (default) keeps the single-solver path; `2..=4` race that many
-    /// diversified configurations, first answer wins, with artifacts
-    /// pinned to configuration 0 so results are byte-identical for every
-    /// value. Finite-budget queries are never raced.
-    pub portfolio: usize,
     /// Run-wide resource governor: wall-clock deadline and per-cluster
     /// conflict allowance. Unlimited by default; when unlimited, every
     /// governed code path collapses to the ungoverned one, so results are
@@ -107,7 +99,6 @@ impl Default for EcoOptions {
             size_optimize: true,
             size_opts: SizeOptOptions::default(),
             jobs: 0,
-            portfolio: 1,
             budget: BudgetOptions::default(),
             memo: None,
         }
@@ -462,14 +453,15 @@ impl EcoEngine {
         }
         let patched = mgr.substitute(&ws.f_outs.clone(), &tmap);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let verdict = check_equivalence_portfolio(
+        let (verdict, stats) = check_equivalence(
             &mut mgr,
             &pairs,
             budget.cap(self.options.verify_budget),
             &budget.ctl(),
-            &PortfolioSpec::new(self.options.portfolio),
-            tel,
         );
+        if let Some(stats) = stats {
+            tel.record_solver(&stats);
+        }
         tel.add_stage(Stage::Verify, t0.elapsed());
         matches!(verdict, VerifyOutcome::Equivalent)
     }
@@ -478,7 +470,7 @@ impl EcoEngine {
     /// isolation: a worker that panics (a solver bug, a pathological
     /// input) is reported as a per-cluster diagnosis instead of tearing
     /// the whole run down. Safe to call from worker threads.
-    fn rectify_cluster_governed(
+    fn rectify_cluster(
         &self,
         ws: &Workspace,
         cluster: &TargetCluster,
@@ -572,9 +564,8 @@ impl EcoEngine {
         if meter.exhausted() {
             return Err(ClusterDiagnosis::BudgetExhausted);
         }
-        let group = generate_group_patches_governed(
-            &mut sub, &tap, &local, pg_opts, budget, &mut meter, tel,
-        )?;
+        let group =
+            generate_group_patches(&mut sub, &tap, &local, pg_opts, budget, &mut meter, tel)?;
         Ok(ClusterOutcome {
             sub,
             group,
@@ -637,12 +628,11 @@ impl EcoEngine {
                         // Audit the claimed universal counterexample with
                         // one cheap B-check before declaring defeat.
                         tel.add_memo_hit();
-                        if check_rect_cex_portfolio(
+                        if check_rect_cex(
                             &mut scratch,
                             &cex,
                             budget.cap(opts.verify_budget),
                             &budget.ctl(),
-                            &PortfolioSpec::new(opts.portfolio),
                             tel,
                         ) == Some(true)
                         {
@@ -658,12 +648,11 @@ impl EcoEngine {
             let verdict = match verdict {
                 Some(v) => v,
                 None => {
-                    let v = check_rectifiable_portfolio(
+                    let v = check_rectifiable(
                         &mut scratch,
                         256,
                         budget.cap(opts.verify_budget),
                         &budget.ctl(),
-                        &PortfolioSpec::new(opts.portfolio),
                         tel,
                     );
                     if let Some((cache, (key, check))) = memo {
@@ -716,14 +705,15 @@ impl EcoEngine {
                 .map(|&j| (ws.f_outs[j], ws.g_outs[j]))
                 .collect();
             let t0 = Instant::now();
-            let verdict = check_equivalence_portfolio(
+            let (verdict, stats) = check_equivalence(
                 &mut ws.mgr,
                 &pairs,
                 budget.cap(opts.verify_budget),
                 &budget.ctl(),
-                &PortfolioSpec::new(opts.portfolio),
-                tel,
             );
+            if let Some(stats) = stats {
+                tel.record_solver(&stats);
+            }
             let spent = t0.elapsed();
             times.verify += spent;
             tel.add_stage(Stage::Verify, spent);
@@ -784,7 +774,7 @@ impl EcoEngine {
         let outcomes: Vec<ClusterSlot> = if jobs <= 1 {
             clusters
                 .iter()
-                .map(|c| self.rectify_cluster_governed(&ws, c, localization, &pg_opts, budget, tel))
+                .map(|c| self.rectify_cluster(&ws, c, localization, &pg_opts, budget, tel))
                 .collect()
         } else {
             let slots: Vec<Mutex<Option<ClusterSlot>>> =
@@ -797,7 +787,7 @@ impl EcoEngine {
                         if i >= clusters.len() {
                             break;
                         }
-                        let out = self.rectify_cluster_governed(
+                        let out = self.rectify_cluster(
                             &ws,
                             &clusters[i],
                             localization,
@@ -880,16 +870,14 @@ impl EcoEngine {
         // Stage 5: cost optimization.
         let t0 = Instant::now();
         let optimize_delta = if opts.optimize {
-            let stats =
-                optimize_patches_governed(&mut ws, &mut patches, &opts.optimize_opts, budget, tel);
+            let stats = optimize_patches(&mut ws, &mut patches, &opts.optimize_opts, budget, tel);
             (stats.cost_before, stats.cost_after)
         } else {
             let c = total_cost(&ws, &patches);
             (c, c)
         };
         if opts.size_optimize {
-            let _ =
-                reduce_patch_sizes_governed(&mut ws, &mut patches, &opts.size_opts, budget, tel);
+            let _ = reduce_patch_sizes(&mut ws, &mut patches, &opts.size_opts, budget, tel);
         }
         times.optimize = t0.elapsed();
         tel.add_stage(Stage::Optimize, times.optimize);
@@ -903,14 +891,15 @@ impl EcoEngine {
         let f_outs = ws.f_outs.clone();
         let patched = ws.mgr.substitute(&f_outs, &map);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let verdict = check_equivalence_portfolio(
+        let (verdict, stats) = check_equivalence(
             &mut ws.mgr,
             &pairs,
             budget.cap(opts.verify_budget),
             &budget.ctl(),
-            &PortfolioSpec::new(opts.portfolio),
-            tel,
         );
+        if let Some(stats) = stats {
+            tel.record_solver(&stats);
+        }
         let spent = t0.elapsed();
         times.verify += spent;
         tel.add_stage(Stage::Verify, spent);

@@ -102,10 +102,7 @@ pub use crate::patchgen::{
     extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,
 };
 pub use crate::rebase::{resynthesize, RebaseQuery};
-pub use crate::rectifiable::{
-    check_rect_cex, check_rect_cex_portfolio, check_rectifiable, check_rectifiable_portfolio,
-    Rectifiability,
-};
+pub use crate::rectifiable::{check_rect_cex, check_rectifiable, Rectifiability};
 pub use crate::report::{PartialReport, Report};
 pub use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions, SizeOptStats};
 pub use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
@@ -113,8 +110,5 @@ pub use crate::telemetry::{
     json_escape, peak_rss_bytes, JsonObj, SatTotals, Stage, SweepTotals, Telemetry, TelemetryEvent,
     TelemetrySnapshot,
 };
-pub use crate::verify::{
-    check_equivalence, check_equivalence_ctl, check_equivalence_portfolio, check_equivalence_stats,
-    VerifyOutcome,
-};
+pub use crate::verify::{check_equivalence, VerifyOutcome};
 pub use crate::workspace::{Workspace, WsCandidate};

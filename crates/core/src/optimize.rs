@@ -10,7 +10,7 @@ use crate::carediff::on_off_sets;
 use crate::govern::Budget;
 use crate::localize::Cut;
 use crate::patchgen::PatchFn;
-use crate::rebase::{resynthesize_ctl, RebaseQuery};
+use crate::rebase::{resynthesize, RebaseQuery};
 use crate::Workspace;
 
 /// Knobs for the optimization stage.
@@ -78,22 +78,14 @@ pub fn total_cost(ws: &Workspace, patches: &[PatchFn]) -> u64 {
 /// [`RebaseQuery`] explores cheaper bases with [`select_base`], and a
 /// strictly cheaper (or equally cheap but smaller) base triggers
 /// interpolation-based resynthesis.
+///
+/// The per-query conflict budget is capped by the governor's cluster
+/// allowance, every rebase query is enrolled in the deadline/cancellation
+/// control block, and the stage stops between targets once the deadline
+/// fires. Degrading here is always sound — the incoming patches are
+/// already correct; optimization only ever swaps them for cheaper
+/// equivalents.
 pub fn optimize_patches(
-    ws: &mut Workspace,
-    patches: &mut [PatchFn],
-    opts: &OptimizeOptions,
-    tel: &crate::Telemetry,
-) -> OptimizeStats {
-    optimize_patches_governed(ws, patches, opts, &Budget::unlimited(), tel)
-}
-
-/// [`optimize_patches`] under a resource governor: the per-query conflict
-/// budget is capped by the governor's cluster allowance, every rebase
-/// query is enrolled in the deadline/cancellation control block, and the
-/// stage stops between targets once the deadline fires. Degrading here is
-/// always sound — the incoming patches are already correct; optimization
-/// only ever swaps them for cheaper equivalents.
-pub(crate) fn optimize_patches_governed(
     ws: &mut Workspace,
     patches: &mut [PatchFn],
     opts: &OptimizeOptions,
@@ -215,7 +207,7 @@ pub(crate) fn optimize_patches_governed(
                 continue;
             }
             let base_cands: Vec<usize> = sel.base.iter().map(|&i| pool[i]).collect();
-            if let Some(new_lit) = resynthesize_ctl(
+            if let Some(new_lit) = resynthesize(
                 ws,
                 onoff.on,
                 onoff.off,
@@ -251,7 +243,7 @@ pub(crate) fn optimize_patches_governed(
 mod tests {
     use super::*;
     use crate::localize::TapMap;
-    use crate::{cluster_targets, generate_group_patches, EcoInstance};
+    use crate::{cluster_targets, generate_group_patches, ConflictMeter, EcoInstance};
     use eco_netlist::{parse_verilog, WeightTable};
 
     /// The needed function a&b exists as cheap net `w`; PIs are expensive.
@@ -279,13 +271,17 @@ mod tests {
             &tap,
             &clustering.clusters[0],
             &crate::PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         let mut patches = group.patches;
         let stats = optimize_patches(
             &mut ws,
             &mut patches,
             &OptimizeOptions::default(),
+            &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
         assert!(stats.cost_after < stats.cost_before, "stats {stats:?}");
@@ -327,13 +323,17 @@ mod tests {
             &tap,
             &clustering.clusters[0],
             &crate::PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         let mut patches = group.patches;
         let stats = optimize_patches(
             &mut ws,
             &mut patches,
             &OptimizeOptions::default(),
+            &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
         assert_eq!(patches[0].lit, Lit::FALSE);

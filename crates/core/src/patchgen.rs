@@ -9,7 +9,7 @@ use eco_aig::{Aig, Lit, Var};
 use crate::carediff::{exact_on_off_sets, on_off_sets};
 use crate::govern::{Budget, ClusterDiagnosis, ConflictMeter};
 use crate::localize::{Cut, TapMap};
-use crate::synth::{synthesize_patch_governed, InitialPatchKind, SynthOutcome};
+use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
 use crate::{EcoError, TargetCluster, Workspace};
 
 /// Knobs for one `DependentPatchGen` run.
@@ -70,31 +70,13 @@ pub struct GroupPatches {
 /// already substituted, exactly the `F' ← F'|t_k=p'_k` update of
 /// Algorithm 1 line 8). Phase 2 back-substitutes `p'_α … p'_1` to remove
 /// the remaining target-variable dependencies.
+///
+/// Each target's synthesis runs the escalation ladder against `meter`,
+/// every SAT query is enrolled in the budget's control block, and the walk
+/// stops with a [`ClusterDiagnosis`] when the deadline fires or the
+/// cluster's conflict allowance runs dry between targets. An unlimited
+/// budget and meter never degrade.
 pub fn generate_group_patches(
-    ws: &mut Workspace,
-    tap: &TapMap,
-    cluster: &TargetCluster,
-    opts: &PatchGenOptions,
-    tel: &crate::Telemetry,
-) -> GroupPatches {
-    generate_group_patches_governed(
-        ws,
-        tap,
-        cluster,
-        opts,
-        &Budget::unlimited(),
-        &mut ConflictMeter::unlimited(),
-        tel,
-    )
-    .expect("unlimited budget never degrades")
-}
-
-/// [`generate_group_patches`] under a resource governor: each target's
-/// synthesis runs the escalation ladder against `meter`, every SAT query
-/// is enrolled in the budget's control block, and the walk stops with a
-/// [`ClusterDiagnosis`] when the deadline fires or the cluster's conflict
-/// allowance runs dry between targets.
-pub(crate) fn generate_group_patches_governed(
     ws: &mut Workspace,
     tap: &TapMap,
     cluster: &TargetCluster,
@@ -134,7 +116,7 @@ pub(crate) fn generate_group_patches_governed(
             kind
         };
         let ctl = budget.ctl();
-        let mut outcome = synthesize_patch_governed(
+        let mut outcome = synthesize_patch(
             ws,
             onoff,
             &cut,
@@ -154,7 +136,7 @@ pub(crate) fn generate_group_patches_governed(
             // construction, before accepting the (possibly huge) on-set.
             let exact = exact_on_off_sets(&mut ws.mgr, &f_cur, &g_cur, t);
             let exact_cut = Cut::frontier(ws, tap, &[exact.on, exact.off]);
-            let retry = synthesize_patch_governed(
+            let retry = synthesize_patch(
                 ws,
                 exact,
                 &exact_cut,
@@ -342,8 +324,11 @@ mod tests {
             &TapMap::empty(),
             &clustering.clusters[0],
             &PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         assert_eq!(got.patches.len(), 2);
         patched_outputs_match(&mut ws, &got.patches);
     }
@@ -360,8 +345,11 @@ mod tests {
                 kind: InitialPatchKind::Interpolant,
                 ..Default::default()
             },
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         patched_outputs_match(&mut ws, &got.patches);
     }
 
@@ -374,8 +362,11 @@ mod tests {
             &TapMap::empty(),
             &clustering.clusters[0],
             &PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         for p in &got.patches {
             let sup = ws.mgr.support(&[p.lit]);
             for tv in &ws.target_vars {
@@ -393,8 +384,11 @@ mod tests {
             &TapMap::empty(),
             &clustering.clusters[0],
             &PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         let roots: Vec<Lit> = got.patches.iter().map(|p| p.lit).collect();
         let cut = Cut::merge(got.patches.iter().map(|p| &p.cut));
         let (patch, outs) =

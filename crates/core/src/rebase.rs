@@ -147,29 +147,9 @@ impl RebaseQuery {
 /// Synthesizes a patch function over the chosen base by interpolation
 /// (the reference \[12\]-style dependency network): returns the patch as a
 /// literal over the base candidates' driving signals, or `None` if the
-/// base is infeasible or the budget runs out.
+/// base is infeasible, the budget runs out, or `ctl` fires. The
+/// interpolation solver is enrolled in `ctl` unless it is unlimited.
 pub fn resynthesize(
-    ws: &mut Workspace,
-    on: ALit,
-    off: ALit,
-    base: &[usize],
-    conflict_budget: u64,
-    tel: &crate::Telemetry,
-) -> Option<ALit> {
-    resynthesize_ctl(
-        ws,
-        on,
-        off,
-        base,
-        conflict_budget,
-        &eco_sat::SolveCtl::unlimited(),
-        tel,
-    )
-}
-
-/// [`resynthesize`] with the interpolation solver enrolled in a governor
-/// control block (deadline / cooperative cancellation).
-pub(crate) fn resynthesize_ctl(
     ws: &mut Workspace,
     on: ALit,
     off: ALit,
@@ -308,7 +288,16 @@ mod tests {
         let (mut ws, on, off, pool) = fixture();
         let w = pool_idx(&ws, &pool, "w");
         let tel = crate::Telemetry::new();
-        let patch = resynthesize(&mut ws, on, off, &[pool[w]], 1 << 20, &tel).expect("feasible");
+        let patch = resynthesize(
+            &mut ws,
+            on,
+            off,
+            &[pool[w]],
+            1 << 20,
+            &eco_sat::SolveCtl::unlimited(),
+            &tel,
+        )
+        .expect("feasible");
         assert!(tel.snapshot().sat.solvers >= 1, "resynthesis recorded");
         // patch must equal w = a & b on all X.
         let mut mgr = ws.mgr.clone();
@@ -326,7 +315,15 @@ mod tests {
         let a = pool_idx(&ws, &pool, "a");
         let tel = crate::Telemetry::new();
         assert_eq!(
-            resynthesize(&mut ws, on, off, &[pool[a]], 1 << 20, &tel),
+            resynthesize(
+                &mut ws,
+                on,
+                off,
+                &[pool[a]],
+                1 << 20,
+                &eco_sat::SolveCtl::unlimited(),
+                &tel
+            ),
             None
         );
     }

@@ -10,13 +10,9 @@
 //! proves rectifiability (finitely many strategies cover all of `X`).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use eco_aig::{Lit as ALit, Var as AVar};
-use eco_sat::{
-    encode_cone, race, ArtifactPolicy, LBool, Lit as SLit, MemberOutcome, PortfolioSpec, SolveCtl,
-    Solver,
-};
+use eco_sat::{encode_cone, LBool, Lit as SLit, SolveCtl, Solver};
 
 use crate::telemetry::Telemetry;
 use crate::Workspace;
@@ -44,11 +40,15 @@ impl Rectifiability {
 ///
 /// `max_iterations` bounds the CEGAR refinements (each adds one cofactored
 /// miter cone to the A-solver); `conflict_budget` bounds each SAT call.
-/// Builds scratch nodes in `ws.mgr`.
+/// Every solver is enrolled in `ctl` (a fired deadline or cancellation
+/// flag yields [`Rectifiability::Unknown`]) and recorded in `tel`. Builds
+/// scratch nodes in `ws.mgr`.
 pub fn check_rectifiable(
     ws: &mut Workspace,
     max_iterations: usize,
     conflict_budget: u64,
+    ctl: &SolveCtl,
+    tel: &Telemetry,
 ) -> Rectifiability {
     // R(X, T) = ∧_j (f_j ≡ g_j), built once.
     let eqs: Vec<ALit> = ws
@@ -57,238 +57,85 @@ pub fn check_rectifiable(
         .zip(&ws.g_outs)
         .map(|(&f, &g)| ws.mgr.xnor(f, g))
         .collect();
-    let r = {
-        let mgr = &mut ws.mgr;
-        mgr.and_many(&eqs)
-    };
+    let r = ws.mgr.and_many(&eqs);
 
     // A-solver over shared X variables; constraints added per strategy.
     let mut a_solver = Solver::new();
+    a_solver.set_ctl(ctl);
     let x_sat: HashMap<AVar, SLit> =
         ws.x.iter()
             .map(|(_, l)| (l.var(), a_solver.new_var().pos()))
             .collect();
 
-    for _ in 0..max_iterations.max(1) {
-        // Propose x*: any X defeating all strategies seen so far.
-        let x_star: Vec<(AVar, bool)> = match a_solver.solve_limited(&[], conflict_budget) {
-            None => return Rectifiability::Unknown,
-            Some(false) => return Rectifiability::Rectifiable,
-            Some(true) => {
-                ws.x.iter()
-                    .map(|(_, l)| {
-                        (
-                            l.var(),
-                            a_solver.model_value(x_sat[&l.var()]) == LBool::True,
-                        )
-                    })
-                    .collect()
-            }
-        };
-
-        // B-check: ∃T. R(x*, T)?
-        let r_fixed = {
-            let map: HashMap<AVar, ALit> = x_star
-                .iter()
-                .map(|&(v, b)| (v, if b { ALit::TRUE } else { ALit::FALSE }))
-                .collect();
-            ws.mgr.substitute(&[r], &map)[0]
-        };
-        let mut b_solver = Solver::new();
-        let mut b_map: HashMap<AVar, SLit> = HashMap::new();
-        let roots = encode_cone(&ws.mgr, &[r_fixed], &mut b_map, &mut b_solver);
-        b_solver.add_clause(&[roots[0]]);
-        match b_solver.solve_limited(&[], conflict_budget) {
-            None => return Rectifiability::Unknown,
-            Some(false) => {
-                // No strategy completes x*: genuine counterexample.
-                let mut cex: Vec<(String, bool)> =
+    let verdict = 'cegar: {
+        for _ in 0..max_iterations.max(1) {
+            // Propose x*: any X defeating all strategies seen so far.
+            let x_star: Vec<(AVar, bool)> = match a_solver.solve_limited(&[], conflict_budget) {
+                None => break 'cegar Rectifiability::Unknown,
+                Some(false) => break 'cegar Rectifiability::Rectifiable,
+                Some(true) => {
                     ws.x.iter()
-                        .zip(&x_star)
-                        .map(|((name, _), &(_, b))| (name.clone(), b))
-                        .collect();
-                cex.sort();
-                return Rectifiability::Counterexample(cex);
-            }
-            Some(true) => {
-                // Strategy t*: refine A with ¬R(X, t*).
-                let t_star: HashMap<AVar, ALit> = ws
-                    .target_vars
-                    .iter()
-                    .map(|&tv| {
-                        let val = b_map
-                            .get(&tv)
-                            .map(|&sl| b_solver.model_value(sl) == LBool::True)
-                            .unwrap_or(false);
-                        (tv, if val { ALit::TRUE } else { ALit::FALSE })
-                    })
-                    .collect();
-                let r_strategy = ws.mgr.substitute(&[r], &t_star)[0];
-                let mut seed = x_sat.clone();
-                let enc = encode_cone(&ws.mgr, &[r_strategy], &mut seed, &mut a_solver);
-                a_solver.add_clause(&[!enc[0]]);
-            }
-        }
-    }
-    Rectifiability::Unknown
-}
-
-/// [`check_rectifiable`] with an optional deterministic solver portfolio.
-///
-/// When `spec` enables racing and the conflict budget is unlimited, each
-/// CEGAR side is raced across the diversified configurations:
-///
-/// * the **A-side** keeps one *persistent* incremental solver per member
-///   — all of them receive the exact same refinement clauses, driven only
-///   by configuration-0 models, so configuration 0's trajectory is fully
-///   deterministic while helpers merely shortcut the UNSAT
-///   (`Rectifiable`) answer;
-/// * each **B-check** races fresh solvers over the cofactored cone.
-///
-/// Both races pin the model-bearing SAT answer to configuration 0
-/// ([`ArtifactPolicy::PinSat`]), so every refinement — and therefore the
-/// returned verdict and any counterexample — is byte-identical to a
-/// single-configuration run. Finite budgets and single-member specs fall
-/// through to the plain [`check_rectifiable`] unchanged.
-pub fn check_rectifiable_portfolio(
-    ws: &mut Workspace,
-    max_iterations: usize,
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-    spec: &PortfolioSpec,
-    tel: &Telemetry,
-) -> Rectifiability {
-    if !spec.enabled() || conflict_budget != u64::MAX {
-        return check_rectifiable(ws, max_iterations, conflict_budget);
-    }
-    let eqs: Vec<ALit> = ws
-        .f_outs
-        .iter()
-        .zip(&ws.g_outs)
-        .map(|(&f, &g)| ws.mgr.xnor(f, g))
-        .collect();
-    let r = ws.mgr.and_many(&eqs);
-
-    // One persistent A-solver per member, each with its own X variable
-    // numbering but an identical clause sequence.
-    let n = spec.members;
-    let mut x_sats: Vec<HashMap<AVar, SLit>> = Vec::with_capacity(n);
-    let mut a_vec: Vec<Mutex<Solver>> = Vec::with_capacity(n);
-    for cfg in spec.configs() {
-        let mut s = Solver::with_config(cfg);
-        x_sats.push(
-            ws.x.iter()
-                .map(|(_, l)| (l.var(), s.new_var().pos()))
-                .collect(),
-        );
-        a_vec.push(Mutex::new(s));
-    }
-    let a_solvers = &a_vec;
-    let x_sats = &x_sats;
-    let x_order: Vec<AVar> = ws.x.iter().map(|(_, l)| l.var()).collect();
-
-    for _ in 0..max_iterations.max(1) {
-        // Propose x*: any X defeating all strategies seen so far.
-        let a_out = race(spec, ArtifactPolicy::PinSat, ctl, |i, _cfg, member| {
-            let mut s = a_solvers[i].lock().expect("a-solver lock");
-            let base = s.stats();
-            s.set_ctl(&member.ctl);
-            s.set_progress(member.progress);
-            let answer = s.solve_limited(&[], u64::MAX);
-            let artifact: Vec<(AVar, bool)> = if answer == Some(true) {
-                x_order
-                    .iter()
-                    .map(|&v| (v, s.model_value(x_sats[i][&v]) == LBool::True))
-                    .collect()
-            } else {
-                Vec::new()
+                        .map(|(_, l)| {
+                            (
+                                l.var(),
+                                a_solver.model_value(x_sat[&l.var()]) == LBool::True,
+                            )
+                        })
+                        .collect()
+                }
             };
-            MemberOutcome {
-                answer,
-                artifact,
-                stats: s.stats().delta_since(&base),
-            }
-        });
-        tel.record_solver(&a_out.stats);
-        tel.record_portfolio(a_out.answer.map(|_| a_out.winner));
-        let x_star: Vec<(AVar, bool)> = match a_out.answer {
-            None => return Rectifiability::Unknown,
-            Some(false) => return Rectifiability::Rectifiable,
-            Some(true) => a_out.artifact.unwrap_or_default(),
-        };
 
-        // B-check: ∃T. R(x*, T)?
-        let r_fixed = {
-            let map: HashMap<AVar, ALit> = x_star
-                .iter()
-                .map(|&(v, b)| (v, if b { ALit::TRUE } else { ALit::FALSE }))
-                .collect();
-            ws.mgr.substitute(&[r], &map)[0]
-        };
-        let mgr = &ws.mgr;
-        let target_vars = &ws.target_vars;
-        let b_out = race(spec, ArtifactPolicy::PinSat, ctl, |_, cfg, member| {
-            let mut b = Solver::with_config(cfg);
-            b.set_ctl(&member.ctl);
-            b.set_progress(member.progress);
+            // B-check: ∃T. R(x*, T)?
+            let r_fixed = {
+                let map: HashMap<AVar, ALit> = x_star
+                    .iter()
+                    .map(|&(v, b)| (v, if b { ALit::TRUE } else { ALit::FALSE }))
+                    .collect();
+                ws.mgr.substitute(&[r], &map)[0]
+            };
+            let mut b_solver = Solver::new();
+            b_solver.set_ctl(ctl);
             let mut b_map: HashMap<AVar, SLit> = HashMap::new();
-            let roots = encode_cone(mgr, &[r_fixed], &mut b_map, &mut b);
-            b.add_clause(&[roots[0]]);
-            let answer = b.solve_limited(&[], u64::MAX);
-            let artifact: Vec<(AVar, bool)> = if answer == Some(true) {
-                target_vars
-                    .iter()
-                    .map(|&tv| {
-                        let val = b_map
-                            .get(&tv)
-                            .map(|&sl| b.model_value(sl) == LBool::True)
-                            .unwrap_or(false);
-                        (tv, val)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            MemberOutcome {
-                answer,
-                artifact,
-                stats: b.stats(),
-            }
-        });
-        tel.record_solver(&b_out.stats);
-        tel.record_portfolio(b_out.answer.map(|_| b_out.winner));
-        match b_out.answer {
-            None => return Rectifiability::Unknown,
-            Some(false) => {
-                // No strategy completes x*: genuine counterexample.
-                let mut cex: Vec<(String, bool)> =
-                    ws.x.iter()
-                        .zip(&x_star)
-                        .map(|((name, _), &(_, b))| (name.clone(), b))
+            let roots = encode_cone(&ws.mgr, &[r_fixed], &mut b_map, &mut b_solver);
+            b_solver.add_clause(&[roots[0]]);
+            let solved = b_solver.solve_limited(&[], conflict_budget);
+            tel.record_solver(&b_solver.stats());
+            match solved {
+                None => break 'cegar Rectifiability::Unknown,
+                Some(false) => {
+                    // No strategy completes x*: genuine counterexample.
+                    let mut cex: Vec<(String, bool)> =
+                        ws.x.iter()
+                            .zip(&x_star)
+                            .map(|((name, _), &(_, b))| (name.clone(), b))
+                            .collect();
+                    cex.sort();
+                    break 'cegar Rectifiability::Counterexample(cex);
+                }
+                Some(true) => {
+                    // Strategy t*: refine A with ¬R(X, t*).
+                    let t_star: HashMap<AVar, ALit> = ws
+                        .target_vars
+                        .iter()
+                        .map(|&tv| {
+                            let val = b_map
+                                .get(&tv)
+                                .map(|&sl| b_solver.model_value(sl) == LBool::True)
+                                .unwrap_or(false);
+                            (tv, if val { ALit::TRUE } else { ALit::FALSE })
+                        })
                         .collect();
-                cex.sort();
-                return Rectifiability::Counterexample(cex);
-            }
-            Some(true) => {
-                // Strategy t* (from configuration 0): refine *every*
-                // A-solver with the identical ¬R(X, t*) cone.
-                let t_star: HashMap<AVar, ALit> = b_out
-                    .artifact
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|(tv, val)| (tv, if val { ALit::TRUE } else { ALit::FALSE }))
-                    .collect();
-                let r_strategy = ws.mgr.substitute(&[r], &t_star)[0];
-                for (i, slot) in a_vec.iter().enumerate() {
-                    let mut s = slot.lock().expect("a-solver lock");
-                    let mut seed = x_sats[i].clone();
-                    let enc = encode_cone(&ws.mgr, &[r_strategy], &mut seed, &mut *s);
-                    s.add_clause(&[!enc[0]]);
+                    let r_strategy = ws.mgr.substitute(&[r], &t_star)[0];
+                    let mut seed = x_sat.clone();
+                    let enc = encode_cone(&ws.mgr, &[r_strategy], &mut seed, &mut a_solver);
+                    a_solver.add_clause(&[!enc[0]]);
                 }
             }
         }
-    }
-    Rectifiability::Unknown
+        Rectifiability::Unknown
+    };
+    tel.record_solver(&a_solver.stats());
+    verdict
 }
 
 /// Re-validates a claimed Eq.-2 universal counterexample with a single
@@ -298,9 +145,11 @@ pub fn check_rectifiable_portfolio(
 /// Returns `Some(true)` when the counterexample is confirmed genuine (no
 /// strategy exists), `Some(false)` when it is refuted (a strategy exists,
 /// or the assignment is malformed — wrong names or incomplete), and `None`
-/// when the conflict budget ran out. The memo cache uses this to cheaply
-/// audit a cached `Counterexample` verdict instead of re-running the whole
-/// CEGAR loop; a refuted or unknown audit falls back to the full check.
+/// when the conflict budget ran out or `ctl` fired. The memo cache uses
+/// this to cheaply audit a cached `Counterexample` verdict instead of
+/// re-running the whole CEGAR loop; a refuted or unknown audit falls back
+/// to the full check. The solver is enrolled in `ctl` and recorded in
+/// `tel`.
 ///
 /// Builds scratch nodes in `ws.mgr`, so callers pass a throwaway
 /// workspace.
@@ -308,24 +157,9 @@ pub fn check_rect_cex(
     ws: &mut Workspace,
     cex: &[(String, bool)],
     conflict_budget: u64,
+    ctl: &SolveCtl,
+    tel: &Telemetry,
 ) -> Option<bool> {
-    let Some(r_fixed) = rect_cex_cone(ws, cex) else {
-        return Some(false);
-    };
-    let mut b_solver = Solver::new();
-    let mut b_map: HashMap<AVar, SLit> = HashMap::new();
-    let roots = encode_cone(&ws.mgr, &[r_fixed], &mut b_map, &mut b_solver);
-    b_solver.add_clause(&[roots[0]]);
-    match b_solver.solve_limited(&[], conflict_budget) {
-        None => None,
-        Some(false) => Some(true),
-        Some(true) => Some(false),
-    }
-}
-
-/// Builds the `R(x*, T)` cone of a claimed counterexample in `ws.mgr`,
-/// or `None` when the assignment is malformed (wrong names/incomplete).
-fn rect_cex_cone(ws: &mut Workspace, cex: &[(String, bool)]) -> Option<ALit> {
     let by_name: HashMap<&str, bool> = cex.iter().map(|(n, b)| (n.as_str(), *b)).collect();
     let map: HashMap<AVar, ALit> =
         ws.x.iter()
@@ -336,7 +170,7 @@ fn rect_cex_cone(ws: &mut Workspace, cex: &[(String, bool)]) -> Option<ALit> {
             })
             .collect();
     if map.len() != ws.x.len() || by_name.len() != ws.x.len() {
-        return None;
+        return Some(false);
     }
     let eqs: Vec<ALit> = ws
         .f_outs
@@ -345,44 +179,15 @@ fn rect_cex_cone(ws: &mut Workspace, cex: &[(String, bool)]) -> Option<ALit> {
         .map(|(&f, &g)| ws.mgr.xnor(f, g))
         .collect();
     let r = ws.mgr.and_many(&eqs);
-    Some(ws.mgr.substitute(&[r], &map)[0])
-}
-
-/// [`check_rect_cex`] with an optional deterministic solver portfolio.
-/// The audit consumes only the SAT/UNSAT answer (never a model), so any
-/// member may win ([`ArtifactPolicy::AnyWinner`]); the answer itself is
-/// semantically unique, keeping the result configuration-independent.
-pub fn check_rect_cex_portfolio(
-    ws: &mut Workspace,
-    cex: &[(String, bool)],
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-    spec: &PortfolioSpec,
-    tel: &Telemetry,
-) -> Option<bool> {
-    if !spec.enabled() || conflict_budget != u64::MAX {
-        return check_rect_cex(ws, cex, conflict_budget);
-    }
-    let Some(r_fixed) = rect_cex_cone(ws, cex) else {
-        return Some(false);
-    };
-    let mgr = &ws.mgr;
-    let out = race(spec, ArtifactPolicy::AnyWinner, ctl, |_, cfg, member| {
-        let mut b = Solver::with_config(cfg);
-        b.set_ctl(&member.ctl);
-        b.set_progress(member.progress);
-        let mut b_map: HashMap<AVar, SLit> = HashMap::new();
-        let roots = encode_cone(mgr, &[r_fixed], &mut b_map, &mut b);
-        b.add_clause(&[roots[0]]);
-        MemberOutcome {
-            answer: b.solve_limited(&[], u64::MAX),
-            artifact: (),
-            stats: b.stats(),
-        }
-    });
-    tel.record_solver(&out.stats);
-    tel.record_portfolio(out.answer.map(|_| out.winner));
-    out.answer.map(|sat| !sat)
+    let r_fixed = ws.mgr.substitute(&[r], &map)[0];
+    let mut b_solver = Solver::new();
+    b_solver.set_ctl(ctl);
+    let mut b_map: HashMap<AVar, SLit> = HashMap::new();
+    let roots = encode_cone(&ws.mgr, &[r_fixed], &mut b_map, &mut b_solver);
+    b_solver.add_clause(&[roots[0]]);
+    let solved = b_solver.solve_limited(&[], conflict_budget);
+    tel.record_solver(&b_solver.stats());
+    solved.map(|sat| !sat)
 }
 
 #[cfg(test)]
@@ -403,6 +208,29 @@ mod tests {
         Workspace::new(&inst)
     }
 
+    fn rect(ws: &mut Workspace, max_iterations: usize) -> Rectifiability {
+        check_rectifiable(
+            ws,
+            max_iterations,
+            1 << 20,
+            &SolveCtl::unlimited(),
+            &Telemetry::new(),
+        )
+    }
+
+    fn audit(ws: &mut Workspace, cex: &[(String, bool)]) -> Option<bool> {
+        check_rect_cex(ws, cex, 1 << 20, &SolveCtl::unlimited(), &Telemetry::new())
+    }
+
+    fn fired_ctl() -> SolveCtl {
+        SolveCtl {
+            deadline: None,
+            cancel: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
+                true,
+            ))),
+        }
+    }
+
     #[test]
     fn cut_instances_are_rectifiable() {
         let mut ws = ws_of(
@@ -412,7 +240,7 @@ mod tests {
              wire w; and g1 (w, a, b); xor g2 (y, w, c); endmodule",
             &["t"],
         );
-        assert!(check_rectifiable(&mut ws, 64, 1 << 20).is_rectifiable());
+        assert!(rect(&mut ws, 64).is_rectifiable());
     }
 
     #[test]
@@ -425,7 +253,7 @@ mod tests {
              buf g1 (y, a); not g2 (z, a); endmodule",
             &["t"],
         );
-        match check_rectifiable(&mut ws, 64, 1 << 20) {
+        match rect(&mut ws, 64) {
             Rectifiability::Counterexample(cex) => {
                 assert_eq!(cex.len(), 1);
                 assert_eq!(cex[0].0, "a");
@@ -445,7 +273,7 @@ mod tests {
             &["t"],
         );
         assert!(matches!(
-            check_rectifiable(&mut ws, 64, 1 << 20),
+            rect(&mut ws, 64),
             Rectifiability::Counterexample(_)
         ));
     }
@@ -459,7 +287,7 @@ mod tests {
              xor g1 (y, a, b); endmodule",
             &["t1", "t2"],
         );
-        assert!(check_rectifiable(&mut ws, 128, 1 << 20).is_rectifiable());
+        assert!(rect(&mut ws, 128).is_rectifiable());
     }
 
     #[test]
@@ -472,11 +300,11 @@ mod tests {
              buf g1 (y, a); not g2 (z, a); endmodule",
             &["t"],
         );
-        let cex = match check_rectifiable(&mut ws, 64, 1 << 20) {
+        let cex = match rect(&mut ws, 64) {
             Rectifiability::Counterexample(cex) => cex,
             other => panic!("expected counterexample, got {other:?}"),
         };
-        assert_eq!(check_rect_cex(&mut ws, &cex, 1 << 20), Some(true));
+        assert_eq!(audit(&mut ws, &cex), Some(true));
 
         // The same assignment against a rectifiable instance is refuted.
         let mut ws2 = ws_of(
@@ -484,15 +312,12 @@ mod tests {
             "module g (a, y); input a; output y; buf g1 (y, a); endmodule",
             &["t"],
         );
-        assert_eq!(check_rect_cex(&mut ws2, &cex, 1 << 20), Some(false));
+        assert_eq!(audit(&mut ws2, &cex), Some(false));
 
         // Malformed (wrong names / incomplete) assignments are refuted,
         // never trusted.
-        assert_eq!(check_rect_cex(&mut ws, &[], 1 << 20), Some(false));
-        assert_eq!(
-            check_rect_cex(&mut ws, &[("nope".into(), true)], 1 << 20),
-            Some(false)
-        );
+        assert_eq!(audit(&mut ws, &[]), Some(false));
+        assert_eq!(audit(&mut ws, &[("nope".into(), true)]), Some(false));
     }
 
     #[test]
@@ -507,13 +332,48 @@ mod tests {
         // A tiny iteration budget may fail to converge but must never
         // produce a wrong counterexample on a rectifiable instance.
         for budget in [0usize, 1, 2] {
-            let got = check_rectifiable(&mut ws, budget, 1 << 20);
+            let got = rect(&mut ws, budget);
             assert!(
                 !matches!(got, Rectifiability::Counterexample(_)),
                 "rectifiable instance produced a counterexample at budget {budget}: {got:?}"
             );
         }
         // A generous budget decides it.
-        assert!(check_rectifiable(&mut ws, 64, 1 << 20).is_rectifiable());
+        assert!(rect(&mut ws, 64).is_rectifiable());
+    }
+
+    #[test]
+    fn fired_ctl_reports_unknown() {
+        // Rectifiable, but the A-solver's first proposal already needs a
+        // search, which a fired flag stops.
+        let mut ws = ws_of(
+            "module f (a, b, c, t, y); input a, b, c, t; output y; \
+             xor g1 (y, t, c); endmodule",
+            "module g (a, b, c, y); input a, b, c; output y; \
+             wire w; and g1 (w, a, b); xor g2 (y, w, c); endmodule",
+            &["t"],
+        );
+        let tel = Telemetry::new();
+        let got = check_rectifiable(&mut ws, 64, 1 << 20, &fired_ctl(), &tel);
+        assert_eq!(got, Rectifiability::Unknown);
+        assert_eq!(tel.snapshot().sat.solvers, 1, "the A-solver is recorded");
+    }
+
+    #[test]
+    fn fired_ctl_leaves_the_audit_undecided() {
+        // Without the flag this audit refutes the assignment (`Some(false)`).
+        let mut ws = ws_of(
+            "module f (a, t, y); input a, t; output y; buf g1 (y, t); endmodule",
+            "module g (a, y); input a; output y; buf g1 (y, a); endmodule",
+            &["t"],
+        );
+        let cex = [("a".to_string(), true)];
+        let tel = Telemetry::new();
+        assert_eq!(
+            check_rect_cex(&mut ws, &cex, 1 << 20, &fired_ctl(), &tel),
+            None
+        );
+        assert_eq!(tel.snapshot().sat.solvers, 1, "the B-solver is recorded");
+        assert_eq!(audit(&mut ws, &cex), Some(false));
     }
 }

@@ -116,22 +116,13 @@ impl IntervalChecker {
 /// substituted (as in the cost optimizer), so the interval reflects the
 /// final context. Cones are measured against each patch's own cut
 /// frontier.
+///
+/// Per-check budgets are capped by the governor's conflict allowance, each
+/// patch's validity solver is enrolled in the deadline/cancellation
+/// control block, and remaining patches are skipped once the deadline
+/// fires. Like cost optimization, stopping early is always sound — the
+/// incoming patches stay valid.
 pub fn reduce_patch_sizes(
-    ws: &mut Workspace,
-    patches: &mut [PatchFn],
-    opts: &SizeOptOptions,
-    tel: &crate::Telemetry,
-) -> SizeOptStats {
-    reduce_patch_sizes_governed(ws, patches, opts, &Budget::unlimited(), tel)
-}
-
-/// [`reduce_patch_sizes`] under a resource governor: per-check budgets are
-/// capped by the governor's conflict allowance, each patch's validity
-/// solver is enrolled in the deadline/cancellation control block, and
-/// remaining patches are skipped once the deadline fires. Like cost
-/// optimization, stopping early is always sound — the incoming patches
-/// stay valid.
-pub(crate) fn reduce_patch_sizes_governed(
     ws: &mut Workspace,
     patches: &mut [PatchFn],
     opts: &SizeOptOptions,
@@ -226,7 +217,9 @@ pub(crate) fn reduce_patch_sizes_governed(
 mod tests {
     use super::*;
     use crate::localize::{Cut, TapMap};
-    use crate::{cluster_targets, generate_group_patches, EcoInstance, PatchGenOptions};
+    use crate::{
+        cluster_targets, generate_group_patches, ConflictMeter, EcoInstance, PatchGenOptions,
+    };
     use eco_netlist::{parse_verilog, WeightTable};
 
     /// Deliberately bloated spec: the on-set circuit of the initial patch
@@ -261,13 +254,17 @@ mod tests {
             &tap,
             &clustering.clusters[0],
             &PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         let mut patches = group.patches;
         let stats = reduce_patch_sizes(
             &mut ws,
             &mut patches,
             &SizeOptOptions::default(),
+            &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
         assert!(stats.size_after <= stats.size_before, "{stats:?}");
@@ -305,14 +302,18 @@ mod tests {
             &tap,
             &clustering.clusters[0],
             &PatchGenOptions::default(),
+            &Budget::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
-        );
+        )
+        .expect("unlimited budget never degrades");
         let mut patches = group.patches;
         let before = patches[0].lit;
         let stats = reduce_patch_sizes(
             &mut ws,
             &mut patches,
             &SizeOptOptions::default(),
+            &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
         assert_eq!(stats.size_after, stats.size_before);

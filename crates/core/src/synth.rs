@@ -42,6 +42,10 @@ pub struct SynthOutcome {
     pub escalated: bool,
 }
 
+/// Fewest conflicts worth spending on the ladder's cheap first tier; below
+/// this the attempt is pure overhead and the ladder escalates directly.
+const MIN_CHEAP_TIER: u64 = 64;
+
 /// Synthesizes `p'_k` from its on/off sets over the cut `C_d` and the
 /// remaining targets `T_k` (Theorem 2).
 ///
@@ -50,39 +54,15 @@ pub struct SynthOutcome {
 /// variables are exactly the cut signals and remaining targets, so the
 /// interpolant — imported back into the manager — is a valid patch
 /// whenever `on ∧ off` is unsatisfiable.
-pub fn synthesize_patch(
-    ws: &mut Workspace,
-    onoff: OnOff,
-    cut: &Cut,
-    kind: InitialPatchKind,
-    conflict_budget: u64,
-    tel: &crate::Telemetry,
-) -> SynthOutcome {
-    synthesize_patch_governed(
-        ws,
-        onoff,
-        cut,
-        kind,
-        conflict_budget,
-        &SolveCtl::unlimited(),
-        &mut ConflictMeter::unlimited(),
-        tel,
-    )
-}
-
-/// Fewest conflicts worth spending on the ladder's cheap first tier; below
-/// this the attempt is pure overhead and the ladder escalates directly.
-const MIN_CHEAP_TIER: u64 = 64;
-
-/// [`synthesize_patch`] under a governor: interpolation attempts charge
-/// the cluster's [`ConflictMeter`] and enroll in `ctl`, and — when the
-/// meter is finite — run as a budget-escalation ladder: a cheap attempt at
-/// an eighth of the remaining allowance, an escalated attempt at the full
-/// remainder, and finally the structural on-set fallback (which always
-/// succeeds). With an unlimited meter the ladder collapses to exactly one
-/// attempt at `conflict_budget`, preserving ungoverned behavior.
+///
+/// Interpolation attempts charge the cluster's [`ConflictMeter`] and
+/// enroll in `ctl`, and — when the meter is finite — run as a
+/// budget-escalation ladder: a cheap attempt at an eighth of the remaining
+/// allowance, an escalated attempt at the full remainder, and finally the
+/// structural on-set fallback (which always succeeds). With an unlimited
+/// meter the ladder collapses to exactly one attempt at `conflict_budget`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn synthesize_patch_governed(
+pub fn synthesize_patch(
     ws: &mut Workspace,
     onoff: OnOff,
     cut: &Cut,
@@ -300,6 +280,8 @@ mod tests {
             &cut,
             InitialPatchKind::OnSet,
             1 << 20,
+            &SolveCtl::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &tel(),
         );
         assert!(!got.interpolated && !got.fallback);
@@ -318,6 +300,8 @@ mod tests {
             &cut,
             InitialPatchKind::NegOffSet,
             1 << 20,
+            &SolveCtl::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &tel(),
         );
         check_patch_semantics(&ws, got.lit);
@@ -335,6 +319,8 @@ mod tests {
             &cut,
             InitialPatchKind::Interpolant,
             1 << 20,
+            &SolveCtl::unlimited(),
+            &mut ConflictMeter::unlimited(),
             &tel(),
         );
         assert!(got.interpolated && !got.fallback);
@@ -355,7 +341,7 @@ mod tests {
         });
         let mut meter = budget.meter();
         let tel = tel();
-        let got = synthesize_patch_governed(
+        let got = synthesize_patch(
             &mut ws,
             onoff,
             &cut,
@@ -382,7 +368,7 @@ mod tests {
         });
         let mut meter = budget.meter();
         let tel = tel();
-        let got = synthesize_patch_governed(
+        let got = synthesize_patch(
             &mut ws,
             onoff,
             &cut,
@@ -429,6 +415,8 @@ mod tests {
                 &cut,
                 InitialPatchKind::Interpolant,
                 1 << 20,
+                &SolveCtl::unlimited(),
+                &mut ConflictMeter::unlimited(),
                 &tel(),
             )
         };

@@ -289,10 +289,6 @@ pub struct TelemetrySnapshot {
     /// Memo hits discarded because revalidation (fresh SAT miter or
     /// counterexample B-check) refuted the cached entry.
     pub memo_fallbacks: u64,
-    /// Portfolio races launched (unlimited-budget hard queries only).
-    pub portfolio_launches: u64,
-    /// Races won per portfolio member, indexed by config id (0..4).
-    pub portfolio_winner_counts: [u64; 4],
     /// Peak resident-set size in bytes at snapshot time, `None` when the
     /// platform does not expose it (see [`peak_rss_bytes`]).
     pub peak_rss_bytes: Option<u64>,
@@ -358,14 +354,6 @@ impl TelemetrySnapshot {
             .u64("hits", self.memo_hits)
             .u64("misses", self.memo_misses)
             .u64("fallbacks", self.memo_fallbacks);
-        let winners: Vec<String> = self
-            .portfolio_winner_counts
-            .iter()
-            .map(|w| w.to_string())
-            .collect();
-        let portfolio = JsonObj::new()
-            .u64("launches", self.portfolio_launches)
-            .arr("winner_counts", &winners);
         let events: Vec<String> = self
             .events
             .iter()
@@ -387,8 +375,7 @@ impl TelemetrySnapshot {
             .u64("interpolation_fallbacks", self.interpolation_fallbacks)
             .u64("localization_fallbacks", self.localization_fallbacks)
             .raw("governor", &governor.build())
-            .raw("memo", &memo.build())
-            .raw("portfolio", &portfolio.build());
+            .raw("memo", &memo.build());
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
             None => obj.raw("peak_rss_bytes", "null"),
@@ -469,11 +456,6 @@ impl std::fmt::Display for TelemetrySnapshot {
             "memo: {} hits, {} misses, {} fallbacks",
             self.memo_hits, self.memo_misses, self.memo_fallbacks
         )?;
-        writeln!(
-            f,
-            "portfolio: {} races, winners by config {:?}",
-            self.portfolio_launches, self.portfolio_winner_counts
-        )?;
         if let Some(b) = self.peak_rss_bytes {
             writeln!(
                 f,
@@ -526,8 +508,6 @@ pub struct Telemetry {
     vivified_clauses: AtomicU64,
     subsumed_clauses: AtomicU64,
     eliminated_vars: AtomicU64,
-    portfolio_launches: AtomicU64,
-    portfolio_winners: [AtomicU64; 4],
     events: Mutex<Vec<TelemetryEvent>>,
 }
 
@@ -565,17 +545,6 @@ impl Telemetry {
             .fetch_add(s.subsumed_clauses, Ordering::Relaxed);
         self.eliminated_vars
             .fetch_add(s.eliminated_vars, Ordering::Relaxed);
-    }
-
-    /// Counts one portfolio race and the config index that won it.
-    /// Races that time out (no winner) pass `None`.
-    pub fn record_portfolio(&self, winner: Option<usize>) {
-        self.portfolio_launches.fetch_add(1, Ordering::Relaxed);
-        if let Some(w) = winner {
-            if let Some(slot) = self.portfolio_winners.get(w) {
-                slot.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Folds one FRAIG sweep into the sweep totals (its internal solver,
@@ -724,14 +693,6 @@ impl Telemetry {
             memo_hits: load(&self.memo_hits),
             memo_misses: load(&self.memo_misses),
             memo_fallbacks: load(&self.memo_fallbacks),
-            portfolio_launches: load(&self.portfolio_launches),
-            portfolio_winner_counts: {
-                let mut w = [0u64; 4];
-                for (slot, a) in w.iter_mut().zip(&self.portfolio_winners) {
-                    *slot = load(a);
-                }
-                w
-            },
             peak_rss_bytes: peak_rss_bytes(),
             events: self.events.lock().expect("telemetry event lock").clone(),
         }
@@ -846,9 +807,6 @@ mod tests {
             "\"vivified_clauses\"",
             "\"subsumed_clauses\"",
             "\"eliminated_vars\"",
-            "\"portfolio\"",
-            "\"launches\"",
-            "\"winner_counts\"",
             "\\\"hi\\\"",
         ] {
             assert!(js.contains(key), "missing {key} in {js}");

@@ -3,12 +3,7 @@
 use std::collections::HashMap;
 
 use eco_aig::{Aig, Lit, Var};
-use eco_sat::{
-    encode_cone, race, ArtifactPolicy, LBool, MemberOutcome, PortfolioSpec, SolveCtl, Solver,
-    SolverStats,
-};
-
-use crate::telemetry::Telemetry;
+use eco_sat::{encode_cone, LBool, SolveCtl, Solver, SolverStats};
 
 /// Outcome of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,137 +29,54 @@ impl VerifyOutcome {
 /// Every input reached by the cones becomes a free SAT variable; a SAT
 /// answer yields the input assignment as a counterexample. Builds miter
 /// nodes in `mgr` (scratch growth is harmless — cones are shared).
+///
+/// The solver is enrolled in `ctl`: a fired deadline or cancellation flag
+/// ends the check with [`VerifyOutcome::Unknown`] at the next Luby
+/// restart. Also returns the solver's final statistics for telemetry, or
+/// `None` when structural hashing decides the check before any solver is
+/// built.
 pub fn check_equivalence(
     mgr: &mut Aig,
     pairs: &[(Lit, Lit)],
     conflict_budget: u64,
-) -> VerifyOutcome {
-    check_equivalence_stats(mgr, pairs, conflict_budget).0
-}
-
-/// Like [`check_equivalence`], but also returns the verification solver's
-/// final statistics (all zero when structural hashing short-circuits the
-/// check before any SAT call), for telemetry aggregation.
-pub fn check_equivalence_stats(
-    mgr: &mut Aig,
-    pairs: &[(Lit, Lit)],
-    conflict_budget: u64,
-) -> (VerifyOutcome, SolverStats) {
-    check_equivalence_ctl(mgr, pairs, conflict_budget, &SolveCtl::unlimited())
-}
-
-/// Like [`check_equivalence_stats`], with the verification solver enrolled
-/// in a governor control block: a fired deadline or cancellation flag ends
-/// the check with [`VerifyOutcome::Unknown`] at the next Luby restart.
-pub fn check_equivalence_ctl(
-    mgr: &mut Aig,
-    pairs: &[(Lit, Lit)],
-    conflict_budget: u64,
     ctl: &SolveCtl,
-) -> (VerifyOutcome, SolverStats) {
+) -> (VerifyOutcome, Option<SolverStats>) {
     let xors: Vec<Lit> = pairs.iter().map(|&(a, b)| mgr.xor(a, b)).collect();
     let miter = mgr.or_many(&xors);
     if miter == Lit::FALSE {
-        return (VerifyOutcome::Equivalent, SolverStats::default());
+        return (VerifyOutcome::Equivalent, None);
     }
-    solve_miter(mgr, miter, conflict_budget, ctl)
-}
-
-/// Solves one prepared miter literal with a single default-configuration
-/// solver (the `--portfolio 1` path, byte-for-byte).
-fn solve_miter(
-    mgr: &Aig,
-    miter: Lit,
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-) -> (VerifyOutcome, SolverStats) {
     let mut solver = Solver::new();
-    if !ctl.is_unlimited() {
-        solver.set_ctl(ctl);
-    }
+    solver.set_ctl(ctl);
     let mut map: HashMap<Var, eco_sat::Lit> = HashMap::new();
     let roots = encode_cone(mgr, &[miter], &mut map, &mut solver);
     solver.add_clause(&[roots[0]]);
-    let solved = solver.solve_limited(&[], conflict_budget);
-    let stats = solver.stats();
-    let outcome = match solved {
+    let outcome = match solver.solve_limited(&[], conflict_budget) {
         Some(false) => VerifyOutcome::Equivalent,
         None => VerifyOutcome::Unknown,
-        Some(true) => VerifyOutcome::Counterexample(model_cex(mgr, &map, &solver)),
+        Some(true) => {
+            // Project the model onto the cone's primary inputs, by name.
+            let mut cex = Vec::new();
+            for (&v, &sl) in &map {
+                if let Some(pos) = mgr.input_pos(v) {
+                    let val = solver.model_value(sl) == LBool::True;
+                    cex.push((mgr.input_name(pos).to_owned(), val));
+                }
+            }
+            cex.sort();
+            VerifyOutcome::Counterexample(cex)
+        }
     };
-    (outcome, stats)
-}
-
-/// Projects a SAT model onto the cone's primary inputs, sorted by name.
-fn model_cex(mgr: &Aig, map: &HashMap<Var, eco_sat::Lit>, solver: &Solver) -> Vec<(String, bool)> {
-    let mut cex = Vec::new();
-    for (&v, &sl) in map {
-        if let Some(pos) = mgr.input_pos(v) {
-            let val = solver.model_value(sl) == LBool::True;
-            cex.push((mgr.input_name(pos).to_owned(), val));
-        }
-    }
-    cex.sort();
-    cex
-}
-
-/// [`check_equivalence_ctl`] with an optional deterministic solver
-/// portfolio: when `spec` enables racing *and* the conflict budget is
-/// unlimited, the miter is raced by the diversified configurations
-/// (first answer wins, counterexamples pinned to configuration 0 so the
-/// result is byte-identical to a single-configuration run). Finite
-/// budgets and single-member specs fall through to the plain path
-/// unchanged. Solver statistics and race outcomes are folded into `tel`.
-pub fn check_equivalence_portfolio(
-    mgr: &mut Aig,
-    pairs: &[(Lit, Lit)],
-    conflict_budget: u64,
-    ctl: &SolveCtl,
-    spec: &PortfolioSpec,
-    tel: &Telemetry,
-) -> VerifyOutcome {
-    let xors: Vec<Lit> = pairs.iter().map(|&(a, b)| mgr.xor(a, b)).collect();
-    let miter = mgr.or_many(&xors);
-    if miter == Lit::FALSE {
-        return VerifyOutcome::Equivalent;
-    }
-    if !spec.enabled() || conflict_budget != u64::MAX {
-        let (outcome, stats) = solve_miter(mgr, miter, conflict_budget, ctl);
-        tel.record_solver(&stats);
-        return outcome;
-    }
-    let mgr: &Aig = mgr;
-    let won = race(spec, ArtifactPolicy::PinSat, ctl, |_, cfg, member| {
-        let mut solver = Solver::with_config(cfg);
-        solver.set_ctl(&member.ctl);
-        solver.set_progress(member.progress);
-        let mut map: HashMap<Var, eco_sat::Lit> = HashMap::new();
-        let roots = encode_cone(mgr, &[miter], &mut map, &mut solver);
-        solver.add_clause(&[roots[0]]);
-        let answer = solver.solve_limited(&[], u64::MAX);
-        let artifact = if answer == Some(true) {
-            model_cex(mgr, &map, &solver)
-        } else {
-            Vec::new()
-        };
-        MemberOutcome {
-            answer,
-            artifact,
-            stats: solver.stats(),
-        }
-    });
-    tel.record_solver(&won.stats);
-    tel.record_portfolio(won.answer.map(|_| won.winner));
-    match won.answer {
-        Some(false) => VerifyOutcome::Equivalent,
-        None => VerifyOutcome::Unknown,
-        Some(true) => VerifyOutcome::Counterexample(won.artifact.unwrap_or_default()),
-    }
+    (outcome, Some(solver.stats()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(mgr: &mut Aig, pairs: &[(Lit, Lit)], conflict_budget: u64) -> VerifyOutcome {
+        check_equivalence(mgr, pairs, conflict_budget, &SolveCtl::unlimited()).0
+    }
 
     #[test]
     fn equivalent_pairs_pass() {
@@ -175,7 +87,7 @@ mod tests {
         // Same function built differently: !( !a | !b )
         let t = mgr.or(!a, !b);
         let g = !t;
-        assert!(check_equivalence(&mut mgr, &[(f, g)], 1 << 20).is_equivalent());
+        assert!(check(&mut mgr, &[(f, g)], 1 << 20).is_equivalent());
     }
 
     #[test]
@@ -185,7 +97,7 @@ mod tests {
         let b = mgr.add_input("b");
         let f = mgr.and(a, b);
         let g = mgr.or(a, b);
-        match check_equivalence(&mut mgr, &[(f, g)], 1 << 20) {
+        match check(&mut mgr, &[(f, g)], 1 << 20) {
             VerifyOutcome::Counterexample(cex) => {
                 // The cex must distinguish AND from OR: exactly one of a, b.
                 let a_v = cex.iter().find(|(n, _)| n == "a").expect("a").1;
@@ -202,9 +114,9 @@ mod tests {
         let a = mgr.add_input("a");
         let b = mgr.add_input("b");
         let pairs = [(a, a), (b, b)];
-        assert!(check_equivalence(&mut mgr, &pairs, 1 << 20).is_equivalent());
+        assert!(check(&mut mgr, &pairs, 1 << 20).is_equivalent());
         let bad = [(a, a), (b, !b)];
-        assert!(!check_equivalence(&mut mgr, &bad, 1 << 20).is_equivalent());
+        assert!(!check(&mut mgr, &bad, 1 << 20).is_equivalent());
     }
 
     #[test]
@@ -225,7 +137,7 @@ mod tests {
                 true,
             ))),
         };
-        let (outcome, _) = check_equivalence_ctl(&mut mgr, &[(f, g)], 1 << 20, &ctl);
+        let (outcome, _) = check_equivalence(&mut mgr, &[(f, g)], 1 << 20, &ctl);
         assert_eq!(outcome, VerifyOutcome::Unknown);
     }
 
@@ -234,9 +146,8 @@ mod tests {
         let mut mgr = Aig::new();
         let a = mgr.add_input("a");
         // No SAT call needed: xor folds to constant false.
-        assert_eq!(
-            check_equivalence(&mut mgr, &[(a, a)], 0),
-            VerifyOutcome::Equivalent
-        );
+        let (outcome, stats) = check_equivalence(&mut mgr, &[(a, a)], 0, &SolveCtl::unlimited());
+        assert_eq!(outcome, VerifyOutcome::Equivalent);
+        assert!(stats.is_none(), "no solver may be built");
     }
 }

@@ -147,12 +147,22 @@ proptest! {
                     &tap,
                     cluster,
                     &eco_core::PatchGenOptions::default(),
+                    &eco_core::Budget::unlimited(),
+                    &mut eco_core::ConflictMeter::unlimited(),
+                    &eco_core::Telemetry::new(),
                 )
+                .expect("unlimited budget never degrades")
                 .patches,
             );
         }
         prop_assume!(!patches.is_empty());
-        let stats = eco_core::optimize_patches(&mut ws, &mut patches, &OptimizeOptions::default());
+        let stats = eco_core::optimize_patches(
+            &mut ws,
+            &mut patches,
+            &OptimizeOptions::default(),
+            &eco_core::Budget::unlimited(),
+            &eco_core::Telemetry::new(),
+        );
         prop_assert!(
             stats.cost_after <= stats.cost_before,
             "optimizer regressed: {:?}",
@@ -192,7 +202,13 @@ proptest! {
         let inst = EcoInstance::from_netlists("pre", &faulty, &golden, targets, &weights)
             .expect("valid");
         let mut ws = Workspace::new(&inst);
-        let got = eco_core::check_rectifiable(&mut ws, 512, 1 << 22);
+        let got = eco_core::check_rectifiable(
+            &mut ws,
+            512,
+            1 << 22,
+            &eco_sat::SolveCtl::unlimited(),
+            &eco_core::Telemetry::new(),
+        );
         prop_assert!(got.is_rectifiable(), "{got:?}");
         // And with the precheck enabled, the engine still succeeds.
         let opts = eco_core::EcoOptions {

@@ -119,7 +119,7 @@ impl ItpSolver {
     }
 
     /// Uses `config` for the inner solver of every subsequent solve (e.g.
-    /// a diversified portfolio member). Interpolation-incompatible
+    /// different inprocessing budgets). Interpolation-incompatible
     /// inprocessing techniques (vivification, variable elimination) are
     /// skipped automatically by the inner solver; subsumption and
     /// self-subsumption stay on and are interpolant-sound.

@@ -36,15 +36,11 @@ mod dimacs;
 mod heap;
 mod interpolate;
 mod lit;
-mod portfolio;
 mod solver;
 mod tseitin;
 
 pub use crate::dimacs::{parse_dimacs, write_dimacs, DimacsProblem, ParseDimacsError};
 pub use crate::interpolate::{Interpolant, ItpOutcome, ItpSolver};
 pub use crate::lit::{LBool, Lit, Var};
-pub use crate::portfolio::{
-    race, ArtifactPolicy, MemberCtl, MemberOutcome, PortfolioSpec, RaceOutcome,
-};
 pub use crate::solver::{ClauseLabel, SolveCtl, Solver, SolverConfig, SolverStats};
 pub use crate::tseitin::{assert_lit, encode_cone, ClauseSink, LabeledSink};

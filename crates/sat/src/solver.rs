@@ -16,7 +16,7 @@
 //!   level-0 literals), so an UNSAT outcome yields a Craig interpolant as
 //!   an AIG.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,8 +60,18 @@ impl SolveCtl {
     }
 }
 
-/// Tuning knobs for one solver instance: search heuristics (varied by the
-/// portfolio to diversify members) and inprocessing schedules/budgets.
+/// VSIDS activity decay factor (activity increment grows by `1/decay` per
+/// conflict).
+const VAR_DECAY: f64 = 0.95;
+
+/// Conflicts per Luby restart unit: restart `i`'s conflict budget is
+/// `luby(i) * RESTART_INTERVAL`. This is also the cooperative-cancellation
+/// poll granularity (see [`SolveCtl`]).
+const RESTART_INTERVAL: u64 = 100;
+
+/// Inprocessing schedules and budgets for one solver instance. Search
+/// heuristics (VSIDS decay, Luby restart unit, negative initial phase)
+/// are fixed.
 ///
 /// The default configuration reproduces the solver's historical behavior
 /// bit-for-bit, except that inprocessing is on (it only engages above
@@ -69,21 +79,6 @@ impl SolveCtl {
 /// untouched).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
-    /// VSIDS activity decay factor (activity increment grows by `1/decay`
-    /// per conflict).
-    pub var_decay: f64,
-    /// Conflicts per Luby restart unit: restart `i`'s conflict budget is
-    /// `luby(i) * restart_interval`. This is also the cooperative-
-    /// cancellation poll granularity (see [`SolveCtl`]).
-    pub restart_interval: u64,
-    /// Initial phase-saving polarity for fresh variables (`false` =
-    /// branch negative first, MiniSat's default).
-    pub default_polarity: bool,
-    /// Branching tie-break seed: `0` leaves initial activities at zero;
-    /// any other value assigns each fresh variable a tiny deterministic
-    /// activity jitter so equal-activity heap ties break differently per
-    /// seed. Purely order-diversifying; never outweighs a real bump.
-    pub seed: u64,
     /// Master switch for inter-restart inprocessing (vivification,
     /// subsumption/self-subsumption, and — when [`SolverConfig::bve`] is
     /// set — bounded variable elimination).
@@ -119,10 +114,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            restart_interval: 100,
-            default_polarity: false,
-            seed: 0,
             inprocessing: true,
             inprocess_min_clauses: 300,
             inprocess_first_solve: 8,
@@ -132,43 +123,6 @@ impl Default for SolverConfig {
             vivify_budget: 50_000,
             bve: false,
             bve_budget: 50_000,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The portfolio preset for configuration index `i`. Index 0 is the
-    /// default configuration (the single-solver behavior); higher indices
-    /// vary VSIDS decay, phase polarity, restart scaling, and the
-    /// branching tie-break seed.
-    pub fn diversified(i: usize) -> Self {
-        let base = SolverConfig::default();
-        match i {
-            0 => base,
-            1 => SolverConfig {
-                var_decay: 0.85,
-                restart_interval: 150,
-                default_polarity: true,
-                seed: 1,
-                ..base
-            },
-            2 => SolverConfig {
-                var_decay: 0.99,
-                restart_interval: 50,
-                seed: 2,
-                ..base
-            },
-            3 => SolverConfig {
-                var_decay: 0.92,
-                restart_interval: 300,
-                default_polarity: true,
-                seed: 3,
-                ..base
-            },
-            i => SolverConfig {
-                seed: i as u64,
-                ..base
-            },
         }
     }
 }
@@ -205,26 +159,6 @@ pub struct SolverStats {
     pub subsumed_clauses: u64,
     /// Variables removed by bounded variable elimination.
     pub eliminated_vars: u64,
-}
-
-impl SolverStats {
-    /// Field-wise difference against an earlier snapshot of the same
-    /// solver (saturating), e.g. the spend of one `solve_limited` call on
-    /// a persistent incremental solver.
-    pub fn delta_since(&self, base: &SolverStats) -> SolverStats {
-        SolverStats {
-            conflicts: self.conflicts.saturating_sub(base.conflicts),
-            decisions: self.decisions.saturating_sub(base.decisions),
-            propagations: self.propagations.saturating_sub(base.propagations),
-            restarts: self.restarts.saturating_sub(base.restarts),
-            learned: self.learned.saturating_sub(base.learned),
-            deleted: self.deleted.saturating_sub(base.deleted),
-            minimized: self.minimized.saturating_sub(base.minimized),
-            vivified_clauses: self.vivified_clauses.saturating_sub(base.vivified_clauses),
-            subsumed_clauses: self.subsumed_clauses.saturating_sub(base.subsumed_clauses),
-            eliminated_vars: self.eliminated_vars.saturating_sub(base.eliminated_vars),
-        }
-    }
 }
 
 impl std::ops::AddAssign for SolverStats {
@@ -327,10 +261,6 @@ pub struct Solver {
     solve_calls: u64,
     next_inprocess_solve: u64,
     next_inprocess_conflicts: u64,
-    /// Portfolio progress feed: conflicts spent in the current
-    /// `solve_limited` call, published per conflict.
-    progress: Option<Arc<AtomicU64>>,
-    progress_base: u64,
 }
 
 impl Default for Solver {
@@ -380,8 +310,6 @@ impl Solver {
             solve_calls: 0,
             next_inprocess_solve,
             next_inprocess_conflicts,
-            progress: None,
-            progress_base: 0,
         }
     }
 
@@ -395,13 +323,6 @@ impl Solver {
     /// later assume, mention in a new clause, or read from a model.
     pub fn freeze_var(&mut self, v: Var) {
         self.frozen[v.index() as usize] = true;
-    }
-
-    /// Installs a shared counter that search publishes its per-call
-    /// conflict count into (used by the portfolio runner's deterministic
-    /// epoch accounting).
-    pub fn set_progress(&mut self, progress: Arc<AtomicU64>) {
-        self.progress = Some(progress);
     }
 
     /// Requests cooperative cancellation: the next inter-restart check in
@@ -443,25 +364,11 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.assigns.len() as u32);
         self.assigns.push(LBool::Undef);
-        self.polarity.push(self.config.default_polarity);
+        // Phase saving starts negative (MiniSat's default).
+        self.polarity.push(false);
         self.level.push(0);
         self.reason.push(None);
-        // A seeded configuration gives every variable a tiny deterministic
-        // initial activity so heap ties break in a seed-specific order;
-        // the jitter is far below any real VSIDS bump.
-        let jitter = if self.config.seed == 0 {
-            0.0
-        } else {
-            let mut z = self
-                .config
-                .seed
-                .wrapping_add(u64::from(v.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            (z as f64 / u64::MAX as f64) * 1e-9
-        };
-        self.activity.push(jitter);
+        self.activity.push(0.0);
         self.frozen.push(false);
         self.eliminated.push(false);
         self.watches.push(Vec::new());
@@ -883,7 +790,7 @@ impl Solver {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn bump_clause(&mut self, cref: usize) {
@@ -1129,9 +1036,6 @@ impl Solver {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
-                if let Some(p) = &self.progress {
-                    p.store(self.stats.conflicts - self.progress_base, Ordering::Relaxed);
-                }
                 if self.decision_level() == 0 {
                     self.finalize_unsat(confl);
                     self.core.clear();
@@ -1237,7 +1141,6 @@ impl Solver {
         );
         self.assumptions = assumptions.to_vec();
         self.solve_calls += 1;
-        self.progress_base = self.stats.conflicts;
         self.maybe_inprocess();
         if !self.ok {
             self.core.clear();
@@ -1250,7 +1153,7 @@ impl Solver {
                 self.cancel_until(0);
                 return None;
             }
-            let budget = (luby(restart) * self.config.restart_interval).max(1);
+            let budget = (luby(restart) * RESTART_INTERVAL).max(1);
             let spent = self.stats.conflicts - start_conflicts;
             let budget = budget.min(max_conflicts.saturating_sub(spent).max(1));
             match self.search(budget) {
@@ -1285,7 +1188,7 @@ impl Solver {
     // workloads rarely restart, so a conflict-only schedule would never
     // fire for them). Every technique is deterministic — fixed iteration
     // orders, explicit budgets — so inprocessing never perturbs the
-    // jobs-independence or portfolio-independence guarantees.
+    // jobs-independence guarantee.
     //
     // Interpolation-mode soundness: dropping a subsumed clause only
     // weakens its partition (same argument as `simplify`), and

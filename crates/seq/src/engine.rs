@@ -25,8 +25,8 @@ use std::collections::HashMap;
 
 use eco_aig::{Aig, Lit, Var};
 use eco_core::{
-    check_equivalence_ctl, Budget, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome,
-    EcoResult, VerifyOutcome,
+    check_equivalence, Budget, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome, EcoResult,
+    VerifyOutcome,
 };
 use eco_netlist::WeightTable;
 
@@ -277,7 +277,7 @@ impl SeqEcoEngine {
             let folded = fold_patch(&comb.patch_aig, &chosen)?;
             let patched = self.faulty.splice(&folded)?;
             let (mut miter, pairs) = unroll_miter(&patched, &self.golden, k)?;
-            let (outcome, _) = check_equivalence_ctl(
+            let (outcome, _) = check_equivalence(
                 &mut miter,
                 &pairs,
                 self.options.eco.verify_budget,

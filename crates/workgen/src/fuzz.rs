@@ -31,6 +31,7 @@ use eco_netlist::{
     elaborate, netlist_from_aig, parse_verilog, parse_weights, write_verilog, write_weights, Gate,
     GateKind, NetRef, Netlist, WeightTable,
 };
+use eco_sat::SolveCtl;
 
 use crate::fault::{assign_weights, cut_targets, scramble_dangling, WeightProfile};
 
@@ -420,7 +421,7 @@ fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> CaseOutco
             None => return fail(FailStage::Miter, format!("patched lost output `{name}`")),
         }
     }
-    match check_equivalence(&mut m, &pairs, cfg.oracle_budget) {
+    match check_equivalence(&mut m, &pairs, cfg.oracle_budget, &SolveCtl::unlimited()).0 {
         VerifyOutcome::Equivalent => {}
         VerifyOutcome::Counterexample(cex) => {
             let s: Vec<String> = cex

@@ -17,6 +17,7 @@
 use std::fmt;
 
 use eco_core::{check_equivalence, VerifyOutcome};
+use eco_sat::SolveCtl;
 use eco_seq::hub::{read_design, write_design, Format};
 use eco_seq::{unroll_miter, SeqNetlist};
 
@@ -274,7 +275,14 @@ fn equivalent(
             })
         }
     };
-    match check_equivalence(&mut miter, &pairs, cfg.conflict_budget) {
+    match check_equivalence(
+        &mut miter,
+        &pairs,
+        cfg.conflict_budget,
+        &SolveCtl::unlimited(),
+    )
+    .0
+    {
         VerifyOutcome::Equivalent => Ok(()),
         VerifyOutcome::Unknown => Err(RtOutcome::Skip(format!("{hop}: miter budget exhausted"))),
         VerifyOutcome::Counterexample(cex) => {

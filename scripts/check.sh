@@ -45,16 +45,6 @@
 # throughput and p50/p99 round-trip latencies are recorded in
 # crates/bench/BENCH_serve.json.
 #
-# The portfolio smoke is part of the DEFAULT gate (cheap: four eco-patch
-# runs on one solver-bound unit): it drives unit04 with --portfolio 1
-# and --portfolio 4, asserts the emitted patch netlists are
-# byte-identical (including a repeated --portfolio 4 run), checks the
-# portfolio telemetry contract (no races at 1, races at 4), and records
-# both wall times into crates/bench/BENCH_portfolio.json. Wall time is
-# reported, not gated — on a loaded or single-core host the race is
-# overhead, and determinism is the contract under test. Skip it with
-# --no-portfolio-smoke.
-#
 # The seq smoke is also part of the DEFAULT gate (seconds): it generates
 # a latch-bearing case with eco-workgen --seq, rectifies it through
 # eco-patch --unroll at several frame depths (generate → unroll →
@@ -82,7 +72,6 @@ degrade_smoke=0
 batch_smoke=0
 scale_smoke=0
 serve_smoke=0
-portfolio_smoke=1
 chaos_smoke=1
 seq_smoke=1
 for arg in "$@"; do
@@ -93,13 +82,11 @@ for arg in "$@"; do
     --batch-smoke) batch_smoke=1 ;;
     --scale-smoke) scale_smoke=1 ;;
     --serve-smoke) serve_smoke=1 ;;
-    --portfolio-smoke) portfolio_smoke=1 ;;
-    --no-portfolio-smoke) portfolio_smoke=0 ;;
     --chaos-smoke) chaos_smoke=1 ;;
     --no-chaos-smoke) chaos_smoke=0 ;;
     --seq-smoke) seq_smoke=1 ;;
     --no-seq-smoke) seq_smoke=0 ;;
-    *) echo "usage: $0 [--bench-smoke] [--fuzz-smoke] [--degrade-smoke] [--batch-smoke] [--scale-smoke] [--serve-smoke] [--no-portfolio-smoke] [--no-chaos-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench-smoke] [--fuzz-smoke] [--degrade-smoke] [--batch-smoke] [--scale-smoke] [--serve-smoke] [--no-chaos-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
   esac
 done
 
@@ -120,53 +107,10 @@ cargo test -q --workspace
 echo "== cargo test -q --manifest-path ecobench/Cargo.toml"
 cargo test -q --offline --manifest-path ecobench/Cargo.toml
 
-if [ "$portfolio_smoke" -eq 1 ]; then
-  echo "== portfolio smoke: unit04 byte-identical across --portfolio 1/4, wall times recorded"
-  ptmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}"' EXIT
-  target/release/eco-workgen --suite --count 4 --out "$ptmp" -q
-
-  # unit04 is the solver-bound unit the portfolio targets; its single
-  # pre-specified target is w12 (deterministic suite).
-  run_portfolio() { # <n> <out.v>
-    local n="$1" out="$2" t0 t1
-    t0=$(date +%s%N)
-    target/release/eco-patch -f "$ptmp/unit04_faulty.v" -g "$ptmp/unit04_golden.v" \
-      -w "$ptmp/unit04.weights" -t w12 --portfolio "$n" --stats=json -q \
-      -o "$out" 2> "$ptmp/stderr_p$n.txt" \
-      || { echo "portfolio smoke: --portfolio $n run failed"; cat "$ptmp/stderr_p$n.txt"; exit 1; }
-    t1=$(date +%s%N)
-    echo $((t1 - t0))
-  }
-
-  wall1=$(run_portfolio 1 "$ptmp/patch_p1.v")
-  wall4=$(run_portfolio 4 "$ptmp/patch_p4.v")
-  run_portfolio 4 "$ptmp/patch_p4_again.v" > /dev/null
-  cmp -s "$ptmp/patch_p1.v" "$ptmp/patch_p4.v" \
-    || { echo "portfolio smoke: patch differs between --portfolio 1 and 4"; diff "$ptmp/patch_p1.v" "$ptmp/patch_p4.v" || true; exit 1; }
-  cmp -s "$ptmp/patch_p4.v" "$ptmp/patch_p4_again.v" \
-    || { echo "portfolio smoke: repeated --portfolio 4 runs differ"; exit 1; }
-  grep -q '"portfolio": {"launches": 0' "$ptmp/stderr_p1.txt" \
-    || { echo "portfolio smoke: --portfolio 1 must not race"; cat "$ptmp/stderr_p1.txt"; exit 1; }
-  grep -q '"portfolio": {"launches": 0' "$ptmp/stderr_p4.txt" \
-    && { echo "portfolio smoke: --portfolio 4 never raced"; cat "$ptmp/stderr_p4.txt"; exit 1; }
-
-  cat > crates/bench/BENCH_portfolio.json <<EOF
-{"benches": [
-  {"name": "portfolio-smoke/unit04/portfolio1", "samples": 1, "mean_ns": $wall1, "median_ns": $wall1, "min_ns": $wall1, "max_ns": $wall1},
-  {"name": "portfolio-smoke/unit04/portfolio4", "samples": 1, "mean_ns": $wall4, "median_ns": $wall4, "min_ns": $wall4, "max_ns": $wall4}
-],
- "notes": [
-  "cold eco-patch process wall (includes parse + startup); patches byte-identical, wall informational only"
-]}
-EOF
-  echo "portfolio smoke: ok (portfolio1 ${wall1}ns, portfolio4 ${wall4}ns)"
-fi
-
 if [ "$chaos_smoke" -eq 1 ]; then
   echo "== chaos smoke: 240 seeded fault sweeps + kill-mid-stream recovery drill"
   chtmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}" "${chtmp:-}"' EXIT
+  trap 'rm -rf "${chtmp:-}"' EXIT
   # The campaign fails on any crash, any wrong answer (differential
   # oracle), a lost response across the SIGKILL, or a warm restart that
   # misses the durable memo store.
@@ -185,7 +129,7 @@ fi
 if [ "$seq_smoke" -eq 1 ]; then
   echo "== seq smoke: generate -> unroll -> rectify -> fold -> verify at several depths"
   sqtmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}" "${chtmp:-}" "${sqtmp:-}"' EXIT
+  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}"' EXIT
   target/release/eco-workgen --seq 1 --out "$sqtmp" --seed 5 -q
 
   # seq000 is the first shift-register unit (seed 5: 4 latches, 1
@@ -262,7 +206,7 @@ fi
 if [ "$degrade_smoke" -eq 1 ]; then
   echo "== degrade smoke: starved eco-patch run must exit 4 with a well-formed partial result"
   tmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}" "${chtmp:-}" "${sqtmp:-}" "$tmp"' EXIT
+  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "$tmp"' EXIT
   # A tiny two-cluster workload: two independent targets, each cut to a
   # floating pseudo-input in the faulty circuit.
   cat > "$tmp/golden.v" <<'EOF'
@@ -325,7 +269,7 @@ fi
 if [ "$batch_smoke" -eq 1 ]; then
   echo "== batch smoke: 12-job manifest, cold + warm over one shared memo cache"
   btmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}" "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
+  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
   target/release/eco-workgen --suite --count 12 --out "$btmp" --manifest "$btmp/manifest.toml" -q
 
   run_batch() {
@@ -371,7 +315,7 @@ fi
 if [ "$scale_smoke" -eq 1 ]; then
   echo "== scale smoke: 100k preset end-to-end under a 300s governor deadline"
   stmp="$(mktemp -d)"
-  trap 'rm -rf "${ptmp:-}" "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}"' EXIT
+  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}"' EXIT
 
   # The generator CLI path: both 100k AIGs must emit and re-parse.
   target/release/eco-workgen --scale 100k --out "$stmp" -q
@@ -411,7 +355,7 @@ if [ "$serve_smoke" -eq 1 ]; then
   serve_cleanup() {
     # shellcheck disable=SC2086
     [ -n "$serve_pids" ] && kill $serve_pids 2> /dev/null || true
-    rm -rf "${ptmp:-}" "${chtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}" "${svtmp:-}"
+    rm -rf "${chtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}" "${svtmp:-}"
   }
   trap serve_cleanup EXIT
   target/release/eco-workgen --suite --count 12 --out "$svtmp/cases" \

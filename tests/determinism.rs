@@ -142,14 +142,12 @@ fn degradation_is_jobs_independent() {
     }
 }
 
-fn run_with_portfolio(inst: &eco::core::EcoInstance, portfolio: usize, jobs: usize) -> EcoResult {
+fn run_with_precheck(inst: &eco::core::EcoInstance, precheck: bool, jobs: usize) -> EcoResult {
     EcoEngine::new(
         inst.clone(),
         EcoOptions {
-            portfolio,
             jobs,
-            // Exercise the 2QBF CEGAR races too, not just the miters.
-            precheck_rectifiability: true,
+            precheck_rectifiability: precheck,
             ..Default::default()
         },
     )
@@ -157,12 +155,12 @@ fn run_with_portfolio(inst: &eco::core::EcoInstance, portfolio: usize, jobs: usi
     .expect("rectifiable")
 }
 
-/// The deterministic solver portfolio must be invisible in the results:
-/// `--portfolio 1` and `--portfolio 4` (and repeated `--portfolio 4`
-/// runs, and portfolio × jobs combinations) produce byte-identical
-/// patches.
+/// The Eq.-2 precheck (2QBF CEGAR) runs on a scratch workspace, so it
+/// must be invisible in the results: with the precheck on, `jobs` 1 and 4
+/// agree exactly, the patch rectifies, and the result equals a
+/// precheck-off run. Its solvers must still be recorded in the telemetry.
 #[test]
-fn portfolio_is_deterministic() {
+fn precheck_is_deterministic() {
     let subset = ["unit04", "unit06"];
     let mut checked = 0;
     for unit in contest_suite() {
@@ -170,85 +168,22 @@ fn portfolio_is_deterministic() {
             continue;
         }
         let inst = unit.instance().expect("valid instance");
-        let single = run_with_portfolio(&inst, 1, 1);
-        let raced = run_with_portfolio(&inst, 4, 1);
-        let raced_again = run_with_portfolio(&inst, 4, 1);
-        let raced_parallel = run_with_portfolio(&inst, 4, 4);
-        common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &raced);
-        assert_identical(&unit.spec.name, &single, &raced);
-        assert_identical(&unit.spec.name, &raced, &raced_again);
-        assert_identical(&unit.spec.name, &raced, &raced_parallel);
-        assert_eq!(
-            single.telemetry.portfolio_launches, 0,
-            "{}: a single-member spec must never race",
-            unit.spec.name
-        );
+        let off = run_with_precheck(&inst, false, 1);
+        let seq = run_with_precheck(&inst, true, 1);
+        let par = run_with_precheck(&inst, true, 4);
+        common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &par);
+        assert_identical(&unit.spec.name, &seq, &par);
+        assert_identical(&unit.spec.name, &off, &seq);
         assert!(
-            raced.telemetry.portfolio_launches >= 1,
-            "{}: unlimited-budget queries must race at portfolio 4",
-            unit.spec.name
+            seq.telemetry.sat.solvers > off.telemetry.sat.solvers,
+            "{}: precheck solvers not recorded ({} with it, {} without)",
+            unit.spec.name,
+            seq.telemetry.sat.solvers,
+            off.telemetry.sat.solvers
         );
         checked += 1;
     }
     assert_eq!(checked, subset.len(), "suite units went missing");
-}
-
-/// A starved (or finite) governor budget must not interact with the
-/// portfolio: finite-budget queries are never raced, so the degradation
-/// split and partial patches agree exactly across `--portfolio` values.
-#[test]
-fn portfolio_starved_governor_is_deterministic() {
-    let run_governed = |inst: &eco::core::EcoInstance, portfolio: usize, conflicts: u64| {
-        EcoEngine::new(
-            inst.clone(),
-            EcoOptions {
-                portfolio,
-                budget: BudgetOptions {
-                    timeout: None,
-                    cluster_conflicts: Some(conflicts),
-                },
-                ..Default::default()
-            },
-        )
-        .run_governed()
-        .expect("governed runs degrade, they do not error")
-    };
-    let unit = contest_suite()
-        .into_iter()
-        .find(|u| u.spec.name == "unit06")
-        .expect("unit06 exists");
-    let inst = unit.instance().expect("valid instance");
-    for conflicts in [0, 1 << 30] {
-        let single = run_governed(&inst, 1, conflicts);
-        let raced = run_governed(&inst, 4, conflicts);
-        match (&single, &raced) {
-            (EcoOutcome::Complete(a), EcoOutcome::Complete(b)) => {
-                assert_identical("unit06-portfolio-governed", a, b);
-            }
-            (EcoOutcome::Partial(a), EcoOutcome::Partial(b)) => {
-                assert_eq!(a.reason, b.reason, "degradation reason differs");
-                assert_eq!(a.clusters.len(), b.clusters.len());
-                for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
-                    assert_eq!(ca.targets, cb.targets, "cluster order differs");
-                    assert_eq!(ca.diagnosis, cb.diagnosis);
-                }
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.size, b.size);
-                assert_eq!(
-                    format!("{:?}", a.patch_aig),
-                    format!("{:?}", b.patch_aig),
-                    "partial patch AIG differs structurally"
-                );
-            }
-            _ => panic!("portfolio 1 and 4 disagree on complete-vs-partial"),
-        }
-        // Finite allowances must bypass the race machinery entirely.
-        let launches = match &raced {
-            EcoOutcome::Complete(r) => r.telemetry.portfolio_launches,
-            EcoOutcome::Partial(p) => p.telemetry.portfolio_launches,
-        };
-        assert_eq!(launches, 0, "finite budgets must never race");
-    }
 }
 
 /// The sequential flow (`eco-patch --unroll`) must be jobs-invariant

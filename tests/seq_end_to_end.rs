@@ -8,6 +8,7 @@
 
 use eco::aig::SplitMix64;
 use eco::core::{check_equivalence, EcoOptions, VerifyOutcome};
+use eco::sat::SolveCtl;
 use eco::seq::hub::{read_design, Format};
 use eco::seq::{unroll_miter, write_btor2, SeqEcoEngine, SeqEcoOptions, SeqEcoResult};
 use eco::workgen::{gen_seq_unit, write_seq_unit, SeqUnit};
@@ -72,7 +73,7 @@ fn disk_round_tripped_case_rectifies_and_verifies() {
     let (mut miter, pairs) =
         unroll_miter(&result.patched, &golden, unit.frames).expect("miter builds");
     assert_eq!(
-        check_equivalence(&mut miter, &pairs, 1 << 30),
+        check_equivalence(&mut miter, &pairs, 1 << 30, &SolveCtl::unlimited()).0,
         VerifyOutcome::Equivalent,
         "patched design must match golden over {} frames",
         unit.frames
