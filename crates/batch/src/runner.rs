@@ -485,7 +485,7 @@ pub fn execute_job(
     // boundary it exists to exercise.
     match catch_unwind(AssertUnwindSafe(|| {
         faultpoint::maybe_panic("solver.panic");
-        engine.run_governed_with(budget)
+        engine.run_governed(budget)
     })) {
         Err(_) => record.detail = "job worker panicked".into(),
         Ok(Err(EcoError::Unrectifiable(why))) => {

@@ -1,8 +1,8 @@
 //! Regenerates Table 2: cost / size / time, baseline vs ours, 20 units.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use eco_core::{EcoEngine, EcoOptions};
+use eco_core::{EcoEngine, EcoOptions, Stage};
 use eco_workgen::contest_suite;
 
 struct Row {
@@ -24,7 +24,14 @@ fn run(unit: &eco_workgen::SuiteUnit, opts: EcoOptions) -> (u64, usize, f64) {
         .run()
         .expect("rectifiable by construction");
     if std::env::var_os("ECO_STAGES").is_some() {
-        eprintln!("    stages: {:?}", result.stage_times);
+        let stages: Vec<String> = Stage::ALL
+            .iter()
+            .map(|&s| {
+                let t = Duration::from_nanos(result.telemetry.stage_nanos(s));
+                format!("{} {t:.1?}", s.name())
+            })
+            .collect();
+        eprintln!("    stages: {}", stages.join(", "));
     }
     (result.cost, result.size, t0.elapsed().as_secs_f64())
 }

@@ -39,15 +39,7 @@
 //! these skip the Verilog layer, so no manifest entries are written).
 //! `--count N` truncates the emitted list.
 //!
-//! `--chaos-campaign` runs the deterministic fault-injection campaign
-//! instead of emitting cases: `--iters N` in-process fault sweeps (seed
-//! `--seed`, default 240) over batch and serve runs with a differential
-//! oracle, plus a kill-mid-stream drill that SIGKILLs a real `eco-serve
-//! --stdio` daemon and recovers it with `--resume`. `--bench-out
-//! <path>` merges recovery metrics into a `BENCH_*.json` file (rows not
-//! owned by the campaign are preserved). `--out` is the scratch
-//! directory. Exit codes: 0 — ok (campaign: zero crashes, zero wrong
-//! answers), 1 — usage, I/O, or campaign failure.
+//! Exit codes: 0 — ok, 1 — usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,12 +51,8 @@ use eco_workgen::{
     ScalePreset,
 };
 
-#[path = "../chaos_campaign.rs"]
-mod chaos_campaign;
-
 const USAGE: &str = "usage: eco-workgen --out <dir> [--suite | --stress | --fuzz N | --seq N | \
---scale <100k|500k|1m>] [--seed S] [--count N] [--manifest <path>] [--requests <path>] [-q]
-       eco-workgen --chaos-campaign --out <dir> [--seed S] [--iters N] [--bench-out <path>] [-q]";
+--scale <100k|500k|1m>] [--seed S] [--count N] [--manifest <path>] [--requests <path>] [-q]";
 
 enum Mode {
     Suite,
@@ -72,7 +60,6 @@ enum Mode {
     Fuzz(u64),
     Seq(u64),
     Scale(&'static ScalePreset),
-    Chaos,
 }
 
 struct Args {
@@ -82,8 +69,6 @@ struct Args {
     count: Option<usize>,
     manifest: Option<PathBuf>,
     requests: Option<PathBuf>,
-    iters: u64,
-    bench_out: Option<PathBuf>,
     quiet: bool,
 }
 
@@ -94,8 +79,6 @@ fn parse_args() -> Result<Args, String> {
     let mut count = None;
     let mut manifest = None;
     let mut requests = None;
-    let mut iters = 240u64;
-    let mut bench_out = None;
     let mut quiet = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -140,14 +123,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
             "--requests" => requests = Some(PathBuf::from(value("--requests")?)),
-            "--chaos-campaign" => mode = Mode::Chaos,
-            "--iters" => {
-                let v = value("--iters")?;
-                iters = v
-                    .parse()
-                    .map_err(|_| format!("--iters expects a number, got `{v}`"))?;
-            }
-            "--bench-out" => bench_out = Some(PathBuf::from(value("--bench-out")?)),
             "-q" | "--quiet" => quiet = true,
             "-h" | "--help" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
@@ -163,23 +138,12 @@ fn parse_args() -> Result<Args, String> {
         count,
         manifest,
         requests,
-        iters,
-        bench_out,
         quiet,
     })
 }
 
 fn run(args: &Args) -> Result<(), String> {
     std::fs::create_dir_all(&args.out).map_err(|e| format!("{}: {e}", args.out.display()))?;
-    if let Mode::Chaos = args.mode {
-        return chaos_campaign::run_campaign(&chaos_campaign::CampaignOptions {
-            out: args.out.clone(),
-            seed: args.seed,
-            iters: args.iters,
-            bench_out: args.bench_out.clone(),
-            quiet: args.quiet,
-        });
-    }
     let io_err = |e: std::io::Error| format!("{}: {e}", args.out.display());
     let mut entries: Vec<ManifestEntry> = Vec::new();
     match args.mode {
@@ -250,8 +214,6 @@ fn run(args: &Args) -> Result<(), String> {
             }
             return Ok(());
         }
-        // Dispatched before the emit path above.
-        Mode::Chaos => unreachable!("chaos campaign returned early"),
         Mode::Fuzz(n) => {
             let cfg = FuzzConfig::default();
             let mut emitted = 0u64;

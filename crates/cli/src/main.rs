@@ -36,7 +36,9 @@ use std::time::Duration;
 
 use std::collections::HashMap;
 
-use eco_core::{BudgetOptions, EcoEngine, EcoInstance, EcoOptions, EcoOutcome, InitialPatchKind};
+use eco_core::{
+    Budget, BudgetOptions, EcoEngine, EcoInstance, EcoOptions, EcoOutcome, InitialPatchKind,
+};
 use eco_netlist::{
     netlist_from_aig, parse_blif, parse_verilog, parse_weights, write_verilog, WeightTable,
 };
@@ -286,7 +288,8 @@ fn run(args: &Args) -> Result<i32, String> {
     }
     .map_err(|e| e.to_string())?;
 
-    let outcome = match EcoEngine::new(instance, options).run_governed() {
+    let budget = Budget::new(&options.budget);
+    let outcome = match EcoEngine::new(instance, options).run_governed(&budget) {
         Ok(o) => o,
         Err(eco_core::EcoError::Unrectifiable(why)) => {
             eprintln!("unrectifiable: {why}");

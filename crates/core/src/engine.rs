@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eco_aig::{Aig, Lit, Var};
 use eco_fraig::{fraig_classes_memo, fraig_classes_stats, fraig_reduce, FraigOptions, SweepMemo};
@@ -118,35 +118,6 @@ impl EcoOptions {
     }
 }
 
-/// Wall-clock time per flow stage (Fig. 1) — the classic five-slot view;
-/// the full picture (plus the assembly stage and aggregated solver
-/// counters) lives in [`EcoResult::telemetry`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimes {
-    /// FRAIG sweeping, summed over the per-cluster sub-workspaces. The
-    /// sweeps run *inside* the patch-generation stage (and overlap it
-    /// when `jobs > 1`), so this slot is CPU time that [`StageTimes::total`]
-    /// counts a second time.
-    pub fraig: Duration,
-    /// Clustering + localization bookkeeping.
-    pub clustering: Duration,
-    /// Initial patch generation (Alg. 1): wall time of the (possibly
-    /// parallel) per-cluster section plus the deterministic merge.
-    pub patchgen: Duration,
-    /// Cost optimization (§6).
-    pub optimize: Duration,
-    /// Final verification.
-    pub verify: Duration,
-}
-
-impl StageTimes {
-    /// Total across stages (an upper bound on flow wall time, since the
-    /// `fraig` slot overlaps `patchgen`).
-    pub fn total(&self) -> Duration {
-        self.fraig + self.clustering + self.patchgen + self.optimize + self.verify
-    }
-}
-
 /// One target's patch, reported over the final patch AIG.
 #[derive(Clone, Debug)]
 pub struct TargetPatch {
@@ -171,8 +142,6 @@ pub struct EcoResult {
     pub cost: u64,
     /// Total patch size in AND gates (shared logic counted once).
     pub size: usize,
-    /// Stage wall-clock times of the successful attempt.
-    pub stage_times: StageTimes,
     /// `true` if the localized attempt failed verification and the engine
     /// fell back to an unlocalized run.
     pub localization_fallback: bool,
@@ -218,8 +187,6 @@ pub struct PartialResult {
     pub size: usize,
     /// One report per target cluster, in cluster order.
     pub clusters: Vec<ClusterReport>,
-    /// Stage wall-clock times up to the point of degradation.
-    pub stage_times: StageTimes,
     /// Full run telemetry, including the governor counters.
     pub telemetry: TelemetrySnapshot,
 }
@@ -260,12 +227,11 @@ pub struct EcoEngine {
 }
 
 /// Everything one cluster's isolated rectification produced: the
-/// sub-workspace (whose manager holds the patch cones), the generated
-/// group, and the sweep time spent.
+/// sub-workspace (whose manager holds the patch cones) and the generated
+/// group.
 struct ClusterOutcome {
     sub: Workspace,
     group: GroupPatches,
-    fraig_time: Duration,
 }
 
 impl EcoEngine {
@@ -290,7 +256,7 @@ impl EcoEngine {
     /// or the [`EcoOptions::budget`] governor degrades the run (use
     /// [`EcoEngine::run_governed`] to receive the partial result instead).
     pub fn run(&self) -> Result<EcoResult, EcoError> {
-        match self.run_governed()? {
+        match self.run_governed(&Budget::new(&self.options.budget))? {
             EcoOutcome::Complete(result) => Ok(result),
             EcoOutcome::Partial(partial) => Err(EcoError::ResourceLimit(format!(
                 "run degraded to a partial result: {}",
@@ -299,14 +265,22 @@ impl EcoEngine {
         }
     }
 
-    /// Runs the full flow under the [`EcoOptions::budget`] governor,
-    /// returning a graceful [`EcoOutcome::Partial`] instead of an error
-    /// when the deadline or conflict budget cuts the run short.
+    /// Runs the full flow under `budget`, returning a graceful
+    /// [`EcoOutcome::Partial`] instead of an error when the deadline or
+    /// conflict budget cuts the run short. [`EcoEngine::run`] passes a
+    /// governor built from [`EcoOptions::budget`]; the batch runner
+    /// apportions one run-wide governor across jobs with
+    /// [`Budget::child`].
     ///
     /// With an unlimited budget this behaves exactly like [`run`] (modulo
     /// the return type): the only way to see `Partial` is a panicking
     /// cluster worker, which the engine isolates and reports instead of
     /// aborting the process.
+    ///
+    /// This is also where the [`EcoOptions::memo`] whole-instance lookup
+    /// happens: a cached result is returned only after a fresh SAT miter
+    /// re-verifies it against this engine's instance; a refuted entry is
+    /// counted as a fallback and the full pipeline runs instead.
     ///
     /// [`run`]: EcoEngine::run
     ///
@@ -314,24 +288,7 @@ impl EcoEngine {
     ///
     /// As [`EcoEngine::run`], except budget-driven degradation is a
     /// successful `Partial` outcome rather than an error.
-    pub fn run_governed(&self) -> Result<EcoOutcome, EcoError> {
-        self.run_governed_with(&Budget::new(&self.options.budget))
-    }
-
-    /// Like [`EcoEngine::run_governed`], but under an externally supplied
-    /// [`Budget`] — the batch runner apportions one run-wide governor
-    /// across jobs with [`Budget::child`] and drives each job through
-    /// here.
-    ///
-    /// This is also where the [`EcoOptions::memo`] whole-instance lookup
-    /// happens: a cached result is returned only after a fresh SAT miter
-    /// re-verifies it against this engine's instance; a refuted entry is
-    /// counted as a fallback and the full pipeline runs instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcoEngine::run_governed`].
-    pub fn run_governed_with(&self, budget: &Budget) -> Result<EcoOutcome, EcoError> {
+    pub fn run_governed(&self, budget: &Budget) -> Result<EcoOutcome, EcoError> {
         let tel = Telemetry::new();
         let memo = self
             .options
@@ -342,9 +299,7 @@ impl EcoEngine {
         if let Some((cache, (key, check))) = memo {
             if let Some(mut cached) = cache.lookup_patch(key, check) {
                 tel.add_memo_hit();
-                let t0 = Instant::now();
                 if self.reverify_patch(&cached, budget, &tel) {
-                    cached.stage_times.verify = t0.elapsed();
                     cached.telemetry = tel.snapshot();
                     return Ok(EcoOutcome::Complete(cached));
                 }
@@ -361,8 +316,7 @@ impl EcoEngine {
         Ok(outcome)
     }
 
-    /// The localized attempt plus its completeness fallback (the former
-    /// body of `run_governed`, memo-free).
+    /// The localized attempt plus its completeness fallback (memo-free).
     fn run_attempts(&self, budget: &Budget, tel: &Telemetry) -> Result<EcoOutcome, EcoError> {
         let outcome = match self.attempt(self.options.localization, budget, tel)? {
             AttemptOutcome::Done(result) => EcoOutcome::Complete(result),
@@ -556,8 +510,7 @@ impl EcoEngine {
         } else {
             TapMap::empty()
         };
-        let fraig_time = t0.elapsed();
-        tel.add_stage(Stage::Fraig, fraig_time);
+        tel.add_stage(Stage::Fraig, t0.elapsed());
         if budget.expired() {
             return Err(ClusterDiagnosis::Deadline);
         }
@@ -566,11 +519,7 @@ impl EcoEngine {
         }
         let group =
             generate_group_patches(&mut sub, &tap, &local, pg_opts, budget, &mut meter, tel)?;
-        Ok(ClusterOutcome {
-            sub,
-            group,
-            fraig_time,
-        })
+        Ok(ClusterOutcome { sub, group })
     }
 
     /// One flow attempt.
@@ -582,14 +531,10 @@ impl EcoEngine {
     ) -> Result<AttemptOutcome, EcoError> {
         let opts = &self.options;
         let governed = !budget.is_unlimited();
-        let mut times = StageTimes::default();
         let mut ws = Workspace::new(&self.instance);
 
         // Stage 2: clustering (stage 1, FRAIG, now runs per cluster below).
-        let t0 = Instant::now();
-        let clustering = cluster_targets(&ws);
-        times.clustering = t0.elapsed();
-        tel.add_stage(Stage::Clustering, times.clustering);
+        let clustering = tel.time(Stage::Clustering, || cluster_targets(&ws));
 
         if governed && budget.expired() {
             tel.event(
@@ -602,7 +547,6 @@ impl EcoEngine {
                 &clustering.clusters,
                 ClusterDiagnosis::Deadline,
                 "deadline expired before patch generation",
-                times,
                 tel,
             ));
         }
@@ -686,7 +630,6 @@ impl EcoEngine {
                         &clustering.clusters,
                         diag,
                         "rectifiability precheck budget exhausted",
-                        times,
                         tel,
                     ));
                 }
@@ -714,9 +657,7 @@ impl EcoEngine {
             if let Some(stats) = stats {
                 tel.record_solver(&stats);
             }
-            let spent = t0.elapsed();
-            times.verify += spent;
-            tel.add_stage(Stage::Verify, spent);
+            tel.add_stage(Stage::Verify, t0.elapsed());
             match verdict {
                 VerifyOutcome::Equivalent => {}
                 VerifyOutcome::Counterexample(cex) => {
@@ -745,7 +686,6 @@ impl EcoEngine {
                         &clustering.clusters,
                         diag,
                         "verification budget exhausted on untouched outputs",
-                        times,
                         tel,
                     ));
                 }
@@ -820,7 +760,6 @@ impl EcoEngine {
                 .collect();
             match out {
                 Ok(out) => {
-                    times.fraig += out.fraig_time;
                     interpolation_fallbacks += out.group.fallbacks;
                     patches.extend(adopt_group(&mut ws, &out.sub, &out.group)?);
                     cluster_reports.push(ClusterReport {
@@ -849,8 +788,7 @@ impl EcoEngine {
                 cut: Cut::default(),
             });
         }
-        times.patchgen = t0.elapsed();
-        tel.add_stage(Stage::PatchGen, times.patchgen);
+        tel.add_stage(Stage::PatchGen, t0.elapsed());
 
         if failed > 0 {
             // Graceful degradation: report what completed; skip the
@@ -862,7 +800,6 @@ impl EcoEngine {
                 patches,
                 cluster_reports,
                 reason,
-                times,
                 tel,
             )));
         }
@@ -879,8 +816,7 @@ impl EcoEngine {
         if opts.size_optimize {
             let _ = reduce_patch_sizes(&mut ws, &mut patches, &opts.size_opts, budget, tel);
         }
-        times.optimize = t0.elapsed();
-        tel.add_stage(Stage::Optimize, times.optimize);
+        tel.add_stage(Stage::Optimize, t0.elapsed());
 
         // Stage 6: verification.
         let t0 = Instant::now();
@@ -900,9 +836,7 @@ impl EcoEngine {
         if let Some(stats) = stats {
             tel.record_solver(&stats);
         }
-        let spent = t0.elapsed();
-        times.verify += spent;
-        tel.add_stage(Stage::Verify, spent);
+        tel.add_stage(Stage::Verify, t0.elapsed());
         match verdict {
             VerifyOutcome::Equivalent => {}
             VerifyOutcome::Counterexample(cex) => return Ok(AttemptOutcome::Cex(cex)),
@@ -917,7 +851,6 @@ impl EcoEngine {
                     patches,
                     cluster_reports,
                     "final verification budget exhausted".to_string(),
-                    times,
                     tel,
                 )));
             }
@@ -937,7 +870,6 @@ impl EcoEngine {
                 patch_aig,
                 cost,
                 size,
-                stage_times: times,
                 localization_fallback: false,
                 interpolation_fallbacks,
                 optimize_delta,
@@ -1003,7 +935,6 @@ impl EcoEngine {
         mut patches: Vec<PatchFn>,
         clusters: Vec<ClusterReport>,
         reason: String,
-        times: StageTimes,
         tel: &Telemetry,
     ) -> PartialResult {
         let assembled = tel.time(Stage::Assemble, || {
@@ -1027,7 +958,6 @@ impl EcoEngine {
             cost,
             size,
             clusters,
-            stage_times: times,
             telemetry: TelemetrySnapshot::default(),
         }
     }
@@ -1040,7 +970,6 @@ impl EcoEngine {
         clusters: &[TargetCluster],
         diagnosis: ClusterDiagnosis,
         reason: &str,
-        times: StageTimes,
         tel: &Telemetry,
     ) -> AttemptOutcome {
         let reports: Vec<ClusterReport> = clusters
@@ -1062,7 +991,6 @@ impl EcoEngine {
             Vec::new(),
             reports,
             reason.to_string(),
-            times,
             tel,
         ))
     }
@@ -1201,6 +1129,7 @@ fn prune_unused_inputs(aig: &Aig) -> Aig {
 mod tests {
     use super::*;
     use eco_netlist::{parse_verilog, WeightTable};
+    use std::time::Duration;
 
     fn instance(
         faulty: &str,
@@ -1392,9 +1321,6 @@ mod tests {
         let result = EcoEngine::new(inst, EcoOptions::default())
             .run()
             .expect("ok");
-        // total() sums the stages; just ensure it is consistent.
-        assert!(result.stage_times.total() >= result.stage_times.patchgen);
-        // The telemetry compat view mirrors the patchgen slot order.
         assert!(result.telemetry.stage_nanos(Stage::PatchGen) > 0);
         assert!(result.telemetry.clusters >= 1);
         assert!(result.telemetry.jobs >= 1);
@@ -1422,8 +1348,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(two_cluster_instance(), options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
             EcoOutcome::Partial(p) => {
@@ -1448,8 +1375,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(two_cluster_instance(), options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
             EcoOutcome::Partial(p) => {
@@ -1479,8 +1407,9 @@ mod tests {
             },
             ..Default::default()
         };
+        let budget = Budget::new(&options.budget);
         match EcoEngine::new(inst, options)
-            .run_governed()
+            .run_governed(&budget)
             .expect("rectifiable")
         {
             EcoOutcome::Complete(governed) => {

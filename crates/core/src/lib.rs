@@ -85,9 +85,7 @@ pub use crate::baseselect::{select_base, BaseSelectOptions, SelectedBase};
 pub use crate::carediff::{diff_set, exact_on_off_sets, on_off_sets, OnOff};
 pub use crate::cexenum::{enumerate_cex, enumerate_cex_capped, CexSet};
 pub use crate::cluster::{cluster_targets, Clustering, TargetCluster};
-pub use crate::engine::{
-    EcoEngine, EcoOptions, EcoOutcome, EcoResult, PartialResult, StageTimes, TargetPatch,
-};
+pub use crate::engine::{EcoEngine, EcoOptions, EcoOutcome, EcoResult, PartialResult, TargetPatch};
 pub use crate::error::EcoError;
 pub use crate::faultpoint::{parse_chaos_spec, ChaosSpec, FaultStats};
 pub use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport, ConflictMeter};

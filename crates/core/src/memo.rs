@@ -26,7 +26,7 @@
 //!   lookup is treated as a miss;
 //! * cached **patch results** are re-verified with a fresh SAT miter
 //!   against the actual instance before being returned ([`crate::EcoEngine`]
-//!   does this in `run_governed_with`); a refuted entry falls back to the
+//!   does this in `run_governed`); a refuted entry falls back to the
 //!   full pipeline and is counted in [`MemoStats::fallbacks`];
 //! * cached **counterexample** verdicts are audited with a single B-check
 //!   ([`crate::check_rect_cex`]) before being trusted;
@@ -272,7 +272,6 @@ impl MemoCache {
         // so hits report their own (fresh) telemetry.
         let mut result = Box::new(result.clone());
         result.telemetry = Default::default();
-        result.stage_times = Default::default();
         self.store(key, Entry::Patch { check, result });
     }
 

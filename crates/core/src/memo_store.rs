@@ -378,9 +378,8 @@ pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
                 patch_aig,
                 cost,
                 size,
-                // Telemetry/stage times describe a producing run, never a
-                // cached value; store_patch already strips them.
-                stage_times: Default::default(),
+                // Telemetry describes a producing run, never a cached
+                // value; store_patch already strips it.
                 localization_fallback,
                 interpolation_fallbacks,
                 optimize_delta,

@@ -1,8 +1,15 @@
 //! Human-readable run reports.
 
 use std::fmt;
+use std::time::Duration;
 
+use crate::telemetry::{Stage, TelemetrySnapshot};
 use crate::{EcoResult, PartialResult};
+
+/// Wall time `tel` recorded for `stage`.
+fn stage_time(tel: &TelemetrySnapshot, stage: Stage) -> Duration {
+    Duration::from_nanos(tel.stage_nanos(stage))
+}
 
 /// A displayable summary of an [`EcoResult`] (one line per patch plus
 /// stage timings), used by the CLI and the benchmark harnesses.
@@ -52,13 +59,19 @@ impl fmt::Display for Report<'_> {
                 p.size
             )?;
         }
-        let t = r.stage_times;
+        let tel = &r.telemetry;
+        let t = |stage| stage_time(tel, stage);
         writeln!(
             f,
             "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?} (cost {} -> {}), verify {:.1?}",
-            t.fraig, t.clustering, t.patchgen, t.optimize, r.optimize_delta.0, r.optimize_delta.1, t.verify
+            t(Stage::Fraig),
+            t(Stage::Clustering),
+            t(Stage::PatchGen),
+            t(Stage::Optimize),
+            r.optimize_delta.0,
+            r.optimize_delta.1,
+            t(Stage::Verify)
         )?;
-        let tel = &r.telemetry;
         writeln!(
             f,
             "flow: {} cluster(s) x {} job(s), sat {} solver(s) / {} conflicts / {} propagations, \
@@ -111,13 +124,17 @@ impl fmt::Display for PartialReport<'_> {
                 patch.size
             )?;
         }
-        let t = p.stage_times;
+        let tel = &p.telemetry;
+        let t = |stage| stage_time(tel, stage);
         writeln!(
             f,
             "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?}, verify {:.1?}",
-            t.fraig, t.clustering, t.patchgen, t.optimize, t.verify
+            t(Stage::Fraig),
+            t(Stage::Clustering),
+            t(Stage::PatchGen),
+            t(Stage::Optimize),
+            t(Stage::Verify)
         )?;
-        let tel = &p.telemetry;
         writeln!(
             f,
             "governor: {} patched, {} budget-exhausted, {} deadline, {} panicked, {} escalations",

@@ -8,9 +8,6 @@
 //! patch-generation stage record into it directly. The immutable
 //! [`TelemetrySnapshot`] taken at the end is what [`crate::EcoResult`]
 //! carries and what the CLI renders for `--stats[=json]`.
-//!
-//! [`StageTimes`] remains the compatibility view of the per-stage wall
-//! clocks; [`TelemetrySnapshot::stage_times`] derives one from a snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -18,8 +15,6 @@ use std::time::Duration;
 
 use eco_fraig::SweepStats;
 use eco_sat::SolverStats;
-
-use crate::StageTimes;
 
 /// A flow stage (Fig. 1), as a telemetry key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,18 +295,6 @@ impl TelemetrySnapshot {
     /// Nanoseconds recorded for `stage`.
     pub fn stage_nanos(&self, stage: Stage) -> u64 {
         self.stage_ns[stage.index()]
-    }
-
-    /// The classic five-stage compatibility view ([`Stage::Assemble`] has
-    /// no slot there and is reported only here).
-    pub fn stage_times(&self) -> StageTimes {
-        StageTimes {
-            fraig: Duration::from_nanos(self.stage_nanos(Stage::Fraig)),
-            clustering: Duration::from_nanos(self.stage_nanos(Stage::Clustering)),
-            patchgen: Duration::from_nanos(self.stage_nanos(Stage::PatchGen)),
-            optimize: Duration::from_nanos(self.stage_nanos(Stage::Optimize)),
-            verify: Duration::from_nanos(self.stage_nanos(Stage::Verify)),
-        }
     }
 
     /// Hand-rolled JSON rendering via the shared [`JsonObj`] builder
@@ -752,11 +735,6 @@ mod tests {
         assert_eq!(snap.clusters_panicked, 1);
         assert_eq!(snap.escalations, 2);
         assert_eq!(snap.events.len(), 1);
-        assert_eq!(
-            snap.stage_times().patchgen,
-            Duration::from_millis(5),
-            "compat view mirrors the patchgen slot"
-        );
     }
 
     #[test]

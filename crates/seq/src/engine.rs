@@ -180,18 +180,9 @@ impl SeqEcoEngine {
         })
     }
 
-    /// Runs the full pipeline under a fresh governor built from the
-    /// engine's own budget options.
-    ///
-    /// # Errors
-    ///
-    /// See [`SeqEcoEngine::run_governed_with`].
-    pub fn run(&self) -> Result<SeqEcoResult, SeqEcoError> {
-        self.run_governed_with(&Budget::new(&self.options.eco.budget))
-    }
-
     /// Runs unroll → combinational rectification → fold-back → sequential
-    /// re-proof, with every solver enrolled in `budget`.
+    /// re-proof, with every solver enrolled in one governor built from the
+    /// engine's own budget options.
     ///
     /// # Errors
     ///
@@ -201,7 +192,8 @@ impl SeqEcoEngine {
     /// [`SeqEcoError::VerifyUnknown`] when the re-proof ran out of
     /// budget; [`SeqEcoError::Eco`] / [`SeqEcoError::Seq`] on inner
     /// failures.
-    pub fn run_governed_with(&self, budget: &Budget) -> Result<SeqEcoResult, SeqEcoError> {
+    pub fn run(&self) -> Result<SeqEcoResult, SeqEcoError> {
+        let budget = &Budget::new(&self.options.eco.budget);
         let k = self.options.frames;
         let uf = unroll(&self.faulty, k)?;
         let ug = unroll(&self.golden, k)?;
@@ -244,7 +236,7 @@ impl SeqEcoEngine {
             &weights,
         )?;
         let engine = EcoEngine::new(instance, self.options.eco.clone());
-        let comb = match engine.run_governed_with(budget)? {
+        let comb = match engine.run_governed(budget)? {
             EcoOutcome::Complete(r) => r,
             EcoOutcome::Partial(p) => return Err(SeqEcoError::Degraded(p.reason)),
         };

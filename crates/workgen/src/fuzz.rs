@@ -16,6 +16,10 @@
 //! drops targets, outputs, gates, and inputs while the failure (same
 //! stage) still reproduces, and serialized ([`FuzzCase::to_text`]) into
 //! the `tests/corpus/` regression set replayed by `cargo test`.
+//!
+//! Two campaigns drive these cases through [`crate::campaign`]:
+//! [`FuzzCampaign`] (the unbudgeted pipeline) and [`BudgetCampaign`]
+//! (the governed pipeline under a seeded starvation budget).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -24,7 +28,7 @@ use std::time::Duration;
 
 use eco_aig::{Aig, Lit, SplitMix64, Var};
 use eco_core::{
-    check_equivalence, splice_patch, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoError,
+    check_equivalence, splice_patch, Budget, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoError,
     EcoInstance, EcoOptions, EcoOutcome, PartialResult, VerifyOutcome,
 };
 use eco_netlist::{
@@ -33,6 +37,7 @@ use eco_netlist::{
 };
 use eco_sat::SolveCtl;
 
+use crate::campaign::{fail, Campaign, Corpus, Failure, Outcome, Shrinker, Stats};
 use crate::fault::{assign_weights, cut_targets, scramble_dangling, WeightProfile};
 
 /// Generator knobs. The defaults are the shipped fuzzing config: small
@@ -138,43 +143,6 @@ impl fmt::Display for FailStage {
         };
         f.write_str(s)
     }
-}
-
-/// A reproduced failure: the stage and a human-readable detail line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Failure {
-    /// Stage at which the oracle rejected the case.
-    pub stage: FailStage,
-    /// Details (error display, counterexample summary, ...).
-    pub detail: String,
-}
-
-/// Outcome of running the differential oracle on one case.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CaseOutcome {
-    /// The pipeline produced a patch and the independent oracle proved it.
-    Pass,
-    /// A resource budget ran out (engine or oracle); not a bug.
-    Skip(String),
-    /// A genuine stack bug: the pipeline mis-handled a valid case.
-    Fail(Failure),
-}
-
-/// Aggregated campaign telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FuzzStats {
-    /// Cases generated and run.
-    pub cases: u64,
-    /// Cases the oracle proved.
-    pub passes: u64,
-    /// Genuine failures (before shrinking).
-    pub failures: u64,
-    /// Budget-limited cases (not counted as failures).
-    pub skips: u64,
-    /// Shrink reductions attempted.
-    pub shrink_steps: u64,
-    /// Shrink reductions that kept the failure alive.
-    pub shrink_accepted: u64,
 }
 
 /// Generates one case. Returns `None` when the seed produces a circuit
@@ -328,9 +296,7 @@ fn live_nets(netlist: &Netlist) -> HashSet<String> {
 
 /// Drives the full pipeline on `case` and checks the result with the
 /// independent oracle. See the module docs for the stage list.
-pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseOutcome {
-    let fail = |stage, detail: String| CaseOutcome::Fail(Failure { stage, detail });
-
+pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
     // 1. Validated instance — valid by construction, any rejection is a bug.
     let inst = match EcoInstance::from_netlists(
         format!("fuzz{:x}", case.seed),
@@ -347,7 +313,7 @@ pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseOutcome {
     //    `Unrectifiable` is a genuine failure; budget exhaustion is not.
     let result = match EcoEngine::new(inst, EcoOptions::default()).run() {
         Ok(r) => r,
-        Err(EcoError::ResourceLimit(what)) => return CaseOutcome::Skip(what),
+        Err(EcoError::ResourceLimit(what)) => return Outcome::Skip(what),
         Err(e) => return fail(FailStage::Engine, e.to_string()),
     };
 
@@ -358,9 +324,7 @@ pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseOutcome {
 /// `patch_aig` into the faulty netlist, round-trips it through the
 /// Verilog writer and parser, and proves it equivalent to the golden
 /// circuit with a fresh SAT miter plus a random-simulation cross-check.
-fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> CaseOutcome {
-    let fail = |stage, detail: String| CaseOutcome::Fail(Failure { stage, detail });
-
+fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> Outcome {
     // 3. Assembly: splice the patch into the faulty netlist.
     let patched_nl = match splice_patch(&case.faulty, patch_aig) {
         Ok(n) => n,
@@ -431,7 +395,7 @@ fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> CaseOutco
                 .collect();
             return fail(FailStage::Miter, format!("cex {}", s.join(" ")));
         }
-        VerifyOutcome::Unknown => return CaseOutcome::Skip("oracle miter budget".into()),
+        VerifyOutcome::Unknown => return Outcome::Skip("oracle miter budget".into()),
     }
 
     // 8. Independent 64-bit random-simulation cross-check on the same
@@ -445,7 +409,7 @@ fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> CaseOutco
             );
         }
     }
-    CaseOutcome::Pass
+    Outcome::Pass
 }
 
 /// Deterministically derives a deliberately tiny governor budget from a
@@ -465,43 +429,13 @@ pub fn budget_for_seed(seed: u64) -> BudgetOptions {
     }
 }
 
-/// Outcome of one budgeted differential case: under a starvation budget
-/// the pipeline may either finish (then the full oracle applies) or
-/// degrade (then the partial result must be well-formed) — but it must
-/// never panic, hang, or emit a malformed netlist.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BudgetCaseOutcome {
-    /// The run completed despite the budget and the oracle proved it.
-    Complete,
-    /// The run degraded to a well-formed partial result.
-    Partial,
-    /// A resource budget ran out in a non-governed component (oracle
-    /// miter); not a bug.
-    Skip(String),
-    /// A genuine robustness bug.
-    Fail(Failure),
-}
-
-/// Aggregated budget-campaign telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BudgetStats {
-    /// Cases generated and run.
-    pub cases: u64,
-    /// Cases that completed under budget and passed the oracle.
-    pub completes: u64,
-    /// Cases that degraded to a well-formed partial result.
-    pub partials: u64,
-    /// Budget-limited oracle checks (not counted as failures).
-    pub skips: u64,
-    /// Genuine robustness failures.
-    pub failures: u64,
-}
-
 /// Runs one case through the governed pipeline under the starvation
-/// budget drawn by [`budget_for_seed`] and classifies the outcome.
-pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> BudgetCaseOutcome {
-    let fail = |stage, detail: String| BudgetCaseOutcome::Fail(Failure { stage, detail });
-
+/// budget drawn by [`budget_for_seed`] and classifies the outcome. Under
+/// a starvation budget the pipeline may either finish (then the full
+/// oracle applies) or degrade (then the partial result must be
+/// well-formed) — but it must never panic, hang, or emit a malformed
+/// netlist.
+pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
     let inst = match EcoInstance::from_netlists(
         format!("bfuzz{:x}", case.seed),
         &case.faulty,
@@ -518,14 +452,7 @@ pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> BudgetCaseOutcome {
     // escapes from any other stage.
     let budget = budget_for_seed(case.seed);
     let run = catch_unwind(AssertUnwindSafe(|| {
-        EcoEngine::new(
-            inst,
-            EcoOptions {
-                budget,
-                ..Default::default()
-            },
-        )
-        .run_governed()
+        EcoEngine::new(inst, EcoOptions::default()).run_governed(&Budget::new(&budget))
     }));
     let outcome = match run {
         Ok(o) => o,
@@ -542,11 +469,7 @@ pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> BudgetCaseOutcome {
     match outcome {
         // A completed governed run claims full verification, so the
         // independent oracle must agree exactly as in the unbudgeted mode.
-        Ok(EcoOutcome::Complete(result)) => match oracle_check(case, &result.patch_aig, cfg) {
-            CaseOutcome::Pass => BudgetCaseOutcome::Complete,
-            CaseOutcome::Skip(why) => BudgetCaseOutcome::Skip(why),
-            CaseOutcome::Fail(f) => BudgetCaseOutcome::Fail(f),
-        },
+        Ok(EcoOutcome::Complete(result)) => oracle_check(case, &result.patch_aig, cfg),
         Ok(EcoOutcome::Partial(partial)) => check_partial(case, &partial),
         // Cases are rectifiable by construction and governed runs report
         // budget exhaustion as `Partial`, so any engine error is a bug.
@@ -559,32 +482,27 @@ pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> BudgetCaseOutcome {
 /// governor counters must account for every cluster, each reported
 /// target must be one of the case's targets, and the completed partial
 /// patch must still round-trip through the Verilog writer and parser.
-fn check_partial(case: &FuzzCase, partial: &PartialResult) -> BudgetCaseOutcome {
-    let fail = |detail: String| {
-        BudgetCaseOutcome::Fail(Failure {
-            stage: FailStage::Governor,
-            detail,
-        })
-    };
+fn check_partial(case: &FuzzCase, partial: &PartialResult) -> Outcome {
+    let governor = |detail: String| fail(FailStage::Governor, detail);
 
     if partial.reason.is_empty() {
-        return fail("partial result with empty reason".into());
+        return governor("partial result with empty reason".into());
     }
     let mut patched = 0u64;
     for c in &partial.clusters {
         if c.targets.is_empty() {
-            return fail("cluster report with no targets".into());
+            return governor("cluster report with no targets".into());
         }
         for t in &c.targets {
             if !case.targets.contains(t) {
-                return fail(format!("cluster reports unknown target `{t}`"));
+                return governor(format!("cluster reports unknown target `{t}`"));
             }
         }
         match &c.diagnosis {
             ClusterDiagnosis::Patched => patched += 1,
             ClusterDiagnosis::BudgetExhausted | ClusterDiagnosis::Deadline => {}
             ClusterDiagnosis::Panicked(msg) => {
-                return fail(format!("cluster panicked under budget: {msg}"));
+                return governor(format!("cluster panicked under budget: {msg}"));
             }
         }
     }
@@ -594,7 +512,7 @@ fn check_partial(case: &FuzzCase, partial: &PartialResult) -> BudgetCaseOutcome 
         + tel.clusters_deadline
         + tel.clusters_panicked;
     if diagnosed != partial.clusters.len() as u64 || tel.clusters_patched != patched {
-        return fail(format!(
+        return governor(format!(
             "governor counters disagree with cluster reports: {diagnosed} diagnosed / \
              {} reported, {} vs {patched} patched",
             partial.clusters.len(),
@@ -603,7 +521,7 @@ fn check_partial(case: &FuzzCase, partial: &PartialResult) -> BudgetCaseOutcome 
     }
     for p in &partial.patches {
         if !case.targets.contains(&p.target) {
-            return fail(format!("partial patch for unknown target `{}`", p.target));
+            return governor(format!("partial patch for unknown target `{}`", p.target));
         }
     }
     // The completed portion must still be emittable: writer → parser →
@@ -611,45 +529,12 @@ fn check_partial(case: &FuzzCase, partial: &PartialResult) -> BudgetCaseOutcome 
     let text = write_verilog(&netlist_from_aig(&partial.patch_aig, "patch"));
     let reparsed = match parse_verilog(&text) {
         Ok(n) => n,
-        Err(e) => return fail(format!("partial patch does not re-parse: {e}")),
+        Err(e) => return governor(format!("partial patch does not re-parse: {e}")),
     };
     if let Err(e) = elaborate(&reparsed) {
-        return fail(format!("partial patch does not elaborate: {e}"));
+        return governor(format!("partial patch does not elaborate: {e}"));
     }
-    BudgetCaseOutcome::Partial
-}
-
-/// Runs `iters` budgeted cases starting at `seed`. Failures are reported
-/// un-shrunk (the shrinker replays the unbudgeted oracle, whose failure
-/// stages do not map onto budget classification). Calls
-/// `progress(cases_run, &stats)` after each case.
-pub fn run_budget_campaign(
-    iters: u64,
-    seed: u64,
-    cfg: &FuzzConfig,
-    mut progress: impl FnMut(u64, &BudgetStats),
-) -> (BudgetStats, Vec<CampaignFailure>) {
-    let mut stats = BudgetStats::default();
-    let mut failures = Vec::new();
-    let mut s = seed;
-    while stats.cases < iters {
-        s = s.wrapping_add(1);
-        let Some(case) = gen_case(s, cfg) else {
-            continue;
-        };
-        stats.cases += 1;
-        match run_budget_case(&case, cfg) {
-            BudgetCaseOutcome::Complete => stats.completes += 1,
-            BudgetCaseOutcome::Partial => stats.partials += 1,
-            BudgetCaseOutcome::Skip(_) => stats.skips += 1,
-            BudgetCaseOutcome::Fail(failure) => {
-                stats.failures += 1;
-                failures.push(CampaignFailure { case, failure });
-            }
-        }
-        progress(stats.cases, &stats);
-    }
-    (stats, failures)
+    Outcome::Degraded
 }
 
 /// Greedily shrinks a failing case: tries dropping targets, outputs,
@@ -661,14 +546,14 @@ pub fn shrink_case(
     case: &FuzzCase,
     failure: &Failure,
     cfg: &FuzzConfig,
-    stats: &mut FuzzStats,
+    stats: &mut Stats,
 ) -> (FuzzCase, Failure) {
     let mut best = case.clone();
     let mut best_fail = failure.clone();
-    let still_fails = |c: &FuzzCase, stage: FailStage, stats: &mut FuzzStats| -> Option<Failure> {
+    let still_fails = |c: &FuzzCase, at: &str, stats: &mut Stats| -> Option<Failure> {
         stats.shrink_steps += 1;
         match run_case(c, cfg) {
-            CaseOutcome::Fail(f) if f.stage == stage => Some(f),
+            Outcome::Fail(f) if f.at == at => Some(f),
             _ => None,
         }
     };
@@ -682,7 +567,7 @@ pub fn shrink_case(
                 let Some(cand) = drop_target(&best, ti) else {
                     continue;
                 };
-                if let Some(f) = still_fails(&cand, best_fail.stage, stats) {
+                if let Some(f) = still_fails(&cand, &best_fail.at, stats) {
                     stats.shrink_accepted += 1;
                     best = cand;
                     best_fail = f;
@@ -696,7 +581,7 @@ pub fn shrink_case(
         if best.golden.outputs.len() > 1 {
             for oi in 0..best.golden.outputs.len() {
                 let cand = drop_output(&best, oi);
-                if let Some(f) = still_fails(&cand, best_fail.stage, stats) {
+                if let Some(f) = still_fails(&cand, &best_fail.at, stats) {
                     stats.shrink_accepted += 1;
                     best = cand;
                     best_fail = f;
@@ -712,7 +597,7 @@ pub fn shrink_case(
             let Some(cand) = drop_gate(&best, gi) else {
                 continue;
             };
-            if let Some(f) = still_fails(&cand, best_fail.stage, stats) {
+            if let Some(f) = still_fails(&cand, &best_fail.at, stats) {
                 stats.shrink_accepted += 1;
                 best = cand;
                 best_fail = f;
@@ -726,7 +611,7 @@ pub fn shrink_case(
             let Some(cand) = drop_input(&best, ii) else {
                 continue;
             };
-            if let Some(f) = still_fails(&cand, best_fail.stage, stats) {
+            if let Some(f) = still_fails(&cand, &best_fail.at, stats) {
                 stats.shrink_accepted += 1;
                 best = cand;
                 best_fail = f;
@@ -895,50 +780,58 @@ impl FuzzCase {
     }
 }
 
-/// A shrunk failure ready for the corpus.
-#[derive(Clone, Debug)]
-pub struct CampaignFailure {
-    /// The reduced case.
-    pub case: FuzzCase,
-    /// Failure it still reproduces.
-    pub failure: Failure,
+/// The differential campaign over the unbudgeted pipeline.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FuzzCampaign {
+    /// Generator and oracle knobs.
+    pub cfg: FuzzConfig,
 }
 
-/// Runs `iters` cases starting at `seed`, shrinking failures when
-/// `shrink` is set. Calls `progress(cases_run, &stats)` after each case
-/// (pass `|_, _| {}` when no reporting is needed).
-pub fn run_campaign(
-    iters: u64,
-    seed: u64,
-    cfg: &FuzzConfig,
-    shrink: bool,
-    mut progress: impl FnMut(u64, &FuzzStats),
-) -> (FuzzStats, Vec<CampaignFailure>) {
-    let mut stats = FuzzStats::default();
-    let mut failures = Vec::new();
-    let mut s = seed;
-    while stats.cases < iters {
-        s = s.wrapping_add(1);
-        let Some(case) = gen_case(s, cfg) else {
-            continue;
-        };
-        stats.cases += 1;
-        match run_case(&case, cfg) {
-            CaseOutcome::Pass => stats.passes += 1,
-            CaseOutcome::Skip(_) => stats.skips += 1,
-            CaseOutcome::Fail(f) => {
-                stats.failures += 1;
-                let (case, failure) = if shrink {
-                    shrink_case(&case, &f, cfg, &mut stats)
-                } else {
-                    (case, f)
-                };
-                failures.push(CampaignFailure { case, failure });
-            }
-        }
-        progress(stats.cases, &stats);
+impl Campaign for FuzzCampaign {
+    type Case = FuzzCase;
+
+    fn case(&mut self, seed: u64) -> Option<FuzzCase> {
+        gen_case(seed, &self.cfg)
     }
-    (stats, failures)
+
+    fn check(&mut self, case: &FuzzCase) -> Outcome {
+        run_case(case, &self.cfg)
+    }
+
+    fn shrinker() -> Option<Shrinker<Self>> {
+        Some(|c, case, failure, stats| shrink_case(&case, &failure, &c.cfg, stats))
+    }
+
+    fn corpus() -> Option<Corpus<FuzzCase>> {
+        Some(Corpus {
+            ext: "case",
+            to_text: FuzzCase::to_text,
+            from_text: FuzzCase::from_text,
+        })
+    }
+}
+
+/// The differential campaign over the governed pipeline: every case runs
+/// under the starvation budget [`budget_for_seed`] draws from its seed
+/// ([`run_budget_case`]). Its failures are not shrunk: the shrinker
+/// replays the unbudgeted oracle, whose failure stages do not map onto
+/// budget classification.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BudgetCampaign {
+    /// Generator and oracle knobs.
+    pub cfg: FuzzConfig,
+}
+
+impl Campaign for BudgetCampaign {
+    type Case = FuzzCase;
+
+    fn case(&mut self, seed: u64) -> Option<FuzzCase> {
+        gen_case(seed, &self.cfg)
+    }
+
+    fn check(&mut self, case: &FuzzCase) -> Outcome {
+        run_budget_case(case, &self.cfg)
+    }
 }
 
 #[cfg(test)]
@@ -977,12 +870,12 @@ mod tests {
                 continue;
             };
             match run_case(&case, &cfg) {
-                CaseOutcome::Pass => {
+                Outcome::Pass => {
                     found_pass = true;
                     break;
                 }
-                CaseOutcome::Skip(_) => {}
-                CaseOutcome::Fail(f) => panic!("seed {seed}: {} — {}", f.stage, f.detail),
+                Outcome::Degraded | Outcome::Skip(_) => {}
+                Outcome::Fail(f) => panic!("seed {seed}: {f}"),
             }
         }
         assert!(found_pass, "no case passed in 20 seeds");
@@ -1039,25 +932,25 @@ mod tests {
             }
         }
         let case = case.expect("some case can be broken");
-        let CaseOutcome::Fail(f) = run_case(&case, &cfg) else {
+        let Outcome::Fail(f) = run_case(&case, &cfg) else {
             panic!("broken case must fail");
         };
-        let mut stats = FuzzStats::default();
+        let mut stats = Stats::default();
         let (small, small_f) = shrink_case(&case, &f, &cfg, &mut stats);
-        assert_eq!(small_f.stage, f.stage);
+        assert_eq!(small_f.at, f.at);
         assert!(small.golden.num_gates() <= case.golden.num_gates());
         assert!(stats.shrink_steps > 0);
         // The shrunk case still fails the oracle the same way.
-        let CaseOutcome::Fail(again) = run_case(&small, &cfg) else {
+        let Outcome::Fail(again) = run_case(&small, &cfg) else {
             panic!("shrunk case must still fail");
         };
-        assert_eq!(again.stage, f.stage);
+        assert_eq!(again.at, f.at);
     }
 
     #[test]
     fn campaign_counts_are_consistent() {
-        let cfg = FuzzConfig::default();
-        let (stats, failures) = run_campaign(15, 7, &cfg, false, |_, _| {});
+        let report = crate::campaign::run(&mut FuzzCampaign::default(), 7, 15, false);
+        let (stats, failures) = (report.stats, report.failures);
         assert_eq!(stats.cases, 15);
         assert_eq!(stats.passes + stats.failures + stats.skips, 15);
         assert_eq!(stats.failures as usize, failures.len());
@@ -1096,22 +989,19 @@ mod tests {
     /// must appear, and zero-deadline cases must degrade.
     #[test]
     fn budget_campaign_is_clean() {
-        let cfg = FuzzConfig::default();
-        let (stats, failures) = run_budget_campaign(40, 11, &cfg, |_, _| {});
+        let report = crate::campaign::run(&mut BudgetCampaign::default(), 11, 40, false);
+        let (stats, failures) = (report.stats, report.failures);
         for f in &failures {
-            eprintln!(
-                "budget failure: seed {:x} at {} — {}",
-                f.case.seed, f.failure.stage, f.failure.detail
-            );
+            eprintln!("budget failure: seed {} {}", f.seed, f.failure);
         }
         assert_eq!(stats.cases, 40);
         assert_eq!(
-            stats.completes + stats.partials + stats.skips + stats.failures,
+            stats.passes + stats.degraded + stats.skips + stats.failures,
             40
         );
         assert_eq!(stats.failures, 0, "budgeted pipeline must be clean");
         assert!(
-            stats.partials > 0,
+            stats.degraded > 0,
             "starvation budgets must exercise degradation: {stats:?}"
         );
     }

@@ -26,6 +26,7 @@
 //! ```
 
 mod builder;
+pub mod campaign;
 pub mod circuits;
 mod emit;
 mod fault;

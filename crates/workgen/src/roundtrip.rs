@@ -12,9 +12,8 @@
 //! inputs. Failures are greedily shrunk by shrinking the *generator
 //! parameters* (the case is its parameter vector, so the shrunk case
 //! replays exactly) and can be serialized as `.rtcase` files for the
-//! corpus replay test.
-
-use std::fmt;
+//! corpus replay test. [`FormatCampaign`] drives the cases through
+//! [`crate::campaign`].
 
 use eco_core::{check_equivalence, VerifyOutcome};
 use eco_sat::SolveCtl;
@@ -23,6 +22,7 @@ use eco_seq::{unroll_miter, SeqNetlist};
 
 use eco_aig::SplitMix64;
 
+use crate::campaign::{fail, Campaign, Corpus, Failure, Outcome, Shrinker, Stats};
 use crate::seqgen::{random_seq_dag, shift_register_datapath};
 
 /// Oracle knobs for the round-trip campaign.
@@ -193,87 +193,25 @@ impl RtCase {
     }
 }
 
-/// A failed hop: which conversion chain broke and how.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RtFailure {
-    /// The case that failed (possibly shrunk).
-    pub case: RtCase,
-    /// The conversion chain, e.g. `blif->btor2`.
-    pub hop: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl fmt::Display for RtFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed {:#x} ({}) at {}: {}",
-            self.case.seed,
-            self.case.family.tag(),
-            self.hop,
-            self.detail
-        )
-    }
-}
-
-/// Outcome of the oracle on one case.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RtOutcome {
-    /// Every hop preserved behavior and the writers stayed fixpoints.
-    Pass,
-    /// The SAT budget ran out; not a bug.
-    Skip(String),
-    /// A genuine hub bug.
-    Fail {
-        /// The conversion chain that broke.
-        hop: String,
-        /// Human-readable detail.
-        detail: String,
-    },
-}
-
-/// Aggregated campaign telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RtStats {
-    /// Cases generated and run.
-    pub cases: u64,
-    /// Cases where every hop passed.
-    pub passes: u64,
-    /// Budget-limited cases.
-    pub skips: u64,
-    /// Genuine failures (before shrinking).
-    pub failures: u64,
-    /// Shrink reductions attempted.
-    pub shrink_steps: u64,
-    /// Shrink reductions that kept the failure alive.
-    pub shrink_accepted: u64,
-}
-
 fn equivalent(
     original: &SeqNetlist,
     candidate: &SeqNetlist,
     hop: &str,
     cfg: &RtConfig,
-) -> Result<(), RtOutcome> {
+) -> Result<(), Outcome> {
     if candidate.latches.len() != original.latches.len() {
-        return Err(RtOutcome::Fail {
-            hop: hop.to_string(),
-            detail: format!(
+        return Err(fail(
+            hop,
+            format!(
                 "latch count changed: {} -> {}",
                 original.latches.len(),
                 candidate.latches.len()
             ),
-        });
+        ));
     }
     let (mut miter, pairs) = match unroll_miter(original, candidate, cfg.frames) {
         Ok(m) => m,
-        Err(e) => {
-            return Err(RtOutcome::Fail {
-                hop: hop.to_string(),
-                detail: format!("miter construction failed: {e}"),
-            })
-        }
+        Err(e) => return Err(fail(hop, format!("miter construction failed: {e}"))),
     };
     match check_equivalence(
         &mut miter,
@@ -284,30 +222,26 @@ fn equivalent(
     .0
     {
         VerifyOutcome::Equivalent => Ok(()),
-        VerifyOutcome::Unknown => Err(RtOutcome::Skip(format!("{hop}: miter budget exhausted"))),
+        VerifyOutcome::Unknown => Err(Outcome::Skip(format!("{hop}: miter budget exhausted"))),
         VerifyOutcome::Counterexample(cex) => {
             let mut cex: Vec<String> = cex
                 .iter()
                 .map(|(n, v)| format!("{n}={}", *v as u8))
                 .collect();
             cex.sort();
-            Err(RtOutcome::Fail {
-                hop: hop.to_string(),
-                detail: format!("behavior diverged under {}", cex.join(" ")),
-            })
+            Err(fail(
+                hop,
+                format!("behavior diverged under {}", cex.join(" ")),
+            ))
         }
     }
 }
 
 /// Runs the full oracle on one case: per-format byte fixpoint, then
 /// every ordered format pair, each proved against the original design.
-pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> RtOutcome {
+pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> Outcome {
     let original = case.build();
     let fmts = case.formats();
-    let fail = |hop: &str, detail: String| RtOutcome::Fail {
-        hop: hop.to_string(),
-        detail,
-    };
     // Single hops, with byte-fixpoint check, keeping the parsed designs
     // for the pair stage.
     let mut parsed: Vec<SeqNetlist> = Vec::with_capacity(fmts.len());
@@ -367,22 +301,20 @@ pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> RtOutcome {
             Err(e) => return fail("cnf", format!("export failed: {e}")),
         }
     }
-    RtOutcome::Pass
+    Outcome::Pass
 }
 
 /// Greedily shrinks a failing case by shrinking its generator
 /// parameters; a reduction is kept when the smaller case still fails
 /// (any hop). Returns the shrunk case and its failure.
 pub fn shrink_rt_case(
-    case: &RtCase,
+    case: RtCase,
+    failure: Failure,
     cfg: &RtConfig,
-    stats: &mut RtStats,
-) -> (RtCase, String, String) {
-    let mut best = case.clone();
-    let (mut hop, mut detail) = match run_rt_case(&best, cfg) {
-        RtOutcome::Fail { hop, detail } => (hop, detail),
-        _ => return (best, "unstable".into(), "failure did not reproduce".into()),
-    };
+    stats: &mut Stats,
+) -> (RtCase, Failure) {
+    let mut best = case;
+    let mut best_fail = failure;
     loop {
         let mut reduced = false;
         let candidates = [
@@ -419,51 +351,49 @@ pub fn shrink_rt_case(
                 continue;
             }
             stats.shrink_steps += 1;
-            if let RtOutcome::Fail { hop: h, detail: d } = run_rt_case(&cand, cfg) {
+            if let Outcome::Fail(f) = run_rt_case(&cand, cfg) {
                 stats.shrink_accepted += 1;
                 best = cand;
-                hop = h;
-                detail = d;
+                best_fail = f;
                 reduced = true;
                 break;
             }
         }
         if !reduced {
-            return (best, hop, detail);
+            return (best, best_fail);
         }
     }
 }
 
-/// Runs `iters` seeded round-trip cases; `progress(done, stats)` is
-/// called after each. Returns the stats and the (shrunk) failures.
-pub fn run_rt_campaign(
-    iters: u64,
-    seed0: u64,
-    cfg: &RtConfig,
-    shrink: bool,
-    mut progress: impl FnMut(u64, &RtStats),
-) -> (RtStats, Vec<RtFailure>) {
-    let mut stats = RtStats::default();
-    let mut failures = Vec::new();
-    for i in 0..iters {
-        let case = RtCase::from_seed(seed0.wrapping_add(i));
-        stats.cases += 1;
-        match run_rt_case(&case, cfg) {
-            RtOutcome::Pass => stats.passes += 1,
-            RtOutcome::Skip(_) => stats.skips += 1,
-            RtOutcome::Fail { hop, detail } => {
-                stats.failures += 1;
-                let (case, hop, detail) = if shrink {
-                    shrink_rt_case(&case, cfg, &mut stats)
-                } else {
-                    (case, hop, detail)
-                };
-                failures.push(RtFailure { case, hop, detail });
-            }
-        }
-        progress(i + 1, &stats);
+/// The format round-trip campaign.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FormatCampaign {
+    /// Oracle knobs.
+    pub cfg: RtConfig,
+}
+
+impl Campaign for FormatCampaign {
+    type Case = RtCase;
+
+    fn case(&mut self, seed: u64) -> Option<RtCase> {
+        Some(RtCase::from_seed(seed))
     }
-    (stats, failures)
+
+    fn check(&mut self, case: &RtCase) -> Outcome {
+        run_rt_case(case, &self.cfg)
+    }
+
+    fn shrinker() -> Option<Shrinker<Self>> {
+        Some(|c, case, failure, stats| shrink_rt_case(case, failure, &c.cfg, stats))
+    }
+
+    fn corpus() -> Option<Corpus<RtCase>> {
+        Some(Corpus {
+            ext: "rtcase",
+            to_text: RtCase::to_text,
+            from_text: RtCase::from_text,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -494,19 +424,20 @@ mod tests {
                 gates: 8,
                 latches,
             };
-            assert_eq!(run_rt_case(&case, &cfg), RtOutcome::Pass, "{family:?}");
+            assert_eq!(run_rt_case(&case, &cfg), Outcome::Pass, "{family:?}");
         }
     }
 
     #[test]
     fn campaign_smoke_is_clean() {
-        let cfg = RtConfig::default();
-        let (stats, failures) = run_rt_campaign(12, 0x5eed, &cfg, true, |_, _| {});
+        let report = crate::campaign::run(&mut FormatCampaign::default(), 0x5eed, 12, true);
+        let (stats, failures) = (report.stats, report.failures);
         assert_eq!(stats.cases, 12);
         assert!(
             failures.is_empty(),
-            "round-trip campaign failed: {}",
-            failures[0]
+            "round-trip campaign failed: seed {} {}",
+            failures[0].seed,
+            failures[0].failure
         );
     }
 }

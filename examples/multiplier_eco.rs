@@ -3,7 +3,9 @@
 //!
 //! Run with `cargo run --release --example multiplier_eco`.
 
-use eco::core::{EcoEngine, EcoInstance, EcoOptions};
+use std::time::Duration;
+
+use eco::core::{EcoEngine, EcoInstance, EcoOptions, Stage};
 use eco::workgen::{assign_weights, build_unit, Family, TargetBias, UnitSpec, WeightProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,13 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for patch in &result.patches {
         println!("  {} <- f({})", patch.target, patch.base.join(", "));
     }
-    let t = result.stage_times;
     println!("\nstage times (Fig. 1):");
-    println!("  fraig      {:>8.2?}", t.fraig);
-    println!("  clustering {:>8.2?}", t.clustering);
-    println!("  patchgen   {:>8.2?}", t.patchgen);
-    println!("  optimize   {:>8.2?}", t.optimize);
-    println!("  verify     {:>8.2?}", t.verify);
+    for stage in Stage::ALL {
+        let t = Duration::from_nanos(result.telemetry.stage_nanos(stage));
+        println!("  {:<10} {t:>8.2?}", stage.name());
+    }
 
     // The weights module is also usable standalone:
     let _ = assign_weights(&unit.faulty, WeightProfile::Unit, 0);

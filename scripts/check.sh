@@ -1,24 +1,31 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the tier-1 test suite, and the tests of
-# the standalone benchmark package (ecobench/).
-# Run from anywhere; operates on the workspace root.
+# Repo gate: formatting, lints, the tier-1 test suite, the tests of the
+# standalone benchmark package (ecobench/), the differential campaigns
+# and the seq smoke. Run from anywhere; operates on the workspace root.
+# The default gate leaves the working tree unchanged.
+#
+# The campaigns step runs every differential campaign through eco-fuzz
+# (seconds): it replays the tests/corpus regression set, then runs 200
+# fuzz cases with shrinking, 200 budgeted cases (governed pipeline under
+# seeded starvation budgets), 15 format round-trip cases with shrinking,
+# and 240 chaos sweeps (seeded fault injection over batch and serve runs
+# with a differential oracle) followed by the kill-mid-stream drill
+# (SIGKILL a real eco-serve daemon, recover with --resume, the union of
+# responses must equal the fault-free run, the warm restart must hit the
+# durable memo). All start at seed 1; any failure fails the gate with the
+# failing seed printed, and `eco-fuzz --campaign <name> --case <seed>`
+# reruns it.
 #
 # --bench-smoke additionally runs the simulation and FRAIG-sweep benches
 # with a single sample each, so hot-path regressions (a bench that panics,
 # an accidental O(n^2) blowup) fail fast without the cost of a real
 # measurement run.
 #
-# --fuzz-smoke additionally replays the tests/corpus regression set and
-# runs a short differential fuzzing campaign (200 fixed-seed cases with
-# shrinking) through the eco-fuzz binary; any oracle failure fails the
-# gate with the shrunk case printed.
-#
 # --degrade-smoke additionally drives the eco-patch binary against a
 # starvation budget (zero deadline, one-conflict allowance) and asserts
 # the graceful-degradation contract: exit code 4, a per-cluster partial
 # report, well-formed governor counters in --stats=json, and a partial
-# patch netlist only under --allow-partial. It also runs a 200-case
-# budgeted differential campaign through eco-fuzz.
+# patch netlist only under --allow-partial.
 #
 # --batch-smoke additionally generates a 12-job manifest with
 # eco-workgen, runs it cold then warm through eco-batch over one shared
@@ -50,43 +57,27 @@
 # eco-patch --unroll at several frame depths (generate → unroll →
 # rectify → fold → verify, exit 0 each time), asserts the folded patch
 # parses and carries no frame-indexed names, cross-checks the format hub
-# with a byte-fixpoint conversion cycle and a short eco-fuzz --formats
-# round-trip campaign, and records unroll-depth wall times, frames/sec,
-# and patch sizes in crates/bench/BENCH_seq.json. Skip it with
-# --no-seq-smoke.
-#
-# The chaos smoke is also part of the DEFAULT gate (seconds): it runs
-# the seeded fault-injection campaign (eco-workgen --chaos-campaign),
-# 240 in-process fault sweeps with a differential oracle plus the
-# kill-mid-stream drill (SIGKILL a real eco-serve daemon, recover with
-# --resume, union of responses must equal the fault-free run, warm
-# restart must hit the durable memo). Recovery wall time, journal
-# replay rate, and store recovery counts are merged into
-# crates/bench/BENCH_chaos.json. Skip it with --no-chaos-smoke.
+# with a byte-fixpoint conversion cycle, and prints unroll-depth wall
+# times, frames/sec, and patch sizes. Skip it with --no-seq-smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench_smoke=0
-fuzz_smoke=0
 degrade_smoke=0
 batch_smoke=0
 scale_smoke=0
 serve_smoke=0
-chaos_smoke=1
 seq_smoke=1
 for arg in "$@"; do
   case "$arg" in
     --bench-smoke) bench_smoke=1 ;;
-    --fuzz-smoke) fuzz_smoke=1 ;;
     --degrade-smoke) degrade_smoke=1 ;;
     --batch-smoke) batch_smoke=1 ;;
     --scale-smoke) scale_smoke=1 ;;
     --serve-smoke) serve_smoke=1 ;;
-    --chaos-smoke) chaos_smoke=1 ;;
-    --no-chaos-smoke) chaos_smoke=0 ;;
     --seq-smoke) seq_smoke=1 ;;
     --no-seq-smoke) seq_smoke=0 ;;
-    *) echo "usage: $0 [--bench-smoke] [--fuzz-smoke] [--degrade-smoke] [--batch-smoke] [--scale-smoke] [--serve-smoke] [--no-chaos-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench-smoke] [--degrade-smoke] [--batch-smoke] [--scale-smoke] [--serve-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
   esac
 done
 
@@ -107,37 +98,29 @@ cargo test -q --workspace
 echo "== cargo test -q --manifest-path ecobench/Cargo.toml"
 cargo test -q --offline --manifest-path ecobench/Cargo.toml
 
-if [ "$chaos_smoke" -eq 1 ]; then
-  echo "== chaos smoke: 240 seeded fault sweeps + kill-mid-stream recovery drill"
-  chtmp="$(mktemp -d)"
-  trap 'rm -rf "${chtmp:-}"' EXIT
-  # The campaign fails on any crash, any wrong answer (differential
-  # oracle), a lost response across the SIGKILL, or a warm restart that
-  # misses the durable memo store.
-  target/release/eco-workgen --chaos-campaign --out "$chtmp" --seed 1 \
-    --bench-out crates/bench/BENCH_chaos.json -q \
-    || { echo "chaos smoke: campaign failed"; exit 1; }
-  for row in 'chaos/sweep/wall' 'chaos/kill12/recovery_wall' 'chaos/kill12/warm_replay_wall'; do
-    grep -q "\"name\": \"$row\"" crates/bench/BENCH_chaos.json \
-      || { echo "chaos smoke: bench file missing $row"; cat crates/bench/BENCH_chaos.json; exit 1; }
-  done
-  grep -q '0 crashes, 0 wrong answers' crates/bench/BENCH_chaos.json \
-    || { echo "chaos smoke: bench file missing oracle note"; cat crates/bench/BENCH_chaos.json; exit 1; }
-  echo "chaos smoke: ok"
-fi
+echo "== campaigns: corpus replay, fuzz, budget, formats and chaos through eco-fuzz"
+target/release/eco-fuzz --replay tests/corpus
+target/release/eco-fuzz --campaign fuzz --iters 200 --seed 1 --shrink
+target/release/eco-fuzz --campaign budget --iters 200 --seed 1
+target/release/eco-fuzz --campaign formats --iters 15 --seed 1 --shrink
+# The chaos campaign fails on any crash, any wrong answer (differential
+# oracle), a lost response across the SIGKILL, or a warm restart that
+# misses the durable memo store.
+chaos=$(target/release/eco-fuzz --campaign chaos --iters 240 --seed 1 --stats=json) \
+  || { echo "chaos campaign failed: $chaos"; exit 1; }
+echo "$chaos"
+grep -q '"failures": 0' <<< "$chaos" || { echo "chaos campaign: summary reports failures"; exit 1; }
 
 if [ "$seq_smoke" -eq 1 ]; then
   echo "== seq smoke: generate -> unroll -> rectify -> fold -> verify at several depths"
   sqtmp="$(mktemp -d)"
-  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}"' EXIT
+  trap 'rm -rf "${sqtmp:-}"' EXIT
   target/release/eco-workgen --seq 1 --out "$sqtmp" --seed 5 -q
 
   # seq000 is the first shift-register unit (seed 5: 4 latches, 1
   # target); its fault sits in the output cone, so the fold succeeds at
   # any depth that covers the state.
   targets=$(tr '\n' ',' < "$sqtmp/seq000.targets" | sed 's/,$//')
-  bench_rows=""
-  bench_notes=""
   for k in 2 4 6; do
     t0=$(date +%s%N)
     target/release/eco-patch \
@@ -155,16 +138,12 @@ if [ "$seq_smoke" -eq 1 ]; then
       || { echo "seq smoke: frame-indexed name leaked into the folded patch"; cat "$sqtmp/patch_k$k.v"; exit 1; }
     size=$(sed -n "s/.*cost [0-9]*, size \([0-9]*\).*/\1/p" "$sqtmp/stderr_k$k.txt")
     fps=$(awk -v k="$k" -v w="$wall" 'BEGIN { printf "%.1f", k / (w / 1e9) }')
-    bench_rows="$bench_rows  {\"name\": \"seq/unroll$k/wall\", \"samples\": 1, \"mean_ns\": $wall, \"median_ns\": $wall, \"min_ns\": $wall, \"max_ns\": $wall},
-"
-    bench_notes="$bench_notes  \"unroll $k: ${fps} frames/s, patch size $size ANDs\",
-"
+    echo "seq/unroll$k: cold eco-patch process wall ${wall} ns, ${fps} frames/s, patch size $size ANDs"
   done
 
   # Format-hub cross-checks: the canonical BTOR2 writer is a byte
-  # fixpoint through its own parser, the design survives a blif hop
-  # with its latches intact, and a short differential round-trip
-  # campaign over all format pairs comes back clean.
+  # fixpoint through its own parser, and the design survives a blif hop
+  # with its latches intact.
   target/release/eco-convert -i "$sqtmp/seq000_golden.btor2" -o "$sqtmp/rt.btor2" 2> /dev/null \
     || { echo "seq smoke: btor2 -> btor2 conversion failed"; exit 1; }
   cmp -s "$sqtmp/seq000_golden.btor2" "$sqtmp/rt.btor2" \
@@ -173,19 +152,6 @@ if [ "$seq_smoke" -eq 1 ]; then
     || { echo "seq smoke: btor2 -> blif conversion failed"; cat "$sqtmp/convert.txt"; exit 1; }
   grep -q '4 latches' "$sqtmp/convert.txt" \
     || { echo "seq smoke: conversion lost latches"; cat "$sqtmp/convert.txt"; exit 1; }
-  target/release/eco-fuzz --formats 15 --seed 1 --shrink > /dev/null \
-    || { echo "seq smoke: format round-trip campaign failed"; exit 1; }
-
-  cat > crates/bench/BENCH_seq.json <<EOF
-{"benches": [
-${bench_rows%,
-}
-], "notes": [
-  "cold eco-patch --unroll process wall (parse + unroll + rectify + fold + k-frame re-proof)",
-${bench_notes%,
-}
-]}
-EOF
   echo "seq smoke: ok"
 fi
 
@@ -196,17 +162,10 @@ if [ "$bench_smoke" -eq 1 ]; then
   ECO_BENCH_SAMPLES=1 cargo bench -p eco-bench --bench fraig_sweep
 fi
 
-if [ "$fuzz_smoke" -eq 1 ]; then
-  echo "== fuzz smoke: corpus replay"
-  target/release/eco-fuzz --replay tests/corpus
-  echo "== fuzz smoke: 200-case campaign (seed 1)"
-  target/release/eco-fuzz --iters 200 --seed 1 --shrink
-fi
-
 if [ "$degrade_smoke" -eq 1 ]; then
   echo "== degrade smoke: starved eco-patch run must exit 4 with a well-formed partial result"
   tmp="$(mktemp -d)"
-  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "$tmp"' EXIT
+  trap 'rm -rf "${sqtmp:-}" "$tmp"' EXIT
   # A tiny two-cluster workload: two independent targets, each cut to a
   # floating pseudo-input in the faulty circuit.
   cat > "$tmp/golden.v" <<'EOF'
@@ -261,15 +220,12 @@ EOF
   # The same workload without a budget must still complete with exit 0.
   run_patch -q
   [ "$rc" -eq 0 ] || { echo "degrade smoke: ungoverned run failed ($rc)"; cat "$tmp/stderr.txt"; exit 1; }
-
-  echo "== degrade smoke: 200-case budgeted differential campaign (seed 1)"
-  target/release/eco-fuzz --budget-campaign --iters 200 --seed 1
 fi
 
 if [ "$batch_smoke" -eq 1 ]; then
   echo "== batch smoke: 12-job manifest, cold + warm over one shared memo cache"
   btmp="$(mktemp -d)"
-  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
+  trap 'rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
   target/release/eco-workgen --suite --count 12 --out "$btmp" --manifest "$btmp/manifest.toml" -q
 
   run_batch() {
@@ -315,7 +271,7 @@ fi
 if [ "$scale_smoke" -eq 1 ]; then
   echo "== scale smoke: 100k preset end-to-end under a 300s governor deadline"
   stmp="$(mktemp -d)"
-  trap 'rm -rf "${chtmp:-}" "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}"' EXIT
+  trap 'rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}"' EXIT
 
   # The generator CLI path: both 100k AIGs must emit and re-parse.
   target/release/eco-workgen --scale 100k --out "$stmp" -q
@@ -355,7 +311,7 @@ if [ "$serve_smoke" -eq 1 ]; then
   serve_cleanup() {
     # shellcheck disable=SC2086
     [ -n "$serve_pids" ] && kill $serve_pids 2> /dev/null || true
-    rm -rf "${chtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}" "${svtmp:-}"
+    rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}" "${svtmp:-}"
   }
   trap serve_cleanup EXIT
   target/release/eco-workgen --suite --count 12 --out "$svtmp/cases" \

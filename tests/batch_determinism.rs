@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use eco::batch::{
     exit_code, load_jobs, records_jsonl, run_batch, BatchJob, BatchOptions, JobStatus, Manifest,
 };
-use eco::core::{patch_memo_key, BudgetOptions, EcoEngine, EcoOptions, MemoCache};
+use eco::core::{patch_memo_key, Budget, BudgetOptions, EcoEngine, EcoOptions, MemoCache};
 use eco::workgen::{contest_suite, manifest_toml, write_unit, SuiteUnit};
 
 /// Small, fast suite units (skips the difficult datapath ones).
@@ -135,7 +135,10 @@ fn poisoned_memo_entry_falls_back_to_full_sat_check() {
         .run()
         .expect("victim rectifiable");
     let engine = EcoEngine::new(victim, options);
-    let poisoned_run = match engine.run_governed().expect("victim rectifiable") {
+    let poisoned_run = match engine
+        .run_governed(&Budget::unlimited())
+        .expect("victim rectifiable")
+    {
         eco::core::EcoOutcome::Complete(r) => r,
         other => panic!("expected complete outcome, got {other:?}"),
     };

@@ -10,8 +10,9 @@
 //! into `tests/corpus/` as `.case` files; this test picks them up
 //! automatically.
 
-use eco::workgen::fuzz::{run_campaign, run_case, CaseOutcome, FuzzCase, FuzzConfig};
-use eco::workgen::roundtrip::{run_rt_campaign, run_rt_case, RtCase, RtConfig, RtOutcome};
+use eco::workgen::campaign::{run, Outcome};
+use eco::workgen::fuzz::{run_case, FuzzCampaign, FuzzCase, FuzzConfig};
+use eco::workgen::roundtrip::{run_rt_case, FormatCampaign, RtCase, RtConfig};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -32,16 +33,15 @@ fn corpus_cases_all_pass_the_oracle() {
         let text = std::fs::read_to_string(&path).expect("case readable");
         let case = FuzzCase::from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         match run_case(&case, &cfg) {
-            CaseOutcome::Pass => {}
-            CaseOutcome::Skip(why) => {
+            Outcome::Pass => {}
+            Outcome::Skip(why) => {
                 panic!(
                     "{}: skipped ({why}) — corpus cases must be cheap",
                     path.display()
                 )
             }
-            CaseOutcome::Fail(f) => {
-                panic!("{}: FAIL at {} — {}", path.display(), f.stage, f.detail)
-            }
+            Outcome::Degraded => panic!("{}: degraded without a budget", path.display()),
+            Outcome::Fail(f) => panic!("{}: FAIL {f}", path.display()),
         }
     }
 }
@@ -61,42 +61,40 @@ fn rtcase_corpus_round_trips_cleanly() {
         let text = std::fs::read_to_string(&path).expect("rtcase readable");
         let case = RtCase::from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         match run_rt_case(&case, &cfg) {
-            RtOutcome::Pass => {}
-            RtOutcome::Skip(why) => {
+            Outcome::Pass => {}
+            Outcome::Skip(why) => {
                 panic!(
                     "{}: skipped ({why}) — corpus cases must be cheap",
                     path.display()
                 )
             }
-            RtOutcome::Fail { hop, detail } => {
-                panic!("{}: FAIL at {hop} — {detail}", path.display())
-            }
+            Outcome::Degraded => panic!("{}: degraded without a budget", path.display()),
+            Outcome::Fail(f) => panic!("{}: FAIL {f}", path.display()),
         }
     }
 }
 
 #[test]
 fn fixed_seed_format_roundtrip_smoke_is_clean() {
-    let cfg = RtConfig::default();
-    let (stats, failures) = run_rt_campaign(15, 0xf0a7, &cfg, true, |_, _| {});
-    assert_eq!(stats.cases, 15);
+    let report = run(&mut FormatCampaign::default(), 0xf0a7, 15, true);
+    assert_eq!(report.stats.cases, 15);
     assert!(
-        failures.is_empty(),
-        "format round-trip smoke failed: {}",
-        failures[0]
+        report.failures.is_empty(),
+        "format round-trip smoke failed: seed {} {}",
+        report.failures[0].seed,
+        report.failures[0].failure
     );
 }
 
 #[test]
 fn fixed_seed_fuzz_smoke_is_clean() {
-    let cfg = FuzzConfig::default();
-    let (stats, failures) = run_campaign(25, 0xec0f, &cfg, true, |_, _| {});
-    assert_eq!(stats.cases, 25);
+    let report = run(&mut FuzzCampaign::default(), 0xec0f, 25, true);
+    assert_eq!(report.stats.cases, 25);
     assert!(
-        failures.is_empty(),
-        "fuzz smoke found {} failure(s); first: {} at {}",
-        failures.len(),
-        failures[0].case.seed,
-        failures[0].failure.stage
+        report.failures.is_empty(),
+        "fuzz smoke found {} failure(s); first: seed {} {}",
+        report.failures.len(),
+        report.failures[0].seed,
+        report.failures[0].failure
     );
 }

@@ -5,7 +5,9 @@
 
 mod common;
 
-use eco::core::{BudgetOptions, ClusterDiagnosis, EcoEngine, EcoOptions, EcoOutcome, EcoResult};
+use eco::core::{
+    Budget, BudgetOptions, ClusterDiagnosis, EcoEngine, EcoOptions, EcoOutcome, EcoResult,
+};
 use eco::workgen::contest_suite;
 
 fn run_with_jobs(inst: &eco::core::EcoInstance, jobs: usize) -> EcoResult {
@@ -76,18 +78,18 @@ fn parallel_patchgen_is_deterministic() {
 #[test]
 fn degradation_is_jobs_independent() {
     let run_governed = |inst: &eco::core::EcoInstance, jobs: usize, conflicts: u64| {
+        let budget = Budget::new(&BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(conflicts),
+        });
         EcoEngine::new(
             inst.clone(),
             EcoOptions {
                 jobs,
-                budget: BudgetOptions {
-                    timeout: None,
-                    cluster_conflicts: Some(conflicts),
-                },
                 ..Default::default()
             },
         )
-        .run_governed()
+        .run_governed(&budget)
         .expect("governed runs degrade, they do not error")
     };
     let unit = contest_suite()
