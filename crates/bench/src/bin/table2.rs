@@ -1,8 +1,8 @@
 //! Regenerates Table 2: cost / size / time, baseline vs ours, 20 units.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use eco_core::{EcoEngine, EcoOptions, Stage};
+use eco_core::{render_counters, EcoEngine, EcoOptions};
 use eco_workgen::contest_suite;
 
 struct Row {
@@ -23,16 +23,10 @@ fn run(unit: &eco_workgen::SuiteUnit, opts: EcoOptions) -> (u64, usize, f64) {
     let result = EcoEngine::new(inst, opts)
         .run()
         .expect("rectifiable by construction");
-    if std::env::var_os("ECO_STAGES").is_some() {
-        let stages: Vec<String> = Stage::ALL
-            .iter()
-            .map(|&s| {
-                let t = Duration::from_nanos(result.telemetry.stage_nanos(s));
-                format!("{} {t:.1?}", s.name())
-            })
-            .collect();
-        eprintln!("    stages: {}", stages.join(", "));
-    }
+    eprintln!(
+        "    stages: {}",
+        render_counters(&result.telemetry.stage_fields(), false)
+    );
     (result.cost, result.size, t0.elapsed().as_secs_f64())
 }
 

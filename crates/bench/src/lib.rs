@@ -9,6 +9,8 @@
 
 use std::time::Instant;
 
+use eco_core::{json_escape, JsonObj};
+
 pub use eco_core::peak_rss_bytes;
 
 /// Timing summary for one named benchmark.
@@ -19,13 +21,13 @@ pub struct BenchResult {
     /// Number of timed samples.
     pub samples: usize,
     /// Mean wall time per sample, nanoseconds.
-    pub mean_ns: u128,
+    pub mean_ns: u64,
     /// Median wall time per sample, nanoseconds.
-    pub median_ns: u128,
+    pub median_ns: u64,
     /// Fastest sample, nanoseconds.
-    pub min_ns: u128,
+    pub min_ns: u64,
     /// Slowest sample, nanoseconds.
-    pub max_ns: u128,
+    pub max_ns: u64,
 }
 
 /// Minimal fixed-sample benchmark runner: one warm-up iteration, then
@@ -71,18 +73,18 @@ impl Bench {
         if self.warmup {
             std::hint::black_box(f());
         }
-        let mut times: Vec<u128> = (0..self.samples)
+        let mut times: Vec<u64> = (0..self.samples)
             .map(|_| {
                 let t0 = Instant::now();
                 std::hint::black_box(f());
-                t0.elapsed().as_nanos()
+                t0.elapsed().as_nanos() as u64
             })
             .collect();
         times.sort_unstable();
         let result = BenchResult {
             name: name.to_string(),
             samples: self.samples,
-            mean_ns: times.iter().sum::<u128>() / times.len() as u128,
+            mean_ns: times.iter().sum::<u64>() / times.len() as u64,
             median_ns: times[times.len() / 2],
             min_ns: times[0],
             max_ns: times[times.len() - 1],
@@ -109,22 +111,21 @@ impl Bench {
         self.notes.push(text.to_string());
     }
 
-    /// JSON dump of all results (hand-rolled; names are plain ASCII).
+    /// JSON dump of all results, one row per line, then the notes one
+    /// per line, rendered with the shared [`JsonObj`] emitter.
     pub fn json(&self) -> String {
         let rows: Vec<String> = self
             .results
             .iter()
             .map(|r| {
-                format!(
-                    "  {{\"name\": \"{}\", \"samples\": {}, \"mean_ns\": {}, \
-                     \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                    r.name.replace('"', "\\\""),
-                    r.samples,
-                    r.mean_ns,
-                    r.median_ns,
-                    r.min_ns,
-                    r.max_ns
-                )
+                let row = JsonObj::new().str("name", &r.name).counters(&[
+                    ("samples", r.samples as u64),
+                    ("mean_ns", r.mean_ns),
+                    ("median_ns", r.median_ns),
+                    ("min_ns", r.min_ns),
+                    ("max_ns", r.max_ns),
+                ]);
+                format!("  {}", row.build())
             })
             .collect();
         let notes = if self.notes.is_empty() {
@@ -133,7 +134,7 @@ impl Bench {
             let items: Vec<String> = self
                 .notes
                 .iter()
-                .map(|n| format!("  \"{}\"", n.replace('\\', "\\\\").replace('"', "\\\"")))
+                .map(|n| format!("  \"{}\"", json_escape(n)))
                 .collect();
             format!(",\n \"notes\": [\n{}\n]", items.join(",\n"))
         };
@@ -157,7 +158,7 @@ impl Bench {
     }
 }
 
-fn fmt_ns(ns: u128) -> String {
+fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3} s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -189,5 +190,11 @@ mod tests {
         assert!(b
             .json()
             .contains("\"notes\": [\n  \"methodology \\\"quoted\\\"\"\n]"));
+        // Backslashes and control characters are escaped too.
+        b.run("dir\\noop", || 1 + 1);
+        b.note("two\nlines");
+        let js = b.json();
+        assert!(js.contains("\"name\": \"dir\\\\noop\""), "{js}");
+        assert!(js.contains("\"two\\nlines\""), "{js}");
     }
 }

@@ -37,7 +37,7 @@ use std::time::Duration;
 use eco_batch::{
     exit_code, load_jobs, records_jsonl, run_batch, stats_json, BatchOptions, Manifest,
 };
-use eco_core::BudgetOptions;
+use eco_core::{render_counters, BudgetOptions};
 
 const USAGE: &str = "usage: eco-batch run <manifest.{toml,json}> [--jobs N] [--repeat N] \
 [--report <path>] [--timeout SECS] [--conflict-budget N] [--journal <dir>] [--resume] \
@@ -166,10 +166,7 @@ fn run(args: &Args) -> Result<u8, String> {
                 wall.as_secs_f64()
             );
         }
-        eprintln!(
-            "memo: {} hits, {} misses, {} fallbacks, {} entries",
-            outcome.memo.hits, outcome.memo.misses, outcome.memo.fallbacks, outcome.memo.entries
-        );
+        eprintln!("memo: {}", render_counters(&outcome.memo.fields(), false));
         if args.journal.is_some() {
             eprintln!(
                 "journal: {} replayed, {} memo entries loaded, {} persist errors",

@@ -53,6 +53,7 @@ mod chaos;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use eco_core::render_counters;
 use eco_workgen::campaign::{self, Campaign, Failure, Found, Outcome, Report, Stats};
 use eco_workgen::fuzz::{BudgetCampaign, FuzzCampaign};
 use eco_workgen::roundtrip::FormatCampaign;
@@ -164,7 +165,8 @@ fn drive<C: Campaign>(
             args.shrink,
         ),
     };
-    println!("{}", report.stats.render(&campaign.counters(), args.json));
+    let counters = [report.stats.fields(), campaign.counters()].concat();
+    println!("{}", render_counters(&counters, args.json));
     for (i, found) in report.failures.iter().enumerate() {
         print_failure(i, &format!("seed {}", found.seed), &found.failure);
         if let Some(dir) = &args.corpus {
@@ -220,7 +222,7 @@ fn replay(path: &Path, json: bool) -> Result<bool, String> {
     if stats.cases == 0 {
         return Err(format!("{}: no .case or .rtcase files", path.display()));
     }
-    println!("{}", stats.render(&[], json));
+    println!("{}", render_counters(&stats.fields(), json));
     Ok(stats.failures == 0)
 }
 

@@ -13,9 +13,11 @@
 //!
 //! `--jobs N` sets the worker-thread count for the per-cluster
 //! patch-generation stage (0 = all cores; results are identical for any
-//! value). `--stats` prints run telemetry (per-stage wall times, SAT and
-//! FRAIG counters, flow events) to stderr; `--stats=json` emits the same
-//! as a single JSON object, keeping stdout clean for the patch netlist.
+//! value). `--stats` prints run telemetry to stderr after the report, one
+//! `label: key value` line per counter group (stages, SAT, FRAIG, flow,
+//! governor, memo) plus the flow events; `--stats=json` emits the same
+//! as a single JSON object on one line, keeping stdout clean for the
+//! patch netlist.
 //!
 //! `--timeout SECS` and `--conflict-budget N` enable the run-wide resource
 //! governor: when a limit cuts the run short, the process exits with code

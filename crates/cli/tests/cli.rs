@@ -221,3 +221,58 @@ fn unroll_mode_patches_a_latch_design() {
         .expect("run");
     assert_eq!(out.status.code(), Some(1));
 }
+
+/// Runs eco-patch on the FAULTY/GOLDEN pair with `extra` flags and
+/// returns its stderr.
+fn stats_stderr(tag: &str, extra: &[&str]) -> String {
+    let dir = tmpdir(tag);
+    let f = dir.join("faulty.v");
+    let g = dir.join("golden.v");
+    std::fs::write(&f, FAULTY).expect("write");
+    std::fs::write(&g, GOLDEN).expect("write");
+    let out = bin()
+        .args(["-f", f.to_str().expect("path")])
+        .args(["-g", g.to_str().expect("path")])
+        .args(["-t", "t"])
+        .args(extra)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(out.status.success(), "stderr: {stderr}");
+    stderr
+}
+
+/// `--stats=json` writes exactly one line: the telemetry object, with
+/// nothing after it.
+#[test]
+fn stats_json_is_one_parseable_line() {
+    let stderr = stats_stderr("statsjson", &["-q", "--stats=json"]);
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr:?}");
+    assert!(stderr.ends_with("}\n"), "stderr: {stderr:?}");
+    let eco_batch::json::Value::Obj(fields) =
+        eco_batch::json::parse(stderr.trim_end()).expect("stderr parses as JSON")
+    else {
+        panic!("not an object: {stderr}");
+    };
+    for key in ["stages", "sat", "fraig", "governor", "memo"] {
+        assert!(
+            fields
+                .iter()
+                .any(|(k, v)| k == key && matches!(v, eco_batch::json::Value::Obj(_))),
+            "no {key} object in {stderr}"
+        );
+    }
+}
+
+/// `--stats` prints the stage times and flow counters once, after the
+/// report, and the stage list includes assembly.
+#[test]
+fn stats_text_prints_each_group_once() {
+    let stderr = stats_stderr("statstext", &["--stats"]);
+    assert!(stderr.starts_with("patched 1 target(s): cost"), "{stderr}");
+    for label in ["stages:", "flow:", "sat:", "fraig:", "governor:", "memo:"] {
+        let n = stderr.lines().filter(|l| l.starts_with(label)).count();
+        assert_eq!(n, 1, "{label} printed {n} times: {stderr}");
+    }
+    assert!(stderr.contains("  assemble_ns "), "{stderr}");
+}

@@ -298,15 +298,15 @@ impl EcoEngine {
             .map(|m| (m, patch_memo_key(&self.instance, &self.options)));
         if let Some((cache, (key, check))) = memo {
             if let Some(mut cached) = cache.lookup_patch(key, check) {
-                tel.add_memo_hit();
+                tel.update(|t| t.memo.hits += 1);
                 if self.reverify_patch(&cached, budget, &tel) {
                     cached.telemetry = tel.snapshot();
                     return Ok(EcoOutcome::Complete(cached));
                 }
                 cache.record_fallback();
-                tel.add_memo_fallback();
+                tel.update(|t| t.memo.fallbacks += 1);
             } else {
-                tel.add_memo_miss();
+                tel.update(|t| t.memo.misses += 1);
             }
         }
         let outcome = self.run_attempts(budget, &tel)?;
@@ -323,7 +323,7 @@ impl EcoEngine {
             AttemptOutcome::Degraded(partial) => EcoOutcome::Partial(partial),
             AttemptOutcome::Cex(cex) if self.options.localization => {
                 // Completeness fallback: retry without localization.
-                tel.add_localization_fallback();
+                tel.update(|t| t.localization_fallbacks += 1);
                 tel.event(
                     Stage::Verify,
                     "localization_fallback",
@@ -491,9 +491,9 @@ impl EcoEngine {
                     let (classes, sweep, hit) =
                         fraig_classes_memo(&sub.mgr, &fraig_opts, cache as &dyn SweepMemo);
                     if hit {
-                        tel.add_memo_hit();
+                        tel.update(|t| t.memo.hits += 1);
                     } else {
-                        tel.add_memo_miss();
+                        tel.update(|t| t.memo.misses += 1);
                         tel.record_sweep(&sweep);
                         meter.charge(sweep.sat.conflicts);
                     }
@@ -565,13 +565,13 @@ impl EcoEngine {
                     Some(Rectifiability::Rectifiable) => {
                         // Trusted as-is: a wrong `Rectifiable` only delays
                         // failure to the (always fresh) final verification.
-                        tel.add_memo_hit();
+                        tel.update(|t| t.memo.hits += 1);
                         verdict = Some(Rectifiability::Rectifiable);
                     }
                     Some(Rectifiability::Counterexample(cex)) => {
                         // Audit the claimed universal counterexample with
                         // one cheap B-check before declaring defeat.
-                        tel.add_memo_hit();
+                        tel.update(|t| t.memo.hits += 1);
                         if check_rect_cex(
                             &mut scratch,
                             &cex,
@@ -583,10 +583,10 @@ impl EcoEngine {
                             verdict = Some(Rectifiability::Counterexample(cex));
                         } else {
                             cache.record_fallback();
-                            tel.add_memo_fallback();
+                            tel.update(|t| t.memo.fallbacks += 1);
                         }
                     }
-                    _ => tel.add_memo_miss(),
+                    _ => tel.update(|t| t.memo.misses += 1),
                 }
             }
             let verdict = match verdict {
@@ -708,8 +708,10 @@ impl EcoEngine {
         };
         let clusters = &clustering.clusters;
         let jobs = resolve_jobs(opts.jobs, clusters.len());
-        tel.add_clusters(clusters.len() as u64);
-        tel.set_jobs(jobs as u64);
+        tel.update(|t| {
+            t.clusters += clusters.len() as u64;
+            t.jobs = jobs as u64;
+        });
         type ClusterSlot = Result<ClusterOutcome, ClusterDiagnosis>;
         let outcomes: Vec<ClusterSlot> = if jobs <= 1 {
             clusters
@@ -1358,8 +1360,8 @@ mod tests {
                 for c in &p.clusters {
                     assert_eq!(c.diagnosis, ClusterDiagnosis::BudgetExhausted, "{c:?}");
                 }
-                assert_eq!(p.telemetry.clusters_budget_exhausted, 2);
-                assert_eq!(p.telemetry.clusters_patched, 0);
+                assert_eq!(p.telemetry.governor.clusters_budget_exhausted, 2);
+                assert_eq!(p.telemetry.governor.clusters_patched, 0);
                 assert!(p.patches.is_empty());
             }
             EcoOutcome::Complete(r) => panic!("expected partial, got {r:?}"),
@@ -1385,7 +1387,7 @@ mod tests {
                 for c in &p.clusters {
                     assert_eq!(c.diagnosis, ClusterDiagnosis::Deadline, "{c:?}");
                 }
-                assert_eq!(p.telemetry.clusters_deadline, 2);
+                assert_eq!(p.telemetry.governor.clusters_deadline, 2);
                 assert!(p.reason.contains("deadline"), "{}", p.reason);
             }
             EcoOutcome::Complete(r) => panic!("expected partial, got {r:?}"),
@@ -1419,7 +1421,7 @@ mod tests {
                     format!("{:?}", governed.patch_aig),
                     format!("{:?}", plain.patch_aig)
                 );
-                assert_eq!(governed.telemetry.clusters_patched, 2);
+                assert_eq!(governed.telemetry.governor.clusters_patched, 2);
             }
             EcoOutcome::Partial(p) => panic!("expected complete, got partial: {}", p.reason),
         }

@@ -105,8 +105,8 @@ pub use crate::report::{PartialReport, Report};
 pub use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions, SizeOptStats};
 pub use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
 pub use crate::telemetry::{
-    json_escape, peak_rss_bytes, JsonObj, SatTotals, Stage, SweepTotals, Telemetry, TelemetryEvent,
-    TelemetrySnapshot,
+    json_escape, peak_rss_bytes, render_counters, GovernorTotals, JsonObj, MemoTotals, SatTotals,
+    Stage, SweepTotals, Telemetry, TelemetryEvent, TelemetrySnapshot,
 };
 pub use crate::verify::{check_equivalence, VerifyOutcome};
 pub use crate::workspace::{Workspace, WsCandidate};

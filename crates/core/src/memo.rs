@@ -113,21 +113,22 @@ impl std::fmt::Debug for SinkSlot {
     }
 }
 
-/// Cumulative counters of one cache over its lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups that returned a value (kind and check digest matched).
-    pub hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Entries stored.
-    pub insertions: u64,
-    /// Entries evicted by the FIFO capacity bound.
-    pub evictions: u64,
-    /// Hits later discarded because revalidation refuted the entry.
-    pub fallbacks: u64,
-    /// Entries currently resident.
-    pub entries: u64,
+crate::counters! {
+    /// Cumulative counters of one cache over its lifetime.
+    pub struct MemoStats {
+        /// Lookups that returned a value (kind and check digest matched).
+        hits: u64,
+        /// Lookups that found nothing usable.
+        misses: u64,
+        /// Entries stored.
+        insertions: u64,
+        /// Entries evicted by the FIFO capacity bound.
+        evictions: u64,
+        /// Hits later discarded because revalidation refuted the entry.
+        fallbacks: u64,
+        /// Entries currently resident.
+        entries: u64,
+    }
 }
 
 /// Sharded, lock-striped memo cache shared across the jobs of a batch run

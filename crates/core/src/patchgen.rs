@@ -192,8 +192,10 @@ pub fn generate_group_patches(
             cut: Cut::frontier(ws, tap, &[lit]),
         })
         .collect();
-    tel.add_interpolated(interpolated as u64);
-    tel.add_interpolation_fallbacks(fallbacks as u64);
+    tel.update(|t| {
+        t.interpolated += interpolated as u64;
+        t.interpolation_fallbacks += fallbacks as u64;
+    });
     Ok(GroupPatches {
         patches,
         fallbacks,

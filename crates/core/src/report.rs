@@ -1,18 +1,28 @@
-//! Human-readable run reports.
+//! Human-readable run reports: the result only. Telemetry (stage times,
+//! SAT / FRAIG / governor / memo counters, events) is rendered once, by
+//! [`crate::TelemetrySnapshot`]'s `Display` and `to_json`.
 
 use std::fmt;
-use std::time::Duration;
 
-use crate::telemetry::{Stage, TelemetrySnapshot};
-use crate::{EcoResult, PartialResult};
+use crate::{EcoResult, PartialResult, TargetPatch};
 
-/// Wall time `tel` recorded for `stage`.
-fn stage_time(tel: &TelemetrySnapshot, stage: Stage) -> Duration {
-    Duration::from_nanos(tel.stage_nanos(stage))
+/// One `target <- f(base)  [size gates]` line per patch.
+fn patch_lines(f: &mut fmt::Formatter<'_>, patches: &[TargetPatch]) -> fmt::Result {
+    for p in patches {
+        writeln!(
+            f,
+            "  {} <- f({})  [{} gates]",
+            p.target,
+            p.base.join(", "),
+            p.size
+        )?;
+    }
+    Ok(())
 }
 
-/// A displayable summary of an [`EcoResult`] (one line per patch plus
-/// stage timings), used by the CLI and the benchmark harnesses.
+/// A displayable summary of an [`EcoResult`]: the totals (with the cost
+/// optimization's before/after) and one line per patch, as the CLI
+/// prints it.
 ///
 /// # Examples
 ///
@@ -40,9 +50,11 @@ impl fmt::Display for Report<'_> {
         let r = self.0;
         writeln!(
             f,
-            "patched {} target(s): cost {}, size {} AND gates{}",
+            "patched {} target(s): cost {} (optimize {} -> {}), size {} AND gates{}",
             r.patches.len(),
             r.cost,
+            r.optimize_delta.0,
+            r.optimize_delta.1,
             r.size,
             if r.localization_fallback {
                 " (localization fallback)"
@@ -50,44 +62,7 @@ impl fmt::Display for Report<'_> {
                 ""
             }
         )?;
-        for p in &r.patches {
-            writeln!(
-                f,
-                "  {} <- f({})  [{} gates]",
-                p.target,
-                p.base.join(", "),
-                p.size
-            )?;
-        }
-        let tel = &r.telemetry;
-        let t = |stage| stage_time(tel, stage);
-        writeln!(
-            f,
-            "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?} (cost {} -> {}), verify {:.1?}",
-            t(Stage::Fraig),
-            t(Stage::Clustering),
-            t(Stage::PatchGen),
-            t(Stage::Optimize),
-            r.optimize_delta.0,
-            r.optimize_delta.1,
-            t(Stage::Verify)
-        )?;
-        writeln!(
-            f,
-            "flow: {} cluster(s) x {} job(s), sat {} solver(s) / {} conflicts / {} propagations, \
-             fraig {} sweep(s) / {} sat calls",
-            tel.clusters,
-            tel.jobs,
-            tel.sat.solvers,
-            tel.sat.conflicts,
-            tel.sat.propagations,
-            tel.sweep.sweeps,
-            tel.sweep.sat_calls
-        )?;
-        for e in &tel.events {
-            writeln!(f, "event [{}] {}: {}", e.stage, e.label, e.detail)?;
-        }
-        Ok(())
+        patch_lines(f, &r.patches)
     }
 }
 
@@ -115,39 +90,7 @@ impl fmt::Display for PartialReport<'_> {
             p.cost,
             p.size
         )?;
-        for patch in &p.patches {
-            writeln!(
-                f,
-                "  {} <- f({})  [{} gates]",
-                patch.target,
-                patch.base.join(", "),
-                patch.size
-            )?;
-        }
-        let tel = &p.telemetry;
-        let t = |stage| stage_time(tel, stage);
-        writeln!(
-            f,
-            "stages: fraig {:.1?}, cluster {:.1?}, patchgen {:.1?}, optimize {:.1?}, verify {:.1?}",
-            t(Stage::Fraig),
-            t(Stage::Clustering),
-            t(Stage::PatchGen),
-            t(Stage::Optimize),
-            t(Stage::Verify)
-        )?;
-        writeln!(
-            f,
-            "governor: {} patched, {} budget-exhausted, {} deadline, {} panicked, {} escalations",
-            tel.clusters_patched,
-            tel.clusters_budget_exhausted,
-            tel.clusters_deadline,
-            tel.clusters_panicked,
-            tel.escalations
-        )?;
-        for e in &tel.events {
-            writeln!(f, "event [{}] {}: {}", e.stage, e.label, e.detail)?;
-        }
-        Ok(())
+        patch_lines(f, &p.patches)
     }
 }
 
@@ -183,6 +126,5 @@ mod tests {
         let text = Report(&result).to_string();
         assert!(text.contains("t1 <-"), "{text}");
         assert!(text.contains("t2 <-"), "{text}");
-        assert!(text.contains("stages:"), "{text}");
     }
 }

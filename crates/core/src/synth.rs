@@ -117,7 +117,7 @@ pub fn synthesize_patch(
             if meter.exhausted() || escalated_budget == 0 || ctl.expired() {
                 return fallback(false);
             }
-            tel.add_escalations(1);
+            tel.update(|t| t.governor.escalations += 1);
             match try_interpolate(ws, onoff, cut, escalated_budget, ctl, meter, tel) {
                 ItpAttempt::Done(lit) => interpolated(lit, true),
                 // Tier 3: the structural on-set fallback.
@@ -352,7 +352,7 @@ mod tests {
             &tel,
         );
         assert!(got.interpolated && got.escalated, "{got:?}");
-        assert_eq!(tel.snapshot().escalations, 1);
+        assert_eq!(tel.snapshot().governor.escalations, 1);
         check_patch_semantics(&ws, got.lit);
     }
 
@@ -380,7 +380,7 @@ mod tests {
         );
         assert!(got.fallback && !got.interpolated && !got.escalated);
         assert_eq!(got.lit, onoff.on);
-        assert_eq!(tel.snapshot().escalations, 0);
+        assert_eq!(tel.snapshot().governor.escalations, 0);
     }
 
     #[test]

@@ -3,18 +3,87 @@
 //!
 //! One [`Telemetry`] instance lives for a whole [`crate::EcoEngine::run`]
 //! (both the localized attempt and, if it fails verification, the
-//! unlocalized fallback). It is `Sync` — counters are atomics and events
-//! sit behind a mutex — so the scoped worker threads of the parallel
-//! patch-generation stage record into it directly. The immutable
-//! [`TelemetrySnapshot`] taken at the end is what [`crate::EcoResult`]
-//! carries and what the CLI renders for `--stats[=json]`.
+//! unlocalized fallback). It is one [`TelemetrySnapshot`] behind a mutex,
+//! so the scoped worker threads of the parallel patch-generation stage
+//! record into it directly; the lock is taken once per solver, sweep,
+//! stage or cluster event, never once per SAT query. The snapshot taken
+//! at the end is what [`crate::EcoResult`] carries and what the CLI
+//! renders for `--stats[=json]`.
+//!
+//! Every counter group is declared once with [`counters!`](crate::counters),
+//! which emits the struct, its `(key, value)` list and `+=`.
+//! [`render_counters`] renders any such list as text or JSON, here and in
+//! the batch, serve and campaign summaries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use eco_fraig::SweepStats;
 use eco_sat::SolverStats;
+
+/// Declares a group of `u64` counters once: the struct (public fields,
+/// all zero by default), `fields()` — every counter as `(key, value)` in
+/// declaration order, the keys of its text and JSON renderings — and
+/// `+=`.
+///
+/// ```
+/// eco_core::counters! {
+///     /// Two counters.
+///     pub struct Pair {
+///         /// The first.
+///         a: u64,
+///         /// The second.
+///         b: u64,
+///     }
+/// }
+/// let mut p = Pair { a: 1, b: 2 };
+/// p += Pair { a: 1, b: 0 };
+/// assert_eq!(p.fields(), [("a", 2), ("b", 2)]);
+/// assert_eq!(eco_core::render_counters(&p.fields(), false), "a 2  b 2");
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$field_meta:meta])* $field:ident: u64 ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$field_meta])* pub $field: u64, )*
+        }
+
+        impl $name {
+            /// Every counter as `(key, value)`, in declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$( (stringify!($field), self.$field) ),*]
+            }
+        }
+
+        impl ::std::ops::AddAssign for $name {
+            fn add_assign(&mut self, other: Self) {
+                $( self.$field += other.$field; )*
+            }
+        }
+    };
+}
+
+/// Renders counters as one JSON object (`json`) or as one text line of
+/// `key value` pairs separated by two spaces. The one renderer of every
+/// counter list in the workspace, so text and JSON keys cannot drift.
+pub fn render_counters(fields: &[(&str, u64)], json: bool) -> String {
+    if json {
+        JsonObj::new().counters(fields).build()
+    } else {
+        fields
+            .iter()
+            .map(|(k, v)| format!("{k} {v}"))
+            .collect::<Vec<_>>()
+            .join("  ")
+    }
+}
 
 /// A flow stage (Fig. 1), as a telemetry key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,15 +115,21 @@ impl Stage {
         Stage::Assemble,
     ];
 
-    /// Stable lowercase name (used as the JSON key).
+    /// Stable lowercase name (the stage tag of events).
     pub fn name(self) -> &'static str {
+        let key = self.key();
+        &key[..key.len() - "_ns".len()]
+    }
+
+    /// Key of the stage's nanoseconds in the `stages` group: `<name>_ns`.
+    pub fn key(self) -> &'static str {
         match self {
-            Stage::Fraig => "fraig",
-            Stage::Clustering => "clustering",
-            Stage::PatchGen => "patchgen",
-            Stage::Optimize => "optimize",
-            Stage::Verify => "verify",
-            Stage::Assemble => "assemble",
+            Stage::Fraig => "fraig_ns",
+            Stage::Clustering => "clustering_ns",
+            Stage::PatchGen => "patchgen_ns",
+            Stage::Optimize => "optimize_ns",
+            Stage::Verify => "verify_ns",
+            Stage::Assemble => "assemble_ns",
         }
     }
 
@@ -63,61 +138,133 @@ impl Stage {
     }
 }
 
-/// Aggregated CDCL solver totals across every SAT instance of a run
-/// (synthesis, interpolation, rebasing, size reduction, verification, and
-/// the solvers inside FRAIG sweeps).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SatTotals {
-    /// Solver instances whose stats were folded in.
-    pub solvers: u64,
-    /// Total conflicts.
-    pub conflicts: u64,
-    /// Total branching decisions.
-    pub decisions: u64,
-    /// Total propagated literals.
-    pub propagations: u64,
-    /// Total restarts.
-    pub restarts: u64,
-    /// Total learned clauses.
-    pub learned: u64,
-    /// Clauses shortened by inprocessing vivification.
-    pub vivified_clauses: u64,
-    /// Clauses removed by inprocessing (self-)subsumption.
-    pub subsumed_clauses: u64,
-    /// Variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
+crate::counters! {
+    /// Aggregated CDCL solver totals across every SAT instance of a run
+    /// (synthesis, interpolation, rebasing, size reduction, verification,
+    /// and the solvers inside FRAIG sweeps).
+    pub struct SatTotals {
+        /// Solver instances whose stats were folded in.
+        solvers: u64,
+        /// Total conflicts.
+        conflicts: u64,
+        /// Total branching decisions.
+        decisions: u64,
+        /// Total propagated literals.
+        propagations: u64,
+        /// Total restarts.
+        restarts: u64,
+        /// Total learned clauses.
+        learned: u64,
+        /// Clauses shortened by inprocessing vivification.
+        vivified_clauses: u64,
+        /// Clauses removed by inprocessing (self-)subsumption.
+        subsumed_clauses: u64,
+        /// Variables removed by bounded variable elimination.
+        eliminated_vars: u64,
+    }
 }
 
-/// Aggregated FRAIG sweep totals across every sweep of a run (one per
-/// cluster sub-workspace, plus the final patch-AIG reduction).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepTotals {
-    /// Sweeps folded in.
-    pub sweeps: u64,
-    /// Sweeps decided by exhaustive simulation of a small support (no
-    /// solver built).
-    pub exhaustive_sweeps: u64,
-    /// Class merges decided by exhaustive simulation (not SAT queries:
-    /// `sat_calls` and `proven` count SAT work only).
-    pub exhaustive_merges: u64,
-    /// Refinement rounds.
-    pub rounds: u64,
-    /// SAT equivalence queries issued.
-    pub sat_calls: u64,
-    /// Candidate pairs proven equivalent.
-    pub proven: u64,
-    /// Candidate pairs disproved by a counterexample.
-    pub disproved: u64,
-    /// Queries abandoned on the conflict budget.
-    pub budgeted_out: u64,
-    /// Counterexample patterns fed back into simulation.
-    pub cex_patterns: u64,
-    /// Activation literals retired with a level-0 unit after their query.
-    pub retired_activations: u64,
-    /// Simulation word-columns actually computed.
-    pub resim_columns: u64,
-    /// Simulation word-columns skipped by incremental re-simulation.
-    pub resim_columns_saved: u64,
+impl From<&SolverStats> for SatTotals {
+    /// One solver's final statistics.
+    fn from(s: &SolverStats) -> Self {
+        SatTotals {
+            solvers: 1,
+            conflicts: s.conflicts,
+            decisions: s.decisions,
+            propagations: s.propagations,
+            restarts: s.restarts,
+            learned: s.learned,
+            vivified_clauses: s.vivified_clauses,
+            subsumed_clauses: s.subsumed_clauses,
+            eliminated_vars: s.eliminated_vars,
+        }
+    }
+}
+
+crate::counters! {
+    /// Aggregated FRAIG sweep totals across every sweep of a run (one per
+    /// cluster sub-workspace, plus the final patch-AIG reduction).
+    pub struct SweepTotals {
+        /// Sweeps folded in.
+        sweeps: u64,
+        /// Sweeps decided by exhaustive simulation of a small support (no
+        /// solver built).
+        exhaustive_sweeps: u64,
+        /// Class merges decided by exhaustive simulation (not SAT queries:
+        /// `sat_calls` and `proven` count SAT work only).
+        exhaustive_merges: u64,
+        /// Refinement rounds.
+        rounds: u64,
+        /// SAT equivalence queries issued.
+        sat_calls: u64,
+        /// Candidate pairs proven equivalent.
+        proven: u64,
+        /// Candidate pairs disproved by a counterexample.
+        disproved: u64,
+        /// Queries abandoned on the conflict budget.
+        budgeted_out: u64,
+        /// Counterexample patterns fed back into simulation.
+        cex_patterns: u64,
+        /// Activation literals retired with a level-0 unit after their
+        /// query.
+        retired_activations: u64,
+        /// Simulation word-columns actually computed.
+        resim_columns: u64,
+        /// Simulation word-columns skipped by incremental re-simulation.
+        resim_columns_saved: u64,
+    }
+}
+
+impl From<&SweepStats> for SweepTotals {
+    /// One sweep's counters (its solver, if any, goes to [`SatTotals`]).
+    fn from(s: &SweepStats) -> Self {
+        SweepTotals {
+            sweeps: 1,
+            exhaustive_sweeps: u64::from(s.exhaustive),
+            exhaustive_merges: s.exhaustive_merges,
+            rounds: s.rounds as u64,
+            sat_calls: s.sat_calls,
+            proven: s.proven,
+            disproved: s.disproved,
+            budgeted_out: s.budgeted_out,
+            cex_patterns: s.cex_patterns,
+            retired_activations: s.retired_activations,
+            resim_columns: s.resim_columns,
+            resim_columns_saved: s.resim_columns_saved,
+        }
+    }
+}
+
+crate::counters! {
+    /// How each cluster of a run ended under the governor, and the
+    /// synthesis ladder's budget escalations.
+    pub struct GovernorTotals {
+        /// Clusters that completed all their patches.
+        clusters_patched: u64,
+        /// Clusters whose conflict allowance ran out mid-synthesis.
+        clusters_budget_exhausted: u64,
+        /// Clusters stopped by the run deadline (or an external cancel).
+        clusters_deadline: u64,
+        /// Clusters whose worker panicked (isolated, not fatal).
+        clusters_panicked: u64,
+        /// Budget-escalation retries taken by the synthesis ladder.
+        escalations: u64,
+    }
+}
+
+crate::counters! {
+    /// Memo-cache lookups of one run (sweep, rectifiability, or
+    /// whole-instance patch).
+    pub struct MemoTotals {
+        /// Lookups that returned a cached value.
+        hits: u64,
+        /// Lookups that found nothing usable (entry absent or check digest
+        /// mismatched).
+        misses: u64,
+        /// Hits discarded because revalidation (fresh SAT miter or
+        /// counterexample B-check) refuted the cached entry.
+        fallbacks: u64,
+    }
 }
 
 /// Peak resident-set size of this process, in bytes, when the platform
@@ -188,6 +335,11 @@ impl JsonObj {
         self
     }
 
+    /// Adds one unsigned integer field per `(key, value)`, in order.
+    pub fn counters(self, fields: &[(&str, u64)]) -> Self {
+        fields.iter().fold(self, |o, &(k, v)| o.u64(k, v))
+    }
+
     /// Adds a floating-point field (serialized with full precision).
     pub fn f64(mut self, key: &str, v: f64) -> Self {
         self.fields.push(format!("\"{}\": {}", json_escape(key), v));
@@ -247,7 +399,12 @@ pub struct TelemetryEvent {
     pub detail: String,
 }
 
-/// Immutable copy of all telemetry of one run.
+/// Label of the flow counters, which are top-level JSON keys rather than
+/// a nested object.
+const FLOW: &str = "flow";
+
+/// All telemetry of one run: the running totals inside [`Telemetry`], and
+/// the immutable copy a result carries.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
     /// Nanoseconds per stage, indexed like [`Stage::ALL`].
@@ -267,23 +424,10 @@ pub struct TelemetrySnapshot {
     /// Localized attempts that failed verification and were retried
     /// without localization.
     pub localization_fallbacks: u64,
-    /// Clusters that completed all their patches.
-    pub clusters_patched: u64,
-    /// Clusters whose conflict allowance ran out mid-synthesis.
-    pub clusters_budget_exhausted: u64,
-    /// Clusters stopped by the run deadline (or an external cancel).
-    pub clusters_deadline: u64,
-    /// Clusters whose worker panicked (isolated, not fatal).
-    pub clusters_panicked: u64,
-    /// Budget-escalation retries taken by the synthesis ladder.
-    pub escalations: u64,
-    /// Memo-cache hits (sweep, rectifiability, or whole-instance patch).
-    pub memo_hits: u64,
-    /// Memo-cache misses (entry absent or check digest mismatched).
-    pub memo_misses: u64,
-    /// Memo hits discarded because revalidation (fresh SAT miter or
-    /// counterexample B-check) refuted the cached entry.
-    pub memo_fallbacks: u64,
+    /// Governor outcomes per cluster, and budget escalations.
+    pub governor: GovernorTotals,
+    /// Memo-cache lookups.
+    pub memo: MemoTotals,
     /// Peak resident-set size in bytes at snapshot time, `None` when the
     /// platform does not expose it (see [`peak_rss_bytes`]).
     pub peak_rss_bytes: Option<u64>,
@@ -297,46 +441,51 @@ impl TelemetrySnapshot {
         self.stage_ns[stage.index()]
     }
 
-    /// Hand-rolled JSON rendering via the shared [`JsonObj`] builder
-    /// (stable keys, no external deps).
+    /// Per-stage nanoseconds as `(key, value)`, in flow order.
+    pub fn stage_fields(&self) -> Vec<(&'static str, u64)> {
+        Stage::ALL
+            .iter()
+            .map(|&s| (s.key(), self.stage_nanos(s)))
+            .collect()
+    }
+
+    /// Every counter group as `(label, fields)`, in output order.
+    fn groups(&self) -> [(&'static str, Vec<(&'static str, u64)>); 6] {
+        [
+            ("stages", self.stage_fields()),
+            ("sat", self.sat.fields()),
+            ("fraig", self.sweep.fields()),
+            (
+                FLOW,
+                vec![
+                    ("clusters", self.clusters),
+                    ("jobs", self.jobs),
+                    ("interpolated", self.interpolated),
+                    ("interpolation_fallbacks", self.interpolation_fallbacks),
+                    ("localization_fallbacks", self.localization_fallbacks),
+                ],
+            ),
+            ("governor", self.governor.fields()),
+            ("memo", self.memo.fields()),
+        ]
+    }
+
+    /// One JSON object on one line, without a trailing newline: a nested
+    /// object per counter group (the flow counters are top-level keys),
+    /// then `peak_rss_bytes` and the events.
     pub fn to_json(&self) -> String {
-        let mut stages = JsonObj::new();
-        for s in Stage::ALL {
-            stages = stages.u64(&format!("{}_ns", s.name()), self.stage_nanos(s));
+        let mut obj = JsonObj::new();
+        for (label, fields) in self.groups() {
+            obj = if label == FLOW {
+                obj.counters(&fields)
+            } else {
+                obj.raw(label, &render_counters(&fields, true))
+            };
         }
-        let sat = JsonObj::new()
-            .u64("solvers", self.sat.solvers)
-            .u64("conflicts", self.sat.conflicts)
-            .u64("decisions", self.sat.decisions)
-            .u64("propagations", self.sat.propagations)
-            .u64("restarts", self.sat.restarts)
-            .u64("learned", self.sat.learned)
-            .u64("vivified_clauses", self.sat.vivified_clauses)
-            .u64("subsumed_clauses", self.sat.subsumed_clauses)
-            .u64("eliminated_vars", self.sat.eliminated_vars);
-        let fraig = JsonObj::new()
-            .u64("sweeps", self.sweep.sweeps)
-            .u64("exhaustive_sweeps", self.sweep.exhaustive_sweeps)
-            .u64("exhaustive_merges", self.sweep.exhaustive_merges)
-            .u64("rounds", self.sweep.rounds)
-            .u64("sat_calls", self.sweep.sat_calls)
-            .u64("proven", self.sweep.proven)
-            .u64("disproved", self.sweep.disproved)
-            .u64("budgeted_out", self.sweep.budgeted_out)
-            .u64("cex_patterns", self.sweep.cex_patterns)
-            .u64("retired_activations", self.sweep.retired_activations)
-            .u64("resim_columns", self.sweep.resim_columns)
-            .u64("resim_columns_saved", self.sweep.resim_columns_saved);
-        let governor = JsonObj::new()
-            .u64("clusters_patched", self.clusters_patched)
-            .u64("clusters_budget_exhausted", self.clusters_budget_exhausted)
-            .u64("clusters_deadline", self.clusters_deadline)
-            .u64("clusters_panicked", self.clusters_panicked)
-            .u64("escalations", self.escalations);
-        let memo = JsonObj::new()
-            .u64("hits", self.memo_hits)
-            .u64("misses", self.memo_misses)
-            .u64("fallbacks", self.memo_fallbacks);
+        let obj = match self.peak_rss_bytes {
+            Some(b) => obj.u64("peak_rss_bytes", b),
+            None => obj.raw("peak_rss_bytes", "null"),
+        };
         let events: Vec<String> = self
             .events
             .iter()
@@ -348,103 +497,19 @@ impl TelemetrySnapshot {
                     .build()
             })
             .collect();
-        let obj = JsonObj::new()
-            .raw("stages", &stages.build())
-            .raw("sat", &sat.build())
-            .raw("fraig", &fraig.build())
-            .u64("clusters", self.clusters)
-            .u64("jobs", self.jobs)
-            .u64("interpolated", self.interpolated)
-            .u64("interpolation_fallbacks", self.interpolation_fallbacks)
-            .u64("localization_fallbacks", self.localization_fallbacks)
-            .raw("governor", &governor.build())
-            .raw("memo", &memo.build());
-        let obj = match self.peak_rss_bytes {
-            Some(b) => obj.u64("peak_rss_bytes", b),
-            None => obj.raw("peak_rss_bytes", "null"),
-        };
-        let obj = obj.arr("events", &events);
-        format!("{}\n", obj.build())
+        obj.arr("events", &events).build()
     }
 }
 
 impl std::fmt::Display for TelemetrySnapshot {
-    /// Human-readable multi-line summary (what `--stats` prints).
+    /// What `--stats` prints: one `label: key value  key value` line per
+    /// counter group with the JSON keys, the peak RSS, then the events.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for s in Stage::ALL {
-            writeln!(
-                f,
-                "stage {:<10} {:>12.3} ms",
-                s.name(),
-                self.stage_nanos(s) as f64 / 1e6
-            )?;
+        for (label, fields) in self.groups() {
+            writeln!(f, "{label}: {}", render_counters(&fields, false))?;
         }
-        writeln!(
-            f,
-            "sat: {} solvers, {} conflicts, {} decisions, {} propagations, {} restarts, {} learned",
-            self.sat.solvers,
-            self.sat.conflicts,
-            self.sat.decisions,
-            self.sat.propagations,
-            self.sat.restarts,
-            self.sat.learned
-        )?;
-        writeln!(
-            f,
-            "inprocess: {} vivified, {} subsumed, {} vars eliminated",
-            self.sat.vivified_clauses, self.sat.subsumed_clauses, self.sat.eliminated_vars
-        )?;
-        writeln!(
-            f,
-            "fraig: {} sweeps ({} exhaustive, {} merges), {} rounds, {} sat calls, \
-             {} proven, {} disproved, {} budgeted out, {} cex patterns, \
-             {} activations retired",
-            self.sweep.sweeps,
-            self.sweep.exhaustive_sweeps,
-            self.sweep.exhaustive_merges,
-            self.sweep.rounds,
-            self.sweep.sat_calls,
-            self.sweep.proven,
-            self.sweep.disproved,
-            self.sweep.budgeted_out,
-            self.sweep.cex_patterns,
-            self.sweep.retired_activations
-        )?;
-        writeln!(
-            f,
-            "sim: {} word-columns computed, {} saved by incremental resimulation",
-            self.sweep.resim_columns, self.sweep.resim_columns_saved
-        )?;
-        writeln!(
-            f,
-            "flow: {} clusters, {} jobs, {} interpolated, {} interpolation fallbacks, \
-             {} localization fallbacks",
-            self.clusters,
-            self.jobs,
-            self.interpolated,
-            self.interpolation_fallbacks,
-            self.localization_fallbacks
-        )?;
-        writeln!(
-            f,
-            "governor: {} patched, {} budget-exhausted, {} deadline, {} panicked, {} escalations",
-            self.clusters_patched,
-            self.clusters_budget_exhausted,
-            self.clusters_deadline,
-            self.clusters_panicked,
-            self.escalations
-        )?;
-        writeln!(
-            f,
-            "memo: {} hits, {} misses, {} fallbacks",
-            self.memo_hits, self.memo_misses, self.memo_fallbacks
-        )?;
         if let Some(b) = self.peak_rss_bytes {
-            writeln!(
-                f,
-                "memory: {:.1} MiB peak RSS",
-                b as f64 / (1024.0 * 1024.0)
-            )?;
+            writeln!(f, "memory: peak_rss_bytes {b}")?;
         }
         for e in &self.events {
             writeln!(f, "event [{}] {}: {}", e.stage, e.label, e.detail)?;
@@ -453,45 +518,11 @@ impl std::fmt::Display for TelemetrySnapshot {
     }
 }
 
-/// Shared, thread-safe telemetry accumulator for one engine run.
+/// Shared, thread-safe telemetry accumulator for one engine run: one
+/// [`TelemetrySnapshot`] of running totals behind a mutex.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    stage_ns: [AtomicU64; 6],
-    solvers: AtomicU64,
-    conflicts: AtomicU64,
-    decisions: AtomicU64,
-    propagations: AtomicU64,
-    restarts: AtomicU64,
-    learned: AtomicU64,
-    sweeps: AtomicU64,
-    sweep_exhaustive: AtomicU64,
-    sweep_exhaustive_merges: AtomicU64,
-    sweep_rounds: AtomicU64,
-    sweep_sat_calls: AtomicU64,
-    sweep_proven: AtomicU64,
-    sweep_disproved: AtomicU64,
-    sweep_budgeted_out: AtomicU64,
-    sweep_cex_patterns: AtomicU64,
-    sweep_retired_activations: AtomicU64,
-    sweep_resim_columns: AtomicU64,
-    sweep_resim_columns_saved: AtomicU64,
-    clusters: AtomicU64,
-    jobs: AtomicU64,
-    interpolated: AtomicU64,
-    interpolation_fallbacks: AtomicU64,
-    localization_fallbacks: AtomicU64,
-    clusters_patched: AtomicU64,
-    clusters_budget_exhausted: AtomicU64,
-    clusters_deadline: AtomicU64,
-    clusters_panicked: AtomicU64,
-    escalations: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_fallbacks: AtomicU64,
-    vivified_clauses: AtomicU64,
-    subsumed_clauses: AtomicU64,
-    eliminated_vars: AtomicU64,
-    events: Mutex<Vec<TelemetryEvent>>,
+    totals: Mutex<TelemetrySnapshot>,
 }
 
 impl Telemetry {
@@ -500,12 +531,21 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Adds `d` to the accumulated time of `stage`.
-    pub fn add_stage(&self, stage: Stage, d: Duration) {
-        self.stage_ns[stage.index()].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    /// Applies `f` to the running totals under the lock. A lock poisoned
+    /// by a panicking worker is recovered, the policy of the serve and
+    /// batch locks: every update is a few additions or a push, so the
+    /// totals are whole at every point a panic can unwind through.
+    pub fn update<T>(&self, f: impl FnOnce(&mut TelemetrySnapshot) -> T) -> T {
+        f(&mut self.totals.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Runs `f`, charging its wall time to `stage`.
+    /// Adds `d` to the accumulated time of `stage`.
+    pub fn add_stage(&self, stage: Stage, d: Duration) {
+        self.update(|t| t.stage_ns[stage.index()] += d.as_nanos() as u64);
+    }
+
+    /// Runs `f`, charging its wall time to `stage`. The lock is not held
+    /// while `f` runs, so `f` may record too.
     pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
         let t0 = std::time::Instant::now();
         let out = f();
@@ -515,169 +555,49 @@ impl Telemetry {
 
     /// Folds one solver's final statistics into the SAT totals.
     pub fn record_solver(&self, s: &SolverStats) {
-        self.solvers.fetch_add(1, Ordering::Relaxed);
-        self.conflicts.fetch_add(s.conflicts, Ordering::Relaxed);
-        self.decisions.fetch_add(s.decisions, Ordering::Relaxed);
-        self.propagations
-            .fetch_add(s.propagations, Ordering::Relaxed);
-        self.restarts.fetch_add(s.restarts, Ordering::Relaxed);
-        self.learned.fetch_add(s.learned, Ordering::Relaxed);
-        self.vivified_clauses
-            .fetch_add(s.vivified_clauses, Ordering::Relaxed);
-        self.subsumed_clauses
-            .fetch_add(s.subsumed_clauses, Ordering::Relaxed);
-        self.eliminated_vars
-            .fetch_add(s.eliminated_vars, Ordering::Relaxed);
+        self.update(|t| t.sat += SatTotals::from(s));
     }
 
     /// Folds one FRAIG sweep into the sweep totals (its internal solver,
     /// if it built one, is also folded into the SAT totals).
     pub fn record_sweep(&self, s: &SweepStats) {
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-        self.sweep_exhaustive
-            .fetch_add(u64::from(s.exhaustive), Ordering::Relaxed);
-        self.sweep_exhaustive_merges
-            .fetch_add(s.exhaustive_merges, Ordering::Relaxed);
-        self.sweep_rounds
-            .fetch_add(s.rounds as u64, Ordering::Relaxed);
-        self.sweep_sat_calls
-            .fetch_add(s.sat_calls, Ordering::Relaxed);
-        self.sweep_proven.fetch_add(s.proven, Ordering::Relaxed);
-        self.sweep_disproved
-            .fetch_add(s.disproved, Ordering::Relaxed);
-        self.sweep_budgeted_out
-            .fetch_add(s.budgeted_out, Ordering::Relaxed);
-        self.sweep_cex_patterns
-            .fetch_add(s.cex_patterns, Ordering::Relaxed);
-        self.sweep_retired_activations
-            .fetch_add(s.retired_activations, Ordering::Relaxed);
-        self.sweep_resim_columns
-            .fetch_add(s.resim_columns, Ordering::Relaxed);
-        self.sweep_resim_columns_saved
-            .fetch_add(s.resim_columns_saved, Ordering::Relaxed);
-        if !s.exhaustive {
-            self.record_solver(&s.sat);
-        }
-    }
-
-    /// Counts `n` processed target clusters.
-    pub fn add_clusters(&self, n: u64) {
-        self.clusters.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records the worker-thread count of the patch-generation stage.
-    pub fn set_jobs(&self, n: u64) {
-        self.jobs.store(n, Ordering::Relaxed);
-    }
-
-    /// Counts interpolation-synthesized patches.
-    pub fn add_interpolated(&self, n: u64) {
-        self.interpolated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts interpolation → on-set fallbacks.
-    pub fn add_interpolation_fallbacks(&self, n: u64) {
-        self.interpolation_fallbacks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts a localized-attempt verification failure that triggered the
-    /// unlocalized retry.
-    pub fn add_localization_fallback(&self) {
-        self.localization_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.update(|t| {
+            t.sweep += SweepTotals::from(s);
+            if !s.exhaustive {
+                t.sat += SatTotals::from(&s.sat);
+            }
+        });
     }
 
     /// Counts one cluster's governor diagnosis.
     pub fn add_cluster_diagnosis(&self, d: &crate::ClusterDiagnosis) {
-        let slot = match d {
-            crate::ClusterDiagnosis::Patched => &self.clusters_patched,
-            crate::ClusterDiagnosis::BudgetExhausted => &self.clusters_budget_exhausted,
-            crate::ClusterDiagnosis::Deadline => &self.clusters_deadline,
-            crate::ClusterDiagnosis::Panicked(_) => &self.clusters_panicked,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts budget-escalation retries taken by the synthesis ladder.
-    pub fn add_escalations(&self, n: u64) {
-        self.escalations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one memo-cache hit.
-    pub fn add_memo_hit(&self) {
-        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one memo-cache miss.
-    pub fn add_memo_miss(&self) {
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one memo hit discarded by revalidation.
-    pub fn add_memo_fallback(&self) {
-        self.memo_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.update(|t| {
+            let g = &mut t.governor;
+            *match d {
+                crate::ClusterDiagnosis::Patched => &mut g.clusters_patched,
+                crate::ClusterDiagnosis::BudgetExhausted => &mut g.clusters_budget_exhausted,
+                crate::ClusterDiagnosis::Deadline => &mut g.clusters_deadline,
+                crate::ClusterDiagnosis::Panicked(_) => &mut g.clusters_panicked,
+            } += 1;
+        });
     }
 
     /// Appends a structured event.
     pub fn event(&self, stage: Stage, label: &str, detail: String) {
-        self.events
-            .lock()
-            .expect("telemetry event lock")
-            .push(TelemetryEvent {
-                stage: stage.name(),
-                label: label.to_string(),
-                detail,
-            });
+        let event = TelemetryEvent {
+            stage: stage.name(),
+            label: label.to_string(),
+            detail,
+        };
+        self.update(|t| t.events.push(event));
     }
 
-    /// Copies everything into an immutable snapshot.
+    /// Copies the totals into an immutable snapshot, with the process's
+    /// peak RSS at this moment.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut stage_ns = [0u64; 6];
-        for (slot, a) in stage_ns.iter_mut().zip(&self.stage_ns) {
-            *slot = load(a);
-        }
         TelemetrySnapshot {
-            stage_ns,
-            sat: SatTotals {
-                solvers: load(&self.solvers),
-                conflicts: load(&self.conflicts),
-                decisions: load(&self.decisions),
-                propagations: load(&self.propagations),
-                restarts: load(&self.restarts),
-                learned: load(&self.learned),
-                vivified_clauses: load(&self.vivified_clauses),
-                subsumed_clauses: load(&self.subsumed_clauses),
-                eliminated_vars: load(&self.eliminated_vars),
-            },
-            sweep: SweepTotals {
-                sweeps: load(&self.sweeps),
-                exhaustive_sweeps: load(&self.sweep_exhaustive),
-                exhaustive_merges: load(&self.sweep_exhaustive_merges),
-                rounds: load(&self.sweep_rounds),
-                sat_calls: load(&self.sweep_sat_calls),
-                proven: load(&self.sweep_proven),
-                disproved: load(&self.sweep_disproved),
-                budgeted_out: load(&self.sweep_budgeted_out),
-                cex_patterns: load(&self.sweep_cex_patterns),
-                retired_activations: load(&self.sweep_retired_activations),
-                resim_columns: load(&self.sweep_resim_columns),
-                resim_columns_saved: load(&self.sweep_resim_columns_saved),
-            },
-            clusters: load(&self.clusters),
-            jobs: load(&self.jobs),
-            interpolated: load(&self.interpolated),
-            interpolation_fallbacks: load(&self.interpolation_fallbacks),
-            localization_fallbacks: load(&self.localization_fallbacks),
-            clusters_patched: load(&self.clusters_patched),
-            clusters_budget_exhausted: load(&self.clusters_budget_exhausted),
-            clusters_deadline: load(&self.clusters_deadline),
-            clusters_panicked: load(&self.clusters_panicked),
-            escalations: load(&self.escalations),
-            memo_hits: load(&self.memo_hits),
-            memo_misses: load(&self.memo_misses),
-            memo_fallbacks: load(&self.memo_fallbacks),
             peak_rss_bytes: peak_rss_bytes(),
-            events: self.events.lock().expect("telemetry event lock").clone(),
+            ..self.update(|t| t.clone())
         }
     }
 }
@@ -710,12 +630,14 @@ mod tests {
             exhaustive_merges: 5,
             ..Default::default()
         });
-        tel.add_clusters(3);
-        tel.set_jobs(4);
+        tel.update(|t| {
+            t.clusters += 3;
+            t.jobs = 4;
+        });
         tel.add_cluster_diagnosis(&crate::ClusterDiagnosis::Patched);
         tel.add_cluster_diagnosis(&crate::ClusterDiagnosis::BudgetExhausted);
         tel.add_cluster_diagnosis(&crate::ClusterDiagnosis::Panicked("p".into()));
-        tel.add_escalations(2);
+        tel.update(|t| t.governor.escalations += 2);
         tel.event(Stage::Verify, "localization_fallback", "cex a=1".into());
 
         let snap = tel.snapshot();
@@ -729,11 +651,16 @@ mod tests {
         assert_eq!(snap.sweep.exhaustive_merges, 5);
         assert_eq!(snap.clusters, 3);
         assert_eq!(snap.jobs, 4);
-        assert_eq!(snap.clusters_patched, 1);
-        assert_eq!(snap.clusters_budget_exhausted, 1);
-        assert_eq!(snap.clusters_deadline, 0);
-        assert_eq!(snap.clusters_panicked, 1);
-        assert_eq!(snap.escalations, 2);
+        assert_eq!(
+            snap.governor,
+            GovernorTotals {
+                clusters_patched: 1,
+                clusters_budget_exhausted: 1,
+                clusters_deadline: 0,
+                clusters_panicked: 1,
+                escalations: 2,
+            }
+        );
         assert_eq!(snap.events.len(), 1);
     }
 
@@ -744,7 +671,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        tel.add_clusters(1);
+                        tel.update(|t| t.clusters += 1);
                         tel.record_solver(&SolverStats::default());
                     }
                 });
@@ -789,6 +716,54 @@ mod tests {
         ] {
             assert!(js.contains(key), "missing {key} in {js}");
         }
+        assert!(!js.ends_with('\n'), "no trailing newline: {js:?}");
+    }
+
+    /// Pins the `--stats=json` layout (keys and their order) and the text
+    /// form that walks the same groups.
+    #[test]
+    fn text_and_json_render_the_same_groups() {
+        let snap = TelemetrySnapshot {
+            jobs: 2,
+            ..TelemetrySnapshot::default()
+        };
+        assert_eq!(
+            snap.to_json(),
+            "{\"stages\": {\"fraig_ns\": 0, \"clustering_ns\": 0, \"patchgen_ns\": 0, \
+             \"optimize_ns\": 0, \"verify_ns\": 0, \"assemble_ns\": 0}, \
+             \"sat\": {\"solvers\": 0, \"conflicts\": 0, \"decisions\": 0, \
+             \"propagations\": 0, \"restarts\": 0, \"learned\": 0, \"vivified_clauses\": 0, \
+             \"subsumed_clauses\": 0, \"eliminated_vars\": 0}, \
+             \"fraig\": {\"sweeps\": 0, \"exhaustive_sweeps\": 0, \"exhaustive_merges\": 0, \
+             \"rounds\": 0, \"sat_calls\": 0, \"proven\": 0, \"disproved\": 0, \
+             \"budgeted_out\": 0, \"cex_patterns\": 0, \"retired_activations\": 0, \
+             \"resim_columns\": 0, \"resim_columns_saved\": 0}, \
+             \"clusters\": 0, \"jobs\": 2, \"interpolated\": 0, \
+             \"interpolation_fallbacks\": 0, \"localization_fallbacks\": 0, \
+             \"governor\": {\"clusters_patched\": 0, \"clusters_budget_exhausted\": 0, \
+             \"clusters_deadline\": 0, \"clusters_panicked\": 0, \"escalations\": 0}, \
+             \"memo\": {\"hits\": 0, \"misses\": 0, \"fallbacks\": 0}, \
+             \"peak_rss_bytes\": null, \"events\": []}"
+        );
+        let text = snap.to_string();
+        let labels: Vec<&str> = text.lines().map(|l| l.split(':').next().unwrap()).collect();
+        assert_eq!(
+            labels,
+            ["stages", "sat", "fraig", "flow", "governor", "memo"]
+        );
+        assert!(text.contains(
+            "flow: clusters 0  jobs 2  interpolated 0  interpolation_fallbacks 0  \
+             localization_fallbacks 0\n"
+        ));
+        assert!(text.contains("  assemble_ns 0\n"), "{text}");
+    }
+
+    #[test]
+    fn stage_keys_extend_the_names() {
+        for s in Stage::ALL {
+            assert_eq!(s.key(), format!("{}_ns", s.name()));
+        }
+        assert_eq!(Stage::PatchGen.name(), "patchgen");
     }
 
     #[test]

@@ -25,9 +25,18 @@
 //! connection are written in request order, so a replayed request
 //! stream yields byte-identical `run` response bytes whatever the worker
 //! count (`stats` responses carry live counters and are exempt).
+//!
+//! A `stats` response carries every counter of the daemon's exit summary
+//! (`served`, `busy`, `refused_draining`, `bad_requests`, `workers`,
+//! `worker_restarts`, `memo_loaded`, `journal_appended`,
+//! `persist_errors`), then `queued` (admitted jobs not yet running) and a
+//! `memo` object with the shared cache's `hits`, `misses`, `insertions`,
+//! `evictions`, `fallbacks` and `entries`.
 
 use eco_batch::{job_spec_from_json, json, JobRecord, JobSpec};
-use eco_core::{JsonObj, MemoStats};
+use eco_core::{render_counters, JsonObj};
+
+use crate::ServeSummary;
 
 /// A parsed request line.
 #[derive(Debug)]
@@ -161,38 +170,16 @@ pub fn shutdown_response(id: &json::Value) -> String {
         .build()
 }
 
-/// Live counters for a `stats` response (non-deterministic; excluded
-/// from the byte-identity contract).
-pub struct StatsView {
-    /// Shared memo-cache counters.
-    pub memo: MemoStats,
-    /// Jobs currently queued (admitted, not yet running).
-    pub queued: usize,
-    /// Run jobs completed since startup.
-    pub served: u64,
-    /// Requests shed with `busy`.
-    pub busy: u64,
-    /// Worker threads.
-    pub workers: usize,
-}
-
-/// The `stats` response.
-pub fn stats_response(id: &json::Value, view: &StatsView) -> String {
-    let memo = JsonObj::new()
-        .u64("hits", view.memo.hits)
-        .u64("misses", view.memo.misses)
-        .u64("insertions", view.memo.insertions)
-        .u64("evictions", view.memo.evictions)
-        .u64("fallbacks", view.memo.fallbacks)
-        .u64("entries", view.memo.entries)
-        .build();
+/// The `stats` response: every counter of the exit summary (see
+/// [`ServeSummary::counters`]; no wall time), the admitted jobs still
+/// queued, and the shared memo cache's counters. Live and
+/// non-deterministic, so excluded from the byte-identity contract.
+pub fn stats_response(id: &json::Value, summary: &ServeSummary, queued: usize) -> String {
     response(id, true)
         .str("op", "stats")
-        .u64("served", view.served)
-        .u64("busy", view.busy)
-        .u64("queued", view.queued as u64)
-        .u64("workers", view.workers as u64)
-        .raw("memo", &memo)
+        .counters(&summary.counters())
+        .u64("queued", queued as u64)
+        .raw("memo", &render_counters(&summary.memo.fields(), true))
         .build()
 }
 

@@ -50,11 +50,12 @@ use eco_batch::{
     execute_job, load_job_instance, BoundedQueue, JobRecord, JobSpec, JobStatus, PushError,
 };
 use eco_core::{
-    faultpoint, Budget, BudgetOptions, EcoOptions, JsonObj, MemoCache, MemoStats, MemoStore,
+    faultpoint, render_counters, Budget, BudgetOptions, EcoOptions, JsonObj, MemoCache, MemoStats,
+    MemoStore,
 };
 
 use crate::journal::{load_request_journal, request_fingerprint, RequestJournal};
-use crate::proto::{self, Request, StatsView};
+use crate::proto::{self, Request};
 use eco_batch::json;
 
 /// How often blocked unix-socket reads and the accept loop re-check the
@@ -118,29 +119,31 @@ pub struct ServeSummary {
     pub wall: Duration,
 }
 
+impl ServeSummary {
+    /// Every service counter as `(key, value)`, in output order: the
+    /// exit summary and the live `stats` response both render this list.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("served", self.served),
+            ("busy", self.busy),
+            ("refused_draining", self.refused_draining),
+            ("bad_requests", self.bad_requests),
+            ("workers", self.workers as u64),
+            ("worker_restarts", self.worker_restarts),
+            ("memo_loaded", self.memo_loaded),
+            ("journal_appended", self.journal_appended),
+            ("persist_errors", self.persist_errors),
+        ]
+    }
+}
+
 /// Renders a [`ServeSummary`] as one JSON object (the daemon's exit
 /// report on stderr under `--stats`).
 pub fn summary_json(s: &ServeSummary) -> String {
-    let memo = JsonObj::new()
-        .u64("hits", s.memo.hits)
-        .u64("misses", s.memo.misses)
-        .u64("insertions", s.memo.insertions)
-        .u64("evictions", s.memo.evictions)
-        .u64("fallbacks", s.memo.fallbacks)
-        .u64("entries", s.memo.entries)
-        .build();
     JsonObj::new()
-        .u64("served", s.served)
-        .u64("busy", s.busy)
-        .u64("refused_draining", s.refused_draining)
-        .u64("bad_requests", s.bad_requests)
-        .u64("workers", s.workers as u64)
-        .u64("worker_restarts", s.worker_restarts)
-        .u64("memo_loaded", s.memo_loaded)
-        .u64("journal_appended", s.journal_appended)
-        .u64("persist_errors", s.persist_errors)
+        .counters(&s.counters())
         .raw("wall_s", &format!("{:.6}", s.wall.as_secs_f64()))
-        .raw("memo", &memo)
+        .raw("memo", &render_counters(&s.memo.fields(), true))
         .build()
 }
 
@@ -350,17 +353,8 @@ impl Server {
         self.draining.store(true, Ordering::Relaxed);
     }
 
-    /// Current counters (what a `stats` response reports).
-    fn stats_view(&self, queued: usize) -> StatsView {
-        StatsView {
-            memo: self.cache.stats(),
-            queued,
-            served: self.served.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            workers: self.workers,
-        }
-    }
-
+    /// Current counters: the exit summary, and (with a zero `wall`) what
+    /// a `stats` response reports.
     fn summary(&self, wall: Duration) -> ServeSummary {
         let journal_appended = self.journal.as_ref().map_or(0, |j| j.appended())
             + self.store.as_ref().map_or(0, |s| s.appended());
@@ -403,8 +397,8 @@ impl Server {
                 LineOutcome::Continue
             }
             Ok(Request::Stats { id }) => {
-                let view = self.stats_view(queue.len());
-                conn.send(seq, proto::stats_response(&id, &view));
+                let summary = self.summary(Duration::ZERO);
+                conn.send(seq, proto::stats_response(&id, &summary, queue.len()));
                 LineOutcome::Continue
             }
             Ok(Request::Shutdown { id }) => {
@@ -889,6 +883,24 @@ mod tests {
         assert_eq!(lines[2], "{\"id\": 2, \"ok\": true, \"op\": \"ping\"}");
         assert_eq!(summary.bad_requests, 1);
         assert_eq!(summary.served, 0);
+    }
+
+    #[test]
+    fn stats_op_reports_every_summary_counter() {
+        let input = "not json\n\
+                     {\"op\": \"stats\", \"id\": \"s\"}\n\
+                     {\"op\": \"shutdown\", \"id\": \"bye\"}\n";
+        let (out, summary) = serve(opts(1), input);
+        let stats = out.lines().nth(1).expect("stats response");
+        assert!(stats.contains("\"op\": \"stats\""), "{stats}");
+        assert!(stats.contains("\"bad_requests\": 1,"), "{stats}");
+        for (key, _) in summary.counters() {
+            assert!(stats.contains(&format!("\"{key}\": ")), "no {key}: {stats}");
+        }
+        assert!(
+            stats.contains("\"queued\": 0, \"memo\": {\"hits\": 0"),
+            "{stats}"
+        );
     }
 
     #[test]

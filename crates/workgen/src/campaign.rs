@@ -4,8 +4,8 @@
 //! and optionally a shrinker and a corpus form ([`Campaign`]). The
 //! driver owns everything around them: the seed loop ([`run`]), the
 //! single-seed rerun ([`Report::run_case`]), the verdict of one case
-//! ([`Outcome`]), the counters ([`Stats`]) and their rendering
-//! ([`Stats::render`]).
+//! ([`Outcome`]) and the counters ([`Stats`], rendered with the
+//! workspace's one counter renderer, [`eco_core::render_counters`]).
 //!
 //! Seed rule: cases run at seeds `seed`, `seed + 1`, … until `iters`
 //! cases have run; a seed that yields no case is passed over. Every
@@ -13,8 +13,6 @@
 //! seed reproduces it.
 
 use std::fmt;
-
-use eco_core::JsonObj;
 
 /// Verdict of one case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,23 +51,24 @@ pub fn fail(at: impl fmt::Display, detail: String) -> Outcome {
     })
 }
 
-/// Campaign counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Cases run.
-    pub cases: u64,
-    /// Cases the oracle accepted.
-    pub passes: u64,
-    /// Cases that degraded cleanly.
-    pub degraded: u64,
-    /// Budget-limited oracle checks (not failures).
-    pub skips: u64,
-    /// Genuine failures (before shrinking), plus a failed closing check.
-    pub failures: u64,
-    /// Shrink reductions attempted.
-    pub shrink_steps: u64,
-    /// Shrink reductions that kept the failure alive.
-    pub shrink_accepted: u64,
+eco_core::counters! {
+    /// Campaign counters.
+    pub struct Stats {
+        /// Cases run.
+        cases: u64,
+        /// Cases the oracle accepted.
+        passes: u64,
+        /// Cases that degraded cleanly.
+        degraded: u64,
+        /// Budget-limited oracle checks (not failures).
+        skips: u64,
+        /// Genuine failures (before shrinking), plus a failed closing check.
+        failures: u64,
+        /// Shrink reductions attempted.
+        shrink_steps: u64,
+        /// Shrink reductions that kept the failure alive.
+        shrink_accepted: u64,
+    }
 }
 
 impl Stats {
@@ -81,28 +80,6 @@ impl Stats {
             Outcome::Degraded => self.degraded += 1,
             Outcome::Skip(_) => self.skips += 1,
             Outcome::Fail(_) => self.failures += 1,
-        }
-    }
-
-    /// The summary: these counters followed by a campaign's own, as one
-    /// JSON object (`json`) or as `key value` pairs on one line.
-    pub fn render(&self, extra: &[(&str, u64)], json: bool) -> String {
-        let fields = [
-            ("cases", self.cases),
-            ("passes", self.passes),
-            ("degraded", self.degraded),
-            ("skips", self.skips),
-            ("failures", self.failures),
-            ("shrink_steps", self.shrink_steps),
-            ("shrink_accepted", self.shrink_accepted),
-        ];
-        let all = fields.iter().chain(extra);
-        if json {
-            all.fold(JsonObj::new(), |o, &(k, v)| o.u64(k, v)).build()
-        } else {
-            all.map(|(k, v)| format!("{k} {v}"))
-                .collect::<Vec<_>>()
-                .join("  ")
         }
     }
 }
@@ -240,6 +217,7 @@ pub fn run<C: Campaign>(campaign: &mut C, seed: u64, iters: u64, shrink: bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eco_core::render_counters;
 
     /// Odd seeds yield no case; seeds divisible by 3 fail.
     struct Toy;
@@ -281,14 +259,14 @@ mod tests {
             failures: 1,
             ..Stats::default()
         };
-        let extra = [("injected", 9)];
+        let fields = [stats.fields(), vec![("injected", 9)]].concat();
         assert_eq!(
-            stats.render(&extra, false),
+            render_counters(&fields, false),
             "cases 3  passes 2  degraded 0  skips 0  failures 1  shrink_steps 0  \
              shrink_accepted 0  injected 9"
         );
         assert_eq!(
-            stats.render(&extra, true),
+            render_counters(&fields, true),
             "{\"cases\": 3, \"passes\": 2, \"degraded\": 0, \"skips\": 0, \"failures\": 1, \
              \"shrink_steps\": 0, \"shrink_accepted\": 0, \"injected\": 9}"
         );

@@ -506,17 +506,17 @@ fn check_partial(case: &FuzzCase, partial: &PartialResult) -> Outcome {
             }
         }
     }
-    let tel = &partial.telemetry;
-    let diagnosed = tel.clusters_patched
-        + tel.clusters_budget_exhausted
-        + tel.clusters_deadline
-        + tel.clusters_panicked;
-    if diagnosed != partial.clusters.len() as u64 || tel.clusters_patched != patched {
+    let gov = &partial.telemetry.governor;
+    let diagnosed = gov.clusters_patched
+        + gov.clusters_budget_exhausted
+        + gov.clusters_deadline
+        + gov.clusters_panicked;
+    if diagnosed != partial.clusters.len() as u64 || gov.clusters_patched != patched {
         return governor(format!(
             "governor counters disagree with cluster reports: {diagnosed} diagnosed / \
              {} reported, {} vs {patched} patched",
             partial.clusters.len(),
-            tel.clusters_patched,
+            gov.clusters_patched,
         ));
     }
     for p in &partial.patches {

@@ -31,8 +31,8 @@
 # eco-workgen, runs it cold then warm through eco-batch over one shared
 # memo cache (--repeat 2), and asserts every job is proven equivalent,
 # the warm pass reports nonzero cache hits, and the JSONL report is
-# byte-identical for --jobs 1 vs --jobs 4. Cold/warm wall times are
-# recorded in crates/bench/BENCH_batch.json.
+# byte-identical for --jobs 1 vs --jobs 4. It prints the cold and warm
+# pass wall times.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -44,13 +44,16 @@
 # --serve-smoke additionally exercises the eco-serve daemon end to end:
 # a 12-job request stream (from eco-workgen --requests) is replayed cold
 # then warm against one daemon over a unix socket. The warm replay must
-# hit the process-lifetime memo cache (daemon stats op), finish in <10%
-# of the cold stream's wall time, and return byte-identical responses; a
+# hit the process-lifetime memo cache (daemon stats op, which must also
+# report no worker restart and no persistence error), finish in <10% of
+# the cold stream's wall time, and return byte-identical responses; a
 # second daemon with --jobs 1 must produce the same bytes as --jobs 4.
 # Both drain paths are proven clean (protocol shutdown and SIGTERM, exit
-# 0, socket file removed, all admitted jobs answered). Cold/warm
-# throughput and p50/p99 round-trip latencies are recorded in
-# crates/bench/BENCH_serve.json.
+# 0, socket file removed, all admitted jobs answered). It prints the
+# cold and warm throughput and p50/p99 round-trip latencies.
+#
+# Of all the steps, only the scale smoke's bootstrap (no checked-in
+# crates/bench/BENCH_scale.json yet) writes a tracked file.
 #
 # The seq smoke is also part of the DEFAULT gate (seconds): it generates
 # a latch-bearing case with eco-workgen --seq, rectifies it through
@@ -258,13 +261,6 @@ if [ "$batch_smoke" -eq 1 ]; then
   cmp -s "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" \
     || { echo "batch smoke: JSONL differs between --jobs 1 and --jobs 4"; diff "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" || true; exit 1; }
 
-  # Record cold-vs-warm wall times for the tracked bench file.
-  cat > crates/bench/BENCH_batch.json <<EOF
-{"benches": [
-  {"name": "batch/suite12/cold", "samples": 1, "mean_ns": $cold_ns, "median_ns": $cold_ns, "min_ns": $cold_ns, "max_ns": $cold_ns},
-  {"name": "batch/suite12/warm", "samples": 1, "mean_ns": $warm_ns, "median_ns": $warm_ns, "min_ns": $warm_ns, "max_ns": $warm_ns}
-]}
-EOF
   echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, $hits cache hits"
 fi
 
@@ -362,6 +358,11 @@ if [ "$serve_smoke" -eq 1 ]; then
   hits=$(sed -n 's/.*"hits": \([0-9]*\).*/\1/p' "$svtmp/stats.out")
   [ -n "$hits" ] && [ "$hits" -gt 0 ] \
     || { echo "serve smoke: warm replay reported no cache hits"; cat "$svtmp/stats.out"; exit 1; }
+  # The live stats carry the fault counters of the exit summary.
+  for key in worker_restarts persist_errors; do
+    grep -q "\"$key\": 0," "$svtmp/stats.out" \
+      || { echo "serve smoke: live stats report nonzero or missing $key"; cat "$svtmp/stats.out"; exit 1; }
+  done
 
   # Warm stream wall time must be under 10% of cold.
   cold_s=$(sed -n 's/.*"wall_s": \([0-9.]*\).*/\1/p' "$svtmp/cold_timing.json")
@@ -409,31 +410,13 @@ if [ "$serve_smoke" -eq 1 ]; then
   grep -q '"served": 12' "$svtmp/b_stats.json" \
     || { echo "serve smoke: daemon B summary missing 12 served jobs"; cat "$svtmp/b_stats.json"; exit 1; }
 
-  # Record cold-vs-warm throughput and round-trip latency percentiles.
+  # Report cold-vs-warm throughput and round-trip latency percentiles.
   field() { sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1"; }
-  ns() { awk -v s="$1" 'BEGIN { printf "%.0f", s * 1e9 }'; }
-  cold_ns=$(ns "$cold_s")
-  warm_ns=$(ns "$warm_s")
-  cold_p50_ns=$((1000 * $(field "$svtmp/cold_timing.json" p50_us)))
-  cold_p99_ns=$((1000 * $(field "$svtmp/cold_timing.json" p99_us)))
-  warm_p50_ns=$((1000 * $(field "$svtmp/warm_timing.json" p50_us)))
-  warm_p99_ns=$((1000 * $(field "$svtmp/warm_timing.json" p99_us)))
-  cold_rps=$(field "$svtmp/cold_timing.json" rps)
-  warm_rps=$(field "$svtmp/warm_timing.json" rps)
-  cat > crates/bench/BENCH_serve.json <<EOF
-{"benches": [
-  {"name": "serve/suite12/cold_stream", "samples": 1, "mean_ns": $cold_ns, "median_ns": $cold_ns, "min_ns": $cold_ns, "max_ns": $cold_ns},
-  {"name": "serve/suite12/warm_stream", "samples": 1, "mean_ns": $warm_ns, "median_ns": $warm_ns, "min_ns": $warm_ns, "max_ns": $warm_ns},
-  {"name": "serve/suite12/cold_p50", "samples": 12, "mean_ns": $cold_p50_ns, "median_ns": $cold_p50_ns, "min_ns": $cold_p50_ns, "max_ns": $cold_p99_ns},
-  {"name": "serve/suite12/warm_p50", "samples": 12, "mean_ns": $warm_p50_ns, "median_ns": $warm_p50_ns, "min_ns": $warm_p50_ns, "max_ns": $warm_p99_ns},
-  {"name": "serve/suite12/cold_p99", "samples": 12, "mean_ns": $cold_p99_ns, "median_ns": $cold_p99_ns, "min_ns": $cold_p50_ns, "max_ns": $cold_p99_ns},
-  {"name": "serve/suite12/warm_p99", "samples": 12, "mean_ns": $warm_p99_ns, "median_ns": $warm_p99_ns, "min_ns": $warm_p50_ns, "max_ns": $warm_p99_ns}
-], "notes": [
-  "single sequential client over a unix socket, 12-job suite stream",
-  "cold ${cold_rps} req/s, warm ${warm_rps} req/s; one daemon, shared memo cache"
-]}
-EOF
-  echo "serve smoke: cold ${cold_s}s (${cold_rps} rps), warm ${warm_s}s (${warm_rps} rps), $hits cache hits"
+  for pass in cold warm; do
+    t="$svtmp/${pass}_timing.json"
+    echo "serve smoke: $pass stream $(field "$t" wall_s)s, $(field "$t" rps) rps, p50 $(field "$t" p50_us)us, p99 $(field "$t" p99_us)us"
+  done
+  echo "serve smoke: $hits cache hits"
 fi
 
 echo "all checks passed"
