@@ -9,11 +9,10 @@
 //!
 //! At the core sits the shared [`eco_core::MemoCache`]: a sharded,
 //! lock-striped concurrent map keyed by dual 128-bit structural
-//! fingerprints that memoizes whole FRAIG sweeps, rectifiability verdicts,
-//! and complete verified patch results, so structurally identical
-//! (sub-)circuits across jobs are solved once. Cached patches are always
-//! re-verified with a fresh SAT miter before being reported, and cache
-//! hits never change results — only wall time (see the
+//! fingerprints that memoizes complete verified results, so structurally
+//! identical instances across jobs are solved once. Cached results are
+//! always re-verified with a fresh SAT miter before being reported, and
+//! cache hits never change results — only wall time (see the
 //! `eco_core::memo` module docs for the determinism argument).
 //!
 //! The run-wide governor budget ([`BatchOptions::budget`]) is apportioned

@@ -9,10 +9,10 @@
 //! the pool is already saturated at job granularity, and nesting
 //! per-cluster pools under it would oversubscribe the machine.
 //!
-//! All jobs share one [`MemoCache`], so a sweep, rectifiability verdict,
-//! or complete verified patch computed for one job is reused by every
-//! structurally identical (sub-)instance later in the batch — including
-//! later `repeat` passes, which model warm-cache runs.
+//! All jobs share one [`MemoCache`], so a complete verified result
+//! computed for one job is reused by every structurally identical
+//! instance later in the batch — including later `repeat` passes, which
+//! model warm-cache runs.
 //!
 //! The run-wide budget is apportioned: each job's [`Budget::child`]
 //! shares the batch deadline while the conflict allowance is divided
@@ -22,6 +22,7 @@
 //! limit bypasses the memo cache (truncated results are not reusable
 //! pure functions; see `eco_core::memo`).
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,18 +185,24 @@ pub fn load_jobs(manifest: &Manifest) -> Vec<BatchJob> {
 }
 
 /// Loads one job spec's circuits and weights into an [`EcoInstance`] —
-/// the same path the manifest runner uses, exposed so `eco-serve` can
-/// load protocol requests identically. Failures are messages, not panics.
+/// the one loader of the manifest runner, `eco-serve` requests and the
+/// combinational `eco-patch` flow. Circuits are `.v` or `.blif`; any
+/// other extension is an error. Failures are messages, not panics.
 pub fn load_job_instance(spec: &JobSpec) -> Result<EcoInstance, String> {
+    let faulty_verilog = is_verilog(&spec.faulty)?;
+    let golden_verilog = is_verilog(&spec.golden)?;
     let read = |p: &Path| std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()));
     let weights = match &spec.weights {
         Some(p) => parse_weights(&read(p)?).map_err(|e| format!("{}: {e}", p.display()))?,
         None => WeightTable::new(1),
     };
-    let is_verilog = |p: &Path| p.extension().and_then(|e| e.to_str()) != Some("blif");
-    // Mirrors the `eco-patch` CLI: Verilog pairs keep the gate structure
-    // (structural target-independence filter), BLIF goes via the AIG.
-    if is_verilog(&spec.faulty) && is_verilog(&spec.golden) {
+    // Verilog pairs keep the gate structure, so `from_netlists` filters
+    // base candidates by *structural* target independence (constant
+    // folding can hide a physical fanout path, and tapping such a net
+    // would wire a combinational loop). BLIF loses the gate structure at
+    // parse time, so that path keeps the AIG-level filter only (see
+    // `EcoInstance::from_elaborated`).
+    if faulty_verilog && golden_verilog {
         let faulty = parse_verilog(&read(&spec.faulty)?)
             .map_err(|e| format!("{}: {e}", spec.faulty.display()))?;
         let golden = parse_verilog(&read(&spec.golden)?)
@@ -208,8 +215,8 @@ pub fn load_job_instance(spec: &JobSpec) -> Result<EcoInstance, String> {
         EcoInstance::from_netlists(&spec.name, &faulty, &golden, targets, &weights)
             .map_err(|e| e.to_string())
     } else {
-        let (faulty_aig, faulty_nets) = read_circuit(&spec.faulty)?;
-        let (golden_aig, _) = read_circuit(&spec.golden)?;
+        let (faulty_aig, faulty_nets) = read_circuit(&spec.faulty, faulty_verilog)?;
+        let (golden_aig, _) = read_circuit(&spec.golden, golden_verilog)?;
         let targets = if spec.targets.is_empty() {
             default_targets((0..faulty_aig.num_inputs()).map(|i| faulty_aig.input_name(i)))?
         } else {
@@ -244,23 +251,34 @@ fn default_targets<'a>(inputs: impl Iterator<Item = &'a str>) -> Result<Vec<Stri
     Ok(targets)
 }
 
+/// Whether a circuit path names structural Verilog (`.v`) rather than
+/// BLIF (`.blif`); any other extension, or none, is an error.
+fn is_verilog(path: &Path) -> Result<bool, String> {
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("v") => Ok(true),
+        Some("blif") => Ok(false),
+        ext => Err(format!(
+            "{}: unsupported circuit extension {}; expected .v or .blif \
+             (convert other formats with eco-convert)",
+            path.display(),
+            ext.map_or("(none)".to_string(), |e| format!("`.{e}`")),
+        )),
+    }
+}
+
+/// Reads a circuit into an AIG plus its net map.
 fn read_circuit(
     path: &Path,
-) -> Result<
-    (
-        eco_aig::Aig,
-        std::collections::HashMap<String, eco_aig::Lit>,
-    ),
-    String,
-> {
+    verilog: bool,
+) -> Result<(eco_aig::Aig, HashMap<String, eco_aig::Lit>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if path.extension().and_then(|e| e.to_str()) == Some("blif") {
-        let m = parse_blif(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok((m.aig, m.net_lits))
-    } else {
+    if verilog {
         let nl = parse_verilog(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let e = elaborate(&nl).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok((e.aig, e.net_lits))
+    } else {
+        let m = parse_blif(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok((m.aig, m.net_lits))
     }
 }
 
@@ -509,4 +527,42 @@ pub fn execute_job(
         }
     }
     record
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(faulty: &str, golden: &str) -> JobSpec {
+        JobSpec {
+            name: "t".into(),
+            faulty: faulty.into(),
+            golden: golden.into(),
+            weights: None,
+            targets: vec!["t_0".into()],
+            budget: None,
+        }
+    }
+
+    /// Paths other than `.v`/`.blif` are refused by name before any file
+    /// is read.
+    #[test]
+    fn unsupported_circuit_extensions_are_named() {
+        let err = load_job_instance(&spec("/nonexistent/f.aag", "/nonexistent/g.aag"))
+            .expect_err("an .aag pair is refused");
+        assert!(
+            err.starts_with("/nonexistent/f.aag: unsupported circuit extension `.aag`"),
+            "{err}"
+        );
+        assert!(
+            err.contains(".v or .blif") && err.contains("eco-convert"),
+            "{err}"
+        );
+        let err = load_job_instance(&spec("/nonexistent/f.v", "/nonexistent/golden"))
+            .expect_err("an extensionless golden is refused");
+        assert!(
+            err.starts_with("/nonexistent/golden: unsupported circuit extension (none)"),
+            "{err}"
+        );
+    }
 }

@@ -6,10 +6,12 @@
 //! ```
 //!
 //! Reads the faulty circuit (targets floating as inputs), the golden
-//! circuit, and a weight file; writes the patch as structural Verilog
-//! whose inputs are existing faulty nets and whose outputs drive the
-//! targets. Exit code 0 = patched and verified; 2 = unrectifiable;
-//! 4 = governed run degraded to a partial result; 1 = usage or I/O error.
+//! circuit, and a weight file through the loader eco-batch and eco-serve
+//! use (`.v` or `.blif`; convert other formats with eco-convert); writes
+//! the patch as structural Verilog whose inputs are existing faulty nets
+//! and whose outputs drive the targets. Exit code 0 = patched and
+//! verified; 2 = unrectifiable; 4 = governed run degraded to a partial
+//! result; 1 = usage or I/O error.
 //!
 //! `--jobs N` sets the worker-thread count for the per-cluster
 //! patch-generation stage (0 = all cores; results are identical for any
@@ -36,14 +38,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use std::collections::HashMap;
-
-use eco_core::{
-    Budget, BudgetOptions, EcoEngine, EcoInstance, EcoOptions, EcoOutcome, InitialPatchKind,
-};
-use eco_netlist::{
-    netlist_from_aig, parse_blif, parse_verilog, parse_weights, write_verilog, WeightTable,
-};
+use eco_batch::{load_job_instance, JobSpec};
+use eco_core::{Budget, BudgetOptions, EcoEngine, EcoOptions, EcoOutcome, InitialPatchKind};
+use eco_netlist::{netlist_from_aig, parse_weights, write_verilog, WeightTable};
 
 /// How `--stats` renders the run telemetry on stderr.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -160,32 +157,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Reads `.v` or `.blif` into an AIG plus its net map.
-fn read_circuit(path: &str) -> Result<(eco_aig::Aig, HashMap<String, eco_aig::Lit>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if std::path::Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        == Some("blif")
-    {
-        let m = parse_blif(&text).map_err(|e| format!("{path}: {e}"))?;
-        Ok((m.aig, m.net_lits))
-    } else {
-        let nl = parse_verilog(&text).map_err(|e| format!("{path}: {e}"))?;
-        let e = eco_netlist::elaborate(&nl).map_err(|e| format!("{path}: {e}"))?;
-        Ok((e.aig, e.net_lits))
-    }
-}
-
 /// The sequential flow behind `--unroll K`.
-fn run_seq(
-    args: &Args,
-    frames: usize,
-    weights: WeightTable,
-    options: EcoOptions,
-) -> Result<i32, String> {
+fn run_seq(args: &Args, frames: usize, options: EcoOptions) -> Result<i32, String> {
     use eco_seq::hub::{read_design, Format};
     use eco_seq::{SeqEcoEngine, SeqEcoError, SeqEcoOptions};
+
+    let weights = match &args.weights {
+        Some(p) => {
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+            parse_weights(&text).map_err(|e| format!("{p}: {e}"))?
+        }
+        None => WeightTable::new(1),
+    };
 
     let read_seq = |p: &str| -> Result<eco_seq::SeqNetlist, String> {
         let fmt = Format::from_path(p).map_err(|e| e.to_string())?;
@@ -243,11 +226,6 @@ fn run_seq(
 }
 
 fn run(args: &Args) -> Result<i32, String> {
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let weights = match &args.weights {
-        Some(p) => parse_weights(&read(p)?).map_err(|e| format!("{p}: {e}"))?,
-        None => WeightTable::new(1),
-    };
     let options = EcoOptions {
         localization: args.localization,
         optimize: args.optimize,
@@ -260,35 +238,16 @@ fn run(args: &Args) -> Result<i32, String> {
         ..Default::default()
     };
     if let Some(frames) = args.unroll {
-        return run_seq(args, frames, weights, options);
+        return run_seq(args, frames, options);
     }
-    let is_verilog =
-        |p: &str| std::path::Path::new(p).extension().and_then(|e| e.to_str()) != Some("blif");
-    // Verilog inputs go through `from_netlists`, which filters base
-    // candidates by *structural* target independence (constant folding can
-    // hide a physical fanout path, and tapping such a net would wire a
-    // combinational loop). BLIF loses the gate structure at parse time, so
-    // that path keeps the AIG-level filter only (see
-    // `EcoInstance::from_elaborated` docs).
-    let instance = if is_verilog(&args.faulty) && is_verilog(&args.golden) {
-        let faulty =
-            parse_verilog(&read(&args.faulty)?).map_err(|e| format!("{}: {e}", args.faulty))?;
-        let golden =
-            parse_verilog(&read(&args.golden)?).map_err(|e| format!("{}: {e}", args.golden))?;
-        EcoInstance::from_netlists("cli", &faulty, &golden, args.targets.clone(), &weights)
-    } else {
-        let (faulty_aig, faulty_nets) = read_circuit(&args.faulty)?;
-        let (golden_aig, _) = read_circuit(&args.golden)?;
-        EcoInstance::from_elaborated(
-            "cli",
-            faulty_aig,
-            &faulty_nets,
-            golden_aig,
-            args.targets.clone(),
-            &weights,
-        )
-    }
-    .map_err(|e| e.to_string())?;
+    let instance = load_job_instance(&JobSpec {
+        name: "cli".into(),
+        faulty: args.faulty.clone().into(),
+        golden: args.golden.clone().into(),
+        weights: args.weights.clone().map(Into::into),
+        targets: args.targets.clone(),
+        budget: None,
+    })?;
 
     let budget = Budget::new(&options.budget);
     let outcome = match EcoEngine::new(instance, options).run_governed(&budget) {

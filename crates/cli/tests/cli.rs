@@ -174,6 +174,51 @@ fn blif_inputs_are_accepted() {
     assert!(patch.contains("module patch"), "{patch}");
 }
 
+/// The combinational flow reads `.v` and `.blif` only: an AIGER pair is
+/// refused by name with a pointer to eco-convert, while `--unroll` still
+/// reads it through the format hub.
+#[test]
+fn aiger_pair_is_refused_by_the_combinational_flow() {
+    let dir = tmpdir("aag");
+    let mut aag = Vec::new();
+    for (name, text) in [("faulty", FAULTY), ("golden", GOLDEN)] {
+        let v = dir.join(format!("{name}.v"));
+        let a = dir.join(format!("{name}.aag"));
+        std::fs::write(&v, text).expect("write");
+        let out = Command::new(env!("CARGO_BIN_EXE_eco-convert"))
+            .args(["-i", v.to_str().expect("path")])
+            .args(["-o", a.to_str().expect("path")])
+            .output()
+            .expect("convert");
+        assert!(out.status.success(), "{out:?}");
+        aag.push(a);
+    }
+    let run = |extra: &[&str]| {
+        bin()
+            .args(["-f", aag[0].to_str().expect("path")])
+            .args(["-g", aag[1].to_str().expect("path")])
+            .args(["-t", "t", "-q"])
+            .args(extra)
+            .output()
+            .expect("run")
+    };
+    let out = run(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let expected = format!(
+        "error: {}: unsupported circuit extension `.aag`; expected .v or .blif \
+         (convert other formats with eco-convert)",
+        aag[0].display()
+    );
+    assert_eq!(stderr.trim_end(), expected);
+    let out = run(&["--unroll", "1"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// `--unroll K` runs the sequential flow on latch-BLIF inputs: the cut
 /// output-cone net `w` (the AND of the two shift stages) is re-driven
 /// by a time-invariant patch, proven over K frames.

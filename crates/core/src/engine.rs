@@ -20,17 +20,17 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use eco_aig::{Aig, Lit, Var};
-use eco_fraig::{fraig_classes_memo, fraig_classes_stats, fraig_reduce, FraigOptions, SweepMemo};
+use eco_fraig::{fraig_classes_stats, fraig_reduce, FraigOptions};
 
 use crate::cluster::{cluster_targets, TargetCluster};
 use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport};
 use crate::localize::{Cut, CutSignal, TapMap};
-use crate::memo::{patch_memo_key, rect_memo_key, MemoCache};
+use crate::memo::{patch_memo_key, MemoCache};
 use crate::optimize::{optimize_patches, total_cost, OptimizeOptions};
 use crate::patchgen::{
     extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,
 };
-use crate::rectifiable::{check_rect_cex, check_rectifiable, Rectifiability};
+use crate::rectifiable::{check_rectifiable, Rectifiability};
 use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions};
 use crate::synth::InitialPatchKind;
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
@@ -75,13 +75,12 @@ pub struct EcoOptions {
     /// governed code path collapses to the ungoverned one, so results are
     /// identical to a run without the governor.
     pub budget: BudgetOptions,
-    /// Shared cross-job memo cache ([`MemoCache`]): whole FRAIG sweeps,
-    /// rectifiability verdicts, and complete verified results are reused
-    /// across structurally identical (sub-)instances. Hits never change
-    /// results — cached values are pure functions of structural keys, and
-    /// cached patches are re-verified with a fresh SAT miter before being
-    /// returned. Only consulted when the budget is unlimited (a truncated
-    /// run's result is not a reusable pure function).
+    /// Shared cross-job memo cache ([`MemoCache`]): a complete verified
+    /// result is reused across structurally identical instances. Hits
+    /// never change results — a cached result is a pure function of its
+    /// structural key, and it is re-verified with a fresh SAT miter
+    /// before being returned. Only consulted when the budget is unlimited
+    /// (a truncated run's result is not a reusable pure function).
     pub memo: Option<Arc<MemoCache>>,
 }
 
@@ -476,36 +475,9 @@ impl EcoEngine {
             if !budget.is_unlimited() {
                 fraig_opts.ctl = budget.ctl();
             }
-            // Cross-job memo: structurally identical sub-workspaces sweep
-            // once. `fraig_classes_stats` never mutates the AIG and the
-            // classes are a pure function of (AIG, options), so a hit
-            // leaves `sub` and every downstream artifact byte-identical
-            // to a fresh sweep — only the solver time is skipped.
-            let memo = self
-                .options
-                .memo
-                .as_deref()
-                .filter(|_| budget.is_unlimited());
-            let classes = match memo {
-                Some(cache) => {
-                    let (classes, sweep, hit) =
-                        fraig_classes_memo(&sub.mgr, &fraig_opts, cache as &dyn SweepMemo);
-                    if hit {
-                        tel.update(|t| t.memo.hits += 1);
-                    } else {
-                        tel.update(|t| t.memo.misses += 1);
-                        tel.record_sweep(&sweep);
-                        meter.charge(sweep.sat.conflicts);
-                    }
-                    classes
-                }
-                None => {
-                    let (classes, sweep) = fraig_classes_stats(&sub.mgr, &fraig_opts);
-                    tel.record_sweep(&sweep);
-                    meter.charge(sweep.sat.conflicts);
-                    classes
-                }
-            };
+            let (classes, sweep) = fraig_classes_stats(&sub.mgr, &fraig_opts);
+            tel.record_sweep(&sweep);
+            meter.charge(sweep.sat.conflicts);
             TapMap::build(&sub, &classes)
         } else {
             TapMap::empty()
@@ -553,61 +525,15 @@ impl EcoEngine {
 
         if opts.precheck_rectifiability {
             // The CEGAR check builds scratch nodes, so it runs on a
-            // throwaway workspace: the main manager stays untouched and a
-            // memo hit (which skips the check entirely) leaves the rest of
-            // the flow byte-identical to a fresh run.
+            // throwaway workspace and the main manager stays untouched.
             let mut scratch = Workspace::new(&self.instance);
-            let memo = opts.memo.as_deref().filter(|_| budget.is_unlimited());
-            let memo = memo.map(|m| (m, rect_memo_key(&self.instance, opts)));
-            let mut verdict = None;
-            if let Some((cache, (key, check))) = memo {
-                match cache.lookup_rect(key, check) {
-                    Some(Rectifiability::Rectifiable) => {
-                        // Trusted as-is: a wrong `Rectifiable` only delays
-                        // failure to the (always fresh) final verification.
-                        tel.update(|t| t.memo.hits += 1);
-                        verdict = Some(Rectifiability::Rectifiable);
-                    }
-                    Some(Rectifiability::Counterexample(cex)) => {
-                        // Audit the claimed universal counterexample with
-                        // one cheap B-check before declaring defeat.
-                        tel.update(|t| t.memo.hits += 1);
-                        if check_rect_cex(
-                            &mut scratch,
-                            &cex,
-                            budget.cap(opts.verify_budget),
-                            &budget.ctl(),
-                            tel,
-                        ) == Some(true)
-                        {
-                            verdict = Some(Rectifiability::Counterexample(cex));
-                        } else {
-                            cache.record_fallback();
-                            tel.update(|t| t.memo.fallbacks += 1);
-                        }
-                    }
-                    _ => tel.update(|t| t.memo.misses += 1),
-                }
-            }
-            let verdict = match verdict {
-                Some(v) => v,
-                None => {
-                    let v = check_rectifiable(
-                        &mut scratch,
-                        256,
-                        budget.cap(opts.verify_budget),
-                        &budget.ctl(),
-                        tel,
-                    );
-                    if let Some((cache, (key, check))) = memo {
-                        if !matches!(v, Rectifiability::Unknown) {
-                            cache.store_rect(key, check, &v);
-                        }
-                    }
-                    v
-                }
-            };
-            match verdict {
+            match check_rectifiable(
+                &mut scratch,
+                256,
+                budget.cap(opts.verify_budget),
+                &budget.ctl(),
+                tel,
+            ) {
                 Rectifiability::Rectifiable => {}
                 Rectifiability::Counterexample(cex) => {
                     return Err(EcoError::Unrectifiable(format!(

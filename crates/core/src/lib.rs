@@ -91,7 +91,7 @@ pub use crate::faultpoint::{parse_chaos_spec, ChaosSpec, FaultStats};
 pub use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport, ConflictMeter};
 pub use crate::instance::{BaseCandidate, EcoInstance};
 pub use crate::localize::{Cut, CutSignal, TapMap};
-pub use crate::memo::{patch_memo_key, rect_memo_key, MemoCache, MemoStats};
+pub use crate::memo::{patch_memo_key, MemoCache, MemoStats};
 pub use crate::memo_store::{
     crc32, read_log, LogStats, LogWriter, MemoLoadStats, MemoStore, MEMO_MAGIC,
 };

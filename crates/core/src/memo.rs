@@ -1,21 +1,20 @@
-//! Cross-job memoization of solver verdicts, keyed by structural
-//! fingerprints.
+//! Cross-job memoization of complete verified results, keyed by
+//! structural fingerprints.
 //!
 //! A [`MemoCache`] is a sharded, lock-striped concurrent map shared by
-//! every job of a batch run. It memoizes the three expensive, *pure*
-//! computations of the flow — whole FRAIG sweeps over cluster
-//! sub-workspaces, Eq.-2 rectifiability verdicts, and complete verified
-//! patch results — keyed by dual 128-bit structural fingerprints
-//! ([`eco_aig::Aig::structural_fingerprint`]) of the inputs plus every
-//! option knob that can change the output.
+//! every job of a batch run or daemon. It holds one kind of entry: a
+//! complete verified [`EcoResult`], keyed by a dual 128-bit fingerprint
+//! ([`patch_memo_key`]) of both circuits' structures
+//! ([`eco_aig::Aig::structural_fingerprint`]), the targets, the weighted
+//! candidates, and every option knob that can change the output.
 //!
 //! # Determinism
 //!
 //! Whether a lookup hits depends on scheduling (which job got there
 //! first), so hits must never change *what* is computed, only *when*.
-//! Every memoized granularity is therefore a pure function of its key:
-//! a hit returns exactly the value a fresh computation would produce, and
-//! results are byte-identical whatever the hit/miss interleaving.
+//! A memoized result is a pure function of its key: a hit returns
+//! exactly the value a fresh computation would produce, and results are
+//! byte-identical whatever the hit/miss interleaving.
 //!
 //! # Soundness
 //!
@@ -24,19 +23,13 @@
 //!
 //! * every entry stores an independent `check` digest; a mismatch on
 //!   lookup is treated as a miss;
-//! * cached **patch results** are re-verified with a fresh SAT miter
-//!   against the actual instance before being returned ([`crate::EcoEngine`]
-//!   does this in `run_governed`); a refuted entry falls back to the
-//!   full pipeline and is counted in [`MemoStats::fallbacks`];
-//! * cached **counterexample** verdicts are audited with a single B-check
-//!   ([`crate::check_rect_cex`]) before being trusted;
-//! * cached **sweep classes** feed localization only; a wrong class can
-//!   at worst produce a patch that fails the (always fresh) final
-//!   verification, which triggers the engine's existing
-//!   localization-fallback retry;
+//! * a cached result is re-verified with a fresh SAT miter against the
+//!   actual instance before being returned ([`crate::EcoEngine`] does
+//!   this in `run_governed`); a refuted entry falls back to the full
+//!   pipeline and is counted in [`MemoStats::fallbacks`];
 //! * a shard lock poisoned by a panicking worker is **recovered**, not
-//!   propagated: the shard's map is valid at every unwind point and all
-//!   of the guards above still apply, so siblings degrade to
+//!   propagated: the shard's map is valid at every unwind point and both
+//!   guards above still apply, so siblings degrade to
 //!   recompute-on-mismatch instead of aborting a long-lived daemon.
 
 use std::collections::{HashMap, VecDeque};
@@ -44,11 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eco_aig::FpHasher;
-use eco_fraig::{EquivClasses, SweepMemo, SweepStats};
 
 use crate::engine::{EcoOptions, EcoResult};
 use crate::instance::EcoInstance;
-use crate::rectifiable::Rectifiability;
+use crate::memo_store::{encode_memo_entry, MemoStore};
 
 /// Shard count (power of two; shards are selected by the key's low bits,
 /// which are uniformly mixed by the fingerprint hasher).
@@ -57,25 +49,13 @@ const SHARDS: usize = 16;
 /// Default per-shard entry capacity (FIFO eviction beyond it).
 const DEFAULT_SHARD_CAPACITY: usize = 1024;
 
-/// One memoized value, tagged by kind so distinct computations can never
-/// alias even if their keys collided. Crate-visible so the durable store
-/// ([`crate::memo_store`]) can serialize entries without widening the
-/// public API.
+/// One memoized result with its independent check digest.
+/// Crate-visible so the durable store ([`crate::memo_store`]) can
+/// serialize entries without widening the public API.
 #[derive(Clone, Debug)]
-pub(crate) enum Entry {
-    Sweep {
-        check: u128,
-        classes: Box<EquivClasses>,
-        stats: SweepStats,
-    },
-    Rect {
-        check: u128,
-        verdict: Rectifiability,
-    },
-    Patch {
-        check: u128,
-        result: Box<EcoResult>,
-    },
+pub(crate) struct Entry {
+    pub(crate) check: u128,
+    pub(crate) result: Box<EcoResult>,
 }
 
 #[derive(Debug, Default)]
@@ -84,39 +64,10 @@ struct Shard {
     order: VecDeque<u128>,
 }
 
-/// Crate-internal observer of cache insertions — the hook the durable
-/// store uses to journal new entries as they are produced. Encoding
-/// happens *outside* the shard lock and appending happens after the
-/// insert, so a slow disk never stalls sibling lookups on the stripe.
-pub(crate) trait EntrySink: Send + Sync {
-    /// Serializes an entry for the journal, or `None` for kinds the sink
-    /// does not persist.
-    fn encode(&self, key: u128, entry: &Entry) -> Option<Vec<u8>>;
-    /// Appends previously encoded bytes. Must not panic; IO failures are
-    /// counted by the sink, not propagated (durability degrades, serving
-    /// does not).
-    fn append(&self, bytes: &[u8]);
-}
-
-/// Write-once slot for the optional entry sink (newtype so `MemoCache`
-/// keeps its derived `Debug`).
-#[derive(Default)]
-struct SinkSlot(OnceLock<Arc<dyn EntrySink>>);
-
-impl std::fmt::Debug for SinkSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() {
-            "SinkSlot(attached)"
-        } else {
-            "SinkSlot(none)"
-        })
-    }
-}
-
 crate::counters! {
     /// Cumulative counters of one cache over its lifetime.
     pub struct MemoStats {
-        /// Lookups that returned a value (kind and check digest matched).
+        /// Lookups that returned a value (check digest matched).
         hits: u64,
         /// Lookups that found nothing usable.
         misses: u64,
@@ -143,7 +94,8 @@ pub struct MemoCache {
     insertions: AtomicU64,
     evictions: AtomicU64,
     fallbacks: AtomicU64,
-    sink: SinkSlot,
+    /// Durable journal of new inserts, set once by [`MemoStore::attach`].
+    pub(crate) journal: OnceLock<Arc<MemoStore>>,
 }
 
 impl Default for MemoCache {
@@ -169,22 +121,8 @@ impl MemoCache {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
-            sink: SinkSlot::default(),
+            journal: OnceLock::new(),
         }
-    }
-
-    /// Attaches the journal sink. Returns `false` (and leaves the
-    /// existing sink) if one is already attached. Attach *after* loading
-    /// persisted entries, so a reload does not re-journal its own input.
-    pub(crate) fn set_sink(&self, sink: Arc<dyn EntrySink>) -> bool {
-        self.sink.0.set(sink).is_ok()
-    }
-
-    /// Inserts a recovered entry (durable-store load path). Same
-    /// first-write-wins semantics as a live insert; call before
-    /// [`MemoCache::set_sink`] so the replay is not re-journaled.
-    pub(crate) fn import(&self, key: u128, entry: Entry) {
-        self.store(key, entry);
     }
 
     /// Clones every resident entry, shard by shard in FIFO order — the
@@ -216,24 +154,17 @@ impl MemoCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lookup<T>(&self, key: u128, extract: impl FnOnce(&Entry) -> Option<T>) -> Option<T> {
-        let out = {
-            let shard = self.lock_shard(key);
-            shard.map.get(&key).and_then(extract)
-        };
-        if out.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-
-    fn store(&self, key: u128, entry: Entry) {
+    /// Inserts an entry (first write wins) and journals it when a store
+    /// is attached. The durable-store load path calls this before
+    /// [`MemoStore::attach`], so a replay is not re-journaled.
+    pub(crate) fn store(&self, key: u128, entry: Entry) {
         // Serialize for the journal before taking the stripe: encoding a
         // patch result (AIGER emission) is the slow part and must not
         // run under the shard lock.
-        let encoded = self.sink.0.get().and_then(|sink| sink.encode(key, &entry));
+        let journaled = self
+            .journal
+            .get()
+            .map(|journal| (journal, encode_memo_entry(key, &entry)));
         {
             let mut shard = self.lock_shard(key);
             if shard.map.contains_key(&key) {
@@ -252,8 +183,8 @@ impl MemoCache {
             shard.order.push_back(key);
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        if let (Some(sink), Some(bytes)) = (self.sink.0.get(), encoded) {
-            sink.append(&bytes);
+        if let Some((journal, bytes)) = journaled {
+            journal.append(&bytes);
         }
     }
 
@@ -261,10 +192,19 @@ impl MemoCache {
     /// The caller **must** re-verify it against the live instance before
     /// trusting it (and call [`MemoCache::record_fallback`] when refuted).
     pub fn lookup_patch(&self, key: u128, check: u128) -> Option<EcoResult> {
-        self.lookup(key, |e| match e {
-            Entry::Patch { check: c, result } if *c == check => Some((**result).clone()),
-            _ => None,
-        })
+        let out = self
+            .lock_shard(key)
+            .map
+            .get(&key)
+            .filter(|e| e.check == check)
+            .map(|e| (*e.result).clone());
+        let counter = if out.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     /// Stores a complete, verified result under an instance key.
@@ -273,29 +213,7 @@ impl MemoCache {
         // so hits report their own (fresh) telemetry.
         let mut result = Box::new(result.clone());
         result.telemetry = Default::default();
-        self.store(key, Entry::Patch { check, result });
-    }
-
-    /// Returns the memoized rectifiability verdict for an instance key.
-    /// `Counterexample` verdicts must be audited via
-    /// [`crate::check_rect_cex`] before use.
-    pub fn lookup_rect(&self, key: u128, check: u128) -> Option<Rectifiability> {
-        self.lookup(key, |e| match e {
-            Entry::Rect { check: c, verdict } if *c == check => Some(verdict.clone()),
-            _ => None,
-        })
-    }
-
-    /// Stores a decided (never `Unknown`) rectifiability verdict.
-    pub fn store_rect(&self, key: u128, check: u128, verdict: &Rectifiability) {
-        debug_assert!(!matches!(verdict, Rectifiability::Unknown));
-        self.store(
-            key,
-            Entry::Rect {
-                check,
-                verdict: verdict.clone(),
-            },
-        );
+        self.store(key, Entry { check, result });
     }
 
     /// Counts a hit that revalidation refuted (the caller fell back to the
@@ -322,33 +240,13 @@ impl MemoCache {
     }
 }
 
-impl SweepMemo for MemoCache {
-    fn lookup_sweep(&self, key: u128, check: u128) -> Option<(EquivClasses, SweepStats)> {
-        self.lookup(key, |e| match e {
-            Entry::Sweep {
-                check: c,
-                classes,
-                stats,
-            } if *c == check => Some(((**classes).clone(), *stats)),
-            _ => None,
-        })
-    }
-
-    fn store_sweep(&self, key: u128, check: u128, classes: &EquivClasses, stats: &SweepStats) {
-        self.store(
-            key,
-            Entry::Sweep {
-                check,
-                classes: Box::new(classes.clone()),
-                stats: *stats,
-            },
-        );
-    }
-}
-
-/// Absorbs the identity of an instance and every result-relevant engine
-/// option into `h`. Shared by the patch and rectifiability keys.
-fn absorb_instance(h: &mut FpHasher, inst: &EcoInstance, opts: &EcoOptions) {
+/// Dual fingerprint identifying a whole instance run: both circuits'
+/// structures, targets, weighted candidates, and every option that can
+/// change the emitted patches. The instance *name* is excluded —
+/// identical circuits under different job names share entries.
+pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
+    let mut h = FpHasher::new();
+    h.word(0x70a7_c4ac); // domain tag: patch-result entries
     for fp in [
         inst.faulty.structural_fingerprint(),
         inst.golden.structural_fingerprint(),
@@ -387,30 +285,14 @@ fn absorb_instance(h: &mut FpHasher, inst: &EcoInstance, opts: &EcoOptions) {
     h.word(u64::from(opts.precheck_rectifiability));
     h.word(u64::from(opts.size_optimize));
     h.str(&format!("{:?}", opts.size_opts));
-}
-
-/// Dual fingerprint identifying a whole instance run (patch-result memo):
-/// both circuits' structures, targets, weighted candidates, and every
-/// option that can change the emitted patches. The instance *name* is
-/// excluded — identical circuits under different job names share entries.
-pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
-    let mut h = FpHasher::new();
-    h.word(0x70a7_c4ac); // domain tag: patch-result entries
-    absorb_instance(&mut h, inst, opts);
-    h.finish()
-}
-
-/// Dual fingerprint identifying a rectifiability check over an instance.
-pub fn rect_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
-    let mut h = FpHasher::new();
-    h.word(0x4ec7_cec2); // domain tag: rectifiability entries
-    absorb_instance(&mut h, inst, opts);
     h.finish()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine::TargetPatch;
+    use eco_aig::Aig;
     use eco_netlist::{parse_verilog, WeightTable};
 
     fn instance(name: &str, targets: &[&str]) -> EcoInstance {
@@ -432,6 +314,33 @@ mod tests {
         .expect("instance")
     }
 
+    /// A hand-built result: target `t` patched by `a & !b`.
+    pub(crate) fn tiny_result() -> EcoResult {
+        let mut aig = Aig::new();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let w = aig.and(a, !b);
+        aig.add_output("t", w);
+        EcoResult {
+            patches: vec![TargetPatch {
+                target: "t".into(),
+                base: vec!["a".into(), "b".into()],
+                size: 1,
+            }],
+            patch_aig: aig,
+            cost: 7,
+            size: 1,
+            localization_fallback: false,
+            interpolation_fallbacks: 1,
+            optimize_delta: (9, 7),
+            telemetry: Default::default(),
+        }
+    }
+
+    fn hit(cache: &MemoCache, key: u128, check: u128) -> bool {
+        cache.lookup_patch(key, check).is_some()
+    }
+
     #[test]
     fn keys_ignore_name_but_cover_options() {
         let opts = EcoOptions::default();
@@ -449,20 +358,21 @@ mod tests {
         other.fraig.seed ^= 1;
         assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
 
-        assert_ne!(
-            a,
-            rect_memo_key(&instance("one", &["t"]), &opts),
-            "domain tags separate patch and rectifiability keys"
-        );
+        let other = EcoOptions {
+            precheck_rectifiability: true,
+            ..Default::default()
+        };
+        assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
     }
 
     #[test]
     fn check_digest_guards_against_key_collisions() {
         let cache = MemoCache::new();
-        cache.store_rect(7, 100, &Rectifiability::Rectifiable);
-        assert_eq!(cache.lookup_rect(7, 100), Some(Rectifiability::Rectifiable));
-        assert_eq!(cache.lookup_rect(7, 999), None, "check mismatch is a miss");
-        assert_eq!(cache.lookup_rect(8, 100), None);
+        cache.store_patch(7, 100, &tiny_result());
+        let cached = cache.lookup_patch(7, 100).expect("hit");
+        assert_eq!((cached.cost, cached.size), (7, 1));
+        assert!(!hit(&cache, 7, 999), "check mismatch is a miss");
+        assert!(!hit(&cache, 8, 100));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
@@ -471,26 +381,15 @@ mod tests {
     }
 
     #[test]
-    fn kinds_never_alias_even_on_equal_keys() {
-        let cache = MemoCache::new();
-        cache.store_rect(42, 1, &Rectifiability::Rectifiable);
-        assert!(
-            cache.lookup_sweep(42, 1).is_none(),
-            "a rect entry must not satisfy a sweep lookup"
-        );
-        assert!(cache.lookup_patch(42, 1).is_none());
-    }
-
-    #[test]
     fn fifo_eviction_bounds_each_shard() {
         let cache = MemoCache::with_shard_capacity(2);
         // Keys 0, 16, 32, 48 all land in shard 0.
         for k in [0u128, 16, 32] {
-            cache.store_rect(k, 1, &Rectifiability::Rectifiable);
+            cache.store_patch(k, 1, &tiny_result());
         }
-        assert!(cache.lookup_rect(0, 1).is_none(), "oldest entry evicted");
-        assert!(cache.lookup_rect(16, 1).is_some());
-        assert!(cache.lookup_rect(32, 1).is_some());
+        assert!(!hit(&cache, 0, 1), "oldest entry evicted");
+        assert!(hit(&cache, 16, 1));
+        assert!(hit(&cache, 32, 1));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
@@ -503,7 +402,7 @@ mod tests {
     #[test]
     fn poisoned_shard_degrades_to_recompute_instead_of_panicking() {
         let cache = MemoCache::new();
-        cache.store_rect(0, 1, &Rectifiability::Rectifiable);
+        cache.store_patch(0, 1, &tiny_result());
         // Poison shard 0 the way a dying worker would: panic while the
         // stripe is held.
         let _ = std::thread::scope(|s| {
@@ -518,10 +417,10 @@ mod tests {
             "the shard must actually be poisoned"
         );
         // Every operation on the poisoned shard still works.
-        assert_eq!(cache.lookup_rect(0, 1), Some(Rectifiability::Rectifiable));
-        assert_eq!(cache.lookup_rect(16, 1), None, "miss degrades cleanly");
-        cache.store_rect(16, 1, &Rectifiability::Rectifiable);
-        assert_eq!(cache.lookup_rect(16, 1), Some(Rectifiability::Rectifiable));
+        assert!(hit(&cache, 0, 1));
+        assert!(!hit(&cache, 16, 1), "miss degrades cleanly");
+        cache.store_patch(16, 1, &tiny_result());
+        assert!(hit(&cache, 16, 1));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
     }
@@ -529,18 +428,15 @@ mod tests {
     #[test]
     fn concurrent_store_and_lookup_is_safe() {
         let cache = MemoCache::new();
+        let result = tiny_result();
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let cache = &cache;
+                let (cache, result) = (&cache, &result);
                 s.spawn(move || {
                     for i in 0..200u64 {
                         let key = u128::from(i % 32);
-                        cache.store_rect(key, 5, &Rectifiability::Rectifiable);
-                        assert_eq!(
-                            cache.lookup_rect(key, 5),
-                            Some(Rectifiability::Rectifiable),
-                            "thread {t}"
-                        );
+                        cache.store_patch(key, 5, result);
+                        assert!(hit(cache, key, 5), "thread {t}");
                     }
                 });
             }

@@ -20,23 +20,19 @@
 //!
 //! # What the memo store persists
 //!
-//! [`MemoStore`] journals **rectifiability verdicts** and **complete
-//! patch results** as they are inserted (via the crate-internal cache
-//! sink) and compacts them into a snapshot on graceful shutdown. Sweep
-//! entries are deliberately *not* persisted: they are per-cluster
-//! derived artifacts that are cheap relative to the patch results that
-//! subsume them, and their payload (equivalence-class tables) does not
-//! have a stable serial form. Patch circuits travel as binary AIGER
-//! ([`eco_aig::write_aiger_binary`]), which round-trips input/output
-//! names exactly.
+//! [`MemoStore`] journals each **complete patch result** as the cache
+//! inserts it and compacts them into a snapshot on graceful shutdown.
+//! Each result is one tag-2 record; patch circuits travel as binary
+//! AIGER ([`eco_aig::write_aiger_binary`]), which round-trips
+//! input/output names exactly. Stores written by older versions may also
+//! hold tag-1 rectifiability records; the loader skips and counts them.
 //!
 //! # Why a corrupt-but-checksum-valid entry is still safe
 //!
 //! Durability never weakens the cache's soundness contract: a loaded
 //! patch entry is SAT re-verified against the live instance on every
-//! hit (see [`crate::MemoCache`]), and counterexample verdicts are
-//! audited with a fresh B-check. The checksums exist to keep *recovery*
-//! clean and counted — correctness never depends on them.
+//! hit (see [`crate::MemoCache`]). The checksums exist to keep
+//! *recovery* clean and counted — correctness never depends on them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -48,8 +44,7 @@ use eco_aig::{parse_aiger_binary, write_aiger_binary};
 
 use crate::engine::{EcoResult, TargetPatch};
 use crate::faultpoint;
-use crate::memo::{Entry, EntrySink, MemoCache};
-use crate::rectifiable::Rectifiability;
+use crate::memo::{Entry, MemoCache};
 
 /// Magic prefix of memo snapshot and journal files.
 pub const MEMO_MAGIC: [u8; 8] = *b"ECOMEMO1";
@@ -212,7 +207,8 @@ pub fn read_log(path: &Path, magic: &[u8; 8]) -> std::io::Result<(Vec<Vec<u8>>, 
 // ---------------------------------------------------------------------------
 // Entry codec.
 
-const TAG_RECT: u8 = 1;
+/// Record tag of a patch result. Tag 1 stays reserved: older stores
+/// hold rectifiability verdicts under it, which decode to `None`.
 const TAG_PATCH: u8 = 2;
 
 struct Enc(Vec<u8>);
@@ -271,130 +267,83 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Serializes a cache entry, or `None` for kinds the store skips
-/// (sweeps — see the [module docs](self)).
-pub(crate) fn encode_memo_entry(key: u128, entry: &Entry) -> Option<Vec<u8>> {
+/// Serializes a cache entry as one tag-2 record.
+pub(crate) fn encode_memo_entry(key: u128, entry: &Entry) -> Vec<u8> {
+    let Entry { check, result } = entry;
     let mut e = Enc(Vec::new());
-    match entry {
-        Entry::Sweep { .. } => return None,
-        Entry::Rect { check, verdict } => {
-            e.u8(TAG_RECT);
-            e.u128(key);
-            e.u128(*check);
-            match verdict {
-                Rectifiability::Rectifiable => e.u8(0),
-                Rectifiability::Counterexample(cex) => {
-                    e.u8(1);
-                    e.u32(cex.len() as u32);
-                    for (name, value) in cex {
-                        e.str(name);
-                        e.u8(u8::from(*value));
-                    }
-                }
-                // Never stored (store_rect debug-asserts); skip defensively.
-                Rectifiability::Unknown => return None,
-            }
+    e.u8(TAG_PATCH);
+    e.u128(key);
+    e.u128(*check);
+    e.u64(result.cost);
+    e.u64(result.size as u64);
+    e.u8(u8::from(result.localization_fallback));
+    e.u64(result.interpolation_fallbacks as u64);
+    e.u64(result.optimize_delta.0);
+    e.u64(result.optimize_delta.1);
+    e.u32(result.patches.len() as u32);
+    for patch in &result.patches {
+        e.str(&patch.target);
+        e.u32(patch.base.len() as u32);
+        for b in &patch.base {
+            e.str(b);
         }
-        Entry::Patch { check, result } => {
-            e.u8(TAG_PATCH);
-            e.u128(key);
-            e.u128(*check);
-            e.u64(result.cost);
-            e.u64(result.size as u64);
-            e.u8(u8::from(result.localization_fallback));
-            e.u64(result.interpolation_fallbacks as u64);
-            e.u64(result.optimize_delta.0);
-            e.u64(result.optimize_delta.1);
-            e.u32(result.patches.len() as u32);
-            for patch in &result.patches {
-                e.str(&patch.target);
-                e.u32(patch.base.len() as u32);
-                for b in &patch.base {
-                    e.str(b);
-                }
-                e.u64(patch.size as u64);
-            }
-            e.bytes(&write_aiger_binary(&result.patch_aig));
-        }
+        e.u64(patch.size as u64);
     }
-    Some(e.0)
+    e.bytes(&write_aiger_binary(&result.patch_aig));
+    e.0
 }
 
 /// Deserializes one journaled entry; `None` means the payload is
-/// structurally invalid (counted as skipped by the loader).
+/// structurally invalid or not a patch record (counted as skipped by the
+/// loader).
 pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
     let mut d = Dec(payload);
-    match d.u8()? {
-        TAG_RECT => {
-            let key = d.u128()?;
-            let check = d.u128()?;
-            let verdict = match d.u8()? {
-                0 => Rectifiability::Rectifiable,
-                1 => {
-                    let n = d.u32()? as usize;
-                    let mut cex = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        let name = d.str()?;
-                        let value = match d.u8()? {
-                            0 => false,
-                            1 => true,
-                            _ => return None,
-                        };
-                        cex.push((name, value));
-                    }
-                    Rectifiability::Counterexample(cex)
-                }
-                _ => return None,
-            };
-            Some((key, Entry::Rect { check, verdict }))
-        }
-        TAG_PATCH => {
-            let key = d.u128()?;
-            let check = d.u128()?;
-            let cost = d.u64()?;
-            let size = d.u64()? as usize;
-            let localization_fallback = d.u8()? != 0;
-            let interpolation_fallbacks = d.u64()? as usize;
-            let optimize_delta = (d.u64()?, d.u64()?);
-            let n = d.u32()? as usize;
-            let mut patches = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let target = d.str()?;
-                let nb = d.u32()? as usize;
-                let mut base = Vec::with_capacity(nb.min(4096));
-                for _ in 0..nb {
-                    base.push(d.str()?);
-                }
-                let psize = d.u64()? as usize;
-                patches.push(TargetPatch {
-                    target,
-                    base,
-                    size: psize,
-                });
-            }
-            let patch_aig = parse_aiger_binary(d.bytes()?).ok()?;
-            let result = EcoResult {
-                patches,
-                patch_aig,
-                cost,
-                size,
-                // Telemetry describes a producing run, never a cached
-                // value; store_patch already strips it.
-                localization_fallback,
-                interpolation_fallbacks,
-                optimize_delta,
-                telemetry: Default::default(),
-            };
-            Some((
-                key,
-                Entry::Patch {
-                    check,
-                    result: Box::new(result),
-                },
-            ))
-        }
-        _ => None,
+    if d.u8()? != TAG_PATCH {
+        return None;
     }
+    let key = d.u128()?;
+    let check = d.u128()?;
+    let cost = d.u64()?;
+    let size = d.u64()? as usize;
+    let localization_fallback = d.u8()? != 0;
+    let interpolation_fallbacks = d.u64()? as usize;
+    let optimize_delta = (d.u64()?, d.u64()?);
+    let n = d.u32()? as usize;
+    let mut patches = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let target = d.str()?;
+        let nb = d.u32()? as usize;
+        let mut base = Vec::with_capacity(nb.min(4096));
+        for _ in 0..nb {
+            base.push(d.str()?);
+        }
+        let psize = d.u64()? as usize;
+        patches.push(TargetPatch {
+            target,
+            base,
+            size: psize,
+        });
+    }
+    let patch_aig = parse_aiger_binary(d.bytes()?).ok()?;
+    let result = EcoResult {
+        patches,
+        patch_aig,
+        cost,
+        size,
+        // Telemetry describes a producing run, never a cached value;
+        // store_patch already strips it.
+        localization_fallback,
+        interpolation_fallbacks,
+        optimize_delta,
+        telemetry: Default::default(),
+    };
+    Some((
+        key,
+        Entry {
+            check,
+            result: Box::new(result),
+        },
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +354,8 @@ pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
 pub struct MemoLoadStats {
     /// Entries decoded and inserted into the cache.
     pub loaded: u64,
-    /// Records skipped: torn/corrupt frames, undecodable payloads, and
+    /// Records skipped: torn/corrupt frames, undecodable payloads
+    /// (including older stores' tag-1 rectifiability records), and
     /// `memo.load` fault injections.
     pub skipped: u64,
     /// Bytes discarded at torn tails (snapshot + journal).
@@ -471,7 +421,7 @@ impl MemoStore {
                 }
                 match decode_memo_entry(&payload) {
                     Some((key, entry)) => {
-                        cache.import(key, entry);
+                        cache.store(key, entry);
                         stats.loaded += 1;
                     }
                     None => stats.skipped += 1,
@@ -481,9 +431,10 @@ impl MemoStore {
         stats
     }
 
-    /// Attaches this store as the cache's insert journal.
+    /// Attaches this store as the cache's insert journal (a second
+    /// attach leaves the first store in place).
     pub fn attach(self: &Arc<Self>, cache: &MemoCache) {
-        cache.set_sink(self.clone());
+        let _ = cache.journal.set(self.clone());
     }
 
     /// Compacts every resident entry of `cache` into a fresh snapshot
@@ -492,19 +443,16 @@ impl MemoStore {
     pub fn snapshot(&self, cache: &MemoCache) -> std::io::Result<u64> {
         let tmp_path = self.snap_path.with_extension("snap.tmp");
         let mut tmp = LogWriter::create(&tmp_path, &MEMO_MAGIC)?;
-        let mut written = 0u64;
-        for (key, entry) in cache.export_entries() {
-            if let Some(bytes) = encode_memo_entry(key, &entry) {
-                tmp.append(&bytes)?;
-                written += 1;
-            }
+        let entries = cache.export_entries();
+        for (key, entry) in &entries {
+            tmp.append(&encode_memo_entry(*key, entry))?;
         }
         tmp.sync()?;
         std::fs::rename(&tmp_path, &self.snap_path)?;
         // Everything journaled so far is now in the snapshot.
         let fresh = LogWriter::create(&self.wal_path, &MEMO_MAGIC)?;
         *self.lock_wal() = Some(fresh);
-        Ok(written)
+        Ok(entries.len() as u64)
     }
 
     /// Journal records appended since open.
@@ -518,33 +466,26 @@ impl MemoStore {
         self.append_errors.load(Ordering::Relaxed)
     }
 
+    /// Appends one encoded entry to the journal. Never panics: an IO
+    /// failure is counted in [`MemoStore::append_errors`] (durability
+    /// degrades, serving does not).
+    pub(crate) fn append(&self, bytes: &[u8]) {
+        let result = match self.lock_wal().as_mut() {
+            Some(wal) => wal.append(bytes),
+            None => return,
+        };
+        let counter = if result.is_ok() {
+            &self.appended
+        } else {
+            &self.append_errors
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn lock_wal(&self) -> std::sync::MutexGuard<'_, Option<LogWriter>> {
         // A panic mid-append leaves at worst a torn tail, which the
         // loader discards; the writer handle itself is always valid.
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl EntrySink for MemoStore {
-    fn encode(&self, key: u128, entry: &Entry) -> Option<Vec<u8>> {
-        encode_memo_entry(key, entry)
-    }
-
-    fn append(&self, bytes: &[u8]) {
-        let mut guard = self.lock_wal();
-        let result = match guard.as_mut() {
-            Some(wal) => wal.append(bytes),
-            None => return,
-        };
-        drop(guard);
-        match result {
-            Ok(()) => {
-                self.appended.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -554,6 +495,7 @@ mod tests {
     use crate::engine::{EcoEngine, EcoOptions};
     use crate::instance::EcoInstance;
     use crate::memo::patch_memo_key;
+    use crate::memo::tests::tiny_result;
     use eco_netlist::{parse_verilog, WeightTable};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -580,6 +522,28 @@ mod tests {
             &WeightTable::new(1),
         )
         .expect("instance")
+    }
+
+    /// The doc example's verified result with its memo key and check.
+    fn doc_result() -> (u128, u128, EcoResult) {
+        let inst = instance();
+        let opts = EcoOptions::default();
+        let (key, check) = patch_memo_key(&inst, &opts);
+        let result = EcoEngine::new(inst, opts)
+            .run()
+            .expect("doc example rectifies");
+        (key, check, result)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex"))
+            .collect()
     }
 
     #[test]
@@ -668,58 +632,22 @@ mod tests {
     }
 
     #[test]
-    fn rect_entries_round_trip_through_snapshot() {
-        let dir = tmpdir("rect");
-        let store = MemoStore::open(&dir).expect("open");
-        let cache = MemoCache::new();
-        cache.store_rect(11, 101, &Rectifiability::Rectifiable);
-        cache.store_rect(
-            12,
-            102,
-            &Rectifiability::Counterexample(vec![("a".into(), true), ("b".into(), false)]),
-        );
-        assert_eq!(store.snapshot(&cache).expect("snapshot"), 2);
-        let fresh = MemoCache::new();
-        let stats = store.load_into(&fresh);
-        assert_eq!(stats.loaded, 2);
-        assert_eq!(stats.skipped, 0);
-        assert_eq!(
-            fresh.lookup_rect(11, 101),
-            Some(Rectifiability::Rectifiable)
-        );
-        assert_eq!(
-            fresh.lookup_rect(12, 102),
-            Some(Rectifiability::Counterexample(vec![
-                ("a".into(), true),
-                ("b".into(), false)
-            ]))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn attached_sink_journals_inserts_for_the_next_process() {
         let dir = tmpdir("sink");
-        let inst = instance();
-        let opts = EcoOptions::default();
-        let (key, check) = patch_memo_key(&inst, &opts);
-        let result = EcoEngine::new(inst, opts)
-            .run()
-            .expect("doc example rectifies");
+        let (key, check, result) = doc_result();
         {
             let store = MemoStore::open(&dir).expect("open");
             let cache = MemoCache::new();
             store.attach(&cache);
             cache.store_patch(key, check, &result);
-            cache.store_rect(5, 6, &Rectifiability::Rectifiable);
-            assert_eq!(store.appended(), 2);
+            assert_eq!(store.appended(), 1);
             assert_eq!(store.append_errors(), 0);
             // No snapshot: simulate a crash (journal only).
         }
         let store = MemoStore::open(&dir).expect("reopen");
         let cache = MemoCache::new();
         let stats = store.load_into(&cache);
-        assert_eq!(stats.loaded, 2);
+        assert_eq!(stats.loaded, 1);
         let cached = cache.lookup_patch(key, check).expect("patch recovered");
         assert_eq!(cached.cost, result.cost);
         assert_eq!(cached.size, result.size);
@@ -731,19 +659,6 @@ mod tests {
             result.patch_aig.structural_fingerprint(),
             "patch circuit must round-trip structurally intact"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_entries_are_not_persisted() {
-        let dir = tmpdir("sweep");
-        let store = MemoStore::open(&dir).expect("open");
-        let cache = MemoCache::new();
-        store.attach(&cache);
-        use eco_fraig::SweepMemo;
-        cache.store_sweep(1, 2, &Default::default(), &Default::default());
-        assert_eq!(store.appended(), 0, "sweep inserts are not journaled");
-        assert_eq!(store.snapshot(&cache).expect("snapshot"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -770,13 +685,72 @@ mod tests {
         let store = MemoStore::open(&dir).expect("open");
         let cache = MemoCache::new();
         store.attach(&cache);
-        cache.store_rect(1, 2, &Rectifiability::Rectifiable);
+        let (key, check, result) = doc_result();
+        cache.store_patch(key, check, &result);
         assert_eq!(store.appended(), 1);
         store.snapshot(&cache).expect("snapshot");
         let (wal_records, _) = read_log(&dir.join("memo.wal"), &MEMO_MAGIC).expect("read");
         assert!(wal_records.is_empty(), "journal compacted into snapshot");
         let fresh = MemoCache::new();
         assert_eq!(store.load_into(&fresh).loaded, 1, "entry survives in snap");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The tag-2 patch record of [`tiny_result`] under [`PIN_KEY`] and
+    /// [`PIN_CHECK`], byte for byte as older binaries write it: a daemon
+    /// restarted on a newer binary must keep decoding the
+    /// `memo.snap`/`memo.wal` an older one left behind.
+    const PINNED_PATCH_RECORD: &str = "\
+        021032547698badcfeefcdab8967452301f0e1d2c3b4a5968778695a4b3c2d1e0f\
+        0700000000000000010000000000000000010000000000000009000000000000\
+        0007000000000000000100000001000000740200000001000000610100000062\
+        010000000000000021000000616967203320322030203120310a360a01036930\
+        20610a693120620a6f3020740a";
+    /// An older store's tag-1 (rectifiability verdict) record: key 5,
+    /// check 6, verdict `Rectifiable`.
+    const LEGACY_RECT_RECORD: &str = "\
+        0105000000000000000000000000000000060000000000000000000000000000\
+        0000";
+    const PIN_KEY: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
+    const PIN_CHECK: u128 = 0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0;
+
+    #[test]
+    fn patch_record_bytes_are_pinned() {
+        let entry = Entry {
+            check: PIN_CHECK,
+            result: Box::new(tiny_result()),
+        };
+        let bytes = encode_memo_entry(PIN_KEY, &entry);
+        assert_eq!(hex(&bytes), PINNED_PATCH_RECORD);
+
+        let (key, decoded) = decode_memo_entry(&bytes).expect("pinned record decodes");
+        assert_eq!((key, decoded.check), (PIN_KEY, PIN_CHECK));
+        let r = &decoded.result;
+        assert_eq!((r.cost, r.size), (7, 1));
+        assert!(!r.localization_fallback);
+        assert_eq!(r.interpolation_fallbacks, 1);
+        assert_eq!(r.optimize_delta, (9, 7));
+        assert_eq!(r.patches.len(), 1);
+        assert_eq!(r.patches[0].target, "t");
+        assert_eq!(r.patches[0].base, ["a", "b"]);
+        assert_eq!(r.patches[0].size, 1);
+        assert_eq!(
+            r.patch_aig.structural_fingerprint(),
+            entry.result.patch_aig.structural_fingerprint()
+        );
+        assert_eq!(encode_memo_entry(key, &decoded), bytes, "round trip");
+
+        // An older journal: a tag-1 record, then the pinned patch record.
+        let dir = tmpdir("pinned");
+        let mut wal = LogWriter::create(&dir.join("memo.wal"), &MEMO_MAGIC).expect("wal");
+        wal.append(&unhex(LEGACY_RECT_RECORD)).expect("rect");
+        wal.append(&unhex(PINNED_PATCH_RECORD)).expect("patch");
+        drop(wal);
+        let cache = MemoCache::new();
+        let stats = MemoStore::open(&dir).expect("open").load_into(&cache);
+        assert_eq!((stats.loaded, stats.skipped), (1, 1));
+        let cached = cache.lookup_patch(PIN_KEY, PIN_CHECK).expect("loaded");
+        assert_eq!(cached.cost, 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

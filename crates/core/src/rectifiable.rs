@@ -145,11 +145,9 @@ pub fn check_rectifiable(
 /// Returns `Some(true)` when the counterexample is confirmed genuine (no
 /// strategy exists), `Some(false)` when it is refuted (a strategy exists,
 /// or the assignment is malformed — wrong names or incomplete), and `None`
-/// when the conflict budget ran out or `ctl` fired. The memo cache uses
-/// this to cheaply audit a cached `Counterexample` verdict instead of
-/// re-running the whole CEGAR loop; a refuted or unknown audit falls back
-/// to the full check. The solver is enrolled in `ctl` and recorded in
-/// `tel`.
+/// when the conflict budget ran out or `ctl` fired. It audits a CEGAR
+/// counterexample independently of the loop that found it. The solver is
+/// enrolled in `ctl` and recorded in `tel`.
 ///
 /// Builds scratch nodes in `ws.mgr`, so callers pass a throwaway
 /// workspace.

@@ -253,16 +253,15 @@ crate::counters! {
 }
 
 crate::counters! {
-    /// Memo-cache lookups of one run (sweep, rectifiability, or
-    /// whole-instance patch).
+    /// Whole-result memo-cache lookups of one run (at most one per run).
     pub struct MemoTotals {
         /// Lookups that returned a cached value.
         hits: u64,
         /// Lookups that found nothing usable (entry absent or check digest
         /// mismatched).
         misses: u64,
-        /// Hits discarded because revalidation (fresh SAT miter or
-        /// counterexample B-check) refuted the cached entry.
+        /// Hits discarded because the fresh SAT miter refuted the cached
+        /// result.
         fallbacks: u64,
     }
 }

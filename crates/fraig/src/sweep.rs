@@ -142,66 +142,6 @@ pub fn fraig_classes(aig: &Aig, opts: &FraigOptions) -> EquivClasses {
     fraig_classes_stats(aig, opts).0
 }
 
-/// A memo store for whole-sweep results, keyed by the structural
-/// fingerprint of the swept AIG (plus the sweep options).
-///
-/// Implementations are shared across threads; `lookup` must only return
-/// entries whose independent `check` digest matches, so a key collision
-/// (or poisoned entry) degrades to a miss and the sweep runs fresh.
-/// Because the sweep is deterministic in `(aig, opts)`, a hit returns
-/// byte-for-byte what a fresh sweep would compute — memoization changes
-/// time, never results.
-pub trait SweepMemo: Sync {
-    /// Returns the memoized `(classes, stats)` for `(key, check)`, if any.
-    fn lookup_sweep(&self, key: u128, check: u128) -> Option<(EquivClasses, SweepStats)>;
-    /// Stores a freshly computed sweep result under `(key, check)`.
-    fn store_sweep(&self, key: u128, check: u128, classes: &EquivClasses, stats: &SweepStats);
-}
-
-/// Dual fingerprint identifying one sweep: the AIG's structural identity
-/// mixed with every option knob that can change the sweep's result.
-pub fn sweep_fingerprint(aig: &Aig, opts: &FraigOptions) -> (u128, u128) {
-    let (skey, scheck) = aig.structural_fingerprint();
-    let mut h = eco_aig::FpHasher::new();
-    h.word(0x5eed_50ee); // domain tag: sweep memo entries
-    h.word(skey as u64);
-    h.word((skey >> 64) as u64);
-    h.word(scheck as u64);
-    h.word((scheck >> 64) as u64);
-    h.word(opts.sim_words as u64);
-    h.word(opts.seed);
-    h.word(opts.max_rounds as u64);
-    h.word(opts.conflict_budget);
-    h.word(opts.max_total_conflicts);
-    h.finish()
-}
-
-/// Like [`fraig_classes_stats`], but consults `memo` first; the third
-/// return value reports whether the result came from the cache.
-///
-/// Only unlimited sweeps are memoizable (a `ctl`-cancelled or
-/// conflict-capped sweep's result depends on where it was cut off, so it
-/// is looked up but never stored under a truncating configuration — the
-/// fingerprint covers `max_total_conflicts`, and `ctl` disables the memo
-/// entirely).
-pub fn fraig_classes_memo(
-    aig: &Aig,
-    opts: &FraigOptions,
-    memo: &dyn SweepMemo,
-) -> (EquivClasses, SweepStats, bool) {
-    if !opts.ctl.is_unlimited() {
-        let (classes, stats) = fraig_classes_stats(aig, opts);
-        return (classes, stats, false);
-    }
-    let (key, check) = sweep_fingerprint(aig, opts);
-    if let Some((classes, stats)) = memo.lookup_sweep(key, check) {
-        return (classes, stats, true);
-    }
-    let (classes, stats) = fraig_classes_stats(aig, opts);
-    memo.store_sweep(key, check, &classes, &stats);
-    (classes, stats, false)
-}
-
 /// Like [`fraig_classes`], additionally returning [`SweepStats`] counters
 /// for telemetry.
 ///

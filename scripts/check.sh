@@ -30,9 +30,10 @@
 # --batch-smoke additionally generates a 12-job manifest with
 # eco-workgen, runs it cold then warm through eco-batch over one shared
 # memo cache (--repeat 2), and asserts every job is proven equivalent,
-# the warm pass reports nonzero cache hits, and the JSONL report is
-# byte-identical for --jobs 1 vs --jobs 4. It prints the cold and warm
-# pass wall times.
+# the memo counts are exact (12 cold misses, 12 warm hits, 12 entries:
+# the units are structurally distinct and the passes run one after
+# another), and the JSONL report is byte-identical for --jobs 1 vs
+# --jobs 4. It prints the cold and warm pass wall times.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -44,13 +45,13 @@
 # --serve-smoke additionally exercises the eco-serve daemon end to end:
 # a 12-job request stream (from eco-workgen --requests) is replayed cold
 # then warm against one daemon over a unix socket. The warm replay must
-# hit the process-lifetime memo cache (daemon stats op, which must also
-# report no worker restart and no persistence error), finish in <10% of
-# the cold stream's wall time, and return byte-identical responses; a
-# second daemon with --jobs 1 must produce the same bytes as --jobs 4.
-# Both drain paths are proven clean (protocol shutdown and SIGTERM, exit
-# 0, socket file removed, all admitted jobs answered). It prints the
-# cold and warm throughput and p50/p99 round-trip latencies.
+# hit the process-lifetime memo cache (daemon stats op: exactly 12 hits
+# and 12 misses, no worker restart and no persistence error), finish in
+# <10% of the cold stream's wall time, and return byte-identical
+# responses; a second daemon with --jobs 1 must produce the same bytes
+# as --jobs 4. Both drain paths are proven clean (protocol shutdown and
+# SIGTERM, exit 0, socket file removed, all admitted jobs answered). It
+# prints the cold and warm throughput and p50/p99 round-trip latencies.
 #
 # Of all the steps, only the scale smoke's bootstrap (no checked-in
 # crates/bench/BENCH_scale.json yet) writes a tracked file.
@@ -239,15 +240,16 @@ if [ "$batch_smoke" -eq 1 ]; then
   }
 
   # Cold then warm in one process (--repeat 2): every job must be proven
-  # equivalent in both passes, and the warm pass must actually hit the
-  # shared cache.
+  # equivalent in both passes, and each warm job must hit the result its
+  # cold twin stored.
   run_batch --jobs 4 --repeat 2 --report "$btmp/report.jsonl" --stats=json -q
   [ "$rc" -eq 0 ] || { echo "batch smoke: expected exit 0, got $rc"; cat "$btmp/stderr.txt"; exit 1; }
   complete=$(grep -c '"status": "complete"' "$btmp/report.jsonl" || true)
   [ "$complete" -eq 24 ] || { echo "batch smoke: expected 24 complete records, got $complete"; cat "$btmp/report.jsonl"; exit 1; }
   ! grep -q '"verified": false' "$btmp/report.jsonl" || { echo "batch smoke: unverified job in report"; cat "$btmp/report.jsonl"; exit 1; }
-  hits=$(sed -n 's/.*"memo": {"hits": \([0-9]*\).*/\1/p' "$btmp/stderr.txt")
-  [ -n "$hits" ] && [ "$hits" -gt 0 ] || { echo "batch smoke: warm run reported no cache hits"; cat "$btmp/stderr.txt"; exit 1; }
+  memo=$(sed -n 's/.*"memo": \({[^}]*}\).*/\1/p' "$btmp/stderr.txt")
+  [[ "$memo" == '{"hits": 12, "misses": 12, '*'"entries": 12}' ]] \
+    || { echo "batch smoke: expected memo hits 12, misses 12, entries 12"; cat "$btmp/stderr.txt"; exit 1; }
   walls=$(sed -n 's/.*"pass_wall_s": \[\([0-9.]*\), \([0-9.]*\)\].*/\1 \2/p' "$btmp/stderr.txt")
   cold_ns=$(echo "$walls" | awk 'NF == 2 {printf "%.0f", $1 * 1e9}')
   warm_ns=$(echo "$walls" | awk 'NF == 2 {printf "%.0f", $2 * 1e9}')
@@ -261,7 +263,7 @@ if [ "$batch_smoke" -eq 1 ]; then
   cmp -s "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" \
     || { echo "batch smoke: JSONL differs between --jobs 1 and --jobs 4"; diff "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" || true; exit 1; }
 
-  echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, $hits cache hits"
+  echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, memo $memo"
 fi
 
 if [ "$scale_smoke" -eq 1 ]; then
@@ -352,12 +354,13 @@ if [ "$serve_smoke" -eq 1 ]; then
   ! grep -q '"verified": false' "$svtmp/cold.out" \
     || { echo "serve smoke: unverified response"; cat "$svtmp/cold.out"; exit 1; }
 
-  # The warm replay must have hit the daemon's process-lifetime cache.
+  # Each warm request must have hit the result its cold twin stored in
+  # the daemon's process-lifetime cache: the 12 units are structurally
+  # distinct and the replays run one after another.
   printf '{"op": "stats", "id": "smoke"}\n' \
     | target/release/eco-serve client --socket "$svtmp/a.sock" > "$svtmp/stats.out"
-  hits=$(sed -n 's/.*"hits": \([0-9]*\).*/\1/p' "$svtmp/stats.out")
-  [ -n "$hits" ] && [ "$hits" -gt 0 ] \
-    || { echo "serve smoke: warm replay reported no cache hits"; cat "$svtmp/stats.out"; exit 1; }
+  grep -q '"memo": {"hits": 12, "misses": 12,' "$svtmp/stats.out" \
+    || { echo "serve smoke: expected memo hits 12, misses 12"; cat "$svtmp/stats.out"; exit 1; }
   # The live stats carry the fault counters of the exit summary.
   for key in worker_restarts persist_errors; do
     grep -q "\"$key\": 0," "$svtmp/stats.out" \
@@ -416,7 +419,7 @@ if [ "$serve_smoke" -eq 1 ]; then
     t="$svtmp/${pass}_timing.json"
     echo "serve smoke: $pass stream $(field "$t" wall_s)s, $(field "$t" rps) rps, p50 $(field "$t" p50_us)us, p99 $(field "$t" p99_us)us"
   done
-  echo "serve smoke: $hits cache hits"
+  echo "serve smoke: 12 cache hits"
 fi
 
 echo "all checks passed"
