@@ -1,7 +1,7 @@
 //! Cost-aware base selection (§6.2): the Watch/Hold rotation with
 //! cost-per-blocking (CPB) greedy selection.
 
-use crate::cexenum::{enumerate_cex_capped, CexSet};
+use crate::cexenum::{enumerate_cex, CexSet};
 use crate::rebase::RebaseQuery;
 use crate::Workspace;
 
@@ -14,9 +14,6 @@ pub struct BaseSelectOptions {
     pub conflict_budget: u64,
     /// Hard cap on rotation rounds (the paper rotates `|B|` times).
     pub max_rounds: usize,
-    /// Cap on counterexample projections collected per probe (the paper's
-    /// bound is `2^watch_size`; capping trades CPB accuracy for runtime).
-    pub max_probe_cex: usize,
     /// Cap on candidates probed per round: the cheapest `max_probes`
     /// non-Hold candidates (the paper probes all of `B' \ Hold`; the cap
     /// bounds the `2^|Watch| × |B'|` SAT-iteration budget).
@@ -29,7 +26,6 @@ impl Default for BaseSelectOptions {
             watch_size: 5,
             conflict_budget: 50_000,
             max_rounds: 6,
-            max_probe_cex: 16,
             max_probes: 24,
         }
     }
@@ -109,14 +105,7 @@ pub fn select_base(
             }
         }
         for b in probe_order {
-            match enumerate_cex_capped(
-                q,
-                &hold,
-                Some(b),
-                &watch,
-                opts.conflict_budget,
-                opts.max_probe_cex,
-            ) {
+            match enumerate_cex(q, &hold, Some(b), &watch, opts.conflict_budget) {
                 Some(set) => cex[b] = Some(set),
                 None => {
                     budget_ok = false;
@@ -302,5 +291,78 @@ mod tests {
         };
         let got = select_base(&ws, &mut q, &[a, b], &opts);
         assert!(got.cost <= 18);
+    }
+
+    /// Selection reads only semantic facts (complete projection sets and
+    /// feasibility answers), so the rebase solver's configuration cannot
+    /// move its answer: the default configuration, BVE off and
+    /// inprocessing off return the same base from the same start, on every
+    /// single-target suite unit.
+    #[test]
+    fn selection_is_independent_of_the_solver_config() {
+        let default = eco_sat::SolverConfig {
+            bve: true,
+            inprocess_first_solve: 0,
+            ..eco_sat::SolverConfig::default()
+        };
+        let configs = [
+            default.clone(),
+            eco_sat::SolverConfig {
+                bve: false,
+                ..default.clone()
+            },
+            eco_sat::SolverConfig {
+                inprocessing: false,
+                ..default
+            },
+        ];
+        let mut checked = 0;
+        for unit in eco_workgen::contest_suite() {
+            if unit.spec.n_targets != 1 {
+                continue;
+            }
+            let inst = EcoInstance::from_netlists(
+                unit.spec.name.clone(),
+                &unit.faulty,
+                &unit.golden,
+                unit.targets.clone(),
+                &unit.weights,
+            )
+            .expect("valid instance");
+            let mut ws = crate::Workspace::new(&inst);
+            let t = ws.target_vars[0];
+            let (f, g) = (ws.f_outs.clone(), ws.g_outs.clone());
+            let onoff = on_off_sets(&mut ws.mgr, &f, &g, t);
+            let mut pool: Vec<usize> = (0..ws.cands.len()).collect();
+            pool.sort_by_key(|&i| (ws.cands[i].weight, ws.cands[i].name.clone()));
+            pool.truncate(32);
+            let start: Vec<usize> = (0..pool.len()).collect();
+            if RebaseQuery::new(&ws, onoff.on, onoff.off, pool.clone()).feasible(&start, 1 << 20)
+                != Some(true)
+            {
+                continue;
+            }
+            let answers: Vec<(Vec<usize>, u64)> = configs
+                .iter()
+                .map(|config| {
+                    let mut q = RebaseQuery::with_config(
+                        &ws,
+                        onoff.on,
+                        onoff.off,
+                        pool.clone(),
+                        config.clone(),
+                    );
+                    let sel = select_base(&ws, &mut q, &start, &BaseSelectOptions::default());
+                    (sel.base, sel.cost)
+                })
+                .collect();
+            checked += 1;
+            assert!(
+                answers.iter().all(|a| *a == answers[0]),
+                "{}: {answers:?}",
+                unit.spec.name
+            );
+        }
+        assert!(checked >= 3, "only {checked} units checked");
     }
 }

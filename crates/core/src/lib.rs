@@ -83,7 +83,7 @@ mod workspace;
 pub use crate::assemble::splice_patch;
 pub use crate::baseselect::{select_base, BaseSelectOptions, SelectedBase};
 pub use crate::carediff::{diff_set, exact_on_off_sets, on_off_sets, OnOff};
-pub use crate::cexenum::{enumerate_cex, enumerate_cex_capped, CexSet};
+pub use crate::cexenum::{enumerate_cex, CexSet};
 pub use crate::cluster::{cluster_targets, Clustering, TargetCluster};
 pub use crate::engine::{EcoEngine, EcoOptions, EcoOutcome, EcoResult, PartialResult, TargetPatch};
 pub use crate::error::EcoError;
@@ -106,7 +106,7 @@ pub use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions, SizeOptStats};
 pub use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
 pub use crate::telemetry::{
     json_escape, peak_rss_bytes, render_counters, GovernorTotals, JsonObj, MemoTotals, SatTotals,
-    Stage, SweepTotals, Telemetry, TelemetryEvent, TelemetrySnapshot,
+    SelectTotals, Stage, SweepTotals, Telemetry, TelemetryEvent, TelemetrySnapshot,
 };
 pub use crate::verify::{check_equivalence, VerifyOutcome};
 pub use crate::workspace::{Workspace, WsCandidate};

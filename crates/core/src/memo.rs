@@ -244,9 +244,14 @@ impl MemoCache {
 /// structures, targets, weighted candidates, and every option that can
 /// change the emitted patches. The instance *name* is excluded —
 /// identical circuits under different job names share entries.
+///
+/// The leading domain tag is bumped whenever the same instance and
+/// options produce different patches, so a memo store written by an
+/// older build (a restarted daemon's `memo.snap`) stops matching instead
+/// of replaying that build's patches.
 pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
     let mut h = FpHasher::new();
-    h.word(0x70a7_c4ac); // domain tag: patch-result entries
+    h.word(0x70a7_c4ad); // domain tag: patch-result entries
     for fp in [
         inst.faulty.structural_fingerprint(),
         inst.golden.structural_fingerprint(),
@@ -363,6 +368,19 @@ pub(crate) mod tests {
             ..Default::default()
         };
         assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
+    }
+
+    /// The key of the same instance under default options before the
+    /// canonical base selection changed the engine's patches.
+    #[test]
+    fn keys_change_when_results_change() {
+        let before = (
+            0x96af_ea75_5d4e_f1c3_41a8_2311_2258_e30c,
+            0x2ff5_421c_21b9_2df6_528c_5969_1fdd_1423,
+        );
+        let now = patch_memo_key(&instance("one", &["t"]), &EcoOptions::default());
+        assert_ne!(now.0, before.0);
+        assert_ne!(now.1, before.1);
     }
 
     #[test]

@@ -66,6 +66,30 @@ fn patch_base(ws: &Workspace, patch: &PatchFn) -> (u64, Option<Vec<usize>>) {
     (cost, Some(cands))
 }
 
+/// Shrinks a feasible base (pool indices) by deletion: members are tried
+/// heaviest first, ties by pool index, and each is dropped when the rest
+/// stays feasible. At most `|base|` feasibility calls; an exhausted budget
+/// keeps the member. Unlike a final-conflict core, the result depends only
+/// on which bases are feasible, not on the solver's state.
+fn minimize_base(
+    ws: &Workspace,
+    q: &mut RebaseQuery,
+    base: &[usize],
+    conflict_budget: u64,
+) -> Vec<usize> {
+    let weight = |i: usize| ws.cands[q.pool()[i]].weight;
+    let mut order = base.to_vec();
+    order.sort_by(|&a, &b| weight(b).cmp(&weight(a)).then(a.cmp(&b)));
+    let mut kept = base.to_vec();
+    for m in order {
+        let rest: Vec<usize> = kept.iter().copied().filter(|&i| i != m).collect();
+        if q.feasible(&rest, conflict_budget) == Some(true) {
+            kept = rest;
+        }
+    }
+    kept
+}
+
 /// Contest cost metric: weight of the *union* of used base signals.
 pub fn total_cost(ws: &Workspace, patches: &[PatchFn]) -> u64 {
     let merged = Cut::merge(patches.iter().map(|p| &p.cut));
@@ -187,17 +211,20 @@ pub fn optimize_patches(
                 tel.record_solver(&q.stats());
                 continue;
             }
-            // Cheap pruning via the final-conflict core before selection.
-            let start = {
-                let core = q.feasible_core();
-                if !core.is_empty() && q.feasible(&core, conflict_budget) == Some(true) {
-                    core
-                } else {
-                    initial
+            // Two starts on one query, so the second reuses the first's
+            // enumeration models: the deletion-minimized base, and the
+            // full current base when minimization dropped something. The
+            // lower (cost, size) wins; ties go to the minimized start.
+            let minimized = minimize_base(ws, &mut q, &initial, conflict_budget);
+            let mut sel = select_base(ws, &mut q, &minimized, &opts.base_select);
+            if minimized.len() < initial.len() {
+                let full = select_base(ws, &mut q, &initial, &opts.base_select);
+                if (full.cost, full.base.len()) < (sel.cost, sel.base.len()) {
+                    sel = full;
                 }
-            };
-            let sel = select_base(ws, &mut q, &start, &opts.base_select);
+            }
             tel.record_solver(&q.stats());
+            tel.update(|t| t.select += q.counts);
             // Pre-filter on the per-patch cost; the binding acceptance test
             // below is on the *union* cost (the contest metric), because a
             // locally cheaper base can destroy sharing with other patches.

@@ -5,17 +5,22 @@
 //! and the off-set copy `Φ*(µ*=0, B'*, X*)` — plus, per base-candidate
 //! signal `b_i`, a selector `s_i` with `s_i → (b_i ≡ b_i*)`. A candidate
 //! base `S` can realize the patch iff the formula is UNSAT under the unit
-//! assumptions `{s_i : i ∈ S}`; the solver's final-conflict core then
-//! prunes `S`. Once a base is chosen, [`resynthesize`] interpolates the
-//! patch function over fresh shared variables `y_i ≡ b_i(X)`.
+//! assumptions `{s_i : i ∈ S}`. The query also keeps the table of
+//! candidate values at every on-set and off-set point its enumeration
+//! models returned (see [`crate::enumerate_cex`]). Once a base is chosen,
+//! [`resynthesize`] interpolates the patch function over fresh shared
+//! variables `y_i ≡ b_i(X)`.
 
 use std::collections::HashMap;
 
 use eco_aig::{Lit as ALit, Var as AVar};
 use eco_sat::{
     encode_cone, ClauseLabel, ClauseSink, ItpOutcome, ItpSolver, LabeledSink, Lit as SLit, Solver,
+    SolverConfig,
 };
 
+use crate::cexenum::ModelTable;
+use crate::telemetry::SelectTotals;
 use crate::Workspace;
 
 /// The incremental Eq.-12 feasibility oracle for one patch specification.
@@ -25,8 +30,15 @@ pub struct RebaseQuery {
     sel: Vec<SLit>,
     /// Candidate indices (into `workspace.cands`) forming the pool.
     pool: Vec<usize>,
-    /// Copy-1 SAT literal of each pool candidate.
+    /// On-copy SAT literal of each pool candidate.
     b1: Vec<SLit>,
+    /// Off-copy SAT literal of each pool candidate.
+    b2: Vec<SLit>,
+    /// Candidate values at the on-set and off-set points of every
+    /// enumeration model so far.
+    pub(crate) table: ModelTable,
+    /// Enumeration totals so far, for telemetry aggregation.
+    pub(crate) counts: SelectTotals,
 }
 
 impl RebaseQuery {
@@ -46,14 +58,32 @@ impl RebaseQuery {
         // solves (base probes and counterexample enumeration), so it is
         // the prime beneficiary of aggressive preprocessing: variable
         // elimination collapses the redundant Tseitin copies before the
-        // first solve. Every variable read or assumed later — selectors,
-        // both candidate-output rails, and the enumeration control vars
-        // (frozen at creation in `cexenum`) — is frozen.
-        let mut solver = Solver::with_config(eco_sat::SolverConfig {
-            bve: true,
-            inprocess_first_solve: 0,
-            ..eco_sat::SolverConfig::default()
-        });
+        // first solve.
+        Self::with_config(
+            ws,
+            on,
+            off,
+            pool,
+            SolverConfig {
+                bve: true,
+                inprocess_first_solve: 0,
+                ..SolverConfig::default()
+            },
+        )
+    }
+
+    /// [`RebaseQuery::new`] on a solver with the given configuration.
+    /// Every variable read or assumed later — selectors, both candidate
+    /// rails, and the enumeration control vars (frozen at creation in
+    /// `cexenum`) — is frozen, so any configuration answers alike.
+    pub(crate) fn with_config(
+        ws: &Workspace,
+        on: ALit,
+        off: ALit,
+        pool: Vec<usize>,
+        config: SolverConfig,
+    ) -> Self {
+        let mut solver = Solver::with_config(config);
 
         let cand_lits: Vec<ALit> = pool.iter().map(|&i| ws.cands[i].lit).collect();
         let mut roots1 = vec![on];
@@ -89,8 +119,11 @@ impl RebaseQuery {
         RebaseQuery {
             solver,
             sel,
+            table: ModelTable::new(pool.len()),
             pool,
             b1,
+            b2,
+            counts: SelectTotals::default(),
         }
     }
 
@@ -122,15 +155,6 @@ impl RebaseQuery {
             .map(|sat| !sat)
     }
 
-    /// After a feasible [`RebaseQuery::feasible`] answer, the subset of
-    /// `base` that the final conflict actually used — a cheap base pruner.
-    pub fn feasible_core(&self) -> Vec<usize> {
-        let core = self.solver.unsat_core();
-        (0..self.sel.len())
-            .filter(|&i| core.contains(&self.sel[i]))
-            .collect()
-    }
-
     pub(crate) fn solver_mut(&mut self) -> &mut Solver {
         &mut self.solver
     }
@@ -141,6 +165,15 @@ impl RebaseQuery {
 
     pub(crate) fn b1_lits(&self) -> &[SLit] {
         &self.b1
+    }
+
+    /// Records the last model's on-row (the `b1` values) and off-row (the
+    /// `b2` values) in the table, and returns their indices.
+    pub(crate) fn record_model(&mut self) -> usize {
+        let value = |l: &SLit| self.solver.model_value(*l) == eco_sat::LBool::True;
+        let on: Vec<bool> = self.b1.iter().map(value).collect();
+        let off: Vec<bool> = self.b2.iter().map(value).collect();
+        self.table.push(&on, &off)
     }
 }
 
@@ -268,19 +301,6 @@ mod tests {
         assert_eq!(q.feasible(&[a, b], 1 << 20), Some(true));
         // Empty base cannot implement a non-constant patch.
         assert_eq!(q.feasible(&[], 1 << 20), Some(false));
-    }
-
-    #[test]
-    fn feasible_core_prunes_irrelevant_selectors() {
-        let (ws, on, off, pool) = fixture();
-        let w = pool_idx(&ws, &pool, "w");
-        let c = pool_idx(&ws, &pool, "c");
-        let mut q = RebaseQuery::new(&ws, on, off, pool);
-        assert_eq!(q.feasible(&[w, c], 1 << 20), Some(true));
-        let core = q.feasible_core();
-        assert!(core.contains(&w), "core {core:?} must keep w");
-        // c is irrelevant to the on-set a&b; a good core drops it.
-        assert!(!core.contains(&c), "core {core:?} should drop c");
     }
 
     #[test]

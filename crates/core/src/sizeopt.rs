@@ -12,6 +12,9 @@
 //! All trials of one patch share one incremental solver: the interval's
 //! cone is encoded once, each trial adds only its new nodes and asserts
 //! its violation under a fresh activation literal, retired afterwards.
+//!
+//! A patch that reads at most two cut signals is finally rebuilt from its
+//! truth table, which needs no SAT check (same function, same signals).
 
 use std::collections::HashMap;
 
@@ -20,6 +23,7 @@ use eco_sat::{encode_cone, Lit as SLit, SolveCtl, Solver};
 
 use crate::carediff::on_off_sets;
 use crate::govern::Budget;
+use crate::localize::Cut;
 use crate::patchgen::PatchFn;
 use crate::Workspace;
 
@@ -208,9 +212,75 @@ pub fn reduce_patch_sizes(
         if let Some(c) = &checker {
             tel.record_solver(&c.solver.stats());
         }
+        if let Some(lit) = rebuild_small_support(&mut ws.mgr, patches[p].lit, &patches[p].cut) {
+            patches[p].lit = lit;
+        }
         stats.size_after += cone_size(ws, patches[p].lit);
     }
     stats
+}
+
+/// Rebuilds a patch that reads at most two signals of `cut` from its
+/// truth table, and returns the rebuild when its cone is smaller.
+///
+/// Each assignment of the used signals (2 or 4), substituted for their
+/// frontier variables, must fold the cone to a constant; otherwise the
+/// patch is left alone. The function is then rebuilt as nested `mux` over
+/// one frontier literal per signal, and structural hashing folds the
+/// constants: 0, 1 or 3 AND gates.
+fn rebuild_small_support(mgr: &mut Aig, lit: Lit, cut: &Cut) -> Option<Lit> {
+    let frontier = cut.frontier_vars();
+    let cone = mgr.cone_vars_to_cut(&[lit], &frontier);
+    // (signal, frontier variable, phase) of every frontier node reached.
+    let mut leaves: Vec<(usize, Var, bool)> = cone
+        .iter()
+        .filter_map(|v| cut.node_map.get(v).map(|&(s, phase)| (s, *v, phase)))
+        .collect();
+    leaves.sort_unstable_by_key(|&(s, v, _)| (s, v.index()));
+    let mut signals: Vec<usize> = leaves.iter().map(|l| l.0).collect();
+    signals.dedup();
+    if signals.is_empty() || signals.len() > 2 {
+        return None;
+    }
+    // Truth table: bit `i` of an assignment is the value of `signals[i]`.
+    let mut table = Vec::with_capacity(1 << signals.len());
+    for a in 0..1usize << signals.len() {
+        let map: HashMap<Var, Lit> = leaves
+            .iter()
+            .map(|&(s, v, phase)| {
+                let i = signals.iter().position(|&x| x == s).expect("used signal");
+                let value = (a >> i & 1 == 1) ^ phase;
+                (v, if value { Lit::TRUE } else { Lit::FALSE })
+            })
+            .collect();
+        let folded = mgr.substitute(&[lit], &map)[0];
+        folded.const_value()?;
+        table.push(folded);
+    }
+    // One literal per signal: its lowest frontier variable, in the
+    // signal's phase.
+    let lits: Vec<Lit> = signals
+        .iter()
+        .map(|&s| {
+            let &(_, v, phase) = leaves.iter().find(|l| l.0 == s).expect("used signal");
+            v.lit(phase)
+        })
+        .collect();
+    let rebuilt = build_mux(mgr, &lits, &table);
+    let size = |mgr: &Aig, l: Lit| mgr.count_cone_ands_to_cut(&[l], &frontier);
+    (size(mgr, rebuilt) < size(mgr, lit)).then_some(rebuilt)
+}
+
+/// The function with truth table `table` (entry `a`: bit `i` of `a` is the
+/// value of `lits[i]`) as nested `mux` over `lits`, last literal on top.
+fn build_mux(mgr: &mut Aig, lits: &[Lit], table: &[Lit]) -> Lit {
+    let Some((&top, rest)) = lits.split_last() else {
+        return table[0];
+    };
+    let (lo, hi) = table.split_at(table.len() / 2);
+    let hi = build_mux(mgr, rest, hi);
+    let lo = build_mux(mgr, rest, lo);
+    mgr.mux(top, hi, lo)
 }
 
 #[cfg(test)]
@@ -319,5 +389,57 @@ mod tests {
         assert_eq!(stats.size_after, stats.size_before);
         // A wire patch has no AND nodes at all; nothing to try.
         let _ = Cut::frontier(&ws, &tap, &[before]);
+    }
+
+    /// A cut over inputs `a`, `b`, `c` (signals 0, 1, 2) of a fresh AIG.
+    fn abc() -> (Aig, [Lit; 3], Cut) {
+        let mut mgr = Aig::new();
+        let lits = [mgr.add_input("a"), mgr.add_input("b"), mgr.add_input("c")];
+        let mut cut = Cut::default();
+        for (i, l) in lits.iter().enumerate() {
+            cut.node_map.insert(l.var(), (i, false));
+        }
+        (mgr, lits, cut)
+    }
+
+    fn ands(mgr: &Aig, lit: Lit, cut: &Cut) -> usize {
+        mgr.count_cone_ands_to_cut(&[lit], &cut.frontier_vars())
+    }
+
+    #[test]
+    fn four_and_xor_is_rebuilt_with_three() {
+        let (mut mgr, [a, b, _], cut) = abc();
+        // XOR as (a & !(a & b)) | (b & !(a & b)): 4 AND gates.
+        let ab = mgr.and(a, b);
+        let only_a = mgr.and(a, !ab);
+        let only_b = mgr.and(b, !ab);
+        let xor4 = mgr.or(only_a, only_b);
+        assert_eq!(ands(&mgr, xor4, &cut), 4);
+        let rebuilt = rebuild_small_support(&mut mgr, xor4, &cut).expect("shrinks");
+        assert_eq!(ands(&mgr, rebuilt, &cut), 3);
+        for bits in 0..4u32 {
+            let vals = [bits & 1 == 1, bits & 2 == 2, false];
+            assert_eq!(
+                mgr.eval_lit(rebuilt, &vals),
+                vals[0] ^ vals[1],
+                "at {vals:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn three_signal_patch_is_untouched() {
+        let (mut mgr, [a, b, c], cut) = abc();
+        let ab = mgr.and(a, b);
+        let abc = mgr.and(ab, c);
+        assert_eq!(rebuild_small_support(&mut mgr, abc, &cut), None);
+    }
+
+    #[test]
+    fn single_and_patch_stays_one_and() {
+        let (mut mgr, [a, b, _], cut) = abc();
+        let ab = mgr.and(a, !b);
+        assert_eq!(rebuild_small_support(&mut mgr, ab, &cut), None);
+        assert_eq!(ands(&mgr, ab, &cut), 1);
     }
 }

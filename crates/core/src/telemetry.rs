@@ -236,6 +236,26 @@ impl From<&SweepStats> for SweepTotals {
 }
 
 crate::counters! {
+    /// §6.2 base selection: counterexample-enumeration probes and where
+    /// their projections came from.
+    pub struct SelectTotals {
+        /// Counterexample enumerations, one per probed candidate.
+        probes: u64,
+        /// Projections returned, summed over probes.
+        projections: u64,
+        /// Projections read off the query's table of earlier models (an
+        /// on-row and an off-row that agree on the probed selection)
+        /// instead of from a new model.
+        table_projections: u64,
+        /// Satisfying enumeration answers, one new projection each.
+        sat_models: u64,
+        /// Unsatisfiable enumeration answers, each proving that a probe
+        /// has no projection left.
+        unsat_proofs: u64,
+    }
+}
+
+crate::counters! {
     /// How each cluster of a run ended under the governor, and the
     /// synthesis ladder's budget escalations.
     pub struct GovernorTotals {
@@ -412,6 +432,8 @@ pub struct TelemetrySnapshot {
     pub sat: SatTotals,
     /// Aggregated FRAIG sweep totals.
     pub sweep: SweepTotals,
+    /// Base-selection enumeration totals.
+    pub select: SelectTotals,
     /// Target clusters processed (summed over attempts).
     pub clusters: u64,
     /// Worker threads used by the patch-generation stage.
@@ -449,11 +471,12 @@ impl TelemetrySnapshot {
     }
 
     /// Every counter group as `(label, fields)`, in output order.
-    fn groups(&self) -> [(&'static str, Vec<(&'static str, u64)>); 6] {
+    fn groups(&self) -> [(&'static str, Vec<(&'static str, u64)>); 7] {
         [
             ("stages", self.stage_fields()),
             ("sat", self.sat.fields()),
             ("fraig", self.sweep.fields()),
+            ("select", self.select.fields()),
             (
                 FLOW,
                 vec![
@@ -697,6 +720,11 @@ mod tests {
             "\"exhaustive_merges\"",
             "\"retired_activations\"",
             "\"resim_columns_saved\"",
+            "\"select\"",
+            "\"probes\"",
+            "\"table_projections\"",
+            "\"sat_models\"",
+            "\"unsat_proofs\"",
             "\"clusters_patched\"",
             "\"clusters_budget_exhausted\"",
             "\"clusters_deadline\"",
@@ -737,6 +765,8 @@ mod tests {
              \"rounds\": 0, \"sat_calls\": 0, \"proven\": 0, \"disproved\": 0, \
              \"budgeted_out\": 0, \"cex_patterns\": 0, \"retired_activations\": 0, \
              \"resim_columns\": 0, \"resim_columns_saved\": 0}, \
+             \"select\": {\"probes\": 0, \"projections\": 0, \"table_projections\": 0, \
+             \"sat_models\": 0, \"unsat_proofs\": 0}, \
              \"clusters\": 0, \"jobs\": 2, \"interpolated\": 0, \
              \"interpolation_fallbacks\": 0, \"localization_fallbacks\": 0, \
              \"governor\": {\"clusters_patched\": 0, \"clusters_budget_exhausted\": 0, \
@@ -748,7 +778,7 @@ mod tests {
         let labels: Vec<&str> = text.lines().map(|l| l.split(':').next().unwrap()).collect();
         assert_eq!(
             labels,
-            ["stages", "sat", "fraig", "flow", "governor", "memo"]
+            ["stages", "sat", "fraig", "select", "flow", "governor", "memo"]
         );
         assert!(text.contains(
             "flow: clusters 0  jobs 2  interpolated 0  interpolation_fallbacks 0  \

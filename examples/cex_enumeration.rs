@@ -3,8 +3,8 @@
 //!
 //! With no base selected, the formula is satisfiable; its counterexamples,
 //! projected on the on-copy watch variables (a, b), are exactly the on-set
-//! rows {01, 10} of the XOR — discovered with two control-variable-guarded
-//! blocking clauses, after which the solver reports UNSAT (§6.2.1).
+//! rows {01, 10} of the XOR — discovered with two blocking clauses under
+//! one control variable, after which the solver reports UNSAT (§6.2.1).
 //!
 //! Run with `cargo run --example cex_enumeration`.
 

@@ -48,13 +48,13 @@ fn patch_bytes_are_pinned() {
         ("unit01", 2, 3, 0x11d6_cbd0_4997_1181),
         ("unit02", 10, 0, 0xcc7e_001d_2545_7d11),
         ("unit03", 33, 0, 0x168c_ebbf_b02d_c890),
-        ("unit04", 33, 1, 0x258f_77be_9534_16b8),
-        ("unit06", 10, 4, 0x611f_6e8f_67b0_c0c9),
-        ("unit10", 18, 9, 0x0eea_c928_bc37_23af),
+        ("unit04", 60, 1, 0x4bac_a42d_f945_f76a),
+        ("unit06", 10, 4, 0x37c2_4e76_b162_451b),
+        ("unit10", 14, 6, 0x78d2_8415_0168_905a),
         ("unit12", 36, 0, 0xbaf4_05c5_b6b8_9086),
         ("unit15", 8, 1, 0x0689_cd40_6a78_753f),
-        ("unit17", 90, 167, 0xd708_6ae5_d915_ff8d),
-        ("unit19", 14, 6, 0x7703_f37c_75aa_f7d9),
+        ("unit17", 53, 7, 0x39ea_603b_78f7_f295),
+        ("unit19", 14, 6, 0xe726_5bf9_cca0_209f),
     ];
     for unit in contest_suite() {
         let Some(&(name, cost, size, digest)) = pinned.iter().find(|p| p.0 == unit.spec.name)
