@@ -24,6 +24,13 @@
 //! deterministic `(pass, job)` order regardless of `--jobs` — via
 //! [`report`].
 //!
+//! With [`BatchOptions::journal`] set, the run is crash-safe: it opens
+//! an [`eco_core::StateDir`] (durable memo store plus `batch.wal`),
+//! journals each job before it runs and its JSONL record after, keyed by
+//! [`job_fingerprint`], and [`BatchOptions::resume`] replays the done
+//! records of a killed run verbatim. Persistence failures are counted in
+//! [`BatchOutcome::persist_errors`], never fatal.
+//!
 //! # Examples
 //!
 //! ```
@@ -67,13 +74,11 @@ pub mod json;
 mod manifest;
 pub mod report;
 mod runner;
-pub mod wal;
 
 pub use crate::executor::{run_indexed, BoundedQueue, PushError};
 pub use crate::manifest::{job_spec_from_json, JobSpec, Manifest, ManifestError};
 pub use crate::report::{exit_code, record_from_json, record_json, records_jsonl, stats_json};
 pub use crate::runner::{
-    execute_job, load_job_instance, load_jobs, run_batch, BatchJob, BatchOptions, BatchOutcome,
-    JobRecord, JobStatus,
+    execute_job, job_fingerprint, load_job_instance, load_jobs, run_batch, BatchJob, BatchOptions,
+    BatchOutcome, JobRecord, JobStatus,
 };
-pub use crate::wal::{job_fingerprint, load_journal, BatchJournal, BatchJournalState};

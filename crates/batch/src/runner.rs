@@ -29,15 +29,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use eco_aig::FpHasher;
 use eco_core::{
     faultpoint, Budget, BudgetOptions, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome,
-    MemoCache, MemoStats, MemoStore,
+    MemoCache, MemoStats, StateDir, BATCH_WAL,
 };
 use eco_netlist::{elaborate, parse_blif, parse_verilog, parse_weights, WeightTable};
 
 use crate::executor::run_indexed;
 use crate::manifest::{JobSpec, Manifest};
-use crate::wal::{job_fingerprint, load_journal, BatchJournal, BatchJournalState};
+use crate::report::{record_from_json, record_json};
 
 /// Knobs for a batch run.
 #[derive(Clone, Debug, Default)]
@@ -282,58 +283,73 @@ fn read_circuit(
     }
 }
 
+/// Content fingerprint identifying one job slot of one pass: the
+/// `batch.wal` key a resume replays by. Covers the pass, index, name,
+/// per-job budget, and — for loadable jobs — both circuits' structural
+/// fingerprints plus the target list (for broken jobs, the load error
+/// text), so editing an input between crash and resume forces that job
+/// to recompute.
+pub fn job_fingerprint(pass: usize, index: usize, job: &BatchJob) -> u128 {
+    let mut h = FpHasher::new();
+    h.word(0xba7c_4a1d); // domain tag: batch WAL fingerprints
+    h.word(pass as u64);
+    h.word(index as u64);
+    h.str(&job.name);
+    h.word(job.budget.unwrap_or(u64::MAX));
+    match &job.source {
+        Ok(inst) => {
+            for fp in [
+                inst.faulty.structural_fingerprint(),
+                inst.golden.structural_fingerprint(),
+            ] {
+                h.word(fp.0 as u64);
+                h.word((fp.0 >> 64) as u64);
+                h.word(fp.1 as u64);
+                h.word((fp.1 >> 64) as u64);
+            }
+            h.word(inst.targets.len() as u64);
+            for t in &inst.targets {
+                h.str(t);
+            }
+        }
+        Err(msg) => {
+            h.str("load-error");
+            h.str(msg);
+        }
+    }
+    h.finish().0
+}
+
 /// Runs every job (for every repeat pass) over the shared worker pool
 /// and memo cache. Records come back in `(pass, index)` order no matter
 /// how the pool interleaved the work.
 pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
     let cache = Arc::new(MemoCache::new());
-    let mut persist_errors = 0u64;
-    let mut memo_loaded = 0u64;
     // Crash-safety state: recover the durable memo store and the job
     // journal before anything executes. Failures here degrade to an
     // in-memory run (counted), they never abort the batch.
-    let store = opts
+    let state = opts
         .journal
         .as_deref()
-        .and_then(|dir| match MemoStore::open(dir) {
-            Ok(store) => {
-                let loaded = store.load_into(&cache);
-                memo_loaded = loaded.loaded;
-                persist_errors += loaded.skipped;
-                store.attach(&cache);
-                Some(store)
-            }
-            Err(_) => {
-                persist_errors += 1;
-                None
-            }
-        });
-    let resume_state: Option<BatchJournalState> = if opts.resume {
-        opts.journal
-            .as_deref()
-            .and_then(|dir| match load_journal(dir) {
-                Ok(state) => {
-                    persist_errors += state.log.skipped_frames + state.bad_records;
-                    Some(state)
-                }
-                Err(_) => {
-                    persist_errors += 1;
-                    None
-                }
+        .map(|dir| StateDir::open(dir, BATCH_WAL, &cache));
+    // Completed records by job fingerprint, replayed verbatim on resume;
+    // a done body that no longer decodes is counted and recomputed.
+    let mut undecodable = 0u64;
+    let replay: HashMap<u128, JobRecord> = match &state {
+        Some(state) if opts.resume => state
+            .load_journal()
+            .map(|loaded| loaded.done)
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|(fp, line)| {
+                let record = record_from_json(&line).ok();
+                undecodable += u64::from(record.is_none());
+                record.map(|record| (fp, record))
             })
-    } else {
-        None
+            .collect(),
+        _ => HashMap::new(),
     };
-    let journal = opts
-        .journal
-        .as_deref()
-        .and_then(|dir| match BatchJournal::open(dir) {
-            Ok(j) => Some(j),
-            Err(_) => {
-                persist_errors += 1;
-                None
-            }
-        });
+    let journal = state.as_ref().and_then(StateDir::journal);
     let reused = AtomicU64::new(0);
     let run_budget = Budget::new(&opts.budget);
     // Apportion the batch-wide conflict allowance evenly across jobs.
@@ -350,19 +366,17 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
         let t0 = Instant::now();
         let run_one = |index: usize| {
             let fp = job_fingerprint(pass, index, &jobs[index]);
-            if let Some(state) = &resume_state {
-                if let Some(record) = state.done.get(&fp) {
-                    // Completed before the crash: replay the journaled
-                    // record verbatim, never recompute.
-                    reused.fetch_add(1, Ordering::Relaxed);
-                    return record.clone();
-                }
+            if let Some(record) = replay.get(&fp) {
+                // Completed before the crash: replay the journaled
+                // record verbatim, never recompute.
+                reused.fetch_add(1, Ordering::Relaxed);
+                return record.clone();
             }
-            if let Some(journal) = &journal {
+            if let Some(journal) = journal {
                 // Write-ahead: the job is on disk before it executes, so
                 // a kill here is a journaled-but-unfinished job the next
                 // resume picks up.
-                journal.admit(fp);
+                journal.admit(fp, "");
             }
             let record = run_job(
                 pass,
@@ -373,8 +387,8 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
                 apportioned,
                 &cache,
             );
-            if let Some(journal) = &journal {
-                journal.done(fp, &record);
+            if let Some(journal) = journal {
+                journal.done(fp, &record_json(&record));
             }
             record
         };
@@ -387,18 +401,12 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
         pass_wall.push(t0.elapsed());
     }
 
-    if let Some(store) = &store {
-        // Graceful finish: compact the journaled entries into the
-        // snapshot so the next run warm-starts from one clean file.
-        if store.snapshot(&cache).is_err() {
-            persist_errors += 1;
-        }
-        persist_errors += store.append_errors();
-    }
-    if let Some(journal) = &journal {
-        persist_errors += journal.append_errors();
-    }
-
+    // Graceful finish: compact the journaled entries into the snapshot
+    // so the next run warm-starts from one clean file.
+    let (memo_loaded, persist_errors) = state.as_ref().map_or((0, 0), |state| {
+        state.snapshot(&cache);
+        (state.memo_loaded(), state.persist_errors() + undecodable)
+    });
     BatchOutcome {
         records,
         pass_wall,
@@ -532,6 +540,113 @@ pub fn execute_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("eco_batch_runner_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn record(index: usize) -> JobRecord {
+        JobRecord {
+            pass: 0,
+            index,
+            name: format!("job{index}"),
+            status: JobStatus::Complete,
+            targets: 1,
+            patches: 1,
+            cost: 5,
+            size: 3,
+            verified: true,
+            detail: String::new(),
+        }
+    }
+
+    /// The `batch.wal` of `admit 7, done 7 (record 0), admit 9`, byte
+    /// for byte as older binaries write it: a resume on a newer binary
+    /// must keep replaying the journal an older one left behind.
+    const PINNED_BATCH_WAL: &str = "\
+        45434f4257414c31110000008bc2b0b301070000000000000000000000000000\
+        009e00000061a7ccd402070000000000000000000000000000007b2270617373\
+        223a20302c20226a6f62223a20302c20226e616d65223a20226a6f6230222c20\
+        22737461747573223a2022636f6d706c657465222c202274617267657473223a\
+        20312c202270617463686573223a20312c2022636f7374223a20352c20227369\
+        7a65223a20332c20227665726966696564223a20747275652c20226465746169\
+        6c223a2022227d11000000203432930109000000000000000000000000000000";
+
+    #[test]
+    fn batch_wal_bytes_are_pinned() {
+        let dir = tmpdir("pinned");
+        // The runner's write-ahead pair, for one finished job and the
+        // crash victim after it.
+        let journal = BATCH_WAL.open(&dir).expect("open");
+        journal.admit(7, "");
+        journal.done(7, &record_json(&record(0)));
+        journal.admit(9, "");
+        assert_eq!((journal.appended(), journal.append_errors()), (3, 0));
+        drop(journal);
+        let bytes = std::fs::read(dir.join("batch.wal")).expect("read");
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_BATCH_WAL);
+
+        let state = BATCH_WAL.load(&dir).expect("load");
+        assert_eq!(state.skipped(), 0);
+        let admitted: Vec<u128> = state.admits.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(admitted, [7, 9]);
+        assert_eq!(state.done.len(), 1, "9 never finished");
+        let done = record_from_json(&state.done[&7]).expect("done body decodes");
+        assert_eq!(done, record(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprints_separate_slots_and_content() {
+        let inst = || {
+            EcoInstance::from_netlists(
+                "fp",
+                &parse_verilog(
+                    "module f (a, b, c, t, y); input a, b, c, t; output y; \
+                     xor g1 (y, t, c); endmodule",
+                )
+                .expect("faulty"),
+                &parse_verilog(
+                    "module g (a, b, c, y); input a, b, c; output y; \
+                     wire w; and g1 (w, a, b); xor g2 (y, w, c); endmodule",
+                )
+                .expect("golden"),
+                vec!["t".into()],
+                &WeightTable::new(1),
+            )
+            .expect("instance")
+        };
+        let job = BatchJob::from_instance("a", inst());
+        assert_eq!(
+            job_fingerprint(0, 0, &job),
+            0x5078_60ee_961b_c0e3_bfd5_7f20_23ee_9903,
+            "the resume key of journals older binaries wrote"
+        );
+        assert_ne!(
+            job_fingerprint(0, 0, &job),
+            job_fingerprint(1, 0, &job),
+            "pass is part of the key"
+        );
+        assert_ne!(
+            job_fingerprint(0, 0, &job),
+            job_fingerprint(0, 1, &job),
+            "index is part of the key"
+        );
+        let broken = BatchJob {
+            name: "a".into(),
+            source: Err("no such file".into()),
+            budget: None,
+        };
+        assert_ne!(
+            job_fingerprint(0, 0, &job),
+            job_fingerprint(0, 0, &broken),
+            "content is part of the key"
+        );
+    }
 
     fn spec(faulty: &str, golden: &str) -> JobSpec {
         JobSpec {

@@ -2,7 +2,7 @@
 //! (ours and baseline) per representative unit, and sequential vs.
 //! parallel (`jobs = 4`) cluster scheduling on multi-cluster units.
 //!
-//! `cargo bench -p eco-bench --bench patch_generation -- --json BENCH_patchgen.json`
+//! `cargo bench -p eco-bench --bench patch_generation -- --json <path>`
 
 use eco_bench::Bench;
 use eco_core::{EcoEngine, EcoOptions};

@@ -37,7 +37,7 @@ use std::time::Duration;
 use eco_batch::{
     exit_code, load_jobs, records_jsonl, run_batch, stats_json, BatchOptions, Manifest,
 };
-use eco_core::{render_counters, BudgetOptions};
+use eco_core::{parse_timeout, render_counters, BudgetOptions};
 
 const USAGE: &str = "usage: eco-batch run <manifest.{toml,json}> [--jobs N] [--repeat N] \
 [--report <path>] [--timeout SECS] [--conflict-budget N] [--journal <dir>] [--resume] \
@@ -94,16 +94,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--repeat expects a number, got `{v}`"))?;
             }
             "--report" => args.report = Some(value("--report")?),
-            "--timeout" => {
-                let v = value("--timeout")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--timeout expects seconds, got `{v}`"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("--timeout expects non-negative seconds, got `{v}`"));
-                }
-                args.timeout = Some(Duration::from_secs_f64(secs));
-            }
+            "--timeout" => args.timeout = Some(parse_timeout(&value("--timeout")?)?),
             "--conflict-budget" => {
                 let v = value("--conflict-budget")?;
                 args.conflict_budget = Some(

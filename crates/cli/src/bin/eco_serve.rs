@@ -37,12 +37,11 @@ use std::io::{self, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
-use eco_core::faultpoint;
+use eco_core::{faultpoint, parse_timeout};
 use eco_serve::{
-    resume_report_json, run_client, signal, summary_json, timing_json, ClientOptions, ServeOptions,
-    Server,
+    resume_report_json, run_client, send_period, signal, summary_json, timing_json, ClientOptions,
+    ServeOptions, Server,
 };
 
 const USAGE: &str = "usage:
@@ -105,11 +104,7 @@ fn parse_server(mut it: impl Iterator<Item = String>) -> Result<ServerArgs, Stri
                     .map_err(|_| format!("--queue expects a number, got `{v}`"))?;
             }
             "--timeout" => {
-                let v = value("--timeout")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--timeout expects seconds, got `{v}`"))?;
-                opts.request_budget.timeout = Some(Duration::from_secs_f64(secs));
+                opts.request_budget.timeout = Some(parse_timeout(&value("--timeout")?)?);
             }
             "--conflict-budget" => {
                 let v = value("--conflict-budget")?;
@@ -159,10 +154,12 @@ fn parse_client(mut it: impl Iterator<Item = String>) -> Result<ClientArgs, Stri
             "--input" | "-i" => input = Some(PathBuf::from(value("--input")?)),
             "--rate" => {
                 let v = value("--rate")?;
-                opts.rate = Some(
-                    v.parse()
-                        .map_err(|_| format!("--rate expects requests/sec, got `{v}`"))?,
-                );
+                let rate = v.parse().ok().filter(|&r| send_period(r).is_some());
+                opts.rate = Some(rate.ok_or_else(|| {
+                    format!(
+                        "--rate expects requests/sec > 0 with a representable period, got `{v}`"
+                    )
+                })?);
             }
             "--retries" => {
                 let v = value("--retries")?;

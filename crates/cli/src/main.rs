@@ -39,7 +39,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use eco_batch::{load_job_instance, JobSpec};
-use eco_core::{Budget, BudgetOptions, EcoEngine, EcoOptions, EcoOutcome, InitialPatchKind};
+use eco_core::{
+    parse_timeout, Budget, BudgetOptions, EcoEngine, EcoOptions, EcoOutcome, InitialPatchKind,
+};
 use eco_netlist::{netlist_from_aig, parse_weights, write_verilog, WeightTable};
 
 /// How `--stats` renders the run telemetry on stderr.
@@ -118,16 +120,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
             }
-            "--timeout" => {
-                let v = value("--timeout")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--timeout expects seconds, got `{v}`"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("--timeout expects non-negative seconds, got `{v}`"));
-                }
-                args.timeout = Some(Duration::from_secs_f64(secs));
-            }
+            "--timeout" => args.timeout = Some(parse_timeout(&value("--timeout")?)?),
             "--conflict-budget" => {
                 let v = value("--conflict-budget")?;
                 args.conflict_budget = Some(

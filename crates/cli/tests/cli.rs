@@ -110,6 +110,43 @@ fn usage_errors_exit_1() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(1));
+
+    assert_usage_error(bin().args(["--timeout", "1e30"]), "--timeout");
+}
+
+/// Runs `cmd` and requires exit 1 with `flag` named on stderr, not a
+/// panic.
+fn assert_usage_error(cmd: &mut Command, flag: &str) {
+    let out = cmd.output().expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{cmd:?}: {stderr}");
+    assert!(stderr.contains(flag), "{cmd:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
+}
+
+/// Duration flags reject values no `Duration` (or deadline) can hold
+/// instead of panicking in the conversion.
+#[test]
+fn duration_flags_reject_unrepresentable_values() {
+    let batch = || Command::new(env!("CARGO_BIN_EXE_eco-batch"));
+    let serve = || Command::new(env!("CARGO_BIN_EXE_eco-serve"));
+    for value in ["-1", "nan", "1e30"] {
+        assert_usage_error(
+            batch().args(["run", "/nonexistent/m.toml", "--timeout", value]),
+            "--timeout",
+        );
+        assert_usage_error(serve().args(["--stdio", "--timeout", value]), "--timeout");
+    }
+    assert_usage_error(
+        serve().args([
+            "client",
+            "--socket",
+            "/nonexistent/eco.sock",
+            "--rate",
+            "1e-20",
+        ]),
+        "--rate",
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!
 //! | site | consulted where | injected failure |
 //! |------|-----------------|------------------|
-//! | `io.write` | record-log appends ([`crate::memo_store`]) | `io::Error` |
+//! | `io.write` | record-log appends ([`crate::journal`]) | `io::Error` |
 //! | `io.fsync` | record-log syncs | `io::Error` |
 //! | `memo.load` | memo-store load, per record | record treated as corrupt |
 //! | `solver.panic` | job execution (batch/serve workers) | `panic!` |

@@ -41,6 +41,18 @@ impl BudgetOptions {
     }
 }
 
+/// Parses a `--timeout` value in seconds: finite, non-negative, and
+/// near enough that a deadline that far ahead is representable (so
+/// [`Budget::new`] cannot overflow the clock).
+pub fn parse_timeout(value: &str) -> Result<Duration, String> {
+    value
+        .parse()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .filter(|&timeout| Instant::now().checked_add(timeout).is_some())
+        .ok_or_else(|| format!("--timeout expects non-negative seconds, got `{value}`"))
+}
+
 /// The shared run-wide governor handle. Cheap to clone; all clones share
 /// one cancellation flag.
 #[derive(Clone, Debug)]
@@ -312,6 +324,16 @@ mod tests {
 
         let unlimited_child = parent.child(None);
         assert!(unlimited_child.cluster_conflicts().is_none());
+    }
+
+    #[test]
+    fn timeouts_parse_or_name_the_flag() {
+        assert_eq!(parse_timeout("0"), Ok(Duration::ZERO));
+        assert_eq!(parse_timeout("1.5"), Ok(Duration::from_millis(1500)));
+        for bad in ["-1", "nan", "inf", "1e30", "1e19", "soon", ""] {
+            let err = parse_timeout(bad).expect_err(bad);
+            assert!(err.starts_with("--timeout expects"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ mod error;
 pub mod faultpoint;
 mod govern;
 mod instance;
+mod journal;
 mod localize;
 mod memo;
 mod memo_store;
@@ -88,13 +89,17 @@ pub use crate::cluster::{cluster_targets, Clustering, TargetCluster};
 pub use crate::engine::{EcoEngine, EcoOptions, EcoOutcome, EcoResult, PartialResult, TargetPatch};
 pub use crate::error::EcoError;
 pub use crate::faultpoint::{parse_chaos_spec, ChaosSpec, FaultStats};
-pub use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport, ConflictMeter};
+pub use crate::govern::{
+    parse_timeout, Budget, BudgetOptions, ClusterDiagnosis, ClusterReport, ConflictMeter,
+};
 pub use crate::instance::{BaseCandidate, EcoInstance};
+pub use crate::journal::{
+    crc32, read_log, Journal, JournalFile, JournalState, LogStats, LogWriter, StateDir, BATCH_WAL,
+    QUARANTINE_AFTER, REQUESTS_WAL,
+};
 pub use crate::localize::{Cut, CutSignal, TapMap};
 pub use crate::memo::{patch_memo_key, MemoCache, MemoStats};
-pub use crate::memo_store::{
-    crc32, read_log, LogStats, LogWriter, MemoLoadStats, MemoStore, MEMO_MAGIC,
-};
+pub use crate::memo_store::{MemoLoadStats, MemoStore, MEMO_MAGIC};
 pub use crate::optimize::{optimize_patches, total_cost, OptimizeOptions, OptimizeStats};
 pub use crate::patchgen::{
     extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,

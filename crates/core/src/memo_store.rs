@@ -1,31 +1,14 @@
-//! Durable [`MemoCache`] persistence: snapshot + append-only journal,
-//! with a checksummed record log shared by every WAL in the workspace.
-//!
-//! # Record log format
-//!
-//! A log file is an 8-byte magic followed by length-prefixed records:
-//!
-//! ```text
-//! [magic: 8 bytes] ([len: u32 LE] [crc32: u32 LE] [payload: len bytes])*
-//! ```
-//!
-//! Every record carries a CRC-32 (IEEE) of its payload, so loading
-//! tolerates exactly the failures a crash can produce: a torn tail
-//! (partial last record after a kill mid-write) or a flipped byte. The
-//! reader stops at the first frame whose length or checksum doesn't
-//! hold and reports how much it discarded — an append-only log has no
-//! trustworthy data past its first bad frame. The same framing backs
-//! the serve request journal and the batch WAL ([`LogWriter`] /
-//! [`read_log`] are public for that reason).
+//! Durable [`MemoCache`] persistence: snapshot + append-only journal.
 //!
 //! # What the memo store persists
 //!
 //! [`MemoStore`] journals each **complete patch result** as the cache
 //! inserts it and compacts them into a snapshot on graceful shutdown.
-//! Each result is one tag-2 record; patch circuits travel as binary
-//! AIGER ([`eco_aig::write_aiger_binary`]), which round-trips
-//! input/output names exactly. Stores written by older versions may also
-//! hold tag-1 rectifiability records; the loader skips and counts them.
+//! Both files use the checksummed record log of [`crate::journal`]. Each
+//! result is one tag-2 record; patch circuits travel as binary AIGER
+//! ([`eco_aig::write_aiger_binary`]), which round-trips input/output
+//! names exactly. Stores written by older versions may also hold tag-1
+//! rectifiability records; the loader skips and counts them.
 //!
 //! # Why a corrupt-but-checksum-valid entry is still safe
 //!
@@ -34,175 +17,18 @@
 //! hit (see [`crate::MemoCache`]). The checksums exist to keep
 //! *recovery* clean and counted — correctness never depends on them.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use eco_aig::{parse_aiger_binary, write_aiger_binary};
 
 use crate::engine::{EcoResult, TargetPatch};
 use crate::faultpoint;
+use crate::journal::{read_log, Journal, LogWriter};
 use crate::memo::{Entry, MemoCache};
 
 /// Magic prefix of memo snapshot and journal files.
 pub const MEMO_MAGIC: [u8; 8] = *b"ECOMEMO1";
-
-/// Upper bound on a single record payload; longer length prefixes are
-/// treated as corruption (a flipped length byte must not trigger a
-/// gigabyte allocation).
-const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), byte-at-a-time with a const-built table.
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data` — the per-record checksum of every log.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-// ---------------------------------------------------------------------------
-// Framed record log.
-
-/// Append handle on a framed record log (see the [module docs](self)).
-#[derive(Debug)]
-pub struct LogWriter {
-    file: File,
-}
-
-impl LogWriter {
-    /// Creates (truncating) a log at `path` with the given magic.
-    pub fn create(path: &Path, magic: &[u8; 8]) -> std::io::Result<LogWriter> {
-        let mut file = File::create(path)?;
-        file.write_all(magic)?;
-        Ok(LogWriter { file })
-    }
-
-    /// Opens a log for appending, creating it (with magic) if missing or
-    /// empty. Rejects a file that exists with a different magic.
-    pub fn open_append(path: &Path, magic: &[u8; 8]) -> std::io::Result<LogWriter> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            file.write_all(magic)?;
-        } else {
-            let mut head = [0u8; 8];
-            let n = file.read(&mut head)?;
-            if n < 8 || head != *magic {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: not a record log (bad magic)", path.display()),
-                ));
-            }
-        }
-        Ok(LogWriter { file })
-    }
-
-    /// Appends one framed record. Consults the `io.write` fault point.
-    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        faultpoint::inject_io("io.write")?;
-        // One write_all for the whole frame: a crash can still tear it,
-        // but only at the tail the reader is built to discard.
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)
-    }
-
-    /// Flushes file data to disk. Consults the `io.fsync` fault point.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        faultpoint::inject_io("io.fsync")?;
-        self.file.sync_data()
-    }
-}
-
-/// What [`read_log`] found.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LogStats {
-    /// Records read intact.
-    pub records: u64,
-    /// Corrupt or torn frames hit (at most 1: reading stops there).
-    pub skipped_frames: u64,
-    /// Bytes discarded from the first bad frame to end-of-file.
-    pub discarded_bytes: u64,
-}
-
-/// Reads every intact record of the log at `path`. A missing file is an
-/// empty log; a file with the wrong magic yields no records and counts
-/// one skipped frame. Reading stops at the first torn or corrupt frame
-/// (append-only logs have no trustworthy data past it).
-pub fn read_log(path: &Path, magic: &[u8; 8]) -> std::io::Result<(Vec<Vec<u8>>, LogStats)> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), LogStats::default()))
-        }
-        Err(e) => return Err(e),
-    };
-    let mut stats = LogStats::default();
-    if data.len() < 8 || data[..8] != *magic {
-        stats.skipped_frames = 1;
-        stats.discarded_bytes = data.len() as u64;
-        return Ok((Vec::new(), stats));
-    }
-    let mut records = Vec::new();
-    let mut pos = 8usize;
-    while pos < data.len() {
-        let rest = &data[pos..];
-        if rest.len() < 8 {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_RECORD_LEN || rest.len() < 8 + len as usize {
-            break; // implausible length or torn payload
-        }
-        let payload = &rest[8..8 + len as usize];
-        if crc32(payload) != crc {
-            break; // flipped bytes
-        }
-        records.push(payload.to_vec());
-        stats.records += 1;
-        pos += 8 + len as usize;
-    }
-    if pos < data.len() {
-        stats.skipped_frames = 1;
-        stats.discarded_bytes = (data.len() - pos) as u64;
-    }
-    Ok((records, stats))
-}
 
 // ---------------------------------------------------------------------------
 // Entry codec.
@@ -376,24 +202,17 @@ pub struct MemoLoadStats {
 pub struct MemoStore {
     snap_path: PathBuf,
     wal_path: PathBuf,
-    wal: Mutex<Option<LogWriter>>,
-    appended: AtomicU64,
-    append_errors: AtomicU64,
+    wal: Journal,
 }
 
 impl MemoStore {
     /// Opens (creating if needed) the store in `dir`.
     pub fn open(dir: &Path) -> std::io::Result<Arc<MemoStore>> {
-        std::fs::create_dir_all(dir)?;
-        let snap_path = dir.join("memo.snap");
         let wal_path = dir.join("memo.wal");
-        let wal = LogWriter::open_append(&wal_path, &MEMO_MAGIC)?;
         Ok(Arc::new(MemoStore {
-            snap_path,
+            snap_path: dir.join("memo.snap"),
+            wal: Journal::open(&wal_path, &MEMO_MAGIC)?,
             wal_path,
-            wal: Mutex::new(Some(wal)),
-            appended: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
         }))
     }
 
@@ -439,7 +258,9 @@ impl MemoStore {
 
     /// Compacts every resident entry of `cache` into a fresh snapshot
     /// (written to a temp file, fsynced, renamed over `memo.snap`) and
-    /// truncates the journal. Returns the number of entries written.
+    /// truncates the journal (a failed truncation is counted in
+    /// [`MemoStore::append_errors`]). Returns the number of entries
+    /// written.
     pub fn snapshot(&self, cache: &MemoCache) -> std::io::Result<u64> {
         let tmp_path = self.snap_path.with_extension("snap.tmp");
         let mut tmp = LogWriter::create(&tmp_path, &MEMO_MAGIC)?;
@@ -450,42 +271,25 @@ impl MemoStore {
         tmp.sync()?;
         std::fs::rename(&tmp_path, &self.snap_path)?;
         // Everything journaled so far is now in the snapshot.
-        let fresh = LogWriter::create(&self.wal_path, &MEMO_MAGIC)?;
-        *self.lock_wal() = Some(fresh);
+        self.wal.reset();
         Ok(entries.len() as u64)
     }
 
     /// Journal records appended since open.
     pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
+        self.wal.appended()
     }
 
-    /// Journal appends that failed (durability degraded, serving
-    /// continued).
+    /// Journal appends and truncations that failed (durability
+    /// degraded, serving continued).
     pub fn append_errors(&self) -> u64 {
-        self.append_errors.load(Ordering::Relaxed)
+        self.wal.append_errors()
     }
 
-    /// Appends one encoded entry to the journal. Never panics: an IO
-    /// failure is counted in [`MemoStore::append_errors`] (durability
-    /// degrades, serving does not).
+    /// Appends one encoded entry to the journal; an IO failure is
+    /// counted, never raised.
     pub(crate) fn append(&self, bytes: &[u8]) {
-        let result = match self.lock_wal().as_mut() {
-            Some(wal) => wal.append(bytes),
-            None => return,
-        };
-        let counter = if result.is_ok() {
-            &self.appended
-        } else {
-            &self.append_errors
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn lock_wal(&self) -> std::sync::MutexGuard<'_, Option<LogWriter>> {
-        // A panic mid-append leaves at worst a torn tail, which the
-        // loader discards; the writer handle itself is always valid.
-        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
+        self.wal.append(bytes);
     }
 }
 
@@ -544,91 +348,6 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex"))
             .collect()
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-    }
-
-    #[test]
-    fn log_round_trips_and_missing_file_is_empty() {
-        let dir = tmpdir("log");
-        let path = dir.join("t.log");
-        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("missing ok");
-        assert!(records.is_empty());
-        assert_eq!(stats, LogStats::default());
-        let mut w = LogWriter::create(&path, &MEMO_MAGIC).expect("create");
-        w.append(b"alpha").expect("a");
-        w.append(b"").expect("empty payload is a valid record");
-        w.append(b"gamma").expect("g");
-        w.sync().expect("sync");
-        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert_eq!(
-            records,
-            vec![b"alpha".to_vec(), Vec::new(), b"gamma".to_vec()]
-        );
-        assert_eq!(stats.records, 3);
-        assert_eq!(stats.skipped_frames, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_and_counted() {
-        let dir = tmpdir("torn");
-        let path = dir.join("t.log");
-        let mut w = LogWriter::create(&path, &MEMO_MAGIC).expect("create");
-        w.append(b"first").expect("a");
-        w.append(b"second-record").expect("b");
-        drop(w);
-        let full = std::fs::read(&path).expect("read file");
-        // Tear mid-way through the second record's payload.
-        std::fs::write(&path, &full[..full.len() - 4]).expect("tear");
-        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert_eq!(records, vec![b"first".to_vec()]);
-        assert_eq!(stats.records, 1);
-        assert_eq!(stats.skipped_frames, 1);
-        assert!(stats.discarded_bytes > 0);
-        // Appending after the tear still works (open_append), and the
-        // reader keeps stopping at the tear: no data past it is trusted.
-        let mut w = LogWriter::open_append(&path, &MEMO_MAGIC).expect("reopen");
-        w.append(b"third").expect("c");
-        let (records, _) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert_eq!(records, vec![b"first".to_vec()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flipped_byte_stops_the_read() {
-        let dir = tmpdir("flip");
-        let path = dir.join("t.log");
-        let mut w = LogWriter::create(&path, &MEMO_MAGIC).expect("create");
-        w.append(b"aaaa").expect("a");
-        w.append(b"bbbb").expect("b");
-        w.append(b"cccc").expect("c");
-        drop(w);
-        let mut data = std::fs::read(&path).expect("read");
-        // Flip one payload byte of the middle record.
-        let mid = 8 + (8 + 4) + 8 + 1;
-        data[mid] ^= 0x40;
-        std::fs::write(&path, &data).expect("write");
-        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert_eq!(records, vec![b"aaaa".to_vec()]);
-        assert_eq!(stats.skipped_frames, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_magic_yields_no_records() {
-        let dir = tmpdir("magic");
-        let path = dir.join("t.log");
-        std::fs::write(&path, b"NOTALOG!junkjunkjunk").expect("write");
-        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert!(records.is_empty());
-        assert_eq!(stats.skipped_frames, 1);
-        assert!(LogWriter::open_append(&path, &MEMO_MAGIC).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub struct ClientOptions {
     pub retries: u32,
 }
 
+/// The send period of `rate` requests/second, `None` unless the rate is
+/// positive and its period fits a [`Duration`].
+pub fn send_period(rate: f64) -> Option<Duration> {
+    Duration::try_from_secs_f64(1.0 / rate).ok()
+}
+
 /// The backoff before retry number `attempt` (1-based).
 pub fn retry_backoff(attempt: u32) -> Duration {
     let base = RETRY_BACKOFF_BASE.as_millis() as u64;
@@ -62,7 +68,9 @@ pub struct ClientSummary {
 
 /// Replays `input` against a server reachable via `server_tx` /
 /// `server_rx`, echoing each response line to `out`. Blank input lines
-/// are skipped. Errors out if the server closes mid-stream.
+/// are skipped. Errors out if the server closes mid-stream, or if a
+/// positive `rate` paces sends further ahead than the clock can
+/// represent.
 pub fn run_client(
     server_rx: &mut dyn BufRead,
     server_tx: &mut dyn Write,
@@ -71,10 +79,7 @@ pub fn run_client(
     opts: &ClientOptions,
 ) -> io::Result<ClientSummary> {
     let start = Instant::now();
-    let interval = opts
-        .rate
-        .filter(|r| *r > 0.0)
-        .map(|r| Duration::from_secs_f64(1.0 / r));
+    let interval = opts.rate.filter(|r| *r > 0.0).map(send_period);
     let mut latencies = Vec::new();
     let mut sent: u64 = 0;
     let mut retried: u64 = 0;
@@ -91,7 +96,15 @@ pub fn run_client(
         if let Some(interval) = interval {
             // Pace against the schedule, not the previous send, so a
             // slow response doesn't permanently shift the grid.
-            let due = start + interval.mul_f64(sent as f64);
+            let due = interval
+                .and_then(|i| Duration::try_from_secs_f64(i.as_secs_f64() * sent as f64).ok())
+                .and_then(|offset| start.checked_add(offset))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "the send rate paces requests beyond the clock's range",
+                    )
+                })?;
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
             }
@@ -156,8 +169,8 @@ pub fn percentile_us(sorted: &[u64], p: usize) -> u64 {
 }
 
 /// Renders the client's timing summary as one JSON object:
-/// `{"requests", "wall_s", "rps", "p50_us", "p99_us"}` — the numbers
-/// `BENCH_serve.json` records for cold vs warm streams.
+/// `{"requests", "retried", "wall_s", "rps", "p50_us", "p99_us"}` — the
+/// cold and warm stream numbers the serve smoke prints.
 pub fn timing_json(summary: &ClientSummary) -> String {
     let mut sorted = summary.latencies_us.clone();
     sorted.sort_unstable();
@@ -203,6 +216,36 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), responses);
         let sent = String::from_utf8(tx).unwrap();
         assert_eq!(sent.lines().count(), 2, "blank input line is skipped");
+    }
+
+    #[test]
+    fn send_periods_fit_a_duration_or_are_refused() {
+        assert_eq!(send_period(2.0), Some(Duration::from_millis(500)));
+        assert_eq!(send_period(f64::INFINITY), Some(Duration::ZERO));
+        for rate in [0.0, -1.0, f64::NAN, 1e-20] {
+            assert_eq!(send_period(rate), None, "rate {rate}");
+        }
+    }
+
+    /// A pacing schedule past the clock's range is an error, never a
+    /// panic: rate 1e-20 has no representable period, and at 1e-19 the
+    /// second send is due beyond what an `Instant` can hold.
+    #[test]
+    fn unrepresentable_pacing_is_an_error_not_a_panic() {
+        for (rate, echoed) in [(1e-20, 0), (1e-19, 1)] {
+            let mut rx = Cursor::new(b"{\"id\": 1, \"ok\": true}\n".to_vec());
+            let mut tx = Vec::new();
+            let mut input = Cursor::new("{\"op\": \"ping\", \"id\": 1}\n{\"op\": \"ping\"}\n");
+            let mut out = Vec::new();
+            let opts = ClientOptions {
+                rate: Some(rate),
+                ..ClientOptions::default()
+            };
+            let err = run_client(&mut rx, &mut tx, &mut input, &mut out, &opts)
+                .expect_err("schedule overflows");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "rate {rate}");
+            assert_eq!(out.iter().filter(|&&b| b == b'\n').count(), echoed);
+        }
     }
 
     #[test]

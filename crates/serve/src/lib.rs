@@ -19,8 +19,12 @@
 //! * [`server`] — admission control over an
 //!   [`eco_batch::BoundedQueue`], per-request [`eco_core::Budget`]
 //!   apportionment, per-connection response sequencing (responses in
-//!   request order ⇒ byte-identical streams for any worker count), and
-//!   graceful drain.
+//!   request order ⇒ byte-identical streams for any worker count),
+//!   graceful drain, and crash safety: with
+//!   [`ServeOptions::state_dir`] the daemon opens an
+//!   [`eco_core::StateDir`] (durable memo store plus `requests.wal`,
+//!   keyed by [`request_fingerprint`]) and
+//!   [`Server::resume_from_journal`] replays a crashed daemon's journal.
 //! * [`client`] — the synchronous replay client with round-trip latency
 //!   percentiles.
 //! * [`signal`] — SIGTERM/SIGINT → drain flag (the workspace's only
@@ -43,19 +47,16 @@
 //! ```
 
 pub mod client;
-pub mod journal;
 pub mod proto;
 pub mod server;
 #[cfg(unix)]
 pub mod signal;
 
 pub use client::{
-    percentile_us, retry_backoff, run_client, timing_json, ClientOptions, ClientSummary,
-};
-pub use journal::{
-    load_request_journal, request_fingerprint, RequestJournal, RequestJournalState,
-    REQUEST_JOURNAL_MAGIC,
+    percentile_us, retry_backoff, run_client, send_period, timing_json, ClientOptions,
+    ClientSummary,
 };
 pub use server::{
-    resume_report_json, summary_json, ResumeReport, ServeOptions, ServeSummary, Server,
+    request_fingerprint, resume_report_json, summary_json, ResumeReport, ServeOptions,
+    ServeSummary, Server,
 };

@@ -46,15 +46,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use eco_aig::FpHasher;
 use eco_batch::{
     execute_job, load_job_instance, BoundedQueue, JobRecord, JobSpec, JobStatus, PushError,
 };
 use eco_core::{
-    faultpoint, render_counters, Budget, BudgetOptions, EcoOptions, JsonObj, MemoCache, MemoStats,
-    MemoStore,
+    faultpoint, render_counters, Budget, BudgetOptions, EcoOptions, Journal, JsonObj, MemoCache,
+    MemoStats, StateDir, QUARANTINE_AFTER, REQUESTS_WAL,
 };
 
-use crate::journal::{load_request_journal, request_fingerprint, RequestJournal};
 use crate::proto::{self, Request};
 use eco_batch::json;
 
@@ -82,11 +82,6 @@ pub struct ServeOptions {
     /// Durable state directory (memo snapshot + journal, request WAL).
     /// `None` = in-memory only, the pre-durability behavior.
     pub state_dir: Option<PathBuf>,
-    /// Resume quarantine threshold: a journaled job whose re-execution
-    /// has already been attempted this many times is refused with a
-    /// typed `quarantined` error instead of recrashing the daemon
-    /// forever (`0` = the default of 3).
-    pub quarantine_after: u32,
 }
 
 /// What a serve run did, for the operator's exit summary.
@@ -112,7 +107,8 @@ pub struct ServeSummary {
     pub memo_loaded: u64,
     /// Journal/store records appended this run.
     pub journal_appended: u64,
-    /// Persistence appends or checkpoints that failed (durability
+    /// Persistence failures: state that failed to open, records a load
+    /// skipped, appends and checkpoints that failed (durability
     /// degraded; serving continued).
     pub persist_errors: u64,
     /// Wall-clock time the serve loop ran.
@@ -179,6 +175,17 @@ pub fn resume_report_json(r: &ResumeReport) -> String {
         .u64("journal_skipped", r.journal_skipped)
         .raw("wall_s", &format!("{:.6}", r.wall.as_secs_f64()))
         .build()
+}
+
+/// Fingerprint of one request line (trimmed): the `requests.wal` key.
+/// The line includes the client-chosen `id`, so two submissions of the
+/// same job under different ids are distinct journal entries — each
+/// client gets its answer.
+pub fn request_fingerprint(line: &str) -> u128 {
+    let mut h = FpHasher::new();
+    h.word(0x5e59_4a1d); // domain tag: serve request-journal fingerprints
+    h.str(line.trim());
+    h.finish().0
 }
 
 /// Locks a mutex, recovering from poisoning — same policy as the
@@ -253,26 +260,22 @@ pub struct Server {
     opts: ServeOptions,
     workers: usize,
     cache: Arc<MemoCache>,
-    store: Option<Arc<MemoStore>>,
-    journal: Option<RequestJournal>,
-    memo_loaded: u64,
-    state_error: Option<String>,
+    state: Option<StateDir>,
     draining: AtomicBool,
     served: AtomicU64,
     busy: AtomicU64,
     refused_draining: AtomicU64,
     bad_requests: AtomicU64,
     worker_restarts: AtomicU64,
-    persist_errors: AtomicU64,
 }
 
 impl Server {
     /// A daemon with a process-lifetime memo cache. With
     /// [`ServeOptions::state_dir`] set, the cache is pre-warmed from the
-    /// durable memo store and every insertion is journaled; a state
-    /// directory that fails to open degrades to in-memory serving (the
-    /// error is kept in [`Server::state_error`]) — availability over
-    /// durability.
+    /// durable memo store and every insertion is journaled; a part of
+    /// the state directory that fails to open degrades to in-memory
+    /// serving (counted in `persist_errors`, the error kept in
+    /// [`Server::state_error`]) — availability over durability.
     pub fn new(opts: ServeOptions) -> Self {
         let workers = if opts.workers != 0 {
             opts.workers
@@ -282,48 +285,33 @@ impl Server {
                 .unwrap_or(1)
         };
         let cache = Arc::new(MemoCache::new());
-        let mut store = None;
-        let mut journal = None;
-        let mut memo_loaded = 0;
-        let mut state_error = None;
-        if let Some(dir) = &opts.state_dir {
-            match MemoStore::open(dir) {
-                Ok(s) => {
-                    // Load before attach, so replayed entries are not
-                    // re-journaled.
-                    memo_loaded = s.load_into(&cache).loaded;
-                    s.attach(&cache);
-                    store = Some(s);
-                }
-                Err(e) => state_error = Some(format!("memo store: {e}")),
-            }
-            match RequestJournal::open(dir) {
-                Ok(j) => journal = Some(j),
-                Err(e) => state_error = Some(format!("request journal: {e}")),
-            }
-        }
+        let state = opts
+            .state_dir
+            .as_deref()
+            .map(|dir| StateDir::open(dir, REQUESTS_WAL, &cache));
         Server {
             opts,
             workers,
             cache,
-            store,
-            journal,
-            memo_loaded,
-            state_error,
+            state,
             draining: AtomicBool::new(false),
             served: AtomicU64::new(0),
             busy: AtomicU64::new(0),
             refused_draining: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
-            persist_errors: AtomicU64::new(0),
         }
     }
 
     /// Why the durable state failed to open, if it did (the daemon is
-    /// serving in-memory).
+    /// serving without it).
     pub fn state_error(&self) -> Option<&str> {
-        self.state_error.as_deref()
+        self.state.as_ref().and_then(StateDir::open_error)
+    }
+
+    /// The request journal, when a state directory opened one.
+    fn journal(&self) -> Option<&Journal> {
+        self.state.as_ref().and_then(StateDir::journal)
     }
 
     fn queue_capacity(&self) -> usize {
@@ -331,14 +319,6 @@ impl Server {
             self.opts.queue_capacity
         } else {
             64
-        }
-    }
-
-    fn quarantine_after(&self) -> u32 {
-        if self.opts.quarantine_after != 0 {
-            self.opts.quarantine_after
-        } else {
-            3
         }
     }
 
@@ -356,11 +336,7 @@ impl Server {
     /// Current counters: the exit summary, and (with a zero `wall`) what
     /// a `stats` response reports.
     fn summary(&self, wall: Duration) -> ServeSummary {
-        let journal_appended = self.journal.as_ref().map_or(0, |j| j.appended())
-            + self.store.as_ref().map_or(0, |s| s.appended());
-        let persist_errors = self.persist_errors.load(Ordering::Relaxed)
-            + self.journal.as_ref().map_or(0, |j| j.append_errors())
-            + self.store.as_ref().map_or(0, |s| s.append_errors());
+        let state = self.state.as_ref();
         ServeSummary {
             served: self.served.load(Ordering::Relaxed),
             busy: self.busy.load(Ordering::Relaxed),
@@ -369,9 +345,9 @@ impl Server {
             memo: self.cache.stats(),
             workers: self.workers,
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            memo_loaded: self.memo_loaded,
-            journal_appended,
-            persist_errors,
+            memo_loaded: state.map_or(0, StateDir::memo_loaded),
+            journal_appended: state.map_or(0, StateDir::appended),
+            persist_errors: state.map_or(0, StateDir::persist_errors),
             wall,
         }
     }
@@ -430,7 +406,7 @@ impl Server {
                 }
                 // Write-ahead: the admit record lands before the job can
                 // run, so a crash never loses an admitted request.
-                let fp = self.journal.as_ref().map(|journal| {
+                let fp = self.journal().map(|journal| {
                     let fp = request_fingerprint(line);
                     journal.admit(fp, line);
                     fp
@@ -469,7 +445,7 @@ impl Server {
     /// Appends a refused record for an admitted-then-shed request, so a
     /// resume does not re-execute work whose client got a typed refusal.
     fn journal_refused(&self, fp: Option<u128>) {
-        if let (Some(journal), Some(fp)) = (&self.journal, fp) {
+        if let (Some(journal), Some(fp)) = (self.journal(), fp) {
             journal.refused(fp);
         }
     }
@@ -516,7 +492,7 @@ impl Server {
             faultpoint::stall("worker.stall", Duration::from_millis(5));
             let record = self.run_spec(&job.spec);
             let response = proto::run_response(&job.id, &record);
-            if let (Some(journal), Some(fp)) = (&self.journal, job.fp) {
+            if let (Some(journal), Some(fp)) = (self.journal(), job.fp) {
                 journal.done(fp, &response);
             }
             self.served.fetch_add(1, Ordering::Relaxed);
@@ -555,13 +531,11 @@ impl Server {
     /// job's response has been journaled and written. Failures are
     /// counted, never fatal.
     fn checkpoint(&self) {
-        if let Some(store) = &self.store {
-            if store.snapshot(&self.cache).is_err() {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(state) = &self.state {
+            state.snapshot(&self.cache);
+            if let Some(journal) = state.journal() {
+                journal.reset();
             }
-        }
-        if let Some(journal) = &self.journal {
-            journal.reset();
         }
     }
 
@@ -570,20 +544,20 @@ impl Server {
     /// are replayed verbatim; admitted-but-unanswered jobs are
     /// re-executed in admit order. Each re-execution is journaled as an
     /// attempt first, so a job that keeps killing the daemon is refused
-    /// with a typed `quarantined` error after
-    /// [`ServeOptions::quarantine_after`] attempts instead of recrashing
-    /// forever. The union of pre-crash client-visible responses and
+    /// with a typed `quarantined` error after [`QUARANTINE_AFTER`]
+    /// attempts instead of recrashing forever. The union of pre-crash client-visible responses and
     /// `out` is byte-identical to an uninterrupted run (the engine is
     /// deterministic and cached patches are SAT re-verified).
     pub fn resume_from_journal(&self, out: &mut dyn Write) -> io::Result<ResumeReport> {
         let t0 = Instant::now();
         let mut report = ResumeReport::default();
-        let Some(dir) = self.opts.state_dir.clone() else {
+        let Some(state) = &self.state else {
             return Ok(report);
         };
-        let state = load_request_journal(&dir)?;
+        // Skipped frames and payloads also count as persistence errors.
+        let state = state.load_journal()?;
         report.journal_records = state.log.records;
-        report.journal_skipped = state.log.skipped_frames + state.bad_records;
+        report.journal_skipped = state.skipped();
         for (fp, line) in &state.admits {
             if state.refused.contains(fp) {
                 continue; // the client already got a typed refusal
@@ -601,7 +575,7 @@ impl Server {
                 }
             };
             let attempts = state.attempts.get(fp).copied().unwrap_or(0);
-            if attempts >= self.quarantine_after() {
+            if attempts >= QUARANTINE_AFTER {
                 let refusal = proto::refusal(
                     &id,
                     "quarantined",
@@ -609,19 +583,19 @@ impl Server {
                 );
                 // Journaled as this request's final answer: a later
                 // resume replays the refusal instead of retrying.
-                if let Some(journal) = &self.journal {
+                if let Some(journal) = self.journal() {
                     journal.done(*fp, &refusal);
                 }
                 writeln!(out, "{refusal}")?;
                 report.quarantined += 1;
                 continue;
             }
-            if let Some(journal) = &self.journal {
+            if let Some(journal) = self.journal() {
                 journal.attempt(*fp);
             }
             let record = self.run_spec(&spec);
             let response = proto::run_response(&id, &record);
-            if let Some(journal) = &self.journal {
+            if let Some(journal) = self.journal() {
                 journal.done(*fp, &response);
             }
             self.served.fetch_add(1, Ordering::Relaxed);
@@ -1106,7 +1080,7 @@ mod tests {
         // journaled before the client saw it), job1 was admitted and
         // then the daemon died — no checkpoint ever ran.
         {
-            let journal = crate::journal::RequestJournal::open(&state_dir).unwrap();
+            let journal = REQUESTS_WAL.open(&state_dir).unwrap();
             let fp0 = request_fingerprint(&line0);
             journal.admit(fp0, &line0);
             journal.done(fp0, reference[0]);
@@ -1152,7 +1126,7 @@ mod tests {
         let killer = r#"{"op": "run", "id": "k", "job": {"name": "killer", "faulty": "f.v", "golden": "g.v"}}"#;
         let fp = request_fingerprint(killer);
         {
-            let journal = crate::journal::RequestJournal::open(&state_dir).unwrap();
+            let journal = REQUESTS_WAL.open(&state_dir).unwrap();
             journal.admit(fp, killer);
             for _ in 0..3 {
                 journal.attempt(fp); // three resumes died mid-attempt
@@ -1204,6 +1178,61 @@ mod tests {
         );
         assert_eq!(out1, out2, "durability must not change response bytes");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn `memo.wal` tail is a persistence error the daemon reports,
+    /// live and at exit, the way eco-batch counts it — and the entries
+    /// before the tear still load.
+    #[test]
+    fn torn_memo_store_counts_as_a_persist_error() {
+        let dir = case_dir("torn_memo");
+        let state_dir = dir.join("state");
+        let input = format!("{}\n", run_line(&dir, "a", "one"));
+        let serve_with_state = |input: &str| {
+            let server = Server::new(ServeOptions {
+                workers: 1,
+                state_dir: Some(state_dir.clone()),
+                ..ServeOptions::default()
+            });
+            let sink = SharedBuf::default();
+            let summary =
+                server.serve_reader(Cursor::new(input.to_string()), Box::new(sink.clone()));
+            (sink.take(), summary)
+        };
+        // A run that dies before its checkpoint: the entry sits in
+        // memo.wal with a torn frame after it.
+        let (_, clean) = serve_with_state(&input);
+        assert_eq!(clean.persist_errors, 0);
+        let snap = std::fs::read(state_dir.join("memo.snap")).unwrap();
+        std::fs::write(state_dir.join("memo.wal"), &snap).unwrap();
+        std::fs::remove_file(state_dir.join("memo.snap")).unwrap();
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(state_dir.join("memo.wal"))
+            .unwrap();
+        wal.write_all(&[0x7f; 9]).unwrap();
+        drop(wal);
+
+        let (out, summary) = serve_with_state("{\"op\": \"stats\", \"id\": \"s\"}\n");
+        assert!(out.contains("\"persist_errors\": 1,"), "{out}");
+        assert!(out.contains("\"memo_loaded\": 1,"), "{out}");
+        assert_eq!((summary.persist_errors, summary.memo_loaded), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprints_distinguish_ids_and_trim_whitespace() {
+        let a = request_fingerprint("{\"op\": \"run\", \"id\": 1}");
+        let b = request_fingerprint("{\"op\": \"run\", \"id\": 2}");
+        assert_ne!(
+            a, b,
+            "the id is part of the key: every client gets an answer"
+        );
+        assert_eq!(a, request_fingerprint("  {\"op\": \"run\", \"id\": 1}\n"));
+        assert_eq!(
+            a, 0x18b5_d1ac_7c52_d5ec_296f_a277_cb45_3040,
+            "the resume key of journals older binaries wrote"
+        );
     }
 
     #[test]

@@ -33,7 +33,11 @@
 # the memo counts are exact (12 cold misses, 12 warm hits, 12 entries:
 # the units are structurally distinct and the passes run one after
 # another), and the JSONL report is byte-identical for --jobs 1 vs
-# --jobs 4. It prints the cold and warm pass wall times.
+# --jobs 4. It then drives the binary's crash-safety flags: a run with
+# --journal <dir> and a --resume of that complete journal must both
+# report the same bytes as the unjournaled run, the resume must replay
+# all 12 jobs from batch.wal, and neither may count a persistence
+# error. It prints the cold and warm pass wall times.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -262,6 +266,22 @@ if [ "$batch_smoke" -eq 1 ]; then
   [ "$rc" -eq 0 ] || { echo "batch smoke: --jobs 4 run failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
   cmp -s "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" \
     || { echo "batch smoke: JSONL differs between --jobs 1 and --jobs 4"; diff "$btmp/report_j1.jsonl" "$btmp/report_j4.jsonl" || true; exit 1; }
+
+  # Journaled, then resumed from the complete journal: same report bytes,
+  # every job replayed, no persistence error.
+  for leg in journal resume; do
+    extra=()
+    [ "$leg" = resume ] && extra=(--resume)
+    run_batch --jobs 4 --journal "$btmp/state" "${extra[@]}" \
+      --report "$btmp/report_$leg.jsonl" --stats=json -q
+    [ "$rc" -eq 0 ] || { echo "batch smoke: --$leg run failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
+    cmp -s "$btmp/report_j4.jsonl" "$btmp/report_$leg.jsonl" \
+      || { echo "batch smoke: --$leg report differs from the unjournaled run"; diff "$btmp/report_j4.jsonl" "$btmp/report_$leg.jsonl" || true; exit 1; }
+    grep -q '"persist_errors": 0,' "$btmp/stderr.txt" \
+      || { echo "batch smoke: --$leg run counted persistence errors"; cat "$btmp/stderr.txt"; exit 1; }
+  done
+  grep -q '"reused": 12,' "$btmp/stderr.txt" \
+    || { echo "batch smoke: --resume did not replay all 12 jobs"; cat "$btmp/stderr.txt"; exit 1; }
 
   echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, memo $memo"
 fi

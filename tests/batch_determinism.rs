@@ -3,9 +3,10 @@
 //! jobs arbitrarily, but records carry only scheduling-independent
 //! fields and merge in manifest order), warm passes over the shared memo
 //! cache must reproduce the cold pass exactly while actually hitting the
-//! cache, and a poisoned cache entry must never reach the output — the
+//! cache, a poisoned cache entry must never reach the output — the
 //! fresh SAT re-verification of every cached patch has to reject it and
-//! fall back to a full run.
+//! fall back to a full run — and `resume` after a kill must reproduce
+//! the uninterrupted report byte for byte.
 
 mod common;
 
@@ -188,4 +189,55 @@ fn starved_batch_degrades_to_partial_records() {
     assert!(code == 0 || code == 4, "unexpected exit code {code}");
     // Limited budgets bypass the memo cache entirely.
     assert_eq!(outcome.memo.hits + outcome.memo.misses, 0);
+}
+
+/// Crash recovery end to end: a journaled run's `batch.wal` is cut off
+/// partway through its last `done` record (a kill mid-append), and
+/// `resume` must replay the two intact records verbatim, recompute the
+/// third, count the torn frame, and reproduce the unjournaled report
+/// byte for byte.
+#[test]
+fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
+    let dir = temp_dir("resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let jobs: Vec<BatchJob> = fast_units(3)
+        .iter()
+        .map(|u| BatchJob::from_instance(u.spec.name.clone(), u.instance().expect("valid")))
+        .collect();
+    let options = |journal: Option<PathBuf>, resume: bool| BatchOptions {
+        jobs: 1,
+        journal,
+        resume,
+        ..Default::default()
+    };
+    let reference = records_jsonl(&run_batch(&jobs, &options(None, false)).records);
+
+    let state = dir.join("state");
+    let journaled = run_batch(&jobs, &options(Some(state.clone()), false));
+    assert_eq!(records_jsonl(&journaled.records), reference);
+    assert_eq!(journaled.persist_errors, 0);
+
+    // With one worker the log ends in job 2's `done` frame
+    // (`[len u32 LE][crc u32 LE][payload]` after the 8-byte magic): keep
+    // its header and half of its payload.
+    let wal = state.join("batch.wal");
+    let bytes = std::fs::read(&wal).expect("read batch.wal");
+    let (mut pos, mut last) = (8, 8);
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+        last = pos;
+        pos += 8 + len as usize;
+    }
+    assert_eq!(pos, bytes.len(), "an intact log ends on a frame boundary");
+    std::fs::write(&wal, &bytes[..last + 8 + (pos - last - 8) / 2]).expect("tear batch.wal");
+
+    let resumed = run_batch(&jobs, &options(Some(state), true));
+    assert_eq!(
+        records_jsonl(&resumed.records),
+        reference,
+        "the resumed report must be byte-identical to the uninterrupted run"
+    );
+    assert_eq!(resumed.reused, 2, "the two intact done records replay");
+    assert_eq!(resumed.persist_errors, 1, "the torn frame is counted");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use eco::serve::{request_fingerprint, RequestJournal, ServeOptions, Server};
+use eco::core::REQUESTS_WAL;
+use eco::serve::{request_fingerprint, ServeOptions, Server};
 use eco::workgen::{contest_suite, request_stream, write_unit, ManifestEntry, SuiteUnit};
 
 /// Small, fast suite units (skips the difficult datapath ones).
@@ -294,7 +295,7 @@ fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
     // admitted, the first two answered, plus a torn frame tail.
     let state = dir.join("state");
     {
-        let journal = RequestJournal::open(&state).expect("open journal");
+        let journal = REQUESTS_WAL.open(&state).expect("open journal");
         for (i, req) in requests.iter().enumerate() {
             let fp = request_fingerprint(req);
             journal.admit(fp, req);
