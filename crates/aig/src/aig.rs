@@ -24,7 +24,7 @@ pub(crate) const SENTINEL_CONST: u32 = u32::MAX;
 /// Largest permitted node index. Keeps every packed literal code
 /// (`2 * index + 1`) strictly below the smallest sentinel, so fanin words
 /// and sentinels can never collide.
-const MAX_INDEX: u32 = (u32::MAX - 3) / 2;
+pub(crate) const MAX_INDEX: u32 = (u32::MAX - 3) / 2;
 
 /// Converts a node index to a `Var`.
 ///

@@ -18,12 +18,31 @@
 //! Only the canonical ("reencoded") variable order is accepted: inputs
 //! `1..=I`, latch states `I+1..=I+L`, ANDs after. Both writers emit that
 //! order, so write → parse → write is a byte-level fixpoint.
+//!
+//! The parsers size their tables from the header, so the header's counts
+//! are checked against the input before anything is allocated:
+//!
+//! * every line an `aag` header declares (I + L + O + A) must fit the
+//!   text after the header, at two bytes a line (the last line may lack
+//!   its newline);
+//! * every latch line, output line and AND an `aig` header declares
+//!   (L + O + A) must fit the remaining bytes, at two bytes each;
+//! * binary inputs take no bytes, so an `aig` header may declare at most
+//!   [`MAX_BINARY_INPUTS`] = 2^20 primary inputs;
+//! * M may not exceed the AIG node limit (2^31 − 2).
+//!
+//! A header that fails any check is a [`ParseAigerError`].
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
+use crate::aig::MAX_INDEX;
 use crate::{Aig, Lit, Var};
+
+/// Most primary inputs a binary (`aig`) header may declare. Binary AIGER
+/// stores no input lines, so the file length cannot bound them.
+pub const MAX_BINARY_INPUTS: u32 = 1 << 20;
 
 /// Error produced when AIGER data cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,7 +290,10 @@ struct Header {
     a: u32,
 }
 
-fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
+/// Parses the header line of an `aag` or `aig` file (per `magic`), whose
+/// content after the header line is `rest` bytes long, and checks its
+/// counts against that length (see the module docs).
+fn parse_header(line: &str, magic: &str, rest: usize) -> Result<Header, ParseAigerError> {
     let mut it = line.split_whitespace();
     if it.next() != Some(magic) {
         return Err(err(format!("expected `{magic}` header")));
@@ -293,6 +315,25 @@ fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
         .ok_or_else(|| err("header counts overflow"))?
     {
         return Err(err("M != I + L + A"));
+    }
+    if m > MAX_INDEX {
+        return Err(err(format!("M = {m} exceeds the AIG node limit")));
+    }
+    let (lines, room) = if magic == "aig" {
+        if i > MAX_BINARY_INPUTS {
+            return Err(err(format!(
+                "I = {i} exceeds the binary input limit {MAX_BINARY_INPUTS}"
+            )));
+        }
+        (u64::from(l) + u64::from(o) + u64::from(a), rest as u64)
+    } else {
+        let lines = u64::from(i) + u64::from(l) + u64::from(o) + u64::from(a);
+        (lines, rest as u64 + 1)
+    };
+    if 2 * lines > room {
+        return Err(err(format!(
+            "header declares {lines} entries but only {rest} bytes follow"
+        )));
     }
     Ok(Header { m, i, l, o, a })
 }
@@ -440,7 +481,9 @@ pub fn parse_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
 /// input/latch numbering, forward AND references, or redefinitions.
 pub fn parse_aiger_ascii_seq(text: &str) -> Result<(Aig, Vec<AigerLatch>), ParseAigerError> {
     let mut lines = text.lines();
-    let header = parse_header(lines.next().ok_or_else(|| err("empty input"))?, "aag")?;
+    let header_line = lines.next().ok_or_else(|| err("empty input"))?;
+    let rest = text.len().saturating_sub(header_line.len() + 1);
+    let header = parse_header(header_line, "aag", rest)?;
     let mut next_line = |what: &str| -> Result<&str, ParseAigerError> {
         lines.next().ok_or_else(|| err(format!("missing {what}")))
     };
@@ -522,7 +565,7 @@ pub fn parse_aiger_binary_seq(data: &[u8]) -> Result<(Aig, Vec<AigerLatch>), Par
         .ok_or_else(|| err("missing header line"))?;
     let header_line =
         std::str::from_utf8(&data[..header_end]).map_err(|_| err("non-UTF-8 header"))?;
-    let header = parse_header(header_line, "aig")?;
+    let header = parse_header(header_line, "aig", data.len() - header_end - 1)?;
     let mut pos = header_end + 1;
     let ascii_line = |pos: &mut usize, what: &str| -> Result<String, ParseAigerError> {
         let end = data[*pos..]
@@ -700,6 +743,51 @@ mod tests {
         // Next literal out of range.
         assert!(parse_aiger_ascii_seq("aag 1 0 1 0 0\n2 9\n").is_err());
         assert!(parse_aiger_binary_seq(b"aig 1 0 1 0 0\n").is_err());
+    }
+
+    /// Header counts the input cannot hold are refused before any table
+    /// is sized from them: each of these headers alone would ask for
+    /// gigabytes (or exceed the node limit).
+    #[test]
+    fn oversized_headers_are_refused_before_allocating() {
+        let refused = |result: Result<(Aig, Vec<AigerLatch>), ParseAigerError>, what: &str| {
+            let e = result.expect_err("oversized header must be refused");
+            assert!(e.message.contains(what), "{e}");
+        };
+        // M beyond the node limit, in a one-line binary file.
+        refused(
+            parse_aiger_binary_seq(b"aig 4000000000 4000000000 0 0 0\n"),
+            "node limit",
+        );
+        // 3·10^9 latch lines declared by a one-line ASCII file.
+        refused(
+            parse_aiger_ascii_seq("aag 3000000000 0 3000000000 0 0\n"),
+            "node limit",
+        );
+        // Within the node limit, but more lines than the text holds.
+        refused(
+            parse_aiger_ascii_seq("aag 1000000 1000000 0 0 0\n2\n4\n"),
+            "only 4 bytes follow",
+        );
+        refused(
+            parse_aiger_binary_seq(b"aig 1000 0 1000 0 0\n2\n"),
+            "only 2 bytes follow",
+        );
+        // Binary inputs take no bytes: bounded by the stated limit.
+        let over = format!("aig {0} {0} 0 0 0\n", MAX_BINARY_INPUTS + 1);
+        refused(
+            parse_aiger_binary_seq(over.as_bytes()),
+            "binary input limit",
+        );
+        // The limit itself and minimal files still parse.
+        let at = format!("aig {0} {0} 0 1 0\n0\n", MAX_BINARY_INPUTS);
+        let aig = parse_aiger_binary(at.as_bytes()).expect("at the input limit");
+        assert_eq!(aig.num_inputs(), MAX_BINARY_INPUTS as usize);
+        assert!(
+            parse_aiger_ascii("aag 1 1 0 1 0\n2\n2").is_ok(),
+            "last line unterminated"
+        );
+        assert!(parse_aiger_binary(b"aig 0 0 0 1 0\n0\n").is_ok());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use crate::aig::{Aig, Output};
 pub use crate::aiger::{
     parse_aiger_ascii, parse_aiger_ascii_seq, parse_aiger_binary, parse_aiger_binary_seq,
     write_aiger_ascii, write_aiger_ascii_seq, write_aiger_binary, write_aiger_binary_seq,
-    AigerInit, AigerLatch, ParseAigerError,
+    AigerInit, AigerLatch, ParseAigerError, MAX_BINARY_INPUTS,
 };
 pub use crate::fp::FpHasher;
 pub use crate::lit::{Lit, Var};

@@ -69,13 +69,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod executor;
 pub mod json;
 mod manifest;
 pub mod report;
 mod runner;
 
-pub use crate::executor::{run_indexed, BoundedQueue, PushError};
 pub use crate::manifest::{job_spec_from_json, JobSpec, Manifest, ManifestError};
 pub use crate::report::{exit_code, record_from_json, record_json, records_jsonl, stats_json};
 pub use crate::runner::{

@@ -3,9 +3,9 @@
 //! Work stealing happens at *job* granularity: every worker thread pulls
 //! the next unclaimed job index from one shared atomic counter, so a
 //! worker that finishes early immediately picks up work from the rest of
-//! the batch instead of idling behind a long job (the same
-//! counter-plus-slots pattern the engine uses for clusters, lifted one
-//! level up). Each job runs its engine single-threaded (`jobs = 1`) —
+//! the batch instead of idling behind a long job (the engine's
+//! claim-counter pool, [`eco_core::run_indexed`], lifted one level up).
+//! Each job runs its engine single-threaded (`jobs = 1`) —
 //! the pool is already saturated at job granularity, and nesting
 //! per-cluster pools under it would oversubscribe the machine.
 //!
@@ -31,12 +31,11 @@ use std::time::{Duration, Instant};
 
 use eco_aig::FpHasher;
 use eco_core::{
-    faultpoint, Budget, BudgetOptions, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome,
-    MemoCache, MemoStats, StateDir, BATCH_WAL,
+    faultpoint, resolve_workers, run_indexed, Budget, BudgetOptions, EcoEngine, EcoError,
+    EcoInstance, EcoOptions, EcoOutcome, MemoCache, MemoStats, StateDir, BATCH_WAL,
 };
 use eco_netlist::{elaborate, parse_blif, parse_verilog, parse_weights, WeightTable};
 
-use crate::executor::run_indexed;
 use crate::manifest::{JobSpec, Manifest};
 use crate::report::{record_from_json, record_json};
 
@@ -50,10 +49,6 @@ pub struct BatchOptions {
     pub repeat: usize,
     /// Run-wide governor budget, apportioned across jobs.
     pub budget: BudgetOptions,
-    /// Base engine options for every job. The runner overrides `jobs`
-    /// (to 1), `memo` (to the shared cache), and ignores `budget` (the
-    /// apportioned child budget is passed directly).
-    pub eco: EcoOptions,
     /// State directory for crash safety: a write-ahead job journal
     /// (`batch.wal`) plus the durable memo store (`memo.snap` /
     /// `memo.wal`). `None` (the default) runs fully in memory.
@@ -378,24 +373,15 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
                 // resume picks up.
                 journal.admit(fp, "");
             }
-            let record = run_job(
-                pass,
-                index,
-                &jobs[index],
-                opts,
-                &run_budget,
-                apportioned,
-                &cache,
-            );
+            let record = run_job(pass, index, &jobs[index], &run_budget, apportioned, &cache);
             if let Some(journal) = journal {
                 journal.done(fp, &record_json(&record));
             }
             record
         };
-        // The shared claim-counter pool (executor.rs): one slot per job,
-        // merged in index order, panicking jobs isolated to one error
-        // record with poison-recovering slot locks.
-        records.extend(run_indexed(workers, jobs.len(), run_one, |index| {
+        // The shared claim-counter pool: one slot per job, merged in
+        // index order, panicking jobs isolated to one error record.
+        records.extend(run_indexed(workers, jobs.len(), run_one, |index, _| {
             panic_record(pass, index, &jobs[index].name)
         }));
         pass_wall.push(t0.elapsed());
@@ -415,15 +401,6 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
         memo_loaded,
         persist_errors,
     }
-}
-
-fn resolve_workers(jobs: usize) -> usize {
-    if jobs != 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// The error record substituted when a job's worker panicked outside the
@@ -447,7 +424,6 @@ fn run_job(
     pass: usize,
     index: usize,
     job: &BatchJob,
-    opts: &BatchOptions,
     run_budget: &Budget,
     apportioned: Option<u64>,
     cache: &Arc<MemoCache>,
@@ -457,7 +433,13 @@ fn run_job(
         (a, b) => a.or(b),
     };
     let budget = run_budget.child(allowance);
-    let mut record = execute_job(&job.name, &job.source, &opts.eco, &budget, cache);
+    let mut record = execute_job(
+        &job.name,
+        &job.source,
+        &EcoOptions::default(),
+        &budget,
+        cache,
+    );
     record.pass = pass;
     record.index = index;
     record

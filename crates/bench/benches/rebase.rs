@@ -2,7 +2,7 @@
 //! construction, feasibility checks, and full base selection.
 
 use eco_bench::Bench;
-use eco_core::{on_off_sets, select_base, BaseSelectOptions, EcoInstance, RebaseQuery, Workspace};
+use eco_core::{on_off_sets, select_base, EcoInstance, RebaseQuery, Workspace};
 use eco_workgen::{assign_weights, cut_targets, WeightProfile};
 
 fn setup() -> (Workspace, eco_aig::Lit, eco_aig::Lit, Vec<usize>) {
@@ -43,12 +43,7 @@ fn main() {
         let mut q = RebaseQuery::new(&ws, on, off, pool.clone());
         let full: Vec<usize> = (0..pool.len()).collect();
         if q.feasible(&full, 100_000) == Some(true) {
-            std::hint::black_box(select_base(
-                &ws,
-                &mut q,
-                &full,
-                &BaseSelectOptions::default(),
-            ));
+            std::hint::black_box(select_base(&ws, &mut q, &full, 5, 50_000));
         }
     });
     bench.finish();

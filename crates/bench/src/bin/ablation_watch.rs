@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use eco_core::{BaseSelectOptions, EcoEngine, EcoOptions, OptimizeOptions};
+use eco_core::{EcoEngine, EcoOptions};
 use eco_workgen::contest_suite;
 
 fn main() {
@@ -28,13 +28,7 @@ fn main() {
         print!("{:<8} {:>4} |", unit.spec.name, unit.spec.n_targets);
         for beta in betas {
             let opts = EcoOptions {
-                optimize_opts: OptimizeOptions {
-                    base_select: BaseSelectOptions {
-                        watch_size: beta,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
+                watch_size: beta,
                 ..Default::default()
             };
             let t0 = Instant::now();

@@ -140,7 +140,6 @@ fn run(args: &Args) -> Result<u8, String> {
         },
         journal: args.journal.as_ref().map(std::path::PathBuf::from),
         resume: args.resume,
-        ..Default::default()
     };
     let outcome = run_batch(&jobs, &options);
 

@@ -399,8 +399,9 @@ impl ChaosCampaign {
             .map_err(|e| format!("killing daemon: {e}"))?;
         drop(stdin);
 
-        // Inspect the torn store before recovery touches it: these are the
-        // "entries recovered/skipped" counters.
+        // Inspect the torn store before recovery runs: these are the
+        // "entries recovered/skipped" counters. Opening the store cuts a
+        // torn `memo.wal` tail, and the load counts what the cut dropped.
         let store = MemoStore::open(&state).map_err(|e| format!("{}: {e}", state.display()))?;
         let store_stats = store.load_into(&MemoCache::new());
         drop(store);
@@ -409,7 +410,7 @@ impl ChaosCampaign {
         // then the empty stdin drains the daemon to a clean exit.
         let t0 = Instant::now();
         let output = Command::new(&bin)
-            .args(["--resume", &state_arg, "--stdio", "--stats"])
+            .args(["--journal", &state_arg, "--resume", "--stdio", "--stats"])
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())

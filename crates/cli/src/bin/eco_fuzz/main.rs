@@ -205,8 +205,8 @@ fn replay(path: &Path, json: bool) -> Result<bool, String> {
     let mut stats = Stats::default();
     for file in &files {
         let outcome = match file.extension().and_then(|e| e.to_str()) {
-            Some("case") => replay_with(FuzzCampaign::default(), file)?,
-            Some("rtcase") => replay_with(FormatCampaign::default(), file)?,
+            Some("case") => replay_with(FuzzCampaign, file)?,
+            Some("rtcase") => replay_with(FormatCampaign, file)?,
             _ if is_dir => continue,
             _ => return Err(format!("{}: not a .case or .rtcase file", file.display())),
         };
@@ -240,9 +240,9 @@ fn main() -> ExitCode {
     };
     let result = match (&args.replay, args.campaign.as_deref().unwrap_or("fuzz")) {
         (Some(path), _) => replay(path, args.json),
-        (None, name @ "fuzz") => drive(&args, name, || Ok(FuzzCampaign::default())),
-        (None, name @ "budget") => drive(&args, name, || Ok(BudgetCampaign::default())),
-        (None, name @ "formats") => drive(&args, name, || Ok(FormatCampaign::default())),
+        (None, name @ "fuzz") => drive(&args, name, || Ok(FuzzCampaign)),
+        (None, name @ "budget") => drive(&args, name, || Ok(BudgetCampaign)),
+        (None, name @ "formats") => drive(&args, name, || Ok(FormatCampaign)),
         (None, name @ "chaos") => drive(&args, name, ChaosCampaign::new),
         (None, other) => Err(format!("unknown campaign `{other}`\n{USAGE}")),
     };

@@ -21,14 +21,14 @@
 //! client's `--timing` does the same with latency percentiles).
 //!
 //! `--journal <dir>` makes the daemon crash-safe: memo entries and
-//! admitted requests are write-ahead logged under `<dir>`.
-//! `--resume <dir>` additionally replays a crashed daemon's journal
-//! before serving — completed responses verbatim, unfinished jobs
-//! re-executed — into `<dir>/recovered.jsonl` (resume report JSON on
-//! stderr). The client's `--retries N` resends `busy` refusals with
-//! capped exponential backoff. `--chaos seed=N,rate=P` (or the
-//! `ECO_CHAOS` env var) arms the deterministic fault-injection registry
-//! for chaos testing.
+//! admitted requests are write-ahead logged under `<dir>`. `--resume`
+//! (which requires `--journal`, as in eco-batch) additionally replays a
+//! crashed daemon's journal before serving — completed responses
+//! verbatim, unfinished jobs re-executed — into `<dir>/recovered.jsonl`
+//! (resume report JSON on stderr). The client's `--retries N` resends
+//! `busy` refusals with capped exponential backoff. `--chaos
+//! seed=N,rate=P` (or the `ECO_CHAOS` env var) arms the deterministic
+//! fault-injection registry for chaos testing.
 //!
 //! Exit codes: 0 — clean drain / client replay done, 1 — usage, I/O, or
 //! connection error.
@@ -47,7 +47,7 @@ use eco_serve::{
 const USAGE: &str = "usage:
   eco-serve (--socket <path> | --stdio) [--jobs N] [--queue N]
             [--timeout SECS] [--conflict-budget N] [--stats]
-            [--journal <dir>] [--resume <dir>] [--chaos seed=N,rate=P]
+            [--journal <dir> [--resume]] [--chaos seed=N,rate=P]
   eco-serve client --socket <path> [--input <file>] [--rate R]
             [--retries N] [--timing] [--shutdown]";
 
@@ -115,10 +115,7 @@ fn parse_server(mut it: impl Iterator<Item = String>) -> Result<ServerArgs, Stri
             }
             "--stats" => stats = true,
             "--journal" => opts.state_dir = Some(PathBuf::from(value("--journal")?)),
-            "--resume" => {
-                opts.state_dir = Some(PathBuf::from(value("--resume")?));
-                resume = true;
-            }
+            "--resume" => resume = true,
             "--chaos" => {
                 let spec = eco_core::parse_chaos_spec(&value("--chaos")?)?;
                 faultpoint::arm(spec);
@@ -132,6 +129,9 @@ fn parse_server(mut it: impl Iterator<Item = String>) -> Result<ServerArgs, Stri
     }
     if socket.is_some() && stdio {
         return Err("--socket and --stdio are mutually exclusive".into());
+    }
+    if resume && opts.state_dir.is_none() {
+        return Err("--resume requires --journal <dir>".into());
     }
     Ok(ServerArgs {
         socket,
@@ -192,12 +192,7 @@ fn run_server(args: &ServerArgs) -> Result<(), String> {
     if let Some(err) = server.state_error() {
         eprintln!("warning: serving without durable state ({err})");
     }
-    if args.resume {
-        let dir = args
-            .opts
-            .state_dir
-            .as_ref()
-            .ok_or("--resume requires a state directory")?;
+    if let Some(dir) = args.opts.state_dir.as_ref().filter(|_| args.resume) {
         let path = dir.join("recovered.jsonl");
         let mut out =
             std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;

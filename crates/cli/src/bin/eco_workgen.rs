@@ -44,7 +44,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eco_workgen::fuzz::{gen_case, FuzzConfig};
+use eco_workgen::fuzz::gen_case;
 use eco_workgen::{
     contest_suite, deep_datapath_aig, gen_seq_unit, manifest_toml, request_stream, scale_preset,
     stress_suite, wide_random_aig, write_fuzz_case, write_seq_unit, write_unit, ManifestEntry,
@@ -215,12 +215,11 @@ fn run(args: &Args) -> Result<(), String> {
             return Ok(());
         }
         Mode::Fuzz(n) => {
-            let cfg = FuzzConfig::default();
             let mut emitted = 0u64;
             let mut seed = args.seed;
             // Some seeds yield no cuttable target; advance past them.
             while emitted < n {
-                if let Some(case) = gen_case(seed, &cfg) {
+                if let Some(case) = gen_case(seed) {
                     entries.push(write_fuzz_case(&args.out, &case).map_err(io_err)?);
                     emitted += 1;
                 }

@@ -149,6 +149,27 @@ fn duration_flags_reject_unrepresentable_values() {
     );
 }
 
+/// Both crash-safe binaries spell resume one way: `--journal <dir>
+/// --resume`. A bare `--resume` names the flag it needs; eco-serve's old
+/// `--resume <dir>` form is refused.
+#[test]
+fn resume_requires_a_journal() {
+    let batch = || Command::new(env!("CARGO_BIN_EXE_eco-batch"));
+    let serve = || Command::new(env!("CARGO_BIN_EXE_eco-serve"));
+    assert_usage_error(
+        batch().args(["run", "/nonexistent/m.toml", "--resume"]),
+        "--resume requires --journal",
+    );
+    assert_usage_error(
+        serve().args(["--stdio", "--resume"]),
+        "--resume requires --journal",
+    );
+    assert_usage_error(
+        serve().args(["--resume", "/nonexistent/state", "--stdio"]),
+        "unknown argument `/nonexistent/state`",
+    );
+}
+
 #[test]
 fn flag_variants_accepted() {
     let dir = tmpdir("flags");

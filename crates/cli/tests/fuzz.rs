@@ -3,7 +3,7 @@
 use std::process::{Command, Output};
 use std::time::Duration;
 
-use eco_workgen::fuzz::{budget_for_seed, gen_case, FuzzConfig};
+use eco_workgen::fuzz::{budget_for_seed, gen_case};
 
 fn fuzz(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_eco-fuzz"))
@@ -49,11 +49,8 @@ fn campaigns_print_the_common_summary_keys() {
 /// oracle would pass it.
 #[test]
 fn budget_case_reruns_the_seed_under_its_budget() {
-    let cfg = FuzzConfig::default();
     let seed = (0..1000u64)
-        .find(|&s| {
-            budget_for_seed(s).timeout == Some(Duration::ZERO) && gen_case(s, &cfg).is_some()
-        })
+        .find(|&s| budget_for_seed(s).timeout == Some(Duration::ZERO) && gen_case(s).is_some())
         .expect("some seed draws a zero deadline");
     let seed = seed.to_string();
     let out = fuzz(&["--campaign", "budget", "--case", &seed, "--stats=json"]);

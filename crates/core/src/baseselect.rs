@@ -5,31 +5,17 @@ use crate::cexenum::{enumerate_cex, CexSet};
 use crate::rebase::RebaseQuery;
 use crate::Workspace;
 
-/// Knobs for base selection.
-#[derive(Clone, Debug)]
-pub struct BaseSelectOptions {
-    /// Watch-window size β (the paper finds β = 5 a good trade-off).
-    pub watch_size: usize,
-    /// SAT conflict budget per query.
-    pub conflict_budget: u64,
-    /// Hard cap on rotation rounds (the paper rotates `|B|` times).
-    pub max_rounds: usize,
-    /// Cap on candidates probed per round: the cheapest `max_probes`
-    /// non-Hold candidates (the paper probes all of `B' \ Hold`; the cap
-    /// bounds the `2^|Watch| × |B'|` SAT-iteration budget).
-    pub max_probes: usize,
-}
+/// SAT conflict budget of each feasibility and enumeration query, before
+/// the governor's cap ([`crate::Budget::cap`]).
+pub(crate) const SELECT_CONFLICTS: u64 = 50_000;
 
-impl Default for BaseSelectOptions {
-    fn default() -> Self {
-        BaseSelectOptions {
-            watch_size: 5,
-            conflict_budget: 50_000,
-            max_rounds: 6,
-            max_probes: 24,
-        }
-    }
-}
+/// Hard cap on rotation rounds (the paper rotates `|B|` times).
+const MAX_ROUNDS: usize = 6;
+
+/// Cap on candidates probed per round: the cheapest `MAX_PROBES`
+/// non-Hold candidates (the paper probes all of `B' \ Hold`; the cap
+/// bounds the `2^|Watch| × |B'|` SAT-iteration budget).
+const MAX_PROBES: usize = 24;
 
 /// Result of base selection.
 #[derive(Clone, Debug)]
@@ -47,7 +33,8 @@ fn cost_of(ws: &Workspace, q: &RebaseQuery, base: &[usize]) -> u64 {
 }
 
 /// Runs the §6.2 procedure: starting from a feasible `initial_base`
-/// (pool indices), repeatedly watch the β heaviest signals, collect
+/// (pool indices), repeatedly watch the β = `watch_size` heaviest
+/// signals, collect
 /// counterexample projections per candidate, greedily re-select signals by
 /// minimal CPB until feasible, and keep the cheapest feasible base seen.
 ///
@@ -58,6 +45,10 @@ fn cost_of(ws: &Workspace, q: &RebaseQuery, base: &[usize]) -> u64 {
 /// blocks". This preserves the stated intuition (prefer cheap signals that
 /// block many counterexamples).
 ///
+/// Every feasibility and enumeration solve runs under
+/// `conflict_budget`; a query that exhausts it ends the selection with
+/// the cheapest base found so far.
+///
 /// # Panics
 ///
 /// Panics if `initial_base` is infeasible for `q`.
@@ -65,11 +56,12 @@ pub fn select_base(
     ws: &Workspace,
     q: &mut RebaseQuery,
     initial_base: &[usize],
-    opts: &BaseSelectOptions,
+    watch_size: usize,
+    conflict_budget: u64,
 ) -> SelectedBase {
-    debug_assert_eq!(
-        q.feasible(initial_base, opts.conflict_budget),
-        Some(true),
+    debug_assert_ne!(
+        q.feasible(initial_base, conflict_budget),
+        Some(false),
         "initial base must be feasible"
     );
     let pool_weights: Vec<u64> = q.pool().iter().map(|&i| ws.cands[i].weight).collect();
@@ -81,11 +73,11 @@ pub fn select_base(
     // Step 1: sort by weight, non-increasing; split Watch/Hold.
     let mut sorted = initial_base.to_vec();
     sorted.sort_by(|&a, &b| weight(b).cmp(&weight(a)).then(a.cmp(&b)));
-    let beta = opts.watch_size.max(1);
+    let beta = watch_size.max(1);
     let mut watch: Vec<usize> = sorted.iter().copied().take(beta).collect();
     let mut hold: Vec<usize> = sorted.iter().copied().skip(beta).collect();
 
-    let total_rounds = initial_base.len().min(opts.max_rounds).max(1);
+    let total_rounds = initial_base.len().clamp(1, MAX_ROUNDS);
     let mut rounds = 0;
     for _round in 0..total_rounds {
         rounds += 1;
@@ -96,7 +88,7 @@ pub fn select_base(
         let mut budget_ok = true;
         let mut probe_order: Vec<usize> = (0..pool_size).filter(|b| !hold.contains(b)).collect();
         probe_order.sort_by_key(|&b| (weight(b), b));
-        probe_order.truncate(opts.max_probes.max(watch.len() + 1));
+        probe_order.truncate(MAX_PROBES.max(watch.len() + 1));
         // Watched (tentatively removed) signals must stay probe-able, or
         // the greedy loop could not re-add them.
         for &w in &watch {
@@ -105,7 +97,7 @@ pub fn select_base(
             }
         }
         for b in probe_order {
-            match enumerate_cex(q, &hold, Some(b), &watch, opts.conflict_budget) {
+            match enumerate_cex(q, &hold, Some(b), &watch, conflict_budget) {
                 Some(set) => cex[b] = Some(set),
                 None => {
                     budget_ok = false;
@@ -128,7 +120,7 @@ pub fn select_base(
         loop {
             let mut selection: Vec<usize> = hold.clone();
             selection.extend(&gamma);
-            match q.feasible(&selection, opts.conflict_budget) {
+            match q.feasible(&selection, conflict_budget) {
                 Some(true) => break,
                 None => {
                     budget_ok = false;
@@ -261,11 +253,7 @@ mod tests {
         let a = pool_pos(&ws, &pool, "a");
         let b = pool_pos(&ws, &pool, "b");
         let w = pool_pos(&ws, &pool, "w");
-        let opts = BaseSelectOptions {
-            watch_size: 2,
-            ..Default::default()
-        };
-        let got = select_base(&ws, &mut q, &[a, b], &opts);
+        let got = select_base(&ws, &mut q, &[a, b], 2, SELECT_CONFLICTS);
         assert_eq!(got.cost, 3, "base {:?}", got.base);
         assert_eq!(got.base, vec![w]);
         assert!(got.rounds >= 1);
@@ -275,7 +263,7 @@ mod tests {
     fn already_optimal_base_is_kept() {
         let (ws, mut q, pool) = fixture();
         let w = pool_pos(&ws, &pool, "w");
-        let got = select_base(&ws, &mut q, &[w], &BaseSelectOptions::default());
+        let got = select_base(&ws, &mut q, &[w], 5, SELECT_CONFLICTS);
         assert_eq!(got.cost, 3);
         assert_eq!(got.base, vec![w]);
     }
@@ -285,11 +273,7 @@ mod tests {
         let (ws, mut q, pool) = fixture();
         let a = pool_pos(&ws, &pool, "a");
         let b = pool_pos(&ws, &pool, "b");
-        let opts = BaseSelectOptions {
-            watch_size: 8,
-            ..Default::default()
-        };
-        let got = select_base(&ws, &mut q, &[a, b], &opts);
+        let got = select_base(&ws, &mut q, &[a, b], 8, SELECT_CONFLICTS);
         assert!(got.cost <= 18);
     }
 
@@ -352,7 +336,7 @@ mod tests {
                         pool.clone(),
                         config.clone(),
                     );
-                    let sel = select_base(&ws, &mut q, &start, &BaseSelectOptions::default());
+                    let sel = select_base(&ws, &mut q, &start, 5, SELECT_CONFLICTS);
                     (sel.base, sel.cost)
                 })
                 .collect();

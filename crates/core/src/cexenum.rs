@@ -227,7 +227,7 @@ pub fn enumerate_cex(
             q.solver_mut().add_clause(&block(c, m, &watch_b1));
         }
         while set.len() < full {
-            match q.solver_mut().solve_limited(&assumptions, conflict_budget) {
+            match q.solve(&assumptions, conflict_budget) {
                 None => {
                     exhausted = true;
                     break;

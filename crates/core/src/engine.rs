@@ -14,9 +14,7 @@
 //! byte-identical patches.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use eco_aig::{Aig, Lit, Var};
@@ -26,12 +24,11 @@ use crate::cluster::{cluster_targets, TargetCluster};
 use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport};
 use crate::localize::{Cut, CutSignal, TapMap};
 use crate::memo::{patch_memo_key, MemoCache};
-use crate::optimize::{optimize_patches, total_cost, OptimizeOptions};
-use crate::patchgen::{
-    extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,
-};
+use crate::optimize::{optimize_patches, total_cost};
+use crate::patchgen::{extract_patch_aig, generate_group_patches, GroupPatches, PatchFn};
+use crate::pool::{resolve_workers, run_indexed};
 use crate::rectifiable::{check_rectifiable, Rectifiability};
-use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions};
+use crate::sizeopt::reduce_patch_sizes;
 use crate::synth::InitialPatchKind;
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
 use crate::verify::{check_equivalence, VerifyOutcome};
@@ -45,35 +42,27 @@ pub struct EcoOptions {
     pub localization: bool,
     /// How initial patches are synthesized (§4.3).
     pub initial_patch: InitialPatchKind,
-    /// Run the §6 cost optimizer.
+    /// Run the §6 cost optimizer. The §2.4 don't-care-based size
+    /// reduction runs after it either way.
     pub optimize: bool,
-    /// Optimizer knobs.
-    pub optimize_opts: OptimizeOptions,
-    /// FRAIG sweeping knobs.
-    pub fraig: FraigOptions,
-    /// SAT conflict budget for synthesis queries.
-    pub synth_budget: u64,
-    /// SAT conflict budget for final verification.
-    pub verify_budget: u64,
+    /// Watch-window size β of §6.2 base selection: how many of the
+    /// heaviest base signals are tentatively swapped out per round. The
+    /// paper finds β = 5 a good quality/runtime trade-off (Ablation B).
+    pub watch_size: usize,
     /// Decide Eq. (2) (`∀X ∃T. F = G`) up front via 2QBF CEGAR before any
     /// patch generation. Off by default — final verification already
     /// guarantees soundness — but useful to fail fast on hopeless
     /// instances with a universal counterexample.
     pub precheck_rectifiability: bool,
-    /// Run the §2.4 don't-care-based patch size reduction after cost
-    /// optimization.
-    pub size_optimize: bool,
-    /// Knobs for the size reduction pass.
-    pub size_opts: SizeOptOptions,
     /// Worker threads for the per-cluster patch-generation stage:
     /// `0` = use [`std::thread::available_parallelism`], `1` = run
     /// sequentially (same code path, so results are identical for every
     /// value). Never more threads than clusters are spawned.
     pub jobs: usize,
     /// Run-wide resource governor: wall-clock deadline and per-cluster
-    /// conflict allowance. Unlimited by default; when unlimited, every
-    /// governed code path collapses to the ungoverned one, so results are
-    /// identical to a run without the governor.
+    /// conflict allowance — the only way to limit a run. Unlimited by
+    /// default: no SAT query is then capped beyond its own fixed budget,
+    /// and no deadline is polled.
     pub budget: BudgetOptions,
     /// Shared cross-job memo cache ([`MemoCache`]): a complete verified
     /// result is reused across structurally identical instances. Hits
@@ -90,13 +79,8 @@ impl Default for EcoOptions {
             localization: true,
             initial_patch: InitialPatchKind::OnSet,
             optimize: true,
-            optimize_opts: OptimizeOptions::default(),
-            fraig: FraigOptions::default(),
-            synth_budget: 1 << 22,
-            verify_budget: u64::MAX,
+            watch_size: 5,
             precheck_rectifiability: false,
-            size_optimize: true,
-            size_opts: SizeOptOptions::default(),
             jobs: 0,
             budget: BudgetOptions::default(),
             memo: None,
@@ -251,9 +235,8 @@ impl EcoEngine {
     /// [`EcoError::Unrectifiable`] when no patch over the given targets can
     /// make the circuits equivalent (witnessed by a failed final
     /// verification of the complete, unlocalized derivation), and
-    /// [`EcoError::ResourceLimit`] when verification exhausts its budget
-    /// or the [`EcoOptions::budget`] governor degrades the run (use
-    /// [`EcoEngine::run_governed`] to receive the partial result instead).
+    /// [`EcoError::ResourceLimit`] whenever the run degrades to a partial
+    /// result (use [`EcoEngine::run_governed`] to receive it instead).
     pub fn run(&self) -> Result<EcoResult, EcoError> {
         match self.run_governed(&Budget::new(&self.options.budget))? {
             EcoOutcome::Complete(result) => Ok(result),
@@ -271,10 +254,12 @@ impl EcoEngine {
     /// apportions one run-wide governor across jobs with
     /// [`Budget::child`].
     ///
-    /// With an unlimited budget this behaves exactly like [`run`] (modulo
-    /// the return type): the only way to see `Partial` is a panicking
-    /// cluster worker, which the engine isolates and reports instead of
-    /// aborting the process.
+    /// Limited and unlimited runs take the same path. A SAT query that
+    /// answers `Unknown` degrades the run to `Partial`; with an unlimited
+    /// budget that happens only through the rectifiability precheck's
+    /// iteration cap (off by default) or a panicking cluster worker,
+    /// which the engine isolates and reports instead of aborting the
+    /// process.
     ///
     /// This is also where the [`EcoOptions::memo`] whole-instance lookup
     /// happens: a cached result is returned only after a fresh SAT miter
@@ -406,12 +391,8 @@ impl EcoEngine {
         }
         let patched = mgr.substitute(&ws.f_outs.clone(), &tmap);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let (verdict, stats) = check_equivalence(
-            &mut mgr,
-            &pairs,
-            budget.cap(self.options.verify_budget),
-            &budget.ctl(),
-        );
+        let (verdict, stats) =
+            check_equivalence(&mut mgr, &pairs, budget.cap(u64::MAX), &budget.ctl());
         if let Some(stats) = stats {
             tel.record_solver(&stats);
         }
@@ -419,44 +400,27 @@ impl EcoEngine {
         matches!(verdict, VerifyOutcome::Equivalent)
     }
 
-    /// Rectifies one cluster against its own sub-workspace with panic
-    /// isolation: a worker that panics (a solver bug, a pathological
-    /// input) is reported as a per-cluster diagnosis instead of tearing
-    /// the whole run down. Safe to call from worker threads.
+    /// The cluster flow: FRAIG + tap map (when localizing) and Alg.-1
+    /// patch generation against the cluster's own sub-workspace, all
+    /// without touching the shared manager. Safe to call from worker
+    /// threads; [`run_indexed`] turns a panic into a per-cluster
+    /// diagnosis.
+    ///
+    /// Conflict accounting is strictly worker-local: the cluster draws a
+    /// fresh [`ConflictMeter`](crate::ConflictMeter) from the budget and
+    /// charges it with deterministic SAT conflict counts, so whether a
+    /// cluster degrades never depends on how many workers run beside it.
     fn rectify_cluster(
         &self,
         ws: &Workspace,
         cluster: &TargetCluster,
         localization: bool,
-        pg_opts: &PatchGenOptions,
         budget: &Budget,
         tel: &Telemetry,
     ) -> Result<ClusterOutcome, ClusterDiagnosis> {
         if budget.expired() {
             return Err(ClusterDiagnosis::Deadline);
         }
-        catch_unwind(AssertUnwindSafe(|| {
-            self.rectify_cluster_metered(ws, cluster, localization, pg_opts, budget, tel)
-        }))
-        .unwrap_or_else(|payload| Err(ClusterDiagnosis::Panicked(panic_message(&*payload))))
-    }
-
-    /// The cluster flow proper: FRAIG + tap map (when localizing) and
-    /// Alg.-1 patch generation, all without touching the shared manager.
-    ///
-    /// Conflict accounting is strictly worker-local: the cluster draws a
-    /// fresh [`ConflictMeter`](crate::ConflictMeter) from the budget and
-    /// charges it with deterministic SAT conflict counts, so whether a
-    /// cluster degrades never depends on how many workers run beside it.
-    fn rectify_cluster_metered(
-        &self,
-        ws: &Workspace,
-        cluster: &TargetCluster,
-        localization: bool,
-        pg_opts: &PatchGenOptions,
-        budget: &Budget,
-        tel: &Telemetry,
-    ) -> Result<ClusterOutcome, ClusterDiagnosis> {
         let mut meter = budget.meter();
         if meter.exhausted() {
             return Err(ClusterDiagnosis::BudgetExhausted);
@@ -464,16 +428,16 @@ impl EcoEngine {
         let (mut sub, local) = ws.for_cluster(cluster);
         let t0 = Instant::now();
         let tap = if localization {
-            let mut fraig_opts = self.options.fraig.clone();
+            let mut fraig_opts = FraigOptions {
+                ctl: budget.ctl(),
+                ..FraigOptions::default()
+            };
             if let Some(remaining) = meter.remaining() {
                 // The sweep shares the cluster's allowance: cap its total
                 // spend at what remains and keep per-query budgets inside
-                // that (at least 1 so the option stays meaningful).
+                // that (at least 1 so the cap stays meaningful).
                 fraig_opts.max_total_conflicts = remaining;
                 fraig_opts.conflict_budget = fraig_opts.conflict_budget.min(remaining.max(1));
-            }
-            if !budget.is_unlimited() {
-                fraig_opts.ctl = budget.ctl();
             }
             let (classes, sweep) = fraig_classes_stats(&sub.mgr, &fraig_opts);
             tel.record_sweep(&sweep);
@@ -489,8 +453,15 @@ impl EcoEngine {
         if meter.exhausted() {
             return Err(ClusterDiagnosis::BudgetExhausted);
         }
-        let group =
-            generate_group_patches(&mut sub, &tap, &local, pg_opts, budget, &mut meter, tel)?;
+        let group = generate_group_patches(
+            &mut sub,
+            &tap,
+            &local,
+            self.options.initial_patch,
+            budget,
+            &mut meter,
+            tel,
+        )?;
         Ok(ClusterOutcome { sub, group })
     }
 
@@ -502,22 +473,18 @@ impl EcoEngine {
         tel: &Telemetry,
     ) -> Result<AttemptOutcome, EcoError> {
         let opts = &self.options;
-        let governed = !budget.is_unlimited();
         let mut ws = Workspace::new(&self.instance);
 
         // Stage 2: clustering (stage 1, FRAIG, now runs per cluster below).
         let clustering = tel.time(Stage::Clustering, || cluster_targets(&ws));
+        let clusters = &clustering.clusters;
 
-        if governed && budget.expired() {
-            tel.event(
-                Stage::Clustering,
-                "run_degraded",
-                "deadline expired before patch generation".to_string(),
-            );
+        if budget.expired() {
             return Ok(self.degrade_all_clusters(
                 &ws,
-                &clustering.clusters,
+                clusters,
                 ClusterDiagnosis::Deadline,
+                Stage::Clustering,
                 "deadline expired before patch generation",
                 tel,
             ));
@@ -527,40 +494,22 @@ impl EcoEngine {
             // The CEGAR check builds scratch nodes, so it runs on a
             // throwaway workspace and the main manager stays untouched.
             let mut scratch = Workspace::new(&self.instance);
-            match check_rectifiable(
-                &mut scratch,
-                256,
-                budget.cap(opts.verify_budget),
-                &budget.ctl(),
-                tel,
-            ) {
+            match check_rectifiable(&mut scratch, 256, budget.cap(u64::MAX), &budget.ctl(), tel) {
                 Rectifiability::Rectifiable => {}
                 Rectifiability::Counterexample(cex) => {
                     return Err(EcoError::Unrectifiable(format!(
                         "Eq. (2) counterexample: no target assignment works at {cex:?}"
                     )))
                 }
-                Rectifiability::Unknown if governed => {
-                    let diag = if budget.expired() {
-                        ClusterDiagnosis::Deadline
-                    } else {
-                        ClusterDiagnosis::BudgetExhausted
-                    };
-                    tel.event(
-                        Stage::Verify,
-                        "run_degraded",
-                        "rectifiability precheck budget exhausted".to_string(),
-                    );
+                Rectifiability::Unknown => {
                     return Ok(self.degrade_all_clusters(
                         &ws,
-                        &clustering.clusters,
-                        diag,
+                        clusters,
+                        exhausted(budget),
+                        Stage::Verify,
                         "rectifiability precheck budget exhausted",
                         tel,
-                    ));
-                }
-                Rectifiability::Unknown => {
-                    return Err(EcoError::ResourceLimit("rectifiability precheck".into()))
+                    ))
                 }
             }
         }
@@ -574,12 +523,8 @@ impl EcoEngine {
                 .map(|&j| (ws.f_outs[j], ws.g_outs[j]))
                 .collect();
             let t0 = Instant::now();
-            let (verdict, stats) = check_equivalence(
-                &mut ws.mgr,
-                &pairs,
-                budget.cap(opts.verify_budget),
-                &budget.ctl(),
-            );
+            let (verdict, stats) =
+                check_equivalence(&mut ws.mgr, &pairs, budget.cap(u64::MAX), &budget.ctl());
             if let Some(stats) = stats {
                 tel.record_solver(&stats);
             }
@@ -596,28 +541,14 @@ impl EcoEngine {
                         "output outside all target fanout cones differs {at}"
                     )));
                 }
-                VerifyOutcome::Unknown if governed => {
-                    let diag = if budget.expired() {
-                        ClusterDiagnosis::Deadline
-                    } else {
-                        ClusterDiagnosis::BudgetExhausted
-                    };
-                    tel.event(
-                        Stage::Verify,
-                        "run_degraded",
-                        "verification budget exhausted on untouched outputs".to_string(),
-                    );
+                VerifyOutcome::Unknown => {
                     return Ok(self.degrade_all_clusters(
                         &ws,
-                        &clustering.clusters,
-                        diag,
+                        clusters,
+                        exhausted(budget),
+                        Stage::Verify,
                         "verification budget exhausted on untouched outputs",
                         tel,
-                    ));
-                }
-                VerifyOutcome::Unknown => {
-                    return Err(EcoError::ResourceLimit(
-                        "verification budget (untouched outputs)".into(),
                     ))
                 }
             }
@@ -627,55 +558,17 @@ impl EcoEngine {
         // generation against isolated sub-workspaces — in parallel when
         // `jobs` allows — then a deterministic merge in cluster order.
         let t0 = Instant::now();
-        let pg_opts = PatchGenOptions {
-            kind: opts.initial_patch,
-            conflict_budget: opts.synth_budget,
-            ..Default::default()
-        };
-        let clusters = &clustering.clusters;
-        let jobs = resolve_jobs(opts.jobs, clusters.len());
+        let jobs = resolve_workers(opts.jobs).min(clusters.len()).max(1);
         tel.update(|t| {
             t.clusters += clusters.len() as u64;
             t.jobs = jobs as u64;
         });
-        type ClusterSlot = Result<ClusterOutcome, ClusterDiagnosis>;
-        let outcomes: Vec<ClusterSlot> = if jobs <= 1 {
-            clusters
-                .iter()
-                .map(|c| self.rectify_cluster(&ws, c, localization, &pg_opts, budget, tel))
-                .collect()
-        } else {
-            let slots: Vec<Mutex<Option<ClusterSlot>>> =
-                clusters.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= clusters.len() {
-                            break;
-                        }
-                        let out = self.rectify_cluster(
-                            &ws,
-                            &clusters[i],
-                            localization,
-                            &pg_opts,
-                            budget,
-                            tel,
-                        );
-                        *slots[i].lock().expect("cluster slot") = Some(out);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("cluster slot lock")
-                        .expect("worker filled every slot")
-                })
-                .collect()
-        };
+        let outcomes = run_indexed(
+            jobs,
+            clusters.len(),
+            |i| self.rectify_cluster(&ws, &clusters[i], localization, budget, tel),
+            |_, payload| Err(ClusterDiagnosis::Panicked(panic_message(payload))),
+        );
         let mut patches: Vec<PatchFn> = Vec::new();
         let mut interpolation_fallbacks = 0;
         let mut cluster_reports: Vec<ClusterReport> = Vec::with_capacity(clusters.len());
@@ -732,18 +625,16 @@ impl EcoEngine {
             )));
         }
 
-        // Stage 5: cost optimization.
+        // Stage 5: cost optimization, then size reduction.
         let t0 = Instant::now();
         let optimize_delta = if opts.optimize {
-            let stats = optimize_patches(&mut ws, &mut patches, &opts.optimize_opts, budget, tel);
+            let stats = optimize_patches(&mut ws, &mut patches, opts.watch_size, budget, tel);
             (stats.cost_before, stats.cost_after)
         } else {
             let c = total_cost(&ws, &patches);
             (c, c)
         };
-        if opts.size_optimize {
-            let _ = reduce_patch_sizes(&mut ws, &mut patches, &opts.size_opts, budget, tel);
-        }
+        reduce_patch_sizes(&mut ws, &mut patches, budget, tel);
         tel.add_stage(Stage::Optimize, t0.elapsed());
 
         // Stage 6: verification.
@@ -755,12 +646,8 @@ impl EcoEngine {
         let f_outs = ws.f_outs.clone();
         let patched = ws.mgr.substitute(&f_outs, &map);
         let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
-        let (verdict, stats) = check_equivalence(
-            &mut ws.mgr,
-            &pairs,
-            budget.cap(opts.verify_budget),
-            &budget.ctl(),
-        );
+        let (verdict, stats) =
+            check_equivalence(&mut ws.mgr, &pairs, budget.cap(u64::MAX), &budget.ctl());
         if let Some(stats) = stats {
             tel.record_solver(&stats);
         }
@@ -768,7 +655,7 @@ impl EcoEngine {
         match verdict {
             VerifyOutcome::Equivalent => {}
             VerifyOutcome::Counterexample(cex) => return Ok(AttemptOutcome::Cex(cex)),
-            VerifyOutcome::Unknown if governed => {
+            VerifyOutcome::Unknown => {
                 tel.event(
                     Stage::Verify,
                     "run_degraded",
@@ -781,9 +668,6 @@ impl EcoEngine {
                     "final verification budget exhausted".to_string(),
                     tel,
                 )));
-            }
-            VerifyOutcome::Unknown => {
-                return Err(EcoError::ResourceLimit("verification budget".into()))
             }
         }
 
@@ -826,7 +710,7 @@ impl EcoEngine {
         }
         let patch_aig = prune_unused_inputs(&patch_aig);
         let patch_aig = {
-            let (classes, sweep) = fraig_classes_stats(&patch_aig, &self.options.fraig);
+            let (classes, sweep) = fraig_classes_stats(&patch_aig, &FraigOptions::default());
             tel.record_sweep(&sweep);
             fraig_reduce(&patch_aig, &classes).compact()
         };
@@ -891,15 +775,18 @@ impl EcoEngine {
     }
 
     /// Degrades every cluster with the same diagnosis (used when a serial
-    /// stage ahead of patch generation hits a limit).
+    /// stage ahead of patch generation hits a limit), recording `reason`
+    /// as a `run_degraded` event of `stage`.
     fn degrade_all_clusters(
         &self,
         ws: &Workspace,
         clusters: &[TargetCluster],
         diagnosis: ClusterDiagnosis,
+        stage: Stage,
         reason: &str,
         tel: &Telemetry,
     ) -> AttemptOutcome {
+        tel.event(stage, "run_degraded", reason.to_string());
         let reports: Vec<ClusterReport> = clusters
             .iter()
             .map(|c| ClusterReport {
@@ -924,6 +811,16 @@ impl EcoEngine {
     }
 }
 
+/// The diagnosis of a serial stage whose SAT query answered `Unknown`:
+/// the deadline when it fired, the conflict allowance otherwise.
+fn exhausted(budget: &Budget) -> ClusterDiagnosis {
+    if budget.expired() {
+        ClusterDiagnosis::Deadline
+    } else {
+        ClusterDiagnosis::BudgetExhausted
+    }
+}
+
 /// Best-effort human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -933,19 +830,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Resolves the effective worker count: `0` = available parallelism,
-/// clamped to the cluster count (and at least 1).
-fn resolve_jobs(requested: usize, clusters: usize) -> usize {
-    let jobs = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    jobs.min(clusters).max(1)
 }
 
 /// Compact, human-readable counterexample summary (first few assignments).

@@ -34,13 +34,6 @@ pub struct BudgetOptions {
     pub cluster_conflicts: Option<u64>,
 }
 
-impl BudgetOptions {
-    /// Returns `true` if no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none() && self.cluster_conflicts.is_none()
-    }
-}
-
 /// Parses a `--timeout` value in seconds: finite, non-negative, and
 /// near enough that a deadline that far ahead is representable (so
 /// [`Budget::new`] cannot overflow the clock).
@@ -171,11 +164,6 @@ impl ConflictMeter {
         ConflictMeter { remaining: None }
     }
 
-    /// Returns `true` if the meter never exhausts.
-    pub fn is_unlimited(&self) -> bool {
-        self.remaining.is_none()
-    }
-
     /// Deducts `conflicts` (saturating at zero).
     pub fn charge(&mut self, conflicts: u64) {
         if let Some(r) = &mut self.remaining {
@@ -255,10 +243,11 @@ mod tests {
         let b = Budget::unlimited();
         assert!(b.is_unlimited());
         assert!(!b.expired());
-        assert!(b.ctl().is_unlimited());
+        let ctl = b.ctl();
+        assert!(ctl.deadline.is_none() && ctl.cancel.is_none());
         assert_eq!(b.cap(123), 123);
         let mut m = b.meter();
-        assert!(m.is_unlimited());
+        assert_eq!(m.remaining(), None);
         m.charge(u64::MAX);
         assert!(!m.exhausted());
         assert_eq!(m.cap(7), 7);

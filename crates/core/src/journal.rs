@@ -15,8 +15,11 @@
 //! (partial last record after a kill mid-write) or a flipped byte. The
 //! reader stops at the first frame whose length or checksum doesn't
 //! hold and reports how much it discarded — an append-only log has no
-//! trustworthy data past its first bad frame. The memo store's
-//! `memo.snap`/`memo.wal` and both job journals use this framing.
+//! trustworthy data past its first bad frame. Opening a log for append
+//! therefore cuts it at that frame first, so new records land where the
+//! reader looks; a load through the same handle still counts what the
+//! cut dropped. The memo store's `memo.snap`/`memo.wal` and both job
+//! journals use this framing.
 //!
 //! # Keyed journal records
 //!
@@ -101,6 +104,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct LogWriter {
     file: File,
+    torn: LogStats,
 }
 
 impl LogWriter {
@@ -108,31 +112,48 @@ impl LogWriter {
     pub fn create(path: &Path, magic: &[u8; 8]) -> io::Result<LogWriter> {
         let mut file = File::create(path)?;
         file.write_all(magic)?;
-        Ok(LogWriter { file })
+        Ok(LogWriter {
+            file,
+            torn: LogStats::default(),
+        })
     }
 
     /// Opens a log for appending, creating it (with magic) if missing or
-    /// empty. Rejects a file that exists with a different magic.
+    /// empty. A torn or corrupt tail is cut off at the first bad frame,
+    /// where [`read_log`] stops, so appended records are read back;
+    /// [`LogWriter::torn`] reports what the cut dropped. Rejects a file
+    /// that exists with a different magic.
     pub fn open_append(path: &Path, magic: &[u8; 8]) -> io::Result<LogWriter> {
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let mut torn = LogStats::default();
+        if data.is_empty() {
             file.write_all(magic)?;
+        } else if data.len() < 8 || data[..8] != *magic {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: not a record log (bad magic)", path.display()),
+            ));
         } else {
-            let mut head = [0u8; 8];
-            let n = file.read(&mut head)?;
-            if n < 8 || head != *magic {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not a record log (bad magic)", path.display()),
-                ));
+            let end = intact_frames(&data).1;
+            if end < data.len() {
+                file.set_len(end as u64)?;
+                torn.skipped_frames = 1;
+                torn.discarded_bytes = (data.len() - end) as u64;
             }
         }
-        Ok(LogWriter { file })
+        Ok(LogWriter { file, torn })
+    }
+
+    /// The torn tail [`LogWriter::open_append`] cut off: one skipped
+    /// frame and its discarded bytes, or nothing.
+    pub fn torn(&self) -> LogStats {
+        self.torn
     }
 
     /// Appends one framed record. Consults the `io.write` fault point.
@@ -165,6 +186,36 @@ pub struct LogStats {
     pub discarded_bytes: u64,
 }
 
+impl std::ops::AddAssign for LogStats {
+    fn add_assign(&mut self, rhs: LogStats) {
+        self.records += rhs.records;
+        self.skipped_frames += rhs.skipped_frames;
+        self.discarded_bytes += rhs.discarded_bytes;
+    }
+}
+
+/// The payloads of the intact frames of `data` (a whole log, magic
+/// included) and the offset where they end: at the first torn or
+/// corrupt frame, or at end-of-file.
+fn intact_frames(data: &[u8]) -> (Vec<&[u8]>, usize) {
+    let mut payloads = Vec::new();
+    let mut pos = 8usize;
+    while let Some(rest) = data.get(pos..).filter(|rest| rest.len() >= 8) {
+        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+        if len > MAX_RECORD_LEN || rest.len() < 8 + len as usize {
+            break; // implausible length or torn payload
+        }
+        let payload = &rest[8..8 + len as usize];
+        if crc32(payload) != crc {
+            break; // flipped bytes
+        }
+        payloads.push(payload);
+        pos += 8 + len as usize;
+    }
+    (payloads, pos)
+}
+
 /// Reads every intact record of the log at `path`. A missing file is an
 /// empty log; a file with the wrong magic yields no records and counts
 /// one skipped frame. Reading stops at the first torn or corrupt frame
@@ -183,31 +234,13 @@ pub fn read_log(path: &Path, magic: &[u8; 8]) -> io::Result<(Vec<Vec<u8>>, LogSt
         stats.discarded_bytes = data.len() as u64;
         return Ok((Vec::new(), stats));
     }
-    let mut records = Vec::new();
-    let mut pos = 8usize;
-    while pos < data.len() {
-        let rest = &data[pos..];
-        if rest.len() < 8 {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_RECORD_LEN || rest.len() < 8 + len as usize {
-            break; // implausible length or torn payload
-        }
-        let payload = &rest[8..8 + len as usize];
-        if crc32(payload) != crc {
-            break; // flipped bytes
-        }
-        records.push(payload.to_vec());
-        stats.records += 1;
-        pos += 8 + len as usize;
-    }
-    if pos < data.len() {
+    let (payloads, end) = intact_frames(&data);
+    stats.records = payloads.len() as u64;
+    if end < data.len() {
         stats.skipped_frames = 1;
-        stats.discarded_bytes = (data.len() - pos) as u64;
+        stats.discarded_bytes = (data.len() - end) as u64;
     }
-    Ok((records, stats))
+    Ok((payloads.into_iter().map(<[u8]>::to_vec).collect(), stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +308,12 @@ impl Journal {
     /// Appends and resets that failed.
     pub fn append_errors(&self) -> u64 {
         self.append_errors.load(Ordering::Relaxed)
+    }
+
+    /// The torn tail cut off when this journal was opened, until a
+    /// [`Journal::reset`] (see [`LogWriter::torn`]).
+    pub fn torn(&self) -> LogStats {
+        self.lock().torn()
     }
 
     /// Journals that job `key` is about to run; `body` is the request
@@ -489,9 +528,15 @@ impl StateDir {
     }
 
     /// Loads the job journal for a resume. Skipped frames and payloads
-    /// are counted, and so is a failed read (which is also returned).
+    /// are counted — the torn tail the journal's open cut off among them
+    /// — and so is a failed read (which is also returned).
     pub fn load_journal(&self) -> io::Result<JournalState> {
-        let loaded = self.file.load(&self.dir);
+        let loaded = self.file.load(&self.dir).map(|mut state| {
+            if let Some(journal) = &self.journal {
+                state.log += journal.torn();
+            }
+            state
+        });
         let errors = loaded.as_ref().map_or(1, JournalState::skipped);
         self.errors.fetch_add(errors, Ordering::Relaxed);
         loaded
@@ -582,12 +627,25 @@ mod tests {
         assert_eq!(stats.records, 1);
         assert_eq!(stats.skipped_frames, 1);
         assert!(stats.discarded_bytes > 0);
-        // Appending after the tear still works (open_append), and the
-        // reader keeps stopping at the tear: no data past it is trusted.
+        // Opening for append cuts the tear off and reports what the cut
+        // dropped exactly as the read counted it, so records appended
+        // afterwards are read back.
         let mut w = LogWriter::open_append(&path, &MEMO_MAGIC).expect("reopen");
+        let torn = w.torn();
+        assert_eq!(
+            (torn.skipped_frames, torn.discarded_bytes),
+            (stats.skipped_frames, stats.discarded_bytes)
+        );
         w.append(b"third").expect("c");
-        let (records, _) = read_log(&path, &MEMO_MAGIC).expect("read");
-        assert_eq!(records, vec![b"first".to_vec()]);
+        let (records, stats) = read_log(&path, &MEMO_MAGIC).expect("read");
+        assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()]);
+        assert_eq!(stats.skipped_frames, 0);
+        let reopened = LogWriter::open_append(&path, &MEMO_MAGIC).expect("reopen");
+        assert_eq!(
+            reopened.torn(),
+            LogStats::default(),
+            "an intact log is kept"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

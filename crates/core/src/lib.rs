@@ -72,6 +72,7 @@ mod memo;
 mod memo_store;
 mod optimize;
 mod patchgen;
+mod pool;
 mod rebase;
 mod rectifiable;
 mod report;
@@ -82,7 +83,7 @@ mod verify;
 mod workspace;
 
 pub use crate::assemble::splice_patch;
-pub use crate::baseselect::{select_base, BaseSelectOptions, SelectedBase};
+pub use crate::baseselect::{select_base, SelectedBase};
 pub use crate::carediff::{diff_set, exact_on_off_sets, on_off_sets, OnOff};
 pub use crate::cexenum::{enumerate_cex, CexSet};
 pub use crate::cluster::{cluster_targets, Clustering, TargetCluster};
@@ -100,14 +101,13 @@ pub use crate::journal::{
 pub use crate::localize::{Cut, CutSignal, TapMap};
 pub use crate::memo::{patch_memo_key, MemoCache, MemoStats};
 pub use crate::memo_store::{MemoLoadStats, MemoStore, MEMO_MAGIC};
-pub use crate::optimize::{optimize_patches, total_cost, OptimizeOptions, OptimizeStats};
-pub use crate::patchgen::{
-    extract_patch_aig, generate_group_patches, GroupPatches, PatchFn, PatchGenOptions,
-};
+pub use crate::optimize::{optimize_patches, total_cost, OptimizeStats};
+pub use crate::patchgen::{extract_patch_aig, generate_group_patches, GroupPatches, PatchFn};
+pub use crate::pool::{resolve_workers, run_indexed};
 pub use crate::rebase::{resynthesize, RebaseQuery};
 pub use crate::rectifiable::{check_rect_cex, check_rectifiable, Rectifiability};
 pub use crate::report::{PartialReport, Report};
-pub use crate::sizeopt::{reduce_patch_sizes, SizeOptOptions, SizeOptStats};
+pub use crate::sizeopt::{reduce_patch_sizes, SizeOptStats};
 pub use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
 pub use crate::telemetry::{
     json_escape, peak_rss_bytes, render_counters, GovernorTotals, JsonObj, MemoTotals, SatTotals,

@@ -248,7 +248,9 @@ impl MemoCache {
 /// The leading domain tag is bumped whenever the same instance and
 /// options produce different patches, so a memo store written by an
 /// older build (a restarted daemon's `memo.snap`) stops matching instead
-/// of replaying that build's patches.
+/// of replaying that build's patches. A change to which settings are
+/// hashed moves every key by itself: an older store then loads but
+/// misses.
 pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
     let mut h = FpHasher::new();
     h.word(0x70a7_c4ad); // domain tag: patch-result entries
@@ -271,25 +273,15 @@ pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
         h.word(u64::from(c.lit.code()));
         h.word(c.weight);
     }
-    // Result-relevant engine knobs. `jobs` and `budget` are excluded on
-    // purpose: jobs never changes results (tests/determinism.rs) and the
-    // memo is only consulted under an unlimited budget. The Debug
-    // renderings of the plain option structs are stable and contain no
-    // addresses.
+    // Result-relevant engine settings. `jobs`, `budget` and `memo` are
+    // excluded on purpose: jobs never changes results
+    // (tests/determinism.rs) and the memo is only consulted under an
+    // unlimited budget. The Debug rendering of the patch kind is stable.
     h.word(u64::from(opts.localization));
     h.str(&format!("{:?}", opts.initial_patch));
     h.word(u64::from(opts.optimize));
-    h.str(&format!("{:?}", opts.optimize_opts));
-    h.word(opts.fraig.sim_words as u64);
-    h.word(opts.fraig.seed);
-    h.word(opts.fraig.max_rounds as u64);
-    h.word(opts.fraig.conflict_budget);
-    h.word(opts.fraig.max_total_conflicts);
-    h.word(opts.synth_budget);
-    h.word(opts.verify_budget);
+    h.word(opts.watch_size as u64);
     h.word(u64::from(opts.precheck_rectifiability));
-    h.word(u64::from(opts.size_optimize));
-    h.str(&format!("{:?}", opts.size_opts));
     h.finish()
 }
 
@@ -359,28 +351,75 @@ pub(crate) mod tests {
         };
         assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
 
-        let mut other = EcoOptions::default();
-        other.fraig.seed ^= 1;
-        assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
+        let others = [
+            EcoOptions {
+                initial_patch: crate::InitialPatchKind::Interpolant,
+                ..Default::default()
+            },
+            EcoOptions {
+                optimize: false,
+                ..Default::default()
+            },
+            EcoOptions {
+                watch_size: 3,
+                ..Default::default()
+            },
+            EcoOptions {
+                precheck_rectifiability: true,
+                ..Default::default()
+            },
+        ];
+        for other in &others {
+            assert_ne!(
+                a,
+                patch_memo_key(&instance("one", &["t"]), other),
+                "{other:?}"
+            );
+        }
 
-        let other = EcoOptions {
-            precheck_rectifiability: true,
+        let limited = EcoOptions {
+            jobs: 3,
+            budget: crate::BudgetOptions {
+                timeout: None,
+                cluster_conflicts: Some(7),
+            },
+            memo: Some(Arc::new(MemoCache::new())),
             ..Default::default()
         };
-        assert_ne!(a, patch_memo_key(&instance("one", &["t"]), &other));
+        assert_eq!(
+            a,
+            patch_memo_key(&instance("one", &["t"]), &limited),
+            "jobs, budget and memo never change a cached result"
+        );
     }
 
-    /// The key of the same instance under default options before the
-    /// canonical base selection changed the engine's patches.
+    /// The key of the same instance under default options is pinned. It
+    /// differs from the key before the canonical base selection changed
+    /// the engine's patches, and from the key of the build that still
+    /// hashed every per-query budget (the patches are the same, so that
+    /// build's stores load but miss).
     #[test]
     fn keys_change_when_results_change() {
-        let before = (
+        let before_selection = (
             0x96af_ea75_5d4e_f1c3_41a8_2311_2258_e30c,
             0x2ff5_421c_21b9_2df6_528c_5969_1fdd_1423,
         );
+        let before_constants = (
+            0xa1e7_4892_fac3_0985_4fc7_c57b_0238_e8c7,
+            0x1d95_650e_570a_0304_9dc7_9efb_dd04_5006,
+        );
         let now = patch_memo_key(&instance("one", &["t"]), &EcoOptions::default());
-        assert_ne!(now.0, before.0);
-        assert_ne!(now.1, before.1);
+        for before in [before_selection, before_constants] {
+            assert_ne!(now.0, before.0);
+            assert_ne!(now.1, before.1);
+        }
+        assert_eq!(
+            now,
+            (
+                0xbfbb_e411_a95b_7cac_811a_0361_3ce6_55d1,
+                0x7abf_28f4_a16a_cd5c_115c_82eb_ca2a_1210,
+            )
+        );
     }
 
     #[test]

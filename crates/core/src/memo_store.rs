@@ -24,7 +24,7 @@ use eco_aig::{parse_aiger_binary, write_aiger_binary};
 
 use crate::engine::{EcoResult, TargetPatch};
 use crate::faultpoint;
-use crate::journal::{read_log, Journal, LogWriter};
+use crate::journal::{read_log, Journal, LogStats, LogWriter};
 use crate::memo::{Entry, MemoCache};
 
 /// Magic prefix of memo snapshot and journal files.
@@ -223,14 +223,20 @@ impl MemoStore {
     /// `memo.load` fault point (injected hit ⇒ treated as corrupt).
     pub fn load_into(&self, cache: &MemoCache) -> MemoLoadStats {
         let mut stats = MemoLoadStats::default();
-        for path in [&self.snap_path, &self.wal_path] {
-            let (records, log) = match read_log(path, &MEMO_MAGIC) {
+        // The journal's open cut its torn tail off; count it here, where
+        // the read would have.
+        for (path, torn) in [
+            (&self.snap_path, LogStats::default()),
+            (&self.wal_path, self.wal.torn()),
+        ] {
+            let (records, mut log) = match read_log(path, &MEMO_MAGIC) {
                 Ok(r) => r,
                 Err(_) => {
                     stats.skipped += 1;
                     continue;
                 }
             };
+            log += torn;
             stats.skipped += log.skipped_frames;
             stats.discarded_bytes += log.discarded_bytes;
             for payload in records {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use eco_aig::{Lit, Var};
 
-use crate::baseselect::{select_base, BaseSelectOptions};
+use crate::baseselect::{select_base, SELECT_CONFLICTS};
 use crate::carediff::on_off_sets;
 use crate::govern::Budget;
 use crate::localize::Cut;
@@ -13,30 +13,16 @@ use crate::patchgen::PatchFn;
 use crate::rebase::{resynthesize, RebaseQuery};
 use crate::Workspace;
 
-/// Knobs for the optimization stage.
-#[derive(Clone, Debug)]
-pub struct OptimizeOptions {
-    /// Base-selection parameters (§6.2).
-    pub base_select: BaseSelectOptions,
-    /// Cap on the candidate pool per query: the current base plus the
-    /// cheapest remaining candidates up to this size.
-    pub max_pool: usize,
-    /// Outer improvement rounds over all targets.
-    pub max_rounds: usize,
-    /// SAT conflict budget for resynthesis queries.
-    pub conflict_budget: u64,
-}
+/// Cap on the candidate pool per query: the current base plus the
+/// cheapest remaining candidates up to this size.
+const MAX_POOL: usize = 32;
 
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        OptimizeOptions {
-            base_select: BaseSelectOptions::default(),
-            max_pool: 32,
-            max_rounds: 2,
-            conflict_budget: 100_000,
-        }
-    }
-}
+/// Outer improvement rounds over all targets.
+const MAX_ROUNDS: usize = 2;
+
+/// SAT conflict budget of the feasibility, minimization and resynthesis
+/// queries.
+const CONFLICT_BUDGET: u64 = 100_000;
 
 /// Statistics from the optimization stage.
 #[derive(Clone, Copy, Debug, Default)]
@@ -101,22 +87,23 @@ pub fn total_cost(ws: &Workspace, patches: &[PatchFn]) -> u64 {
 /// specification is recomputed with every *other* patch substituted, a
 /// [`RebaseQuery`] explores cheaper bases with [`select_base`], and a
 /// strictly cheaper (or equally cheap but smaller) base triggers
-/// interpolation-based resynthesis.
+/// interpolation-based resynthesis. `watch_size` is selection's β.
 ///
-/// The per-query conflict budget is capped by the governor's cluster
-/// allowance, every rebase query is enrolled in the deadline/cancellation
-/// control block, and the stage stops between targets once the deadline
-/// fires. Degrading here is always sound — the incoming patches are
+/// Every query's conflict budget, selection's included, is capped by the
+/// governor's cluster allowance, every rebase query is enrolled in the
+/// deadline/cancellation control block, and the stage stops between
+/// targets once the deadline fires. Degrading here is always sound — the incoming patches are
 /// already correct; optimization only ever swaps them for cheaper
 /// equivalents.
 pub fn optimize_patches(
     ws: &mut Workspace,
     patches: &mut [PatchFn],
-    opts: &OptimizeOptions,
+    watch_size: usize,
     budget: &Budget,
     tel: &crate::Telemetry,
 ) -> OptimizeStats {
-    let conflict_budget = budget.cap(opts.conflict_budget);
+    let conflict_budget = budget.cap(CONFLICT_BUDGET);
+    let select_budget = budget.cap(SELECT_CONFLICTS);
     let ctl = budget.ctl();
     let mut stats = OptimizeStats {
         cost_before: total_cost(ws, patches),
@@ -129,7 +116,7 @@ pub fn optimize_patches(
     // end, so the stage as a whole never regresses the contest metric.
     let mut best: Vec<PatchFn> = patches.to_vec();
     let mut best_total = stats.cost_before;
-    'rounds: for _round in 0..opts.max_rounds {
+    'rounds: for _round in 0..MAX_ROUNDS {
         stats.rounds += 1;
         let mut improved_this_round = false;
         for p in 0..patches.len() {
@@ -191,7 +178,7 @@ pub fn optimize_patches(
             let mut by_weight: Vec<usize> = (0..ws.cands.len()).collect();
             by_weight.sort_by_key(|&i| (ws.cands[i].weight, ws.cands[i].name.clone()));
             for i in by_weight {
-                if pool.len() >= opts.max_pool.max(cur_base.len()) {
+                if pool.len() >= MAX_POOL.max(cur_base.len()) {
                     break;
                 }
                 if !pool.contains(&i) {
@@ -200,9 +187,7 @@ pub fn optimize_patches(
             }
 
             let mut q = RebaseQuery::new(ws, onoff.on, onoff.off, pool.clone());
-            if !ctl.is_unlimited() {
-                q.set_ctl(&ctl);
-            }
+            q.set_ctl(&ctl);
             let initial: Vec<usize> = cur_base
                 .iter()
                 .map(|c| pool.iter().position(|x| x == c).expect("base in pool"))
@@ -216,9 +201,9 @@ pub fn optimize_patches(
             // full current base when minimization dropped something. The
             // lower (cost, size) wins; ties go to the minimized start.
             let minimized = minimize_base(ws, &mut q, &initial, conflict_budget);
-            let mut sel = select_base(ws, &mut q, &minimized, &opts.base_select);
+            let mut sel = select_base(ws, &mut q, &minimized, watch_size, select_budget);
             if minimized.len() < initial.len() {
-                let full = select_base(ws, &mut q, &initial, &opts.base_select);
+                let full = select_base(ws, &mut q, &initial, watch_size, select_budget);
                 if (full.cost, full.base.len()) < (sel.cost, sel.base.len()) {
                     sel = full;
                 }
@@ -270,7 +255,9 @@ pub fn optimize_patches(
 mod tests {
     use super::*;
     use crate::localize::TapMap;
-    use crate::{cluster_targets, generate_group_patches, ConflictMeter, EcoInstance};
+    use crate::{
+        cluster_targets, generate_group_patches, ConflictMeter, EcoInstance, InitialPatchKind,
+    };
     use eco_netlist::{parse_verilog, WeightTable};
 
     /// The needed function a&b exists as cheap net `w`; PIs are expensive.
@@ -297,7 +284,7 @@ mod tests {
             &mut ws,
             &tap,
             &clustering.clusters[0],
-            &crate::PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -307,7 +294,7 @@ mod tests {
         let stats = optimize_patches(
             &mut ws,
             &mut patches,
-            &OptimizeOptions::default(),
+            5,
             &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
@@ -321,6 +308,51 @@ mod tests {
             let vals: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(mgr.eval(&vals)[0], vals[0] && vals[1]);
         }
+    }
+
+    /// Base selection runs under the governor's cap like every other
+    /// query of the stage: with a one-conflict allowance, no rebase solve
+    /// — selection's feasibility and enumeration solves included — is
+    /// given more than one conflict. (unit11 is the suite unit whose
+    /// selection still runs under that allowance.)
+    #[test]
+    fn selection_queries_run_under_the_conflict_cap() {
+        let unit = eco_workgen::contest_suite()
+            .into_iter()
+            .find(|u| u.spec.name == "unit11")
+            .expect("unit11");
+        let inst = EcoInstance::from_netlists(
+            unit.spec.name.clone(),
+            &unit.faulty,
+            &unit.golden,
+            unit.targets.clone(),
+            &unit.weights,
+        )
+        .expect("valid instance");
+        let mut ws = Workspace::new(&inst);
+        let mut patches = Vec::new();
+        for cluster in &cluster_targets(&ws).clusters {
+            let group = generate_group_patches(
+                &mut ws,
+                &TapMap::empty(),
+                cluster,
+                InitialPatchKind::OnSet,
+                &Budget::unlimited(),
+                &mut ConflictMeter::unlimited(),
+                &crate::Telemetry::new(),
+            )
+            .expect("unlimited budget never degrades");
+            patches.extend(group.patches);
+        }
+        let budget = Budget::new(&crate::BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(1),
+        });
+        let tel = crate::Telemetry::new();
+        crate::rebase::tests::take_max_budget();
+        optimize_patches(&mut ws, &mut patches, 5, &budget, &tel);
+        assert!(tel.snapshot().select.probes > 0, "selection ran");
+        assert_eq!(crate::rebase::tests::take_max_budget(), 1);
     }
 
     /// A target whose on-set is empty gets a constant patch.
@@ -349,7 +381,7 @@ mod tests {
             &mut ws,
             &tap,
             &clustering.clusters[0],
-            &crate::PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -359,7 +391,7 @@ mod tests {
         let stats = optimize_patches(
             &mut ws,
             &mut patches,
-            &OptimizeOptions::default(),
+            5,
             &Budget::unlimited(),
             &crate::Telemetry::new(),
         );

@@ -12,33 +12,18 @@ use crate::localize::{Cut, TapMap};
 use crate::synth::{synthesize_patch, InitialPatchKind, SynthOutcome};
 use crate::{EcoError, TargetCluster, Workspace};
 
-/// Knobs for one `DependentPatchGen` run.
-#[derive(Clone, Copy, Debug)]
-pub struct PatchGenOptions {
-    /// How patch functions are realized from on/off sets (§4.3).
-    pub kind: InitialPatchKind,
-    /// SAT conflict budget for interpolation queries.
-    pub conflict_budget: u64,
-    /// Escape hatch against structural blow-up: when the on/off cone of a
-    /// target exceeds this many AND gates, interpolation is attempted even
-    /// in on-set/off-set mode (a successful interpolant is a fresh small
-    /// circuit, so the Alg.-1 substitution chain stops compounding; on
-    /// failure the on-set is still taken). Chained on-set patches grow
-    /// multiplicatively with the target count — the very blow-up the
-    /// paper's localization tames — so without this cap an unlocalized
-    /// 8-target run can exhaust memory.
-    pub auto_interp_threshold: usize,
-}
+/// SAT conflict budget of each interpolation query.
+const SYNTH_CONFLICTS: u64 = 1 << 22;
 
-impl Default for PatchGenOptions {
-    fn default() -> Self {
-        PatchGenOptions {
-            kind: InitialPatchKind::OnSet,
-            conflict_budget: 1 << 22,
-            auto_interp_threshold: 1500,
-        }
-    }
-}
+/// Escape hatch against structural blow-up: when the on/off cone of a
+/// target exceeds this many AND gates, interpolation is attempted even in
+/// on-set/off-set mode (a successful interpolant is a fresh small
+/// circuit, so the Alg.-1 substitution chain stops compounding; on
+/// failure the on-set is still taken). Chained on-set patches grow
+/// multiplicatively with the target count — the very blow-up the paper's
+/// localization tames — so without this cap an unlocalized 8-target run
+/// can exhaust memory.
+const AUTO_INTERP_THRESHOLD: usize = 1500;
 
 /// One finished (target-variable-free) patch function.
 #[derive(Clone, Debug)]
@@ -63,7 +48,8 @@ pub struct GroupPatches {
     pub interpolated: usize,
 }
 
-/// Runs `DependentPatchGen` on one cluster.
+/// Runs `DependentPatchGen` on one cluster, realizing each patch
+/// function as `kind` (§4.3).
 ///
 /// Phase 1 walks the targets in order, deriving `p'_k(C_d, T_k)` from the
 /// on/off sets of Eqs. (7)/(8) in the *current* circuit (earlier targets
@@ -80,16 +66,11 @@ pub fn generate_group_patches(
     ws: &mut Workspace,
     tap: &TapMap,
     cluster: &TargetCluster,
-    opts: &PatchGenOptions,
+    kind: InitialPatchKind,
     budget: &Budget,
     meter: &mut ConflictMeter,
     tel: &crate::Telemetry,
 ) -> Result<GroupPatches, ClusterDiagnosis> {
-    let PatchGenOptions {
-        kind,
-        conflict_budget,
-        auto_interp_threshold,
-    } = *opts;
     let mut f_cur: Vec<Lit> = cluster.outputs.iter().map(|&j| ws.f_outs[j]).collect();
     let g_cur: Vec<Lit> = cluster.outputs.iter().map(|&j| ws.g_outs[j]).collect();
 
@@ -109,7 +90,7 @@ pub fn generate_group_patches(
         let onoff = on_off_sets(&mut ws.mgr, &f_cur, &g_cur, t);
         let cut = Cut::frontier(ws, tap, &[onoff.on, onoff.off]);
         let effective_kind = if kind == InitialPatchKind::Interpolant
-            || ws.mgr.count_cone_ands(&[onoff.on, onoff.off]) > auto_interp_threshold
+            || ws.mgr.count_cone_ands(&[onoff.on, onoff.off]) > AUTO_INTERP_THRESHOLD
         {
             InitialPatchKind::Interpolant
         } else {
@@ -121,7 +102,7 @@ pub fn generate_group_patches(
             onoff,
             &cut,
             effective_kind,
-            conflict_budget,
+            SYNTH_CONFLICTS,
             &ctl,
             meter,
             tel,
@@ -141,7 +122,7 @@ pub fn generate_group_patches(
                 exact,
                 &exact_cut,
                 InitialPatchKind::Interpolant,
-                conflict_budget,
+                SYNTH_CONFLICTS,
                 &ctl,
                 meter,
                 tel,
@@ -325,7 +306,7 @@ mod tests {
             &mut ws,
             &TapMap::empty(),
             &clustering.clusters[0],
-            &PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -343,10 +324,7 @@ mod tests {
             &mut ws,
             &TapMap::empty(),
             &clustering.clusters[0],
-            &PatchGenOptions {
-                kind: InitialPatchKind::Interpolant,
-                ..Default::default()
-            },
+            InitialPatchKind::Interpolant,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -363,7 +341,7 @@ mod tests {
             &mut ws,
             &TapMap::empty(),
             &clustering.clusters[0],
-            &PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -385,7 +363,7 @@ mod tests {
             &mut ws,
             &TapMap::empty(),
             &clustering.clusters[0],
-            &PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),

@@ -150,9 +150,15 @@ impl RebaseQuery {
     /// `None` = budget exhausted.
     pub fn feasible(&mut self, base: &[usize], conflict_budget: u64) -> Option<bool> {
         let assumptions: Vec<SLit> = base.iter().map(|&i| self.sel[i]).collect();
-        self.solver
-            .solve_limited(&assumptions, conflict_budget)
-            .map(|sat| !sat)
+        self.solve(&assumptions, conflict_budget).map(|sat| !sat)
+    }
+
+    /// Every feasibility and enumeration solve of the query: `Some(sat)`,
+    /// or `None` once `conflict_budget` or the control block stops it.
+    pub(crate) fn solve(&mut self, assumptions: &[SLit], conflict_budget: u64) -> Option<bool> {
+        #[cfg(test)]
+        tests::note_solve(conflict_budget);
+        self.solver.solve_limited(assumptions, conflict_budget)
     }
 
     pub(crate) fn solver_mut(&mut self) -> &mut Solver {
@@ -181,7 +187,7 @@ impl RebaseQuery {
 /// (the reference \[12\]-style dependency network): returns the patch as a
 /// literal over the base candidates' driving signals, or `None` if the
 /// base is infeasible, the budget runs out, or `ctl` fires. The
-/// interpolation solver is enrolled in `ctl` unless it is unlimited.
+/// interpolation solver is enrolled in `ctl`.
 pub fn resynthesize(
     ws: &mut Workspace,
     on: ALit,
@@ -192,9 +198,7 @@ pub fn resynthesize(
     tel: &crate::Telemetry,
 ) -> Option<ALit> {
     let mut q = ItpSolver::new();
-    if !ctl.is_unlimited() {
-        q.set_ctl(ctl.clone());
-    }
+    q.set_ctl(ctl.clone());
     let ys: Vec<SLit> = base.iter().map(|_| q.new_var().pos()).collect();
     let cand_lits: Vec<ALit> = base.iter().map(|&i| ws.cands[i].lit).collect();
 
@@ -246,11 +250,27 @@ pub fn resynthesize(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::carediff::on_off_sets;
     use crate::EcoInstance;
     use eco_netlist::{parse_verilog, WeightTable};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The largest conflict budget a [`RebaseQuery::solve`] on this
+        /// thread ran under since the last [`take_max_budget`].
+        static MAX_BUDGET: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_solve(conflict_budget: u64) {
+        MAX_BUDGET.with(|m| m.set(m.get().max(conflict_budget)));
+    }
+
+    /// Returns and clears this thread's largest rebase solve budget.
+    pub(crate) fn take_max_budget() -> u64 {
+        MAX_BUDGET.with(|m| m.replace(0))
+    }
 
     /// F: y = t ^ c with an existing net `w = a & b`; G: y = (a&b) ^ c.
     /// The spec for t is on = a&b. Base {w} must be feasible; base {a}

@@ -27,28 +27,16 @@ use crate::localize::Cut;
 use crate::patchgen::PatchFn;
 use crate::Workspace;
 
-/// Knobs for the size-reduction pass.
-#[derive(Clone, Copy, Debug)]
-pub struct SizeOptOptions {
-    /// Cap on replacement trials per patch.
-    pub max_trials: usize,
-    /// SAT conflict budget per validity check.
-    pub conflict_budget: u64,
-    /// Skip patches whose cone exceeds this many AND gates (each accepted
-    /// replacement restarts the node scan, so very large cones would make
-    /// the pass quadratic).
-    pub max_cone: usize,
-}
+/// Cap on replacement trials per patch.
+const MAX_TRIALS: usize = 128;
 
-impl Default for SizeOptOptions {
-    fn default() -> Self {
-        SizeOptOptions {
-            max_trials: 128,
-            conflict_budget: 50_000,
-            max_cone: 400,
-        }
-    }
-}
+/// SAT conflict budget per validity check.
+const CONFLICT_BUDGET: u64 = 50_000;
+
+/// Patches whose cone exceeds this many AND gates are skipped: each
+/// accepted replacement restarts the node scan, so very large cones would
+/// make the pass quadratic.
+const MAX_CONE: usize = 400;
 
 /// Statistics from one size-reduction run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -77,9 +65,7 @@ impl IntervalChecker {
     /// stays usable by later trials.
     fn new(ctl: &SolveCtl) -> Self {
         let mut solver = Solver::new();
-        if !ctl.is_unlimited() {
-            solver.set_ctl(ctl);
-        }
+        solver.set_ctl(ctl);
         IntervalChecker {
             solver,
             map: HashMap::new(),
@@ -129,11 +115,10 @@ impl IntervalChecker {
 pub fn reduce_patch_sizes(
     ws: &mut Workspace,
     patches: &mut [PatchFn],
-    opts: &SizeOptOptions,
     budget: &Budget,
     tel: &crate::Telemetry,
 ) -> SizeOptStats {
-    let conflict_budget = budget.cap(opts.conflict_budget);
+    let conflict_budget = budget.cap(CONFLICT_BUDGET);
     let ctl = budget.ctl();
     let mut stats = SizeOptStats::default();
     for p in 0..patches.len() {
@@ -141,7 +126,7 @@ pub fn reduce_patch_sizes(
         let cone_size = |ws: &Workspace, lit: Lit| ws.mgr.count_cone_ands_to_cut(&[lit], &frontier);
         let size = cone_size(ws, patches[p].lit);
         stats.size_before += size;
-        if budget.expired() || size > opts.max_cone {
+        if budget.expired() || size > MAX_CONE {
             // Untouched cones count on both sides so before/after stay
             // comparable; an oversized cone never gets a specification.
             stats.size_after += size;
@@ -163,7 +148,7 @@ pub fn reduce_patch_sizes(
 
         // Built at the first check that needs a solver.
         let mut checker: Option<IntervalChecker> = None;
-        let mut trials_left = opts.max_trials;
+        let mut trials_left = MAX_TRIALS;
         let mut improved = true;
         while improved && trials_left > 0 {
             improved = false;
@@ -288,7 +273,7 @@ mod tests {
     use super::*;
     use crate::localize::{Cut, TapMap};
     use crate::{
-        cluster_targets, generate_group_patches, ConflictMeter, EcoInstance, PatchGenOptions,
+        cluster_targets, generate_group_patches, ConflictMeter, EcoInstance, InitialPatchKind,
     };
     use eco_netlist::{parse_verilog, WeightTable};
 
@@ -323,7 +308,7 @@ mod tests {
             &mut ws,
             &tap,
             &clustering.clusters[0],
-            &PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -333,7 +318,6 @@ mod tests {
         let stats = reduce_patch_sizes(
             &mut ws,
             &mut patches,
-            &SizeOptOptions::default(),
             &Budget::unlimited(),
             &crate::Telemetry::new(),
         );
@@ -371,7 +355,7 @@ mod tests {
             &mut ws,
             &tap,
             &clustering.clusters[0],
-            &PatchGenOptions::default(),
+            InitialPatchKind::OnSet,
             &Budget::unlimited(),
             &mut ConflictMeter::unlimited(),
             &crate::Telemetry::new(),
@@ -382,7 +366,6 @@ mod tests {
         let stats = reduce_patch_sizes(
             &mut ws,
             &mut patches,
-            &SizeOptOptions::default(),
             &Budget::unlimited(),
             &crate::Telemetry::new(),
         );

@@ -147,9 +147,7 @@ fn try_interpolate(
     tel: &crate::Telemetry,
 ) -> ItpAttempt {
     let mut q = ItpSolver::new();
-    if !ctl.is_unlimited() {
-        q.set_ctl(ctl.clone());
-    }
+    q.set_ctl(ctl.clone());
 
     // Shared variables: one per cut signal, one per frontier target.
     let sig_sat: Vec<SLit> = cut.signals.iter().map(|_| q.new_var().pos()).collect();

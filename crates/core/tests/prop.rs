@@ -4,10 +4,7 @@
 
 //! Property-based tests for the §6 optimization machinery.
 
-use eco_core::{
-    enumerate_cex, on_off_sets, select_base, BaseSelectOptions, EcoInstance, OptimizeOptions,
-    RebaseQuery, Workspace,
-};
+use eco_core::{enumerate_cex, on_off_sets, select_base, EcoInstance, RebaseQuery, Workspace};
 use eco_netlist::elaborate;
 use proptest::prelude::*;
 
@@ -97,12 +94,7 @@ proptest! {
         prop_assume!(q.feasible(&full, 100_000) == Some(true));
         let initial_cost: u64 = full.iter().map(|&i| ws.cands[pool[i]].weight).sum();
 
-        let opts = BaseSelectOptions {
-            watch_size: 3,
-            max_rounds: 3,
-            ..Default::default()
-        };
-        let sel = select_base(&ws, &mut q, &full, &opts);
+        let sel = select_base(&ws, &mut q, &full, 3, 50_000);
         prop_assert!(sel.cost <= initial_cost);
         prop_assert_eq!(q.feasible(&sel.base, 200_000), Some(true));
         let recomputed: u64 = sel.base.iter().map(|&i| ws.cands[pool[i]].weight).sum();
@@ -146,7 +138,7 @@ proptest! {
                     &mut ws,
                     &tap,
                     cluster,
-                    &eco_core::PatchGenOptions::default(),
+                    eco_core::InitialPatchKind::OnSet,
                     &eco_core::Budget::unlimited(),
                     &mut eco_core::ConflictMeter::unlimited(),
                     &eco_core::Telemetry::new(),
@@ -159,7 +151,7 @@ proptest! {
         let stats = eco_core::optimize_patches(
             &mut ws,
             &mut patches,
-            &OptimizeOptions::default(),
+            5,
             &eco_core::Budget::unlimited(),
             &eco_core::Telemetry::new(),
         );

@@ -263,9 +263,7 @@ fn sat_sweep(
     // One incremental solver over the whole cone, enrolled in the
     // governor's control block (a no-op when unlimited).
     let mut solver = Solver::new();
-    if !opts.ctl.is_unlimited() {
-        solver.set_ctl(&opts.ctl);
-    }
+    solver.set_ctl(&opts.ctl);
     let mut map: HashMap<AVar, SLit> = HashMap::new();
     encode_cone(aig, roots, &mut map, &mut solver);
     if !map.contains_key(&AVar::CONST) {

@@ -46,11 +46,6 @@ impl SolveCtl {
         Self::default()
     }
 
-    /// True when neither a deadline nor a cancellation flag is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// True once the deadline has passed or the cancellation flag is set.
     pub fn expired(&self) -> bool {
         self.cancel

@@ -269,12 +269,9 @@ impl SeqEcoEngine {
             let folded = fold_patch(&comb.patch_aig, &chosen)?;
             let patched = self.faulty.splice(&folded)?;
             let (mut miter, pairs) = unroll_miter(&patched, &self.golden, k)?;
-            let (outcome, _) = check_equivalence(
-                &mut miter,
-                &pairs,
-                self.options.eco.verify_budget,
-                &budget.ctl(),
-            );
+            // No conflict cap: only the governor's deadline stops the
+            // re-proof.
+            let (outcome, _) = check_equivalence(&mut miter, &pairs, u64::MAX, &budget.ctl());
             match outcome {
                 VerifyOutcome::Equivalent => {
                     let cost = (0..folded.num_inputs())

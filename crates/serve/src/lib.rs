@@ -16,8 +16,8 @@
 //! * [`proto`] — the JSONL wire protocol (`run` / `ping` / `stats` /
 //!   `shutdown`) with typed refusals (`busy`, `draining`,
 //!   `bad-request`).
-//! * [`server`] — admission control over an
-//!   [`eco_batch::BoundedQueue`], per-request [`eco_core::Budget`]
+//! * [`server`] — admission control over a bounded queue that sheds
+//!   overflow with `busy`, per-request [`eco_core::Budget`]
 //!   apportionment, per-connection response sequencing (responses in
 //!   request order ⇒ byte-identical streams for any worker count),
 //!   graceful drain, and crash safety: with
@@ -48,6 +48,7 @@
 
 pub mod client;
 pub mod proto;
+mod queue;
 pub mod server;
 #[cfg(unix)]
 pub mod signal;

@@ -34,7 +34,7 @@
 //!   response was written before the daemon exits.
 //! * **Panic containment** — a panicking job becomes one `error`-status
 //!   run response; the worker thread survives. Combined with the
-//!   poison-recovering locks in [`eco_batch::executor`] and
+//!   poison-recovering locks of the queue, the sequencer and
 //!   `eco_core::memo`, no single poisoned request can abort the daemon.
 
 use std::collections::BTreeMap;
@@ -43,19 +43,18 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eco_aig::FpHasher;
-use eco_batch::{
-    execute_job, load_job_instance, BoundedQueue, JobRecord, JobSpec, JobStatus, PushError,
-};
+use eco_batch::{execute_job, load_job_instance, JobRecord, JobSpec, JobStatus};
 use eco_core::{
-    faultpoint, render_counters, Budget, BudgetOptions, EcoOptions, Journal, JsonObj, MemoCache,
-    MemoStats, StateDir, QUARANTINE_AFTER, REQUESTS_WAL,
+    faultpoint, render_counters, resolve_workers, Budget, BudgetOptions, EcoOptions, Journal,
+    JsonObj, MemoCache, MemoStats, StateDir, QUARANTINE_AFTER, REQUESTS_WAL,
 };
 
 use crate::proto::{self, Request};
+use crate::queue::{lock_recovering, BoundedQueue, PushError};
 use eco_batch::json;
 
 /// How often blocked unix-socket reads and the accept loop re-check the
@@ -76,9 +75,6 @@ pub struct ServeOptions {
     /// conflict allowance via [`Budget::child`]. Leave unlimited for the
     /// memo cache to be consulted (governed runs bypass it).
     pub request_budget: BudgetOptions,
-    /// Base engine options for every request (`jobs` and `memo` are
-    /// overridden per job, as in the batch runner).
-    pub eco: EcoOptions,
     /// Durable state directory (memo snapshot + journal, request WAL).
     /// `None` = in-memory only, the pre-durability behavior.
     pub state_dir: Option<PathBuf>,
@@ -188,13 +184,6 @@ pub fn request_fingerprint(line: &str) -> u128 {
     h.finish().0
 }
 
-/// Locks a mutex, recovering from poisoning — same policy as the
-/// executor: the sequencer state is a plain map valid at every unwind
-/// point, so a panicking sibling must not abort the connection.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Per-connection response sequencer. Workers finish in any order, but
 /// responses are written strictly in request (sequence) order: an
 /// out-of-order response parks in `pending` until its predecessors
@@ -277,13 +266,7 @@ impl Server {
     /// serving (counted in `persist_errors`, the error kept in
     /// [`Server::state_error`]) — availability over durability.
     pub fn new(opts: ServeOptions) -> Self {
-        let workers = if opts.workers != 0 {
-            opts.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
+        let workers = resolve_workers(opts.workers);
         let cache = Arc::new(MemoCache::new());
         let state = opts
             .state_dir
@@ -466,7 +449,13 @@ impl Server {
             #[cfg(test)]
             test_panic_injection(spec);
             let source = load_job_instance(spec);
-            execute_job(&spec.name, &source, &self.opts.eco, &budget, &self.cache)
+            execute_job(
+                &spec.name,
+                &source,
+                &EcoOptions::default(),
+                &budget,
+                &self.cache,
+            )
         }))
         .unwrap_or_else(|_| JobRecord {
             pass: 0,
@@ -1144,6 +1133,41 @@ mod tests {
         let line = String::from_utf8(out).unwrap();
         assert!(line.contains("\"error\": \"quarantined\""), "{line}");
         assert!(line.contains("\"id\": \"k\""), "{line}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Attempts journaled after a torn `requests.wal` tail still count:
+    /// each open cuts the tear off first, so the attempt records land
+    /// where the resume reads, and quarantine triggers.
+    #[test]
+    fn attempts_after_a_torn_tail_still_quarantine() {
+        let dir = case_dir("torn_quarantine");
+        let state_dir = dir.join("state");
+        let killer = r#"{"op": "run", "id": "k", "job": {"name": "killer", "faulty": "f.v", "golden": "g.v"}}"#;
+        let fp = request_fingerprint(killer);
+        REQUESTS_WAL.open(&state_dir).unwrap().admit(fp, killer);
+        // A kill mid-append: half a frame header after the admit.
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(state_dir.join(REQUESTS_WAL.name))
+            .unwrap();
+        wal.write_all(&[0x7f; 5]).unwrap();
+        drop(wal);
+        for _ in 0..QUARANTINE_AFTER {
+            // Each resume that died mid-attempt opened the journal anew.
+            REQUESTS_WAL.open(&state_dir).unwrap().attempt(fp);
+        }
+        let server = Server::new(ServeOptions {
+            workers: 1,
+            state_dir: Some(state_dir),
+            ..ServeOptions::default()
+        });
+        let mut out = Vec::new();
+        let report = server.resume_from_journal(&mut out).unwrap();
+        assert_eq!((report.quarantined, report.recomputed), (1, 0));
+        assert_eq!(report.journal_records, 1 + u64::from(QUARANTINE_AFTER));
+        let line = String::from_utf8(out).unwrap();
+        assert!(line.contains("\"error\": \"quarantined\""), "{line}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

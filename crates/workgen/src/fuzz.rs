@@ -40,54 +40,34 @@ use eco_sat::SolveCtl;
 use crate::campaign::{fail, Campaign, Corpus, Failure, Outcome, Shrinker, Stats};
 use crate::fault::{assign_weights, cut_targets, scramble_dangling, WeightProfile};
 
-/// Generator knobs. The defaults are the shipped fuzzing config: small
-/// circuits (shrunk cases stay readable) with every nasty shape enabled.
-#[derive(Clone, Copy, Debug)]
-pub struct FuzzConfig {
-    /// Minimum primary inputs of the golden circuit.
-    pub min_inputs: usize,
-    /// Maximum primary inputs.
-    pub max_inputs: usize,
-    /// Maximum internal gates (minimum is 1).
-    pub max_gates: usize,
-    /// Maximum primary outputs (minimum is 1).
-    pub max_outputs: usize,
-    /// Maximum rectification targets (minimum is 1).
-    pub max_targets: usize,
-    /// Probability that a gate fanin is a `1'b0`/`1'b1` constant
-    /// (constant cones stress folding in every layer).
-    pub p_const_fanin: f64,
-    /// Probability that a target is allowed to be a *dead* wire (one that
-    /// reaches no output) — the engine must patch it with a constant.
-    pub p_dead_target: f64,
-    /// Probability that dangling logic is scrambled after the cut.
-    pub p_scramble: f64,
-    /// Probability of a degenerate weight table (zero weights, near-`u64`
-    /// huge weights) instead of a sane profile.
-    pub p_degenerate_weights: f64,
-    /// 64-bit words per input for the random-simulation cross-check.
-    pub sim_words: usize,
-    /// SAT conflict budget for the independent oracle miter.
-    pub oracle_budget: u64,
-}
+// Generator and oracle constants: small circuits (shrunk cases stay
+// readable) with every nasty shape enabled.
 
-impl Default for FuzzConfig {
-    fn default() -> Self {
-        FuzzConfig {
-            min_inputs: 2,
-            max_inputs: 8,
-            max_gates: 40,
-            max_outputs: 4,
-            max_targets: 3,
-            p_const_fanin: 0.08,
-            p_dead_target: 0.15,
-            p_scramble: 0.5,
-            p_degenerate_weights: 0.2,
-            sim_words: 4,
-            oracle_budget: 1 << 20,
-        }
-    }
-}
+/// Minimum primary inputs of the golden circuit.
+const MIN_INPUTS: u64 = 2;
+/// Maximum primary inputs.
+const MAX_INPUTS: u64 = 8;
+/// Maximum internal gates (minimum is 1).
+const MAX_GATES: u64 = 40;
+/// Maximum primary outputs (minimum is 1).
+const MAX_OUTPUTS: u64 = 4;
+/// Maximum rectification targets (minimum is 1).
+const MAX_TARGETS: u64 = 3;
+/// Probability that a gate fanin is a `1'b0`/`1'b1` constant (constant
+/// cones stress folding in every layer).
+const P_CONST_FANIN: f64 = 0.08;
+/// Probability that a target is allowed to be a *dead* wire (one that
+/// reaches no output) — the engine must patch it with a constant.
+const P_DEAD_TARGET: f64 = 0.15;
+/// Probability that dangling logic is scrambled after the cut.
+const P_SCRAMBLE: f64 = 0.5;
+/// Probability of a degenerate weight table (zero weights, near-`u64`
+/// huge weights) instead of a sane profile.
+const P_DEGENERATE_WEIGHTS: f64 = 0.2;
+/// 64-bit words per input for the random-simulation cross-check.
+const SIM_WORDS: usize = 4;
+/// SAT conflict budget for the independent oracle miter.
+const ORACLE_BUDGET: u64 = 1 << 20;
 
 /// One generated (or deserialized) differential test case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,11 +127,11 @@ impl fmt::Display for FailStage {
 
 /// Generates one case. Returns `None` when the seed produces a circuit
 /// with no cuttable target (rare; callers just advance the seed).
-pub fn gen_case(seed: u64, cfg: &FuzzConfig) -> Option<FuzzCase> {
+pub fn gen_case(seed: u64) -> Option<FuzzCase> {
     let mut rng = SplitMix64::new(seed ^ 0x6c62_7f4b_2b7e_151d);
-    let n_inputs = rng.range_inclusive(cfg.min_inputs as u64, cfg.max_inputs as u64) as usize;
-    let n_gates = rng.range_inclusive(1, cfg.max_gates as u64) as usize;
-    let n_outputs = rng.range_inclusive(1, cfg.max_outputs as u64) as usize;
+    let n_inputs = rng.range_inclusive(MIN_INPUTS, MAX_INPUTS) as usize;
+    let n_gates = rng.range_inclusive(1, MAX_GATES) as usize;
+    let n_outputs = rng.range_inclusive(1, MAX_OUTPUTS) as usize;
 
     let mut golden = Netlist::new(format!("fz{seed:x}"));
     let mut nets: Vec<String> = Vec::new();
@@ -179,7 +159,7 @@ pub fn gen_case(seed: u64, cfg: &FuzzConfig) -> Option<FuzzCase> {
         // Bias fanins toward recent nets for depth; sprinkle constants.
         let mut inputs = Vec::with_capacity(arity);
         for _ in 0..arity {
-            if rng.chance(cfg.p_const_fanin) {
+            if rng.chance(P_CONST_FANIN) {
                 inputs.push(NetRef::Const(rng.chance(0.5)));
             } else {
                 let lo = nets.len().saturating_sub(16);
@@ -212,7 +192,7 @@ pub fn gen_case(seed: u64, cfg: &FuzzConfig) -> Option<FuzzCase> {
 
     // Target pool: driven wires, optionally restricted to live ones.
     let live = live_nets(&golden);
-    let allow_dead = rng.chance(cfg.p_dead_target);
+    let allow_dead = rng.chance(P_DEAD_TARGET);
     let pool: Vec<&String> = golden
         .wires
         .iter()
@@ -221,7 +201,7 @@ pub fn gen_case(seed: u64, cfg: &FuzzConfig) -> Option<FuzzCase> {
     if pool.is_empty() {
         return None;
     }
-    let n_targets = (rng.range_inclusive(1, cfg.max_targets as u64) as usize).min(pool.len());
+    let n_targets = (rng.range_inclusive(1, MAX_TARGETS) as usize).min(pool.len());
     // Cluster bias: draw from a window so multi-target cases share cones.
     let start = rng.index(pool.len());
     let mut targets: Vec<String> = Vec::new();
@@ -239,11 +219,11 @@ pub fn gen_case(seed: u64, cfg: &FuzzConfig) -> Option<FuzzCase> {
     targets.sort();
 
     let mut faulty = cut_targets(&golden, &targets).ok()?;
-    if rng.chance(cfg.p_scramble) {
+    if rng.chance(P_SCRAMBLE) {
         let _ = scramble_dangling(&mut faulty, rng.next_u64());
     }
 
-    let weights = if rng.chance(cfg.p_degenerate_weights) {
+    let weights = if rng.chance(P_DEGENERATE_WEIGHTS) {
         // Degenerate: zero-cost nets next to astronomically expensive ones.
         let mut t = WeightTable::new(1);
         for net in faulty.declared_nets() {
@@ -296,7 +276,7 @@ fn live_nets(netlist: &Netlist) -> HashSet<String> {
 
 /// Drives the full pipeline on `case` and checks the result with the
 /// independent oracle. See the module docs for the stage list.
-pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
+pub fn run_case(case: &FuzzCase) -> Outcome {
     // 1. Validated instance — valid by construction, any rejection is a bug.
     let inst = match EcoInstance::from_netlists(
         format!("fuzz{:x}", case.seed),
@@ -317,14 +297,14 @@ pub fn run_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
         Err(e) => return fail(FailStage::Engine, e.to_string()),
     };
 
-    oracle_check(case, &result.patch_aig, cfg)
+    oracle_check(case, &result.patch_aig)
 }
 
 /// The independent oracle (stages 3–8 of [`run_case`]): splices
 /// `patch_aig` into the faulty netlist, round-trips it through the
 /// Verilog writer and parser, and proves it equivalent to the golden
 /// circuit with a fresh SAT miter plus a random-simulation cross-check.
-fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> Outcome {
+fn oracle_check(case: &FuzzCase, patch_aig: &Aig) -> Outcome {
     // 3. Assembly: splice the patch into the faulty netlist.
     let patched_nl = match splice_patch(&case.faulty, patch_aig) {
         Ok(n) => n,
@@ -385,7 +365,7 @@ fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> Outcome {
             None => return fail(FailStage::Miter, format!("patched lost output `{name}`")),
         }
     }
-    match check_equivalence(&mut m, &pairs, cfg.oracle_budget, &SolveCtl::unlimited()).0 {
+    match check_equivalence(&mut m, &pairs, ORACLE_BUDGET, &SolveCtl::unlimited()).0 {
         VerifyOutcome::Equivalent => {}
         VerifyOutcome::Counterexample(cex) => {
             let s: Vec<String> = cex
@@ -400,7 +380,7 @@ fn oracle_check(case: &FuzzCase, patch_aig: &Aig, cfg: &FuzzConfig) -> Outcome {
 
     // 8. Independent 64-bit random-simulation cross-check on the same
     //    fresh manager (different decision procedure than the SAT miter).
-    let sim = m.simulate_random(cfg.sim_words.max(1), case.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let sim = m.simulate_random(SIM_WORDS, case.seed ^ 0x9e37_79b9_7f4a_7c15);
     for ((name, g), (_, p)) in g_outs.iter().zip(&p_outs) {
         if sim.lit_words(*p) != sim.lit_words(*g) {
             return fail(
@@ -435,7 +415,7 @@ pub fn budget_for_seed(seed: u64) -> BudgetOptions {
 /// oracle applies) or degrade (then the partial result must be
 /// well-formed) — but it must never panic, hang, or emit a malformed
 /// netlist.
-pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
+pub fn run_budget_case(case: &FuzzCase) -> Outcome {
     let inst = match EcoInstance::from_netlists(
         format!("bfuzz{:x}", case.seed),
         &case.faulty,
@@ -469,7 +449,7 @@ pub fn run_budget_case(case: &FuzzCase, cfg: &FuzzConfig) -> Outcome {
     match outcome {
         // A completed governed run claims full verification, so the
         // independent oracle must agree exactly as in the unbudgeted mode.
-        Ok(EcoOutcome::Complete(result)) => oracle_check(case, &result.patch_aig, cfg),
+        Ok(EcoOutcome::Complete(result)) => oracle_check(case, &result.patch_aig),
         Ok(EcoOutcome::Partial(partial)) => check_partial(case, &partial),
         // Cases are rectifiable by construction and governed runs report
         // budget exhaustion as `Partial`, so any engine error is a bug.
@@ -542,17 +522,12 @@ fn check_partial(case: &FuzzCase, partial: &PartialResult) -> Outcome {
 /// accepting each reduction iff the oracle still fails at the *same
 /// stage*. Returns the reduced case; `stats` accumulates attempted and
 /// accepted steps.
-pub fn shrink_case(
-    case: &FuzzCase,
-    failure: &Failure,
-    cfg: &FuzzConfig,
-    stats: &mut Stats,
-) -> (FuzzCase, Failure) {
+pub fn shrink_case(case: &FuzzCase, failure: &Failure, stats: &mut Stats) -> (FuzzCase, Failure) {
     let mut best = case.clone();
     let mut best_fail = failure.clone();
     let still_fails = |c: &FuzzCase, at: &str, stats: &mut Stats| -> Option<Failure> {
         stats.shrink_steps += 1;
-        match run_case(c, cfg) {
+        match run_case(c) {
             Outcome::Fail(f) if f.at == at => Some(f),
             _ => None,
         }
@@ -781,25 +756,22 @@ impl FuzzCase {
 }
 
 /// The differential campaign over the unbudgeted pipeline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FuzzCampaign {
-    /// Generator and oracle knobs.
-    pub cfg: FuzzConfig,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct FuzzCampaign;
 
 impl Campaign for FuzzCampaign {
     type Case = FuzzCase;
 
     fn case(&mut self, seed: u64) -> Option<FuzzCase> {
-        gen_case(seed, &self.cfg)
+        gen_case(seed)
     }
 
     fn check(&mut self, case: &FuzzCase) -> Outcome {
-        run_case(case, &self.cfg)
+        run_case(case)
     }
 
     fn shrinker() -> Option<Shrinker<Self>> {
-        Some(|c, case, failure, stats| shrink_case(&case, &failure, &c.cfg, stats))
+        Some(|_, case, failure, stats| shrink_case(&case, &failure, stats))
     }
 
     fn corpus() -> Option<Corpus<FuzzCase>> {
@@ -816,21 +788,18 @@ impl Campaign for FuzzCampaign {
 /// ([`run_budget_case`]). Its failures are not shrunk: the shrinker
 /// replays the unbudgeted oracle, whose failure stages do not map onto
 /// budget classification.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BudgetCampaign {
-    /// Generator and oracle knobs.
-    pub cfg: FuzzConfig,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct BudgetCampaign;
 
 impl Campaign for BudgetCampaign {
     type Case = FuzzCase;
 
     fn case(&mut self, seed: u64) -> Option<FuzzCase> {
-        gen_case(seed, &self.cfg)
+        gen_case(seed)
     }
 
     fn check(&mut self, case: &FuzzCase) -> Outcome {
-        run_budget_case(case, &self.cfg)
+        run_budget_case(case)
     }
 }
 
@@ -840,13 +809,12 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_and_valid() {
-        let cfg = FuzzConfig::default();
         let mut produced = 0;
         for seed in 0..40u64 {
-            let Some(a) = gen_case(seed, &cfg) else {
+            let Some(a) = gen_case(seed) else {
                 continue;
             };
-            let b = gen_case(seed, &cfg).expect("same seed regenerates");
+            let b = gen_case(seed).expect("same seed regenerates");
             assert_eq!(a, b);
             produced += 1;
             // Structural invariants: targets float in faulty, golden
@@ -863,13 +831,12 @@ mod tests {
 
     #[test]
     fn oracle_passes_a_known_good_case() {
-        let cfg = FuzzConfig::default();
         let mut found_pass = false;
         for seed in 0..20u64 {
-            let Some(case) = gen_case(seed, &cfg) else {
+            let Some(case) = gen_case(seed) else {
                 continue;
             };
-            match run_case(&case, &cfg) {
+            match run_case(&case) {
                 Outcome::Pass => {
                     found_pass = true;
                     break;
@@ -883,10 +850,7 @@ mod tests {
 
     #[test]
     fn corpus_text_round_trips() {
-        let cfg = FuzzConfig::default();
-        let case = (0..50u64)
-            .find_map(|s| gen_case(s, &cfg))
-            .expect("a case generates");
+        let case = (0..50u64).find_map(gen_case).expect("a case generates");
         let text = case.to_text();
         let back = FuzzCase::from_text(&text).expect("round-trips");
         // The writer invents instance names for anonymous gates; those are
@@ -915,13 +879,12 @@ mod tests {
     /// patched ≠ golden) is caught by the miter and shrinks down.
     #[test]
     fn shrinker_reduces_a_failing_case() {
-        let cfg = FuzzConfig::default();
         // Build a case whose faulty circuit was additionally broken in
         // live logic (not dangling): flip a live gate, which the patch
         // cannot repair because the target does not reach it.
         let mut case = None;
         for seed in 0..200u64 {
-            let Some(mut c) = gen_case(seed, &cfg) else {
+            let Some(mut c) = gen_case(seed) else {
                 continue;
             };
             if crate::fault::break_untouched_output(&mut c.faulty, &c.golden, &c.targets, seed)
@@ -932,16 +895,16 @@ mod tests {
             }
         }
         let case = case.expect("some case can be broken");
-        let Outcome::Fail(f) = run_case(&case, &cfg) else {
+        let Outcome::Fail(f) = run_case(&case) else {
             panic!("broken case must fail");
         };
         let mut stats = Stats::default();
-        let (small, small_f) = shrink_case(&case, &f, &cfg, &mut stats);
+        let (small, small_f) = shrink_case(&case, &f, &mut stats);
         assert_eq!(small_f.at, f.at);
         assert!(small.golden.num_gates() <= case.golden.num_gates());
         assert!(stats.shrink_steps > 0);
         // The shrunk case still fails the oracle the same way.
-        let Outcome::Fail(again) = run_case(&small, &cfg) else {
+        let Outcome::Fail(again) = run_case(&small) else {
             panic!("shrunk case must still fail");
         };
         assert_eq!(again.at, f.at);
@@ -949,7 +912,7 @@ mod tests {
 
     #[test]
     fn campaign_counts_are_consistent() {
-        let report = crate::campaign::run(&mut FuzzCampaign::default(), 7, 15, false);
+        let report = crate::campaign::run(&mut FuzzCampaign, 7, 15, false);
         let (stats, failures) = (report.stats, report.failures);
         assert_eq!(stats.cases, 15);
         assert_eq!(stats.passes + stats.failures + stats.skips, 15);
@@ -989,7 +952,7 @@ mod tests {
     /// must appear, and zero-deadline cases must degrade.
     #[test]
     fn budget_campaign_is_clean() {
-        let report = crate::campaign::run(&mut BudgetCampaign::default(), 11, 40, false);
+        let report = crate::campaign::run(&mut BudgetCampaign, 11, 40, false);
         let (stats, failures) = (report.stats, report.failures);
         for f in &failures {
             eprintln!("budget failure: seed {} {}", f.seed, f.failure);

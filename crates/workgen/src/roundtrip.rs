@@ -25,23 +25,11 @@ use eco_aig::SplitMix64;
 use crate::campaign::{fail, Campaign, Corpus, Failure, Outcome, Shrinker, Stats};
 use crate::seqgen::{random_seq_dag, shift_register_datapath};
 
-/// Oracle knobs for the round-trip campaign.
-#[derive(Clone, Copy, Debug)]
-pub struct RtConfig {
-    /// Unroll depth of the equivalence miter.
-    pub frames: usize,
-    /// Conflict budget per SAT equivalence check.
-    pub conflict_budget: u64,
-}
+/// Unroll depth of the oracle's equivalence miter.
+const FRAMES: usize = 3;
 
-impl Default for RtConfig {
-    fn default() -> Self {
-        RtConfig {
-            frames: 3,
-            conflict_budget: 100_000,
-        }
-    }
-}
+/// Conflict budget per SAT equivalence check.
+const CONFLICT_BUDGET: u64 = 100_000;
 
 /// Design family of a round-trip case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,12 +181,7 @@ impl RtCase {
     }
 }
 
-fn equivalent(
-    original: &SeqNetlist,
-    candidate: &SeqNetlist,
-    hop: &str,
-    cfg: &RtConfig,
-) -> Result<(), Outcome> {
+fn equivalent(original: &SeqNetlist, candidate: &SeqNetlist, hop: &str) -> Result<(), Outcome> {
     if candidate.latches.len() != original.latches.len() {
         return Err(fail(
             hop,
@@ -209,18 +192,11 @@ fn equivalent(
             ),
         ));
     }
-    let (mut miter, pairs) = match unroll_miter(original, candidate, cfg.frames) {
+    let (mut miter, pairs) = match unroll_miter(original, candidate, FRAMES) {
         Ok(m) => m,
         Err(e) => return Err(fail(hop, format!("miter construction failed: {e}"))),
     };
-    match check_equivalence(
-        &mut miter,
-        &pairs,
-        cfg.conflict_budget,
-        &SolveCtl::unlimited(),
-    )
-    .0
-    {
+    match check_equivalence(&mut miter, &pairs, CONFLICT_BUDGET, &SolveCtl::unlimited()).0 {
         VerifyOutcome::Equivalent => Ok(()),
         VerifyOutcome::Unknown => Err(Outcome::Skip(format!("{hop}: miter budget exhausted"))),
         VerifyOutcome::Counterexample(cex) => {
@@ -239,7 +215,7 @@ fn equivalent(
 
 /// Runs the full oracle on one case: per-format byte fixpoint, then
 /// every ordered format pair, each proved against the original design.
-pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> Outcome {
+pub fn run_rt_case(case: &RtCase) -> Outcome {
     let original = case.build();
     let fmts = case.formats();
     // Single hops, with byte-fixpoint check, keeping the parsed designs
@@ -264,7 +240,7 @@ pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> Outcome {
                 Err(e) => return fail(&hop, format!("re-write failed: {e}")),
             }
         }
-        if let Err(out) = equivalent(&original, &back, &hop, cfg) {
+        if let Err(out) = equivalent(&original, &back, &hop) {
             return out;
         }
         parsed.push(back);
@@ -284,7 +260,7 @@ pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> Outcome {
                 Ok(d) => d,
                 Err(e) => return fail(&hop, format!("reparse failed: {e}")),
             };
-            if let Err(out) = equivalent(&original, &back, &hop, cfg) {
+            if let Err(out) = equivalent(&original, &back, &hop) {
                 return out;
             }
         }
@@ -307,12 +283,7 @@ pub fn run_rt_case(case: &RtCase, cfg: &RtConfig) -> Outcome {
 /// Greedily shrinks a failing case by shrinking its generator
 /// parameters; a reduction is kept when the smaller case still fails
 /// (any hop). Returns the shrunk case and its failure.
-pub fn shrink_rt_case(
-    case: RtCase,
-    failure: Failure,
-    cfg: &RtConfig,
-    stats: &mut Stats,
-) -> (RtCase, Failure) {
+pub fn shrink_rt_case(case: RtCase, failure: Failure, stats: &mut Stats) -> (RtCase, Failure) {
     let mut best = case;
     let mut best_fail = failure;
     loop {
@@ -351,7 +322,7 @@ pub fn shrink_rt_case(
                 continue;
             }
             stats.shrink_steps += 1;
-            if let Outcome::Fail(f) = run_rt_case(&cand, cfg) {
+            if let Outcome::Fail(f) = run_rt_case(&cand) {
                 stats.shrink_accepted += 1;
                 best = cand;
                 best_fail = f;
@@ -366,11 +337,8 @@ pub fn shrink_rt_case(
 }
 
 /// The format round-trip campaign.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FormatCampaign {
-    /// Oracle knobs.
-    pub cfg: RtConfig,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct FormatCampaign;
 
 impl Campaign for FormatCampaign {
     type Case = RtCase;
@@ -380,11 +348,11 @@ impl Campaign for FormatCampaign {
     }
 
     fn check(&mut self, case: &RtCase) -> Outcome {
-        run_rt_case(case, &self.cfg)
+        run_rt_case(case)
     }
 
     fn shrinker() -> Option<Shrinker<Self>> {
-        Some(|c, case, failure, stats| shrink_rt_case(case, failure, &c.cfg, stats))
+        Some(|_, case, failure, stats| shrink_rt_case(case, failure, stats))
     }
 
     fn corpus() -> Option<Corpus<RtCase>> {
@@ -411,7 +379,6 @@ mod tests {
 
     #[test]
     fn all_families_pass_the_oracle() {
-        let cfg = RtConfig::default();
         for (family, latches) in [
             (RtFamily::Comb, 1),
             (RtFamily::ShiftBank, 1),
@@ -424,13 +391,13 @@ mod tests {
                 gates: 8,
                 latches,
             };
-            assert_eq!(run_rt_case(&case, &cfg), Outcome::Pass, "{family:?}");
+            assert_eq!(run_rt_case(&case), Outcome::Pass, "{family:?}");
         }
     }
 
     #[test]
     fn campaign_smoke_is_clean() {
-        let report = crate::campaign::run(&mut FormatCampaign::default(), 0x5eed, 12, true);
+        let report = crate::campaign::run(&mut FormatCampaign, 0x5eed, 12, true);
         let (stats, failures) = (report.stats, report.failures);
         assert_eq!(stats.cases, 12);
         assert!(

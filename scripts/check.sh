@@ -37,7 +37,10 @@
 # --journal <dir> and a --resume of that complete journal must both
 # report the same bytes as the unjournaled run, the resume must replay
 # all 12 jobs from batch.wal, and neither may count a persistence
-# error. It prints the cold and warm pass wall times.
+# error. Then batch.wal is cut inside its last frame and resumed twice:
+# both reports keep the same bytes, the first counts one persistence
+# error, and the second replays all 12 jobs with none. It prints the
+# cold and warm pass wall times.
 #
 # --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
 # through eco-workgen --scale, then runs the release scale harness on
@@ -282,6 +285,27 @@ if [ "$batch_smoke" -eq 1 ]; then
   done
   grep -q '"reused": 12,' "$btmp/stderr.txt" \
     || { echo "batch smoke: --resume did not replay all 12 jobs"; cat "$btmp/stderr.txt"; exit 1; }
+
+  # A kill mid-append: cut batch.wal inside its last frame (a done
+  # record), then resume twice. Both reports keep the same bytes; the
+  # first resume counts the torn frame and recomputes its job, and since
+  # opening the journal cut the tear off, the second replays all 12.
+  wal="$btmp/state/batch.wal"
+  truncate -s $(($(wc -c < "$wal") - 10)) "$wal"
+  for leg in torn1 torn2; do
+    run_batch --jobs 4 --journal "$btmp/state" --resume \
+      --report "$btmp/report_$leg.jsonl" --stats=json -q
+    [ "$rc" -eq 0 ] || { echo "batch smoke: $leg resume failed ($rc)"; cat "$btmp/stderr.txt"; exit 1; }
+    cmp -s "$btmp/report_j4.jsonl" "$btmp/report_$leg.jsonl" \
+      || { echo "batch smoke: $leg resume report differs from the unjournaled run"; diff "$btmp/report_j4.jsonl" "$btmp/report_$leg.jsonl" || true; exit 1; }
+    if [ "$leg" = torn1 ]; then
+      grep -q '"persist_errors": 1,' "$btmp/stderr.txt" \
+        || { echo "batch smoke: the torn frame was not counted once"; cat "$btmp/stderr.txt"; exit 1; }
+    else
+      grep -q '"reused": 12,' "$btmp/stderr.txt" && grep -q '"persist_errors": 0,' "$btmp/stderr.txt" \
+        || { echo "batch smoke: the resume after a torn one did not replay all 12 cleanly"; cat "$btmp/stderr.txt"; exit 1; }
+    fi
+  done
 
   echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, memo $memo"
 fi

@@ -231,7 +231,7 @@ fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
     assert_eq!(pos, bytes.len(), "an intact log ends on a frame boundary");
     std::fs::write(&wal, &bytes[..last + 8 + (pos - last - 8) / 2]).expect("tear batch.wal");
 
-    let resumed = run_batch(&jobs, &options(Some(state), true));
+    let resumed = run_batch(&jobs, &options(Some(state.clone()), true));
     assert_eq!(
         records_jsonl(&resumed.records),
         reference,
@@ -239,5 +239,25 @@ fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
     );
     assert_eq!(resumed.reused, 2, "the two intact done records replay");
     assert_eq!(resumed.persist_errors, 1, "the torn frame is counted");
+
+    // The first resume cut the torn tail off before journaling job 2
+    // again, so later resumes read every record back, and a resume that
+    // recomputes nothing appends nothing.
+    let resume_again = || {
+        let resumed = run_batch(&jobs, &options(Some(state.clone()), true));
+        assert_eq!(records_jsonl(&resumed.records), reference);
+        assert_eq!(
+            (resumed.reused, resumed.persist_errors),
+            (3, 0),
+            "every record is read back"
+        );
+        std::fs::metadata(&wal).expect("batch.wal").len()
+    };
+    let second = resume_again();
+    assert_eq!(
+        resume_again(),
+        second,
+        "a replay-only resume appends nothing"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,8 +11,8 @@
 //! automatically.
 
 use eco::workgen::campaign::{run, Outcome};
-use eco::workgen::fuzz::{run_case, FuzzCampaign, FuzzCase, FuzzConfig};
-use eco::workgen::roundtrip::{run_rt_case, FormatCampaign, RtCase, RtConfig};
+use eco::workgen::fuzz::{run_case, FuzzCampaign, FuzzCase};
+use eco::workgen::roundtrip::{run_rt_case, FormatCampaign, RtCase};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -20,7 +20,6 @@ fn corpus_dir() -> std::path::PathBuf {
 
 #[test]
 fn corpus_cases_all_pass_the_oracle() {
-    let cfg = FuzzConfig::default();
     let mut paths: Vec<_> = std::fs::read_dir(corpus_dir())
         .expect("tests/corpus exists")
         .filter_map(|e| e.ok())
@@ -32,7 +31,7 @@ fn corpus_cases_all_pass_the_oracle() {
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("case readable");
         let case = FuzzCase::from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        match run_case(&case, &cfg) {
+        match run_case(&case) {
             Outcome::Pass => {}
             Outcome::Skip(why) => {
                 panic!(
@@ -48,7 +47,6 @@ fn corpus_cases_all_pass_the_oracle() {
 
 #[test]
 fn rtcase_corpus_round_trips_cleanly() {
-    let cfg = RtConfig::default();
     let mut paths: Vec<_> = std::fs::read_dir(corpus_dir())
         .expect("tests/corpus exists")
         .filter_map(|e| e.ok())
@@ -60,7 +58,7 @@ fn rtcase_corpus_round_trips_cleanly() {
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("rtcase readable");
         let case = RtCase::from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        match run_rt_case(&case, &cfg) {
+        match run_rt_case(&case) {
             Outcome::Pass => {}
             Outcome::Skip(why) => {
                 panic!(
@@ -76,7 +74,7 @@ fn rtcase_corpus_round_trips_cleanly() {
 
 #[test]
 fn fixed_seed_format_roundtrip_smoke_is_clean() {
-    let report = run(&mut FormatCampaign::default(), 0xf0a7, 15, true);
+    let report = run(&mut FormatCampaign, 0xf0a7, 15, true);
     assert_eq!(report.stats.cases, 15);
     assert!(
         report.failures.is_empty(),
@@ -88,7 +86,7 @@ fn fixed_seed_format_roundtrip_smoke_is_clean() {
 
 #[test]
 fn fixed_seed_fuzz_smoke_is_clean() {
-    let report = run(&mut FuzzCampaign::default(), 0xec0f, 25, true);
+    let report = run(&mut FuzzCampaign, 0xec0f, 25, true);
     assert_eq!(report.stats.cases, 25);
     assert!(
         report.failures.is_empty(),

@@ -3,11 +3,17 @@
 
 mod common;
 
+use std::collections::HashMap;
+
+use eco::aig::{Lit, Var};
 use eco::core::{
-    Cut, EcoEngine, EcoError, EcoInstance, EcoOptions, InitialPatchKind, TapMap, Workspace,
+    check_equivalence, cluster_targets, generate_group_patches, Budget, BudgetOptions,
+    ConflictMeter, Cut, EcoEngine, EcoError, EcoInstance, EcoOptions, InitialPatchKind, TapMap,
+    Telemetry, VerifyOutcome, Workspace,
 };
 use eco::fraig::{fraig_classes, FraigOptions};
 use eco::netlist::{parse_verilog, WeightTable};
+use eco::sat::SolveCtl;
 use eco::workgen::contest_suite;
 
 fn simple_instance() -> (eco::netlist::Netlist, eco::netlist::Netlist, EcoInstance) {
@@ -30,7 +36,7 @@ fn simple_instance() -> (eco::netlist::Netlist, eco::netlist::Netlist, EcoInstan
     (faulty, golden, inst)
 }
 
-/// A tiny verification budget yields ResourceLimit, not a wrong answer.
+/// A one-conflict allowance yields ResourceLimit, not a wrong answer.
 #[test]
 fn exhausted_verify_budget_is_reported() {
     // Big enough that verification actually needs search: a multiplier.
@@ -45,7 +51,10 @@ fn exhausted_verify_budget_is_reported() {
     });
     let inst = unit.instance().expect("valid");
     let opts = EcoOptions {
-        verify_budget: 1,
+        budget: BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(1),
+        },
         optimize: false,
         ..Default::default()
     };
@@ -60,20 +69,40 @@ fn exhausted_verify_budget_is_reported() {
     }
 }
 
-/// FRAIG with a zero conflict budget proves nothing — and the engine
-/// still succeeds (localization silently degrades to structural sharing).
+/// FRAIG with a zero conflict budget proves nothing by SAT — and
+/// localization over its classes still rectifies (it silently degrades
+/// to structural sharing): the tap map of that sweep drives patch
+/// generation, and a miter proves the patched circuit equivalent.
 #[test]
 fn fraig_budget_zero_degrades_gracefully() {
-    let (faulty, golden, inst) = simple_instance();
-    let opts = EcoOptions {
-        fraig: FraigOptions {
-            conflict_budget: 0,
-            ..Default::default()
-        },
+    let (_f, _g, inst) = simple_instance();
+    let mut ws = Workspace::new(&inst);
+    let starved = FraigOptions {
+        conflict_budget: 0,
         ..Default::default()
     };
-    let result = EcoEngine::new(inst, opts).run().expect("rectifiable");
-    common::assert_patched_equals_golden(&faulty, &golden, &result);
+    let tap = TapMap::build(&ws, &fraig_classes(&ws.mgr, &starved));
+    let cluster = cluster_targets(&ws).clusters.remove(0);
+    let group = generate_group_patches(
+        &mut ws,
+        &tap,
+        &cluster,
+        InitialPatchKind::OnSet,
+        &Budget::unlimited(),
+        &mut ConflictMeter::unlimited(),
+        &Telemetry::new(),
+    )
+    .expect("an unlimited budget never degrades");
+    let map: HashMap<Var, Lit> = group
+        .patches
+        .iter()
+        .map(|p| (ws.target_vars[p.target], p.lit))
+        .collect();
+    let f_outs = ws.f_outs.clone();
+    let patched = ws.mgr.substitute(&f_outs, &map);
+    let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
+    let (verdict, _) = check_equivalence(&mut ws.mgr, &pairs, u64::MAX, &SolveCtl::unlimited());
+    assert!(matches!(verdict, VerifyOutcome::Equivalent), "{verdict:?}");
 }
 
 /// All-option engine sweep on one difficult unit, splice-checked.
