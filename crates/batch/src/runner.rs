@@ -367,22 +367,28 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
                 reused.fetch_add(1, Ordering::Relaxed);
                 return record.clone();
             }
-            if let Some(journal) = journal {
-                // Write-ahead: the job is on disk before it executes, so
-                // a kill here is a journaled-but-unfinished job the next
-                // resume picks up.
-                journal.admit(fp, "");
-            }
-            let record = run_job(pass, index, &jobs[index], &run_budget, apportioned, &cache);
-            if let Some(journal) = journal {
-                journal.done(fp, &record_json(&record));
-            }
-            record
+            faultpoint::scoped(fp, || {
+                if let Some(journal) = journal {
+                    // Write-ahead: the job is on disk before it executes,
+                    // so a kill here is a journaled-but-unfinished job the
+                    // next resume picks up.
+                    journal.admit(fp, "");
+                }
+                let record = run_job(pass, index, &jobs[index], &run_budget, apportioned, &cache);
+                if let Some(journal) = journal {
+                    journal.done(fp, &record_json(&record));
+                }
+                record
+            })
         };
         // The shared claim-counter pool: one slot per job, merged in
         // index order, panicking jobs isolated to one error record.
         records.extend(run_indexed(workers, jobs.len(), run_one, |index, _| {
-            panic_record(pass, index, &jobs[index].name)
+            JobRecord {
+                pass,
+                index,
+                ..panic_record(&jobs[index].name)
+            }
         }));
         pass_wall.push(t0.elapsed());
     }
@@ -403,12 +409,17 @@ pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchOutcome {
     }
 }
 
-/// The error record substituted when a job's worker panicked outside the
-/// engine's own isolation (e.g. mid-slot-write).
-fn panic_record(pass: usize, index: usize, name: &str) -> JobRecord {
+/// The `error` record of job `name` whose worker panicked (pass and
+/// index 0), in eco-batch and eco-serve alike.
+pub fn panic_record(name: &str) -> JobRecord {
+    error_record(name, "job worker panicked")
+}
+
+/// An `error` record of job `name` that patched nothing.
+fn error_record(name: &str, detail: &str) -> JobRecord {
     JobRecord {
-        pass,
-        index,
+        pass: 0,
+        index: 0,
         name: name.to_string(),
         status: JobStatus::Error,
         targets: 0,
@@ -416,8 +427,19 @@ fn panic_record(pass: usize, index: usize, name: &str) -> JobRecord {
         cost: 0,
         size: 0,
         verified: false,
-        detail: "job worker panicked".into(),
+        detail: detail.to_string(),
     }
+}
+
+/// The budget one job runs under, in eco-batch and eco-serve alike: the
+/// run's deadline and cancellation flag, with the tighter of the run's
+/// per-job conflict allowance and the job's own.
+pub fn job_budget(run: &Budget, per_job: Option<u64>, job: Option<u64>) -> Budget {
+    let allowance = match (per_job, job) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
+    run.child(allowance)
 }
 
 fn run_job(
@@ -428,16 +450,11 @@ fn run_job(
     apportioned: Option<u64>,
     cache: &Arc<MemoCache>,
 ) -> JobRecord {
-    let allowance = match (apportioned, job.budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    let budget = run_budget.child(allowance);
     let mut record = execute_job(
         &job.name,
         &job.source,
         &EcoOptions::default(),
-        &budget,
+        &job_budget(run_budget, apportioned, job.budget),
         cache,
     );
     record.pass = pass;
@@ -461,25 +478,11 @@ pub fn execute_job(
     budget: &Budget,
     cache: &Arc<MemoCache>,
 ) -> JobRecord {
-    let mut record = JobRecord {
-        pass: 0,
-        index: 0,
-        name: name.to_string(),
-        status: JobStatus::Error,
-        targets: 0,
-        patches: 0,
-        cost: 0,
-        size: 0,
-        verified: false,
-        detail: String::new(),
-    };
     let instance = match source {
         Ok(instance) => instance,
-        Err(msg) => {
-            record.detail = msg.clone();
-            return record;
-        }
+        Err(msg) => return error_record(name, msg),
     };
+    let mut record = error_record(name, "");
     record.targets = instance.targets.len();
 
     let mut eco = eco_base.clone();
@@ -495,7 +498,12 @@ pub fn execute_job(
         faultpoint::maybe_panic("solver.panic");
         engine.run_governed(budget)
     })) {
-        Err(_) => record.detail = "job worker panicked".into(),
+        Err(_) => {
+            record = JobRecord {
+                targets: record.targets,
+                ..panic_record(name)
+            }
+        }
         Ok(Err(EcoError::Unrectifiable(why))) => {
             record.status = JobStatus::Unrectifiable;
             record.detail = why;

@@ -45,17 +45,5 @@ fn main() {
             fraig_classes(&ws.mgr, &FraigOptions::default())
         });
     }
-    // Fewer stimulus words per round: more spurious buckets survive each
-    // round, forcing extra refine rounds (the worst case for full
-    // re-simulation).
-    let opts = FraigOptions {
-        sim_words: 2,
-        ..Default::default()
-    };
-    for (name, ws) in &units {
-        bench.run(&format!("sweep_w2/{name}"), || {
-            fraig_classes(&ws.mgr, &opts)
-        });
-    }
     bench.finish();
 }

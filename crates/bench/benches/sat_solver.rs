@@ -92,7 +92,9 @@ fn main() {
             q.add_clause(&[w[0].neg(), w[1].pos()], ClauseLabel::B);
         }
         q.add_clause(&[vars[39].neg()], ClauseLabel::B);
-        q.solve_limited().expect("unbounded").into_interpolant()
+        q.solve_limited(u64::MAX)
+            .expect("unbounded")
+            .into_interpolant()
     });
     bench.finish();
 }

@@ -278,28 +278,12 @@ mod tests {
     }
 
     /// Selection reads only semantic facts (complete projection sets and
-    /// feasibility answers), so the rebase solver's configuration cannot
-    /// move its answer: the default configuration, BVE off and
-    /// inprocessing off return the same base from the same start, on every
+    /// feasibility answers), so the rebase solver's setup cannot move its
+    /// answer: the eliminating solver and a plain one (no BVE, later
+    /// inprocessing) return the same base from the same start, on every
     /// single-target suite unit.
     #[test]
-    fn selection_is_independent_of_the_solver_config() {
-        let default = eco_sat::SolverConfig {
-            bve: true,
-            inprocess_first_solve: 0,
-            ..eco_sat::SolverConfig::default()
-        };
-        let configs = [
-            default.clone(),
-            eco_sat::SolverConfig {
-                bve: false,
-                ..default.clone()
-            },
-            eco_sat::SolverConfig {
-                inprocessing: false,
-                ..default
-            },
-        ];
+    fn selection_is_independent_of_the_solver_setup() {
         let mut checked = 0;
         for unit in eco_workgen::contest_suite() {
             if unit.spec.n_targets != 1 {
@@ -326,20 +310,21 @@ mod tests {
             {
                 continue;
             }
-            let answers: Vec<(Vec<usize>, u64)> = configs
-                .iter()
-                .map(|config| {
-                    let mut q = RebaseQuery::with_config(
-                        &ws,
-                        onoff.on,
-                        onoff.off,
-                        pool.clone(),
-                        config.clone(),
-                    );
-                    let sel = select_base(&ws, &mut q, &start, 5, SELECT_CONFLICTS);
-                    (sel.base, sel.cost)
-                })
-                .collect();
+            let answers: Vec<(Vec<usize>, u64)> =
+                [eco_sat::Solver::eliminating, eco_sat::Solver::new]
+                    .into_iter()
+                    .map(|solver| {
+                        let mut q = RebaseQuery::on_solver(
+                            solver(),
+                            &ws,
+                            onoff.on,
+                            onoff.off,
+                            pool.clone(),
+                        );
+                        let sel = select_base(&ws, &mut q, &start, 5, SELECT_CONFLICTS);
+                        (sel.base, sel.cost)
+                    })
+                    .collect();
             checked += 1;
             assert!(
                 answers.iter().all(|a| *a == answers[0]),

@@ -9,6 +9,12 @@
 //! `(seed, site name, per-site consult counter)`, so a campaign replays
 //! the same injection schedule per site on every run with the same seed.
 //!
+//! Worker threads run each job inside a [consult scope](scoped) keyed by
+//! the job: its consults count per `(scope, site)`, so which worker runs
+//! a job, and what runs beside it, cannot change its decisions. Consults
+//! outside any scope (admission, startup load, checkpoint) count per site
+//! and are made by one thread at a time.
+//!
 //! The registered site names (see [`SITES`]):
 //!
 //! | site | consulted where | injected failure |
@@ -26,6 +32,7 @@
 //! has a typed degradation (skip + count, error record, refusal), which
 //! is exactly the property the chaos campaign verifies.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,7 +113,8 @@ pub struct FaultStats {
 
 struct ChaosState {
     spec: ChaosSpec,
-    counters: HashMap<String, u64>,
+    /// Consults so far per `(scope, site)`; `None` is outside any scope.
+    counters: HashMap<(Option<u128>, String), u64>,
     stats: FaultStats,
 }
 
@@ -138,11 +146,6 @@ pub fn arm(spec: ChaosSpec) {
 pub fn disarm() -> FaultStats {
     ARMED.store(false, Ordering::Release);
     lock_state().take().map(|s| s.stats).unwrap_or_default()
-}
-
-/// `true` while the registry is armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
 }
 
 /// Arms from the `ECO_CHAOS` environment variable (`seed=N,rate=P`) if
@@ -180,21 +183,51 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
+thread_local! {
+    /// The consult scope of the job running on this thread, if any.
+    static SCOPE: Cell<Option<u128>> = const { Cell::new(None) };
+}
+
+/// Restores the thread's previous consult scope, on unwind too.
+struct ScopeGuard(Option<u128>);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
+}
+
+/// Runs `f` in the consult scope `key`, an identity of the job that
+/// repeats from run to run (eco-batch: its journal fingerprint; eco-serve:
+/// its position in its stream). Each consult `f` makes on this thread
+/// draws from the schedule of `(key, site)`, so a job gets the same
+/// decisions on whichever worker runs it. Scopes nest; the innermost one
+/// counts.
+pub fn scoped<R>(key: u128, f: impl FnOnce() -> R) -> R {
+    let _restore = ScopeGuard(SCOPE.with(|s| s.replace(Some(key))));
+    f()
+}
+
 /// Consults fault point `site`: `true` means the caller must inject its
 /// failure now. Disarmed, this is one relaxed atomic load. Armed, the
-/// decision is `splitmix64(seed ^ fnv(site) ^ n)` thresholded by the
-/// rate, where `n` counts this site's consults since arming — the
-/// per-site schedule is deterministic whatever other sites do.
+/// decision is `splitmix64(seed ^ fnv(site) ^ mix(scope) ^ n)`
+/// thresholded by the rate, where `n` counts the consults of this site in
+/// this [scope](scoped) since arming (`mix` is 0 outside any scope) — the
+/// schedule is deterministic whatever other sites and scopes do.
 pub fn should_fail(site: &str) -> bool {
     if !ARMED.load(Ordering::Relaxed) {
         return false;
     }
+    let scope = SCOPE.with(Cell::get);
     let mut guard = lock_state();
     let Some(state) = guard.as_mut() else {
         return false;
     };
-    let n = state.counters.entry(site.to_string()).or_insert(0);
-    let draw = splitmix64(state.spec.seed ^ fnv64(site) ^ *n);
+    let mix = scope.map_or(0, |key| {
+        splitmix64(key as u64 ^ splitmix64((key >> 64) as u64))
+    });
+    let n = state.counters.entry((scope, site.to_string())).or_insert(0);
+    let draw = splitmix64(state.spec.seed ^ fnv64(site) ^ mix ^ *n);
     *n += 1;
     state.stats.consults += 1;
     // Top 53 bits → uniform in [0, 1).
@@ -307,6 +340,60 @@ mod tests {
         let err = inject_io("io.write").unwrap_err();
         assert!(err.to_string().contains("io.write"), "{err}");
         disarm();
+    }
+
+    /// Two workers consult under two job scopes; whichever order their
+    /// consults interleave in, each scope gets the same decisions.
+    #[test]
+    fn scoped_decisions_do_not_depend_on_interleaving() {
+        use std::sync::mpsc;
+
+        let _g = gate();
+        // Worker `id` makes its four consults when the channel hands it
+        // the turn, and hands the turn back after each one.
+        let run = |order: [usize; 8]| -> [Vec<bool>; 2] {
+            arm(ChaosSpec {
+                seed: 11,
+                rate: 0.5,
+            });
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            let decisions = std::thread::scope(|s| {
+                let workers: Vec<_> = [0xa11ce_u128, 0xb0b_u128]
+                    .into_iter()
+                    .map(|key| {
+                        let (turn_tx, turn_rx) = mpsc::channel::<()>();
+                        let done_tx = done_tx.clone();
+                        let worker = s.spawn(move || {
+                            scoped(key, || {
+                                (0..4)
+                                    .map(|_| {
+                                        turn_rx.recv().expect("turn");
+                                        let fired = should_fail("io.write");
+                                        done_tx.send(()).expect("done");
+                                        fired
+                                    })
+                                    .collect::<Vec<bool>>()
+                            })
+                        });
+                        (turn_tx, worker)
+                    })
+                    .collect();
+                for id in order {
+                    workers[id].0.send(()).expect("turn");
+                    done_rx.recv().expect("done");
+                }
+                let mut joined = workers
+                    .into_iter()
+                    .map(|(_, worker)| worker.join().expect("worker"));
+                [0, 1].map(|_| joined.next().expect("two workers"))
+            });
+            disarm();
+            decisions
+        };
+        let ab = run([0, 1, 0, 1, 0, 1, 0, 1]);
+        let ba = run([1, 1, 1, 1, 0, 0, 0, 0]);
+        assert_eq!(ab, ba, "a scope's decisions must not depend on order");
+        assert_ne!(ab[0], ab[1], "scopes draw distinct schedules");
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use eco_aig::{Lit as ALit, Var as AVar};
 use eco_sat::{
     encode_cone, ClauseLabel, ClauseSink, ItpOutcome, ItpSolver, LabeledSink, Lit as SLit, Solver,
-    SolverConfig,
 };
 
 use crate::cexenum::ModelTable;
@@ -59,32 +58,20 @@ impl RebaseQuery {
         // the prime beneficiary of aggressive preprocessing: variable
         // elimination collapses the redundant Tseitin copies before the
         // first solve.
-        Self::with_config(
-            ws,
-            on,
-            off,
-            pool,
-            SolverConfig {
-                bve: true,
-                inprocess_first_solve: 0,
-                ..SolverConfig::default()
-            },
-        )
+        Self::on_solver(Solver::eliminating(), ws, on, off, pool)
     }
 
-    /// [`RebaseQuery::new`] on a solver with the given configuration.
-    /// Every variable read or assumed later — selectors, both candidate
-    /// rails, and the enumeration control vars (frozen at creation in
-    /// `cexenum`) — is frozen, so any configuration answers alike.
-    pub(crate) fn with_config(
+    /// [`RebaseQuery::new`] on the given empty solver. Every variable
+    /// read or assumed later — selectors, both candidate rails, and the
+    /// enumeration control vars (frozen at creation in `cexenum`) — is
+    /// frozen, so an eliminating solver answers as a plain one does.
+    pub(crate) fn on_solver(
+        mut solver: Solver,
         ws: &Workspace,
         on: ALit,
         off: ALit,
         pool: Vec<usize>,
-        config: SolverConfig,
     ) -> Self {
-        let mut solver = Solver::with_config(config);
-
         let cand_lits: Vec<ALit> = pool.iter().map(|&i| ws.cands[i].lit).collect();
         let mut roots1 = vec![on];
         roots1.extend(&cand_lits);
@@ -157,8 +144,11 @@ impl RebaseQuery {
     /// or `None` once `conflict_budget` or the control block stops it.
     pub(crate) fn solve(&mut self, assumptions: &[SLit], conflict_budget: u64) -> Option<bool> {
         #[cfg(test)]
-        tests::note_solve(conflict_budget);
-        self.solver.solve_limited(assumptions, conflict_budget)
+        let before = self.solver.stats().conflicts;
+        let solved = self.solver.solve_limited(assumptions, conflict_budget);
+        #[cfg(test)]
+        tests::note_solve(conflict_budget, self.solver.stats().conflicts - before);
+        solved
     }
 
     pub(crate) fn solver_mut(&mut self) -> &mut Solver {
@@ -227,8 +217,7 @@ pub fn resynthesize(
         }
     }
 
-    q.set_conflict_budget(conflict_budget);
-    let solved = q.solve_limited();
+    let solved = q.solve_limited(conflict_budget);
     tel.record_solver(&q.last_stats());
     let itp = match solved? {
         ItpOutcome::Unsat(itp) => itp,
@@ -259,17 +248,22 @@ pub(crate) mod tests {
 
     thread_local! {
         /// The largest conflict budget a [`RebaseQuery::solve`] on this
-        /// thread ran under since the last [`take_max_budget`].
-        static MAX_BUDGET: Cell<u64> = const { Cell::new(0) };
+        /// thread ran under, and the most conflicts one spent, since the
+        /// last [`take_max_budget`].
+        static MAX_BUDGET: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     }
 
-    pub(super) fn note_solve(conflict_budget: u64) {
-        MAX_BUDGET.with(|m| m.set(m.get().max(conflict_budget)));
+    pub(super) fn note_solve(conflict_budget: u64, spent: u64) {
+        MAX_BUDGET.with(|m| {
+            let (budget, most) = m.get();
+            m.set((budget.max(conflict_budget), most.max(spent)));
+        });
     }
 
-    /// Returns and clears this thread's largest rebase solve budget.
-    pub(crate) fn take_max_budget() -> u64 {
-        MAX_BUDGET.with(|m| m.replace(0))
+    /// Returns and clears this thread's largest rebase solve budget and
+    /// the most conflicts one solve spent.
+    pub(crate) fn take_max_budget() -> (u64, u64) {
+        MAX_BUDGET.with(|m| m.replace((0, 0)))
     }
 
     /// F: y = t ^ c with an existing net `w = a & b`; G: y = (a&b) ^ c.

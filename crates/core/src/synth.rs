@@ -181,8 +181,7 @@ fn try_interpolate(
         sink.sink_clause(&[roots[0]]);
     }
 
-    q.set_conflict_budget(conflict_budget);
-    let solved = q.solve_limited();
+    let solved = q.solve_limited(conflict_budget);
     let stats = q.last_stats();
     tel.record_solver(&stats);
     meter.charge(stats.conflicts);

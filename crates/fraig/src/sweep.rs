@@ -14,15 +14,16 @@ use eco_sat::{encode_cone, LBool, Lit as SLit, SolveCtl, Solver, SolverStats};
 
 use crate::uf::ParityUnionFind;
 
-/// Knobs for the sweeping loop.
+/// 64-pattern words of random base stimulus.
+const SIM_WORDS: usize = 8;
+/// Seed for the deterministic stimulus generator.
+const SEED: u64 = 0x5eed_cafe;
+/// Maximum refine/verify rounds.
+const MAX_ROUNDS: usize = 16;
+
+/// The governor's limits on one sweep.
 #[derive(Clone, Debug)]
 pub struct FraigOptions {
-    /// 64-pattern words of random base stimulus.
-    pub sim_words: usize,
-    /// Seed for the deterministic stimulus generator.
-    pub seed: u64,
-    /// Maximum refine/verify rounds.
-    pub max_rounds: usize,
     /// Conflict budget per equivalence query (timeouts count as
     /// "not proven", which is sound).
     pub conflict_budget: u64,
@@ -39,9 +40,6 @@ pub struct FraigOptions {
 impl Default for FraigOptions {
     fn default() -> Self {
         FraigOptions {
-            sim_words: 8,
-            seed: 0x5eed_cafe,
-            max_rounds: 16,
             conflict_budget: 10_000,
             max_total_conflicts: u64::MAX,
             ctl: SolveCtl::unlimited(),
@@ -146,14 +144,14 @@ pub fn fraig_classes(aig: &Aig, opts: &FraigOptions) -> EquivClasses {
 /// for telemetry.
 ///
 /// The swept cone's support decides how candidates are proven. When all
-/// `2^n` assignments of its `n` support inputs fit in the `64 * sim_words`
-/// patterns of the random stimulus, exhaustive simulation decides every
+/// `2^n` assignments of its `n` support inputs fit in the 512 patterns
+/// of the random stimulus, exhaustive simulation decides every
 /// class and no solver is built; larger supports run the
 /// simulation-guided SAT loop.
 pub fn fraig_classes_stats(aig: &Aig, opts: &FraigOptions) -> (EquivClasses, SweepStats) {
     let (roots, nodes) = sweep_nodes(aig);
     let support: Vec<AVar> = nodes.iter().copied().filter(|&v| aig.is_input(v)).collect();
-    if enumerable(support.len(), opts.sim_words) {
+    if enumerable(support.len()) {
         exhaustive_sweep(aig, opts, &nodes, &support)
     } else {
         sat_sweep(aig, opts, &roots, &nodes)
@@ -171,10 +169,10 @@ fn sweep_nodes(aig: &Aig) -> (Vec<ALit>, Vec<AVar>) {
     (roots, nodes)
 }
 
-/// Whether all assignments of `n` support inputs fit in `sim_words`
-/// 64-pattern words (at the default 8 words: `n <= 9`).
-fn enumerable(n: usize, sim_words: usize) -> bool {
-    n < 64 && 1u128 << n <= 64 * sim_words as u128
+/// Whether all assignments of `n` support inputs fit in the
+/// [`SIM_WORDS`] 64-pattern words of the random stimulus: `n <= 9`.
+fn enumerable(n: usize) -> bool {
+    n < 64 && 1u128 << n <= 64 * SIM_WORDS as u128
 }
 
 /// Decides a small-support sweep by simulation alone.
@@ -273,8 +271,8 @@ fn sat_sweep(
 
     // Stimulus: a fixed random base; counterexamples and one fresh random
     // diversity column per round are appended incrementally.
-    let mut isim = IncrementalSim::with_random_base(aig, opts.sim_words, opts.seed);
-    let mut diversity = SplitMix64::new(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut isim = IncrementalSim::with_random_base(aig, SIM_WORDS, SEED);
+    let mut diversity = SplitMix64::new(SEED ^ 0x9e37_79b9_7f4a_7c15);
 
     let mut uf = ParityUnionFind::new(aig.len());
     let mut disproved: HashSet<(AVar, AVar)> = HashSet::new();
@@ -285,7 +283,7 @@ fn sat_sweep(
     let mut ranges: Vec<(u32, u32)> = Vec::new();
     let mut round_cex: Vec<Vec<bool>> = Vec::new();
 
-    'rounds: for _round in 0..opts.max_rounds {
+    'rounds: for _round in 0..MAX_ROUNDS {
         stats.rounds += 1;
         isim.resimulate(aig);
         let sim = isim.vectors();
@@ -684,7 +682,7 @@ mod tests {
             stats.retired_activations, stats.sat_calls,
             "every query's activation literal must be retired"
         );
-        assert!(stats.resim_columns >= FraigOptions::default().sim_words as u64);
+        assert!(stats.resim_columns >= SIM_WORDS as u64);
     }
 
     /// A spent total-conflict allowance (or a fired control block) must
@@ -775,22 +773,22 @@ mod tests {
     }
 
     /// One input past the enumerable support, the sweep builds its solver
-    /// and proves the merge by SAT.
+    /// and proves the merge by SAT, finding the classes exhaustive
+    /// simulation of all 1,024 patterns finds.
     #[test]
     fn ten_input_support_takes_the_sat_path() {
         let (aig, f1, f2) = redundant_and_over_ten_inputs();
-        let (classes, stats) = fraig_classes_stats(&aig, &FraigOptions::default());
+        let opts = FraigOptions::default();
+        let (classes, stats) = fraig_classes_stats(&aig, &opts);
         assert!(!stats.exhaustive);
         assert_eq!(stats.exhaustive_merges, 0);
         assert!(stats.sat_calls > 0 && stats.proven > 0, "{stats:?}");
         assert_eq!(classes.equivalent(f1.var(), f2.var()), Some(false));
 
-        // With 16 words of stimulus the same ten inputs are enumerable.
-        let wider = FraigOptions {
-            sim_words: 16,
-            ..Default::default()
-        };
-        let (exhaustive, stats) = fraig_classes_stats(&aig, &wider);
+        let (_, nodes) = sweep_nodes(&aig);
+        let support: Vec<AVar> = nodes.iter().copied().filter(|&v| aig.is_input(v)).collect();
+        assert_eq!(support.len(), 10);
+        let (exhaustive, stats) = exhaustive_sweep(&aig, &opts, &nodes, &support);
         assert!(stats.exhaustive && stats.sat_calls == 0, "{stats:?}");
         assert_eq!(exhaustive.classes, classes.classes);
     }

@@ -9,7 +9,7 @@
 
 use eco_aig::{Aig, Lit as ALit};
 
-use crate::{ClauseLabel, LBool, Lit, SolveCtl, Solver, SolverConfig, SolverStats, Var};
+use crate::{ClauseLabel, LBool, Lit, SolveCtl, Solver, SolverStats, Var};
 
 /// A Craig interpolant represented as an AIG over shared variables.
 #[derive(Clone, Debug)]
@@ -62,11 +62,6 @@ impl ItpOutcome {
             ItpOutcome::Sat(_) => None,
         }
     }
-
-    /// Returns `true` for the [`ItpOutcome::Sat`] variant.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, ItpOutcome::Sat(_))
-    }
 }
 
 /// Collects an `(A, B)` clause partition and solves it with interpolant
@@ -86,7 +81,7 @@ impl ItpOutcome {
 /// q.add_clause(&[x.neg(), y.pos()], ClauseLabel::A);
 /// q.add_clause(&[y.neg(), z.pos()], ClauseLabel::B);
 /// q.add_clause(&[z.neg()], ClauseLabel::B);
-/// let outcome = q.solve_limited().expect("default budget is unlimited");
+/// let outcome = q.solve_limited(u64::MAX).expect("no budget, no controls");
 /// let itp = outcome.into_interpolant().expect("unsat");
 /// assert_eq!(itp.inputs, vec![y]);
 /// // The interpolant must be exactly `y` here (A forces y, B forbids it).
@@ -97,34 +92,14 @@ impl ItpOutcome {
 pub struct ItpSolver {
     n_vars: u32,
     clauses: Vec<(Vec<Lit>, ClauseLabel)>,
-    max_conflicts: u64,
-    reduce_db_threshold: Option<usize>,
     ctl: SolveCtl,
-    config: Option<SolverConfig>,
     last_stats: std::cell::Cell<SolverStats>,
 }
 
 impl ItpSolver {
     /// Creates an empty query.
     pub fn new() -> Self {
-        ItpSolver {
-            n_vars: 0,
-            clauses: Vec::new(),
-            max_conflicts: u64::MAX,
-            reduce_db_threshold: None,
-            ctl: SolveCtl::default(),
-            config: None,
-            last_stats: std::cell::Cell::default(),
-        }
-    }
-
-    /// Uses `config` for the inner solver of every subsequent solve (e.g.
-    /// different inprocessing budgets). Interpolation-incompatible
-    /// inprocessing techniques (vivification, variable elimination) are
-    /// skipped automatically by the inner solver; subsumption and
-    /// self-subsumption stay on and are interpolant-sound.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = Some(config);
+        Self::default()
     }
 
     /// Search statistics of the most recent [`ItpSolver::solve_limited`]
@@ -151,18 +126,6 @@ impl ItpSolver {
             assert!(l.var().index() < self.n_vars, "undeclared variable {l:?}");
         }
         self.clauses.push((lits.to_vec(), label));
-    }
-
-    /// Sets a conflict budget; [`ItpSolver::solve_limited`] returns `None`
-    /// when exceeded.
-    pub fn set_conflict_budget(&mut self, max_conflicts: u64) {
-        self.max_conflicts = max_conflicts;
-    }
-
-    /// Forwards a reduce-DB threshold to the inner solver (see
-    /// [`Solver::set_reduce_db_threshold`]).
-    pub fn set_reduce_db_threshold(&mut self, max_learnts: usize) {
-        self.reduce_db_threshold = Some(max_learnts);
     }
 
     /// Installs governor controls (deadline / cancellation flag) forwarded
@@ -196,21 +159,23 @@ impl ItpSolver {
         (in_a, in_b)
     }
 
-    /// Solves the query under the configured conflict budget and governor
-    /// controls; `None` when the budget is exhausted, the deadline passes,
-    /// or the cancellation flag fires. This is the only solve entry point:
-    /// with the default unlimited budget and no controls it always returns
-    /// `Some`.
-    pub fn solve_limited(&self) -> Option<ItpOutcome> {
+    /// Solves the query within `max_conflicts` conflicts (as
+    /// [`Solver::solve_limited`]) under the governor controls; `None` when
+    /// the budget is exhausted, the deadline passes, or the cancellation
+    /// flag fires. This is the only solve entry point: with `u64::MAX` and
+    /// no controls it always returns `Some`.
+    ///
+    /// The inner solver's inprocessing keeps only the interpolant-sound
+    /// subsumption and self-subsumption; vivification and variable
+    /// elimination skip interpolation mode.
+    pub fn solve_limited(&self, max_conflicts: u64) -> Option<ItpOutcome> {
+        self.solve_on(Solver::new(), max_conflicts)
+    }
+
+    /// [`ItpSolver::solve_limited`] on a given empty solver.
+    fn solve_on(&self, mut solver: Solver, max_conflicts: u64) -> Option<ItpOutcome> {
         let (_, in_b) = self.occurrence_flags();
         let shared = self.shared_vars();
-        let mut solver = match &self.config {
-            Some(cfg) => Solver::with_config(cfg.clone()),
-            None => Solver::new(),
-        };
-        if let Some(k) = self.reduce_db_threshold {
-            solver.set_reduce_db_threshold(k);
-        }
         solver.set_ctl(&self.ctl);
         solver.enable_interpolation(in_b, &shared);
         for _ in 0..self.n_vars {
@@ -221,7 +186,7 @@ impl ItpSolver {
                 break;
             }
         }
-        let solved = solver.solve_limited(&[], self.max_conflicts);
+        let solved = solver.solve_limited(&[], max_conflicts);
         self.last_stats.set(solver.stats());
         match solved? {
             true => {
@@ -247,7 +212,8 @@ mod tests {
     use super::*;
 
     fn solve(q: &ItpSolver) -> ItpOutcome {
-        q.solve_limited().expect("unbounded solve completes")
+        q.solve_limited(u64::MAX)
+            .expect("unbounded solve completes")
     }
 
     fn check_interpolant(n_vars: usize, clauses: &[(Vec<Lit>, ClauseLabel)], itp: &Interpolant) {
@@ -383,19 +349,12 @@ mod tests {
 
     #[test]
     fn interpolants_stay_valid_with_inprocessing_forced_on() {
-        // Force inprocessing to fire on every solve with no size gate and
-        // every technique requested: in interpolation mode the solver must
-        // keep only the label-sound ones (subsumption with tracked
-        // partial interpolants; vivification and BVE auto-skip), so the
-        // Craig contract must hold on every UNSAT sample.
-        let config = SolverConfig {
-            inprocess_first_solve: 0,
-            inprocess_min_clauses: 0,
-            inprocess_solve_interval: 1,
-            inprocess_conflict_interval: 20,
-            bve: true,
-            ..SolverConfig::default()
-        };
+        // Force inprocessing to fire on every solve with no size gate, on
+        // a solver that also asks for BVE: in interpolation mode the
+        // solver must keep only the label-sound techniques (subsumption
+        // with tracked partial interpolants; vivification and BVE skip),
+        // so the Craig contract must hold on every UNSAT sample.
+        let _aggressive = crate::solver::inprocessing_tests::Aggressive::force();
         let mut state = 0x0123456789abcdefu64;
         let mut next = move || {
             state ^= state << 13;
@@ -409,7 +368,6 @@ mod tests {
             let n = 4 + (next() % 5) as usize; // 4..8 vars
             let m = 6 + (next() % (4 * n as u64)) as usize;
             let mut q = ItpSolver::new();
-            q.set_config(config.clone());
             for _ in 0..n {
                 q.new_var();
             }
@@ -426,7 +384,10 @@ mod tests {
                 q.add_clause(&lits, label);
             }
             let clauses = q.clauses.clone();
-            if let ItpOutcome::Unsat(itp) = solve(&q) {
+            let outcome = q
+                .solve_on(Solver::eliminating(), u64::MAX)
+                .expect("unbounded solve completes");
+            if let ItpOutcome::Unsat(itp) = outcome {
                 unsat_seen += 1;
                 check_interpolant(n, &clauses, &itp);
             }
@@ -461,7 +422,62 @@ mod tests {
                 }
             }
         }
-        q.set_conflict_budget(1);
-        assert!(q.solve_limited().is_none());
+        assert!(q.solve_limited(1).is_none());
+    }
+
+    /// Interpolation with reduction enabled still yields valid interpolants.
+    #[test]
+    fn interpolation_survives_reduction() {
+        // Pigeonhole split A/B with a tiny threshold.
+        let n: u32 = 6;
+        let h = n - 1;
+        let mut q = ItpSolver::new();
+        let vars: Vec<Var> = (0..n * h).map(|_| q.new_var()).collect();
+        let p = |i: u32, j: u32| vars[(i * h + j) as usize];
+        for i in 0..n {
+            let row: Vec<Lit> = (0..h).map(|j| p(i, j).pos()).collect();
+            q.add_clause(&row, ClauseLabel::A);
+        }
+        for j in 0..h {
+            for i1 in 0..n {
+                for i2 in (i1 + 1)..n {
+                    q.add_clause(&[p(i1, j).neg(), p(i2, j).neg()], ClauseLabel::B);
+                }
+            }
+        }
+        let mut solver = Solver::new();
+        solver.set_reduce_db_threshold(32);
+        let itp = q
+            .solve_on(solver, u64::MAX)
+            .expect("unbounded")
+            .into_interpolant()
+            .expect("unsat");
+        // Spot-check the contract on random assignments (30 vars is too
+        // many for exhaustion): A -> I and I -> !B.
+        let mut state = 0xabcdu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2000 {
+            let assignment: Vec<bool> = (0..n * h).map(|_| next() & 1 == 1).collect();
+            let a_holds = (0..n).all(|i| (0..h).any(|j| assignment[(i * h + j) as usize]));
+            let b_holds = (0..h).all(|j| {
+                let mut count = 0;
+                for i in 0..n {
+                    count += assignment[(i * h + j) as usize] as u32;
+                }
+                count <= 1
+            });
+            let i_val = itp.eval(&assignment);
+            if a_holds {
+                assert!(i_val, "A -> I violated");
+            }
+            if b_holds {
+                assert!(!i_val, "I & B satisfiable");
+            }
+        }
     }
 }

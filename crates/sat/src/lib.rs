@@ -27,7 +27,7 @@
 //! q.add_clause(&[x.neg(), y.pos()], ClauseLabel::A);
 //! q.add_clause(&[y.neg(), z.pos()], ClauseLabel::B);
 //! q.add_clause(&[z.neg()], ClauseLabel::B);
-//! let outcome = q.solve_limited().expect("default budget is unlimited");
+//! let outcome = q.solve_limited(u64::MAX).expect("no budget, no controls");
 //! let itp = outcome.into_interpolant().expect("unsat");
 //! assert_eq!(itp.inputs, vec![y]);
 //! ```
@@ -42,5 +42,5 @@ mod tseitin;
 pub use crate::dimacs::{parse_dimacs, write_dimacs, DimacsProblem, ParseDimacsError};
 pub use crate::interpolate::{Interpolant, ItpOutcome, ItpSolver};
 pub use crate::lit::{LBool, Lit, Var};
-pub use crate::solver::{ClauseLabel, SolveCtl, Solver, SolverConfig, SolverStats};
+pub use crate::solver::{ClauseLabel, SolveCtl, Solver, SolverStats};
 pub use crate::tseitin::{assert_lit, encode_cone, ClauseSink, LabeledSink};

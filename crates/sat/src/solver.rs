@@ -64,62 +64,56 @@ const VAR_DECAY: f64 = 0.95;
 /// poll granularity (see [`SolveCtl`]).
 const RESTART_INTERVAL: u64 = 100;
 
-/// Inprocessing schedules and budgets for one solver instance. Search
-/// heuristics (VSIDS decay, Luby restart unit, negative initial phase)
-/// are fixed.
-///
-/// The default configuration reproduces the solver's historical behavior
-/// bit-for-bit, except that inprocessing is on (it only engages above
-/// [`SolverConfig::inprocess_min_clauses`] clauses, so small instances are
-/// untouched).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SolverConfig {
-    /// Master switch for inter-restart inprocessing (vivification,
-    /// subsumption/self-subsumption, and — when [`SolverConfig::bve`] is
-    /// set — bounded variable elimination).
-    pub inprocessing: bool,
-    /// Skip inprocessing entirely below this many stored clauses.
-    pub inprocess_min_clauses: usize,
-    /// `solve_limited` call count after which the solve-count schedule
-    /// first fires. One-shot solvers (a single solve per instance) never
-    /// reach the default of 8, so they pay nothing; call sites with long
-    /// incremental query streams set `0` to preprocess up front.
-    pub inprocess_first_solve: u64,
-    /// Run an inprocessing pass every this many `solve_limited` calls
-    /// after the first firing (incremental workloads rarely restart, so
-    /// conflict-based schedules alone would never fire for them).
-    pub inprocess_solve_interval: u64,
-    /// Run an inprocessing pass every this many conflicts (fires at Luby
-    /// restart boundaries during long searches).
-    pub inprocess_conflict_interval: u64,
-    /// Per-pass subsumption budget, counted in clause-literal visits.
-    pub subsume_budget: u64,
-    /// Per-pass vivification budget, counted in probe propagations.
-    pub vivify_budget: u64,
-    /// Enables bounded variable elimination. Opt-in: BVE only preserves
-    /// satisfiability over the *remaining* variables, so a call site must
-    /// [`Solver::freeze_var`] every variable it will later mention in an
-    /// assumption, a new clause, or a model read. Never runs in
-    /// interpolation mode.
-    pub bve: bool,
-    /// Per-pass BVE budget, counted in resolvent constructions.
-    pub bve_budget: u64,
+/// When inter-restart inprocessing runs. A pass is due at `solve_limited`
+/// entry once the solve count passes its next mark (incremental workloads
+/// rarely restart, so a conflict-only schedule would never fire for
+/// them), or at a Luby restart once the conflict count reaches its mark.
+#[derive(Clone, Copy)]
+struct Schedule {
+    /// A due pass does nothing below this many stored clauses, so small
+    /// instances are untouched.
+    min_clauses: usize,
+    /// Solve count the first solve-count pass of a [`Solver::new`] solver
+    /// waits for. One-shot solvers never reach it, so they pay nothing;
+    /// [`Solver::eliminating`] starts at 0 and preprocesses up front.
+    first_solve: u64,
+    /// Solve calls between solve-count passes.
+    solve_interval: u64,
+    /// Conflicts between conflict-count passes.
+    conflict_interval: u64,
 }
 
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            inprocessing: true,
-            inprocess_min_clauses: 300,
-            inprocess_first_solve: 8,
-            inprocess_solve_interval: 256,
-            inprocess_conflict_interval: 4000,
-            subsume_budget: 200_000,
-            vivify_budget: 50_000,
-            bve: false,
-            bve_budget: 50_000,
-        }
-    }
+/// The inprocessing schedule of every solver.
+const SCHEDULE: Schedule = Schedule {
+    min_clauses: 300,
+    first_solve: 8,
+    solve_interval: 256,
+    conflict_interval: 4000,
+};
+
+/// Per-pass subsumption budget, counted in clause-literal visits.
+const SUBSUME_BUDGET: u64 = 200_000;
+/// Per-pass vivification budget, counted in probe propagations.
+const VIVIFY_BUDGET: u64 = 50_000;
+/// Per-pass BVE budget, counted in resolvent constructions.
+const BVE_BUDGET: u64 = 50_000;
+
+/// The schedule solvers follow: always [`SCHEDULE`] outside this crate's
+/// unit tests.
+#[cfg(not(test))]
+#[inline]
+fn schedule() -> Schedule {
+    SCHEDULE
+}
+
+/// Unit tests may force an aggressive schedule on their own thread (see
+/// `inprocessing_tests::Aggressive`) so every pass fires on small
+/// instances.
+#[cfg(test)]
+fn schedule() -> Schedule {
+    inprocessing_tests::FORCED
+        .with(|f| f.get())
+        .unwrap_or(SCHEDULE)
 }
 
 /// Which side of the interpolation partition a clause belongs to.
@@ -241,12 +235,11 @@ pub struct Solver {
     /// Learned-clause budget before the next database reduction.
     max_learnts: usize,
     n_learnt_alive: usize,
-    /// Cooperative cancellation flag, polled between restarts. Fresh per
-    /// solver; [`Solver::set_ctl`] swaps in a shared governor flag.
-    interrupt: Arc<AtomicBool>,
-    /// Wall-clock deadline, polled between restarts.
-    deadline: Option<Instant>,
-    config: SolverConfig,
+    /// Deadline and cancellation flag, polled between restarts.
+    ctl: SolveCtl,
+    /// Inprocessing includes bounded variable elimination (see
+    /// [`Solver::eliminating`]).
+    bve: bool,
     /// Variables exempt from elimination (assumed/read/re-mentioned by
     /// the caller).
     frozen: Vec<bool>,
@@ -265,15 +258,26 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default configuration.
+    /// Creates an empty solver. Its inprocessing (subsumption and
+    /// vivification) first runs at its ninth solve call or 4,000th
+    /// conflict, and only once it stores 300 clauses.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::default())
+        Self::build(false, schedule().first_solve)
     }
 
-    /// Creates an empty solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
-        let next_inprocess_conflicts = config.inprocess_conflict_interval;
-        let next_inprocess_solve = config.inprocess_first_solve;
+    /// Creates an empty solver for a long stream of incremental queries:
+    /// its inprocessing runs before the first solve and adds bounded
+    /// variable elimination (BVE).
+    ///
+    /// BVE only preserves satisfiability over the *remaining* variables,
+    /// so the caller must [`Solver::freeze_var`] every variable it will
+    /// later mention in an assumption, a new clause, or a model read. BVE
+    /// never runs in interpolation mode.
+    pub fn eliminating() -> Self {
+        Self::build(true, 0)
+    }
+
+    fn build(bve: bool, first_solve: u64) -> Self {
         Solver {
             clauses: Vec::new(),
             watches: Vec::new(),
@@ -297,62 +301,28 @@ impl Solver {
             cla_inc: 1.0,
             max_learnts: 4000,
             n_learnt_alive: 0,
-            interrupt: Arc::new(AtomicBool::new(false)),
-            deadline: None,
-            config,
+            ctl: SolveCtl::unlimited(),
+            bve,
             frozen: Vec::new(),
             eliminated: Vec::new(),
             solve_calls: 0,
-            next_inprocess_solve,
-            next_inprocess_conflicts,
+            next_inprocess_solve: first_solve,
+            next_inprocess_conflicts: schedule().conflict_interval,
         }
     }
 
-    /// The solver's configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Marks a variable as off-limits to variable elimination. Required
-    /// (with [`SolverConfig::bve`] on) for every variable the caller will
-    /// later assume, mention in a new clause, or read from a model.
+    /// Marks a variable as off-limits to variable elimination. Required,
+    /// on a [`Solver::eliminating`] solver, for every variable the caller
+    /// will later assume, mention in a new clause, or read from a model.
     pub fn freeze_var(&mut self, v: Var) {
         self.frozen[v.index() as usize] = true;
     }
 
-    /// Requests cooperative cancellation: the next inter-restart check in
-    /// any ongoing or future budgeted solve returns `None`. The flag
-    /// latches; clear it with [`Solver::clear_interrupt`] to reuse the
-    /// solver.
-    pub fn interrupt(&self) {
-        self.interrupt.store(true, Ordering::Relaxed);
-    }
-
-    /// Clears the cancellation flag set by [`Solver::interrupt`].
-    pub fn clear_interrupt(&self) {
-        self.interrupt.store(false, Ordering::Relaxed);
-    }
-
-    /// The solver's cancellation flag; share it across threads to interrupt
-    /// a solve in flight.
-    pub fn interrupt_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.interrupt)
-    }
-
-    /// Installs governor controls: a deadline and/or a shared cancellation
-    /// flag (which replaces the solver's own flag so one governor latch
-    /// stops every enrolled solver).
+    /// Installs governor controls, replacing the previous ones: a deadline
+    /// and/or a shared cancellation flag, so one governor latch stops
+    /// every enrolled solver. [`SolveCtl::unlimited`] lifts both.
     pub fn set_ctl(&mut self, ctl: &SolveCtl) {
-        self.deadline = ctl.deadline;
-        if let Some(c) = &ctl.cancel {
-            self.interrupt = Arc::clone(c);
-        }
-    }
-
-    /// True once the deadline has passed or the cancellation flag is set.
-    #[inline]
-    fn stopped(&self) -> bool {
-        self.interrupt.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.ctl = ctl.clone();
     }
 
     /// Allocates a fresh variable.
@@ -401,7 +371,8 @@ impl Solver {
 
     /// Sets the learned-clause count that triggers the first database
     /// reduction (the budget then grows by 10% per reduction).
-    pub fn set_reduce_db_threshold(&mut self, max_learnts: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_reduce_db_threshold(&mut self, max_learnts: usize) {
         self.max_learnts = max_learnts.max(16);
     }
 
@@ -1025,7 +996,10 @@ impl Solver {
     }
 
     /// Runs search until a result or `budget` conflicts (for this call).
-    fn search(&mut self, budget: u64) -> LBool {
+    /// The budget is checked at conflict-free fixpoints, so a chain of
+    /// conflicts may run past it, unless `hard`: then search stops right
+    /// after the conflict that reaches it.
+    fn search(&mut self, budget: u64, hard: bool) -> LBool {
         let mut conflicts_here = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -1059,6 +1033,10 @@ impl Solver {
                 if self.n_learnt_alive > self.max_learnts {
                     self.reduce_db();
                     self.max_learnts += self.max_learnts / 10;
+                }
+                if hard && conflicts_here >= budget {
+                    self.cancel_until(0);
+                    return LBool::Undef;
                 }
             } else {
                 if conflicts_here >= budget {
@@ -1099,9 +1077,8 @@ impl Solver {
     /// Returns `Some(true)` if satisfiable (see [`Solver::model_value`]),
     /// `Some(false)` if unsatisfiable (see [`Solver::unsat_core`] and, in
     /// interpolation mode, [`Solver::interpolant`]). Returns `None` only
-    /// when a deadline or cancellation installed via [`Solver::set_ctl`] /
-    /// [`Solver::interrupt`] fires; use [`Solver::solve_limited`] for
-    /// conflict-budgeted solving.
+    /// when a deadline or cancellation installed via [`Solver::set_ctl`]
+    /// fires; use [`Solver::solve_limited`] for conflict-budgeted solving.
     ///
     /// # Panics
     ///
@@ -1112,9 +1089,10 @@ impl Solver {
 
     /// Solves under assumptions with a conflict budget; `None` on budget
     /// exhaustion, deadline expiry, or cooperative cancellation (see
-    /// [`Solver::set_ctl`] and [`Solver::interrupt`]). The deadline and
-    /// cancellation flag are polled between Luby restarts, so cancellation
-    /// latency is bounded by one restart's conflict budget.
+    /// [`Solver::set_ctl`]). The call spends at most `max_conflicts`
+    /// conflicts (at least one). The deadline and cancellation flag are
+    /// polled between Luby restarts, so cancellation latency is bounded by
+    /// one restart's conflict budget.
     ///
     /// # Panics
     ///
@@ -1144,14 +1122,21 @@ impl Solver {
         let start_conflicts = self.stats.conflicts;
         let mut restart = 0u32;
         loop {
-            if self.stopped() {
+            if self.ctl.expired() {
                 self.cancel_until(0);
                 return None;
             }
-            let budget = (luby(restart) * RESTART_INTERVAL).max(1);
+            let segment = (luby(restart) * RESTART_INTERVAL).max(1);
             let spent = self.stats.conflicts - start_conflicts;
-            let budget = budget.min(max_conflicts.saturating_sub(spent).max(1));
-            match self.search(budget) {
+            let remaining = max_conflicts.saturating_sub(spent).max(1);
+            // The segment that can reach the call's cap stops exactly at
+            // it; earlier segments end at their Luby restart as usual.
+            let outcome = if remaining <= segment {
+                self.search(remaining, true)
+            } else {
+                self.search(segment, false)
+            };
+            match outcome {
                 LBool::True => {
                     self.cancel_until(0);
                     return Some(true);
@@ -1195,7 +1180,7 @@ impl Solver {
     /// Fires [`Solver::inprocess`] when a schedule is due. Must be called
     /// at decision level 0.
     fn maybe_inprocess(&mut self) {
-        if !self.config.inprocessing || !self.ok || !self.trail_lim.is_empty() {
+        if !self.ok || !self.trail_lim.is_empty() {
             return;
         }
         let due = self.solve_calls > self.next_inprocess_solve
@@ -1203,10 +1188,10 @@ impl Solver {
         if !due {
             return;
         }
-        self.next_inprocess_solve = self.solve_calls + self.config.inprocess_solve_interval;
-        self.next_inprocess_conflicts =
-            self.stats.conflicts + self.config.inprocess_conflict_interval;
-        if self.clauses.len() < self.config.inprocess_min_clauses {
+        let schedule = schedule();
+        self.next_inprocess_solve = self.solve_calls + schedule.solve_interval;
+        self.next_inprocess_conflicts = self.stats.conflicts + schedule.conflict_interval;
+        if self.clauses.len() < schedule.min_clauses {
             return;
         }
         self.inprocess();
@@ -1214,13 +1199,14 @@ impl Solver {
 
     /// One inprocessing round: top-level simplification, then
     /// (self-)subsumption, then — outside interpolation mode —
-    /// vivification and (if enabled) bounded variable elimination.
+    /// vivification and (on an [`Solver::eliminating`] solver) bounded
+    /// variable elimination.
     fn inprocess(&mut self) {
         self.simplify();
         self.subsume_pass();
         if self.itp.is_none() && self.ok {
             self.vivify_pass();
-            if self.config.bve && self.ok {
+            if self.bve && self.ok {
                 self.bve_pass();
             }
         }
@@ -1311,7 +1297,7 @@ impl Solver {
     }
 
     /// Forward subsumption and self-subsumption over the stored clauses,
-    /// bounded by [`SolverConfig::subsume_budget`] clause-literal visits.
+    /// bounded by [`SUBSUME_BUDGET`] clause-literal visits.
     ///
     /// Sound in interpolation mode: removing a subsumed clause weakens
     /// its partition; strengthening `D` with subsumer `C` on pivot `l` is
@@ -1342,7 +1328,7 @@ impl Solver {
             .map(|c| if c.dead { 0 } else { sig(&c.lits) })
             .collect();
         cands.sort_by_key(|&i| self.clauses[i as usize].lits.len());
-        let mut budget = self.config.subsume_budget;
+        let mut budget = SUBSUME_BUDGET;
         // Scratch marker per literal code, stamped per subsumer.
         let mut mark: Vec<u32> = vec![0; n_codes];
         let mut stamp = 0u32;
@@ -1451,7 +1437,7 @@ impl Solver {
         debug_assert!(self.itp.is_none());
         const MAX_VIVIFY_LEN: usize = 32;
         let locked = self.locked_clauses();
-        let mut budget = self.config.vivify_budget;
+        let mut budget = VIVIFY_BUDGET;
         let cands: Vec<u32> = self
             .clauses
             .iter()
@@ -1536,7 +1522,7 @@ impl Solver {
         for l in &self.assumptions {
             assumed[l.var().index() as usize] = true;
         }
-        let mut budget = self.config.bve_budget;
+        let mut budget = BVE_BUDGET;
         for v in 0..n_vars {
             if budget == 0 || !self.ok {
                 break;
@@ -1850,13 +1836,16 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_stops_an_unlimited_solve() {
+    fn cancel_flag_stops_an_unlimited_solve() {
         let mut s = pigeonhole(7);
-        s.interrupt();
+        s.set_ctl(&SolveCtl {
+            deadline: None,
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+        });
         assert_eq!(s.solve_limited(&[], u64::MAX), None);
-        // The flag latches until cleared; the solver is then reusable.
+        // The flag latches; lifting the controls makes the solver usable.
         assert_eq!(s.solve_limited(&[], u64::MAX), None);
-        s.clear_interrupt();
+        s.set_ctl(&SolveCtl::unlimited());
         assert_eq!(s.solve(&[]), Some(false));
     }
 
@@ -1888,6 +1877,72 @@ mod tests {
         let mut t = pigeonhole(7);
         t.set_ctl(&ctl);
         assert_eq!(t.solve_limited(&[], u64::MAX), None);
+    }
+
+    /// Random 3-SAT over 40 variables at the threshold ratio (4.25), so
+    /// solves take some hundreds of conflicts.
+    fn random_3sat(mut state: u64) -> Vec<Vec<Lit>> {
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..170)
+            .map(|_| {
+                (0..3)
+                    .map(|_| Var::new((next() % 40) as u32).lit(next() & 1 == 1))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A capped solve spends at most its cap, on plain and interpolation
+    /// solvers alike, pigeonhole and random instances, every cap from 1
+    /// to 60.
+    #[test]
+    fn conflict_cap_is_a_hard_bound() {
+        let instances: Vec<(usize, Vec<Vec<Lit>>)> = [42, 7, 0x5eed]
+            .into_iter()
+            .map(|seed| (40, random_3sat(seed)))
+            .chain(std::iter::once({
+                let s = pigeonhole(7);
+                let clauses = s.clauses.iter().map(|c| c.lits.clone()).collect();
+                (s.num_vars(), clauses)
+            }))
+            .collect();
+        let mut capped = 0;
+        for (i, (n, clauses)) in instances.iter().enumerate() {
+            for cap in 1..=60 {
+                let mut s = Solver::new();
+                vars(&mut s, *n);
+                for c in clauses {
+                    s.add_clause(c);
+                }
+                let got = s.solve_limited(&[], cap);
+                let spent = s.stats().conflicts;
+                assert!(spent <= cap, "instance {i} cap {cap}: spent {spent}");
+                capped += usize::from(got.is_none());
+
+                let mut q = crate::ItpSolver::new();
+                for _ in 0..*n {
+                    q.new_var();
+                }
+                for (k, c) in clauses.iter().enumerate() {
+                    let label = if k % 2 == 0 {
+                        ClauseLabel::A
+                    } else {
+                        ClauseLabel::B
+                    };
+                    q.add_clause(c, label);
+                }
+                let got = q.solve_limited(cap);
+                let spent = q.last_stats().conflicts;
+                assert!(spent <= cap, "itp instance {i} cap {cap}: spent {spent}");
+                capped += usize::from(got.is_none());
+            }
+        }
+        assert!(capped > 200, "only {capped} solves reached their cap");
     }
 
     #[test]
@@ -1983,61 +2038,6 @@ mod reduce_db_tests {
         // Minimization should fire at least occasionally across 80 runs.
         assert!(total_minimized > 0, "minimization never fired");
     }
-
-    /// Interpolation with reduction enabled still yields valid interpolants.
-    #[test]
-    fn interpolation_survives_reduction() {
-        // Pigeonhole split A/B with a tiny threshold.
-        let n: u32 = 6;
-        let h = n - 1;
-        let mut q = crate::ItpSolver::new();
-        q.set_reduce_db_threshold(32);
-        let vars: Vec<Var> = (0..n * h).map(|_| q.new_var()).collect();
-        let p = |i: u32, j: u32| vars[(i * h + j) as usize];
-        for i in 0..n {
-            let row: Vec<Lit> = (0..h).map(|j| p(i, j).pos()).collect();
-            q.add_clause(&row, ClauseLabel::A);
-        }
-        for j in 0..h {
-            for i1 in 0..n {
-                for i2 in (i1 + 1)..n {
-                    q.add_clause(&[p(i1, j).neg(), p(i2, j).neg()], ClauseLabel::B);
-                }
-            }
-        }
-        let itp = q
-            .solve_limited()
-            .expect("unbounded")
-            .into_interpolant()
-            .expect("unsat");
-        // Spot-check the contract on random assignments (30 vars is too
-        // many for exhaustion): A -> I and I -> !B.
-        let mut state = 0xabcdu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..2000 {
-            let assignment: Vec<bool> = (0..n * h).map(|_| next() & 1 == 1).collect();
-            let a_holds = (0..n).all(|i| (0..h).any(|j| assignment[(i * h + j) as usize]));
-            let b_holds = (0..h).all(|j| {
-                let mut count = 0;
-                for i in 0..n {
-                    count += assignment[(i * h + j) as usize] as u32;
-                }
-                count <= 1
-            });
-            let i_val = itp.eval(&assignment);
-            if a_holds {
-                assert!(i_val, "A -> I violated");
-            }
-            if b_holds {
-                assert!(!i_val, "I & B satisfiable");
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2109,5 +2109,246 @@ mod simplify_tests {
                 break;
             }
         }
+    }
+}
+
+/// Soundness of the inprocessing passes, checked against brute force
+/// under an aggressive schedule that makes every pass fire on small
+/// instances.
+#[cfg(test)]
+pub(crate) mod inprocessing_tests {
+    use super::*;
+    use std::cell::Cell;
+    use std::collections::HashMap;
+
+    thread_local! {
+        /// The schedule [`schedule`] returns on this thread, if forced.
+        pub(super) static FORCED: Cell<Option<Schedule>> = const { Cell::new(None) };
+    }
+
+    /// Inprocessing before every solve and every 20 conflicts, with no
+    /// size gate.
+    const AGGRESSIVE: Schedule = Schedule {
+        min_clauses: 0,
+        first_solve: 0,
+        solve_interval: 1,
+        conflict_interval: 20,
+    };
+
+    /// Forces [`AGGRESSIVE`] on every solver this thread builds while the
+    /// guard lives.
+    pub(crate) struct Aggressive;
+
+    impl Aggressive {
+        pub(crate) fn force() -> Aggressive {
+            FORCED.with(|f| f.set(Some(AGGRESSIVE)));
+            Aggressive
+        }
+    }
+
+    impl Drop for Aggressive {
+        fn drop(&mut self) {
+            FORCED.with(|f| f.set(None));
+        }
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The two solver setups every case runs: leg 0 without BVE, leg 1
+    /// with it.
+    const LEGS: [fn() -> Solver; 2] = [Solver::new, Solver::eliminating];
+
+    fn random_cnf(next: &mut impl FnMut() -> u64, n: usize, max_clauses: u64) -> Vec<Vec<Lit>> {
+        let m = 1 + (next() % max_clauses) as usize;
+        (0..m).map(|_| random_clause(next, n)).collect()
+    }
+
+    fn random_clause(next: &mut impl FnMut() -> u64, n: usize) -> Vec<Lit> {
+        let len = 1 + (next() % 3) as usize;
+        (0..len)
+            .map(|_| Var::new((next() % n as u64) as u32).lit(next() & 1 == 1))
+            .collect()
+    }
+
+    /// Whether some assignment of `n` variables agreeing with `fixed`
+    /// satisfies every clause.
+    fn brute_force(n: usize, clauses: &[Vec<Lit>], fixed: &[Lit]) -> bool {
+        let holds = |bits: u32, l: &Lit| (bits >> l.var().index() & 1 == 1) != l.is_negated();
+        (0u32..1 << n).any(|bits| {
+            fixed.iter().all(|l| holds(bits, l))
+                && clauses.iter().all(|c| c.iter().any(|l| holds(bits, l)))
+        })
+    }
+
+    /// Sums each leg's pass counters and checks that every pass fired.
+    #[derive(Default)]
+    struct Fired {
+        vivified: u64,
+        subsumed: u64,
+        eliminated: [u64; 2],
+    }
+
+    impl Fired {
+        fn add(&mut self, leg: usize, stats: SolverStats) {
+            self.vivified += stats.vivified_clauses;
+            self.subsumed += stats.subsumed_clauses;
+            self.eliminated[leg] += stats.eliminated_vars;
+        }
+
+        fn check(&self) {
+            assert!(self.vivified > 0, "vivification never fired");
+            assert!(self.subsumed > 0, "subsumption never fired");
+            assert_eq!(self.eliminated[0], 0, "BVE ran on a Solver::new solver");
+            assert!(self.eliminated[1] > 0, "BVE never fired");
+        }
+    }
+
+    /// Vivification, subsumption and BVE leave one-shot answers equal to
+    /// brute force.
+    #[test]
+    fn inprocessing_preserves_oneshot_answers() {
+        let _aggressive = Aggressive::force();
+        let mut next = xorshift(0x1f2e_3d4c_5b6a_7988);
+        let mut fired = Fired::default();
+        for case in 0..300 {
+            let cnf = random_cnf(&mut next, 8, 30);
+            let want = brute_force(8, &cnf, &[]);
+            for (leg, build) in LEGS.into_iter().enumerate() {
+                let mut s = build();
+                for _ in 0..8 {
+                    s.new_var();
+                }
+                for c in &cnf {
+                    s.add_clause(c);
+                }
+                assert_eq!(s.solve(&[]), Some(want), "case {case} leg {leg}: {cnf:?}");
+                fired.add(leg, s.stats());
+            }
+        }
+        fired.check();
+    }
+
+    /// Repeated solves under assumptions, with clauses added between them
+    /// (the Eq.-12 query's pattern), agree with brute force. The BVE leg
+    /// freezes the variables it assumes, adds clauses over and reads
+    /// models of, as [`Solver::eliminating`] requires; models must satisfy
+    /// the assumptions, and on the plain leg every clause.
+    #[test]
+    fn inprocessing_preserves_incremental_answers() {
+        const FROZEN: usize = 5;
+        let _aggressive = Aggressive::force();
+        let mut next = xorshift(0x2468_ace0_1357_9bdf);
+        let mut fired = Fired::default();
+        for case in 0..200 {
+            let base = random_cnf(&mut next, 8, 30);
+            let rounds: Vec<(Vec<Lit>, Vec<Lit>)> = (0..1 + next() % 4)
+                .map(|_| {
+                    let picks = (0..next() % 4)
+                        .map(|_| Var::new((next() % FROZEN as u64) as u32).lit(next() & 1 == 1))
+                        .collect();
+                    (picks, random_clause(&mut next, FROZEN))
+                })
+                .collect();
+            for (leg, build) in LEGS.into_iter().enumerate() {
+                let mut s = build();
+                for v in 0..8 {
+                    s.new_var();
+                    if v < FROZEN {
+                        s.freeze_var(Var::new(v as u32));
+                    }
+                }
+                let mut cnf = base.clone();
+                for c in &cnf {
+                    s.add_clause(c);
+                }
+                for (round, (assumptions, extra)) in rounds.iter().enumerate() {
+                    let want = brute_force(8, &cnf, assumptions);
+                    let got = s.solve(assumptions);
+                    assert_eq!(got, Some(want), "case {case} leg {leg} round {round}");
+                    if want {
+                        for &l in assumptions {
+                            assert_eq!(s.model_value(l), LBool::True, "case {case} leg {leg}");
+                        }
+                        if leg == 0 {
+                            for c in &cnf {
+                                let sat = c.iter().any(|&l| s.model_value(l) == LBool::True);
+                                assert!(sat, "case {case}: model violates {c:?}");
+                            }
+                        }
+                    }
+                    s.add_clause(extra);
+                    cnf.push(extra.clone());
+                }
+                fired.add(leg, s.stats());
+            }
+        }
+        fired.check();
+    }
+
+    /// Random Tseitin-encoded AIG miters: answers equal exhaustive
+    /// evaluation, and every SAT model's inputs satisfy the miter.
+    #[test]
+    fn inprocessing_agrees_on_tseitin_miters() {
+        use eco_aig::Aig;
+
+        let _aggressive = Aggressive::force();
+        let mut next = xorshift(0x0bad_5eed_cafe_f00d);
+        let mut fired = Fired::default();
+        for case in 0..200 {
+            let mut mgr = Aig::new();
+            let mut nodes: Vec<ALit> = (0..4).map(|i| mgr.add_input(format!("x{i}"))).collect();
+            for _ in 0..1 + next() % 40 {
+                let pick = |next: &mut dyn FnMut() -> u64, nodes: &[ALit]| {
+                    let x = nodes[(next() % nodes.len() as u64) as usize];
+                    x.xor_complement(next() & 1 == 1)
+                };
+                let (x, y) = (pick(&mut next, &nodes), pick(&mut next, &nodes));
+                let gate = if next() & 1 == 1 {
+                    mgr.and(x, y)
+                } else {
+                    mgr.xor(x, y)
+                };
+                nodes.push(gate);
+            }
+            let f = *nodes.last().expect("nonempty");
+            let g = nodes[nodes.len() / 2];
+            let miter = mgr.xor(f, g);
+            let want = (0u32..16).any(|bits| {
+                let inputs: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
+                mgr.eval_lit(miter, &inputs)
+            });
+            for (leg, build) in LEGS.into_iter().enumerate() {
+                let mut s = build();
+                let mut map: HashMap<eco_aig::Var, Lit> = HashMap::new();
+                let roots = crate::encode_cone(&mgr, &[miter], &mut map, &mut s);
+                // The model's input values are read back below.
+                for (&v, &sl) in &map {
+                    if mgr.input_pos(v).is_some() {
+                        s.freeze_var(sl.var());
+                    }
+                }
+                s.add_clause(&[roots[0]]);
+                let got = s.solve(&[]);
+                assert_eq!(got, Some(want), "case {case} leg {leg}");
+                if want {
+                    let mut inputs = vec![false; mgr.num_inputs()];
+                    for (&v, &sl) in &map {
+                        if let Some(pos) = mgr.input_pos(v) {
+                            inputs[pos] = s.model_value(sl) == LBool::True;
+                        }
+                    }
+                    assert!(mgr.eval_lit(miter, &inputs), "case {case} leg {leg}: model");
+                }
+                fired.add(leg, s.stats());
+            }
+        }
+        fired.check();
     }
 }

@@ -4,26 +4,11 @@
 
 //! Property-based tests for the SAT solver: agreement with brute force,
 //! assumption semantics, unsat-core soundness, and the full interpolant
-//! contract.
+//! contract. The inprocessing passes are checked by seeded unit tests in
+//! `src/solver.rs`, which can force an aggressive schedule.
 
-use eco_sat::{
-    encode_cone, ClauseLabel, ItpOutcome, ItpSolver, LBool, Lit, Solver, SolverConfig, Var,
-};
+use eco_sat::{ClauseLabel, ItpOutcome, ItpSolver, LBool, Lit, Solver, Var};
 use proptest::prelude::*;
-use std::collections::HashMap;
-
-/// Inprocessing tuned to fire on every solve call and as often as
-/// possible mid-search, so short proptest runs actually exercise it.
-fn aggressive_inprocessing(bve: bool) -> SolverConfig {
-    SolverConfig {
-        inprocess_first_solve: 0,
-        inprocess_min_clauses: 0,
-        inprocess_solve_interval: 1,
-        inprocess_conflict_interval: 20,
-        bve,
-        ..SolverConfig::default()
-    }
-}
 
 type Cnf = Vec<Vec<i32>>;
 
@@ -153,7 +138,7 @@ proptest! {
         for (lits, label) in &labeled {
             q.add_clause(lits, *label);
         }
-        let itp = match q.solve_limited().expect("unbounded") {
+        let itp = match q.solve_limited(u64::MAX).expect("unbounded") {
             ItpOutcome::Sat(_) => return Ok(()),
             ItpOutcome::Unsat(i) => i,
         };
@@ -177,126 +162,5 @@ proptest! {
                 prop_assert!(!i_val, "I ∧ B satisfiable at {:?}", assignment);
             }
         }
-    }
-
-    /// Aggressive inprocessing (vivification + subsumption + BVE) must
-    /// not change the one-shot SAT/UNSAT answer of a random CNF.
-    #[test]
-    fn inprocessing_preserves_oneshot_answers(cnf in cnf_strategy(8, 30)) {
-        let mut plain = Solver::with_config(SolverConfig {
-            inprocessing: false,
-            ..SolverConfig::default()
-        });
-        let mut inproc = Solver::with_config(aggressive_inprocessing(true));
-        for _ in 0..8 {
-            plain.new_var();
-            inproc.new_var();
-        }
-        for c in &cnf {
-            plain.add_clause(&to_lits(c));
-            inproc.add_clause(&to_lits(c));
-        }
-        let want = brute_force(8, &cnf, &[]);
-        prop_assert_eq!(plain.solve(&[]), Some(want), "plain vs brute force");
-        prop_assert_eq!(inproc.solve(&[]), Some(want), "inprocessing vs brute force");
-    }
-
-    /// Incremental solving with assumptions across repeated calls (the
-    /// engine's Eq.-12 usage pattern) agrees with brute force under
-    /// vivification and subsumption.
-    #[test]
-    fn inprocessing_preserves_incremental_answers(
-        cnf in cnf_strategy(8, 30),
-        rounds in prop::collection::vec(
-            prop::collection::vec((0..8u32, any::<bool>()), 0..4), 1..4),
-    ) {
-        // BVE stays off: these assumption variables are deliberately not
-        // frozen, matching call sites that keep the default config.
-        let mut s = Solver::with_config(aggressive_inprocessing(false));
-        for _ in 0..8 {
-            s.new_var();
-        }
-        for c in &cnf {
-            s.add_clause(&to_lits(c));
-        }
-        for picks in &rounds {
-            let assumptions: Vec<Lit> =
-                picks.iter().map(|&(v, neg)| Var::new(v).lit(neg)).collect();
-            let fixed: Vec<(usize, bool)> = picks
-                .iter()
-                .map(|&(v, neg)| (v as usize, !neg))
-                .collect();
-            // Contradictory picks (v and ¬v) are unsatisfiable both ways.
-            let contradictory = picks.iter().any(|&(v, neg)|
-                picks.contains(&(v, !neg)));
-            let want = !contradictory && brute_force(8, &cnf, &fixed);
-            prop_assert_eq!(s.solve(&assumptions), Some(want));
-        }
-    }
-
-    /// SAT/UNSAT agreement on random Tseitin-encoded AIG miters, with and
-    /// without inprocessing; SAT models must satisfy the miter under
-    /// re-evaluation on the AIG.
-    #[test]
-    fn inprocessing_agrees_on_tseitin_miters(
-        ops in prop::collection::vec(
-            (any::<bool>(), 0..24usize, 0..24usize, any::<bool>(), any::<bool>()), 1..40),
-    ) {
-        use eco_aig::Aig;
-
-        let mut mgr = Aig::new();
-        let mut nodes = vec![
-            mgr.add_input("a"),
-            mgr.add_input("b"),
-            mgr.add_input("c"),
-            mgr.add_input("d"),
-        ];
-        for &(is_and, i, j, ni, nj) in &ops {
-            let x = nodes[i % nodes.len()];
-            let x = if ni { !x } else { x };
-            let y = nodes[j % nodes.len()];
-            let y = if nj { !y } else { y };
-            nodes.push(if is_and { mgr.and(x, y) } else { mgr.xor(x, y) });
-        }
-        let f = *nodes.last().expect("nonempty");
-        let g = nodes[nodes.len() / 2];
-        let miter = mgr.xor(f, g);
-
-        let mut answers = Vec::new();
-        for cfg in [
-            SolverConfig { inprocessing: false, ..SolverConfig::default() },
-            aggressive_inprocessing(false),
-            aggressive_inprocessing(true),
-        ] {
-            let mut s = Solver::with_config(cfg);
-            let mut map: HashMap<eco_aig::Var, Lit> = HashMap::new();
-            let roots = encode_cone(&mgr, &[miter], &mut map, &mut s);
-            s.add_clause(&[roots[0]]);
-            // The model's input values are read back below, so inputs
-            // must survive variable elimination.
-            for (&v, &sl) in &map {
-                if mgr.input_pos(v).is_some() {
-                    s.freeze_var(sl.var());
-                }
-            }
-            let got = s.solve(&[]).expect("unbounded");
-            if got {
-                let mut inputs = vec![false; mgr.num_inputs()];
-                for (&v, &sl) in &map {
-                    if let Some(pos) = mgr.input_pos(v) {
-                        inputs[pos] = s.model_value(sl) == LBool::True;
-                    }
-                }
-                prop_assert!(
-                    mgr.eval_lit(miter, &inputs),
-                    "SAT model does not satisfy the miter"
-                );
-            }
-            answers.push(got);
-        }
-        prop_assert!(
-            answers.windows(2).all(|w| w[0] == w[1]),
-            "configs disagree: {:?}", answers
-        );
     }
 }

@@ -159,14 +159,6 @@ impl SeqNetlist {
             .collect()
     }
 
-    /// Primary-input names, in declaration order.
-    pub fn primary_input_names(&self) -> Vec<String> {
-        self.primary_input_positions()
-            .into_iter()
-            .map(|p| self.aig.input_name(p).to_owned())
-            .collect()
-    }
-
     /// Cycle-accurate simulation: `stimulus[f]` holds the primary-input
     /// values of frame `f` (in [`Self::primary_input_positions`] order);
     /// returns the output values of every frame. [`LatchInit::DontCare`]

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eco_aig::FpHasher;
-use eco_batch::{execute_job, load_job_instance, JobRecord, JobSpec, JobStatus};
+use eco_batch::{execute_job, job_budget, load_job_instance, panic_record, JobRecord, JobSpec};
 use eco_core::{
     faultpoint, render_counters, resolve_workers, Budget, BudgetOptions, EcoOptions, Journal,
     JsonObj, MemoCache, MemoStats, StateDir, QUARANTINE_AFTER, REQUESTS_WAL,
@@ -440,11 +440,11 @@ impl Server {
     /// apportioning, at request granularity. A panicking job becomes one
     /// `error` record.
     fn run_spec(&self, spec: &JobSpec) -> JobRecord {
-        let allowance = match (self.opts.request_budget.cluster_conflicts, spec.budget) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let budget = Budget::new(&self.opts.request_budget).child(allowance);
+        let budget = job_budget(
+            &Budget::new(&self.opts.request_budget),
+            self.opts.request_budget.cluster_conflicts,
+            spec.budget,
+        );
         catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
             test_panic_injection(spec);
@@ -457,18 +457,7 @@ impl Server {
                 &self.cache,
             )
         }))
-        .unwrap_or_else(|_| JobRecord {
-            pass: 0,
-            index: 0,
-            name: spec.name.clone(),
-            status: JobStatus::Error,
-            targets: 0,
-            patches: 0,
-            cost: 0,
-            size: 0,
-            verified: false,
-            detail: "job worker panicked".into(),
-        })
+        .unwrap_or_else(|_| panic_record(&spec.name))
     }
 
     /// One worker: pop admitted jobs until the queue closes and drains.
@@ -476,14 +465,20 @@ impl Server {
     /// client, so every response a client ever saw survives a crash.
     fn worker_loop(&self, queue: &BoundedQueue<QueuedJob>) {
         while let Some(job) = queue.pop() {
-            // Chaos site `worker.stall`: a bounded sleep that reorders
-            // worker scheduling without changing any response bytes.
-            faultpoint::stall("worker.stall", Duration::from_millis(5));
-            let record = self.run_spec(&job.spec);
-            let response = proto::run_response(&job.id, &record);
-            if let (Some(journal), Some(fp)) = (self.journal(), job.fp) {
-                journal.done(fp, &response);
-            }
+            // The job's chaos consults draw from the scope of its position
+            // in its stream, not from its file paths, so a rerun of a
+            // stream over fresh copies of its files draws alike.
+            let response = faultpoint::scoped(u128::from(job.seq), || {
+                // Chaos site `worker.stall`: a bounded sleep that reorders
+                // worker scheduling without changing any response bytes.
+                faultpoint::stall("worker.stall", Duration::from_millis(5));
+                let record = self.run_spec(&job.spec);
+                let response = proto::run_response(&job.id, &record);
+                if let (Some(journal), Some(fp)) = (self.journal(), job.fp) {
+                    journal.done(fp, &response);
+                }
+                response
+            });
             self.served.fetch_add(1, Ordering::Relaxed);
             job.conn.send(job.seq, response);
         }
@@ -547,7 +542,7 @@ impl Server {
         let state = state.load_journal()?;
         report.journal_records = state.log.records;
         report.journal_skipped = state.skipped();
-        for (fp, line) in &state.admits {
+        for (position, (fp, line)) in state.admits.iter().enumerate() {
             if state.refused.contains(fp) {
                 continue; // the client already got a typed refusal
             }
@@ -579,14 +574,19 @@ impl Server {
                 report.quarantined += 1;
                 continue;
             }
-            if let Some(journal) = self.journal() {
-                journal.attempt(*fp);
-            }
-            let record = self.run_spec(&spec);
-            let response = proto::run_response(&id, &record);
-            if let Some(journal) = self.journal() {
-                journal.done(*fp, &response);
-            }
+            // Chaos consults draw from the scope of the job's position,
+            // with the admit order as the stream.
+            let response = faultpoint::scoped(position as u128, || {
+                if let Some(journal) = self.journal() {
+                    journal.attempt(*fp);
+                }
+                let record = self.run_spec(&spec);
+                let response = proto::run_response(&id, &record);
+                if let Some(journal) = self.journal() {
+                    journal.done(*fp, &response);
+                }
+                response
+            });
             self.served.fetch_add(1, Ordering::Relaxed);
             writeln!(out, "{response}")?;
             report.recomputed += 1;

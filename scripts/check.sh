@@ -12,9 +12,10 @@
 # with a differential oracle) followed by the kill-mid-stream drill
 # (SIGKILL a real eco-serve daemon, recover with --resume, the union of
 # responses must equal the fault-free run, the warm restart must hit the
-# durable memo). All start at seed 1; any failure fails the gate with the
-# failing seed printed, and `eco-fuzz --campaign <name> --case <seed>`
-# reruns it.
+# durable memo). The chaos campaign then runs again and must repeat its
+# verdicts and sweep counters exactly. All start at seed 1; any failure
+# fails the gate with the failing seed printed, and `eco-fuzz --campaign
+# <name> --case <seed>` reruns it.
 #
 # --bench-smoke additionally runs the simulation and FRAIG-sweep benches
 # with a single sample each, so hot-path regressions (a bench that panics,
@@ -121,6 +122,20 @@ chaos=$(target/release/eco-fuzz --campaign chaos --iters 240 --seed 1 --stats=js
   || { echo "chaos campaign failed: $chaos"; exit 1; }
 echo "$chaos"
 grep -q '"failures": 0' <<< "$chaos" || { echo "chaos campaign: summary reports failures"; exit 1; }
+# Fault decisions are a function of seed, site and job, not of thread
+# scheduling: a second run must repeat every verdict and sweep counter
+# (the drill's timing counters may differ).
+chaos_again=$(target/release/eco-fuzz --campaign chaos --iters 240 --seed 1 --stats=json) \
+  || { echo "chaos campaign (second run) failed: $chaos_again"; exit 1; }
+sweep_counters() {
+  grep -oE '"(cases|passes|degraded|skips|failures|consults|injected|typed_degradations)": [0-9]+' <<< "$1"
+}
+if [ "$(sweep_counters "$chaos")" != "$(sweep_counters "$chaos_again")" ]; then
+  echo "chaos campaign is not deterministic:"
+  echo "$chaos_again"
+  exit 1
+fi
+echo "chaos campaign repeats: $(sweep_counters "$chaos_again" | tr '\n' ' ')"
 
 if [ "$seq_smoke" -eq 1 ]; then
   echo "== seq smoke: generate -> unroll -> rectify -> fold -> verify at several depths"

@@ -129,7 +129,7 @@ proptest! {
             use eco::sat::ClauseSink as _;
             sink.sink_clause(&[!r[0]]);
         }
-        let itp = match q.solve_limited().expect("unbounded") {
+        let itp = match q.solve_limited(u64::MAX).expect("unbounded") {
             ItpOutcome::Unsat(itp) => itp,
             ItpOutcome::Sat(_) => return Err(TestCaseError::fail("f & !f must be unsat")),
         };
