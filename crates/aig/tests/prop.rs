@@ -1,17 +1,20 @@
-// Needs the external `proptest` crate; compiled out by default so the
-// workspace builds offline. Enable with `--features proptest` (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property tests for the AIG package. Each property checks `CASES`
+//! random recipes drawn from one fixed-seed [`SplitMix64`]; a failing
+//! case names its index and its recipe.
 
-//! Property-based tests for the AIG package.
+use eco_aig::{Aig, IncrementalSim, Lit, SplitMix64};
 
-use eco_aig::{Aig, IncrementalSim, Lit};
-use proptest::prelude::*;
+/// Recipes checked per property.
+const CASES: usize = 128;
+
+/// Seed of every property's generator.
+const SEED: u64 = 0x5eed_0a16;
 
 /// A recipe: sequence of (op, operand indices, complement flags).
 type Recipe = Vec<(u8, usize, usize, bool, bool)>;
 
 /// One step of the incremental-simulation append protocol.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Append {
     /// A single 1-bit stimulus pattern (one bool per input).
     Pattern(Vec<bool>),
@@ -38,123 +41,170 @@ fn build(n_inputs: usize, recipe: &Recipe) -> (Aig, Vec<Lit>) {
     (aig, nets)
 }
 
-fn recipe_strategy() -> impl Strategy<Value = Recipe> {
-    prop::collection::vec(
-        (
-            any::<u8>(),
-            0..64usize,
-            0..64usize,
-            any::<bool>(),
-            any::<bool>(),
-        ),
-        1..50,
-    )
+/// A recipe of 1 to 49 steps with operand picks below 64.
+fn draw_recipe(rng: &mut SplitMix64) -> Recipe {
+    (0..rng.range_inclusive(1, 49))
+        .map(|_| {
+            (
+                rng.next_u64() as u8,
+                rng.index(64),
+                rng.index(64),
+                rng.chance(0.5),
+                rng.chance(0.5),
+            )
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The input values of exhaustive pattern `bits` over `n` inputs.
+fn pattern(bits: u32, n: usize) -> Vec<bool> {
+    (0..n).map(|i| bits >> i & 1 == 1).collect()
+}
 
-    /// Structural hashing is commutative: and(a, b) == and(b, a).
-    #[test]
-    fn and_is_commutative(recipe in recipe_strategy(), ci in any::<bool>(), cj in any::<bool>()) {
+/// Structural hashing is commutative: and(a, b) == and(b, a).
+#[test]
+fn and_is_commutative() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
+        let (ci, cj) = (rng.chance(0.5), rng.chance(0.5));
         let (mut aig, nets) = build(4, &recipe);
         let a = nets[nets.len() / 2].xor_complement(ci);
         let b = nets[nets.len() - 1].xor_complement(cj);
-        prop_assert_eq!(aig.and(a, b), aig.and(b, a));
+        assert_eq!(
+            aig.and(a, b),
+            aig.and(b, a),
+            "case {case}: {recipe:?} {ci} {cj}"
+        );
     }
+}
 
-    /// eval and 64-way simulate agree on every node.
-    #[test]
-    fn simulate_agrees_with_eval(recipe in recipe_strategy()) {
+/// eval and 64-way simulate agree on every node.
+#[test]
+fn simulate_agrees_with_eval() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let (mut aig, nets) = build(5, &recipe);
         let root = *nets.last().expect("non-empty");
         aig.add_output("f", root);
         // 32 exhaustive patterns in one word.
         let patterns: Vec<Vec<u64>> = (0..5)
             .map(|i| {
-                let mut w = 0u64;
-                for p in 0..32u32 {
-                    if p >> i & 1 == 1 {
-                        w |= 1 << p;
-                    }
-                }
-                vec![w]
+                vec![(0..32u32)
+                    .filter(|p| p >> i & 1 == 1)
+                    .fold(0, |w, p| w | 1 << p)]
             })
             .collect();
         let sim = aig.simulate(&patterns);
-        for p in 0..32usize {
-            let vals: Vec<bool> = (0..5).map(|i| p >> i & 1 == 1).collect();
-            prop_assert_eq!(sim.lit_bit(root, p), aig.eval_lit(root, &vals));
+        for p in 0..32u32 {
+            assert_eq!(
+                sim.lit_bit(root, p as usize),
+                aig.eval_lit(root, &pattern(p, 5)),
+                "case {case}: {recipe:?} at pattern {p}"
+            );
         }
     }
+}
 
-    /// compact() preserves output functions and never grows the AIG.
-    #[test]
-    fn compact_preserves_semantics(recipe in recipe_strategy()) {
+/// compact() preserves output functions and never grows the AIG.
+#[test]
+fn compact_preserves_semantics() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let (mut aig, nets) = build(5, &recipe);
-        let root = *nets.last().expect("non-empty");
-        aig.add_output("f", root);
+        aig.add_output("f", *nets.last().expect("non-empty"));
         let compacted = aig.compact();
-        prop_assert!(compacted.num_ands() <= aig.num_ands());
+        assert!(
+            compacted.num_ands() <= aig.num_ands(),
+            "case {case}: {recipe:?}"
+        );
         for bits in 0u32..32 {
-            let vals: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(aig.eval(&vals), compacted.eval(&vals));
+            let vals = pattern(bits, 5);
+            assert_eq!(
+                aig.eval(&vals),
+                compacted.eval(&vals),
+                "case {case}: {recipe:?} at {vals:?}"
+            );
         }
     }
+}
 
-    /// Substituting an input with a constant equals cofactoring, and both
-    /// equal direct evaluation with that input fixed.
-    #[test]
-    fn cofactor_fixes_the_input(recipe in recipe_strategy(), pick in 0..5usize, value in any::<bool>()) {
+/// Substituting an input with a constant equals cofactoring, and both
+/// equal direct evaluation with that input fixed.
+#[test]
+fn cofactor_fixes_the_input() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
+        let (pick, value) = (rng.index(5), rng.chance(0.5));
+        let ctx = format!("case {case}: {recipe:?} x{pick}={value}");
         let (mut aig, nets) = build(5, &recipe);
         let root = *nets.last().expect("non-empty");
         let x = aig.input_var(pick);
         let cof = aig.cofactor(&[root], x, value)[0];
         // The cofactor no longer depends on x.
-        prop_assert!(!aig.support(&[cof]).contains(&x));
+        assert!(!aig.support(&[cof]).contains(&x), "{ctx}");
         for bits in 0u32..32 {
-            let mut vals: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
+            let mut vals = pattern(bits, 5);
             let cof_val = aig.eval_lit(cof, &vals);
             vals[pick] = value;
-            prop_assert_eq!(cof_val, aig.eval_lit(root, &vals));
+            assert_eq!(cof_val, aig.eval_lit(root, &vals), "{ctx} at {vals:?}");
         }
     }
+}
 
-    /// Import into a fresh manager is semantics-preserving.
-    #[test]
-    fn import_round_trip(recipe in recipe_strategy()) {
+/// Import into a fresh manager is semantics-preserving.
+#[test]
+fn import_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let (src, nets) = build(4, &recipe);
         let root = *nets.last().expect("non-empty");
         let mut dst = Aig::new();
-        let mut map = std::collections::HashMap::new();
-        for (i, &v) in src.inputs().iter().enumerate() {
-            map.insert(v, dst.add_input(format!("y{i}")));
-        }
+        let map = src
+            .inputs()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, dst.add_input(format!("y{i}"))))
+            .collect();
         let imported = dst.import(&src, &[root], &map).expect("all inputs mapped")[0];
         for bits in 0u32..16 {
-            let vals: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(src.eval_lit(root, &vals), dst.eval_lit(imported, &vals));
+            let vals = pattern(bits, 4);
+            assert_eq!(
+                src.eval_lit(root, &vals),
+                dst.eval_lit(imported, &vals),
+                "case {case}: {recipe:?} at {vals:?}"
+            );
         }
     }
+}
 
-    /// Incremental column-append re-simulation is bit-identical to one
-    /// full simulate over the concatenated stimulus, for any mix of
-    /// single-pattern and whole-word-column appends.
-    #[test]
-    fn incremental_resimulation_matches_full(
-        recipe in recipe_strategy(),
-        base in prop::collection::vec(prop::collection::vec(any::<u64>(), 3), 4),
-        appends in prop::collection::vec(
-            prop_oneof![
-                prop::collection::vec(any::<bool>(), 4).prop_map(Append::Pattern),
-                prop::collection::vec(any::<u64>(), 4).prop_map(Append::Column),
-            ],
-            0..12,
-        )
-    ) {
+/// Incremental column-append re-simulation is bit-identical to one
+/// full simulate over the concatenated stimulus, for any mix of
+/// single-pattern and whole-word-column appends.
+#[test]
+fn incremental_resimulation_matches_full() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
+        let base: Vec<Vec<u64>> = (0..4)
+            .map(|_| (0..3).map(|_| rng.next_u64()).collect())
+            .collect();
+        let appends: Vec<Append> = (0..rng.index(12))
+            .map(|_| {
+                if rng.chance(0.5) {
+                    Append::Pattern((0..4).map(|_| rng.chance(0.5)).collect())
+                } else {
+                    Append::Column((0..4).map(|_| rng.next_u64()).collect())
+                }
+            })
+            .collect();
+        let ctx = format!("case {case}: {recipe:?} base {base:?} appends {appends:?}");
         let (mut aig, nets) = build(4, &recipe);
-        let root = *nets.last().expect("non-empty");
-        aig.add_output("f", root);
+        aig.add_output("f", *nets.last().expect("non-empty"));
 
         let mut isim = IncrementalSim::new(&aig, &base);
         // Reference stimulus: base columns, then replay the append
@@ -191,32 +241,37 @@ proptest! {
         }
         isim.resimulate(&aig);
         let reference = aig.simulate(&full);
-        prop_assert_eq!(isim.words(), reference.words());
+        assert_eq!(isim.words(), reference.words(), "{ctx}");
         for &net in &nets {
-            prop_assert_eq!(
+            assert_eq!(
                 isim.vectors().lit_words(net),
                 reference.lit_words(net),
-                "node {:?} diverged", net
+                "{ctx}: node {net:?} diverged"
             );
         }
     }
+}
 
-    /// Cone counting is consistent: |cone(f ∪ g)| <= |cone f| + |cone g|,
-    /// and support ⊆ cone.
-    #[test]
-    fn cone_arithmetic(recipe in recipe_strategy()) {
+/// Cone counting is consistent: |cone(f ∪ g)| <= |cone f| + |cone g|,
+/// and support ⊆ cone.
+#[test]
+fn cone_arithmetic() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let (aig, nets) = build(4, &recipe);
         let f = nets[nets.len() / 2];
         let g = *nets.last().expect("non-empty");
         let cf = aig.count_cone_ands(&[f]);
         let cg = aig.count_cone_ands(&[g]);
         let cfg = aig.count_cone_ands(&[f, g]);
-        prop_assert!(cfg <= cf + cg);
-        prop_assert!(cfg >= cf.max(cg));
-        let sup = aig.support(&[g]);
+        assert!(
+            cf.max(cg) <= cfg && cfg <= cf + cg,
+            "case {case}: {recipe:?}"
+        );
         let cone = aig.cone_vars(&[g]);
-        for v in sup {
-            prop_assert!(cone.contains(&v));
+        for v in aig.support(&[g]) {
+            assert!(cone.contains(&v), "case {case}: {recipe:?} support {v:?}");
         }
     }
 }
@@ -281,95 +336,53 @@ mod reference {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The SoA core returns literal-for-literal the same results as the
-    /// reference builder, and its flat arrays uphold the structural
-    /// invariants: canonical `fan0 <= fan1`, strictly topological fanins,
-    /// and a strash with no duplicate fanin pairs.
-    #[test]
-    fn soa_core_matches_reference_builder(recipe in recipe_strategy()) {
+/// The SoA core returns literal-for-literal the same results as the
+/// reference builder, and its flat arrays uphold the structural
+/// invariants: canonical `fan0 <= fan1`, strictly topological fanins,
+/// and a strash with no duplicate fanin pairs.
+#[test]
+fn soa_core_matches_reference_builder() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
+        let ctx = format!("case {case}: {recipe:?}");
         let mut aig = Aig::new();
         let mut reference = reference::RefAig::new();
         let mut nets: Vec<Lit> = Vec::new();
         for i in 0..4 {
             let a = aig.add_input(format!("x{i}"));
             let r = reference.add_input();
-            prop_assert_eq!(a, r, "input {} numbering diverged", i);
+            assert_eq!(a, r, "{ctx}: input {i} numbering diverged");
             nets.push(a);
         }
-        for &(op, i, j, ci, cj) in &recipe {
-            // Only raw ANDs: or/xor/mux are compositions of and() and
-            // would re-test the same code path with extra noise.
-            let _ = op;
+        // Only raw ANDs: or/xor/mux are compositions of and() and would
+        // re-test the same code path with extra noise.
+        for &(_, i, j, ci, cj) in &recipe {
             let a = nets[i % nets.len()].xor_complement(ci);
             let b = nets[j % nets.len()].xor_complement(cj);
             let got = aig.and(a, b);
             let want = reference.and(a, b);
-            prop_assert_eq!(got, want, "and({:?}, {:?}) diverged", a, b);
+            assert_eq!(got, want, "{ctx}: and({a:?}, {b:?}) diverged");
             nets.push(got);
         }
-        prop_assert_eq!(aig.len(), reference.nodes.len());
-        prop_assert_eq!(
+        assert_eq!(aig.len(), reference.nodes.len(), "{ctx}");
+        assert_eq!(
             aig.num_ands(),
-            reference.nodes.iter().filter(|n| n.is_some()).count()
+            reference.nodes.iter().filter(|n| n.is_some()).count(),
+            "{ctx}"
         );
         let mut seen = std::collections::HashSet::new();
         for (v, fan0, fan1) in aig.iter_ands() {
-            prop_assert!(fan0 <= fan1, "canonical order violated at {:?}", v);
-            prop_assert!(
+            assert!(fan0 <= fan1, "{ctx}: canonical order violated at {v:?}");
+            assert!(
                 fan1.var() < v && fan0.var() < v,
-                "fanins of {:?} not strictly earlier", v
+                "{ctx}: fanins of {v:?} not strictly earlier"
             );
-            prop_assert!(seen.insert((fan0, fan1)), "duplicate strash pair at {:?}", v);
-            prop_assert_eq!(Some((fan0, fan1)), aig.and_fanins(v));
+            assert!(
+                seen.insert((fan0, fan1)),
+                "{ctx}: duplicate strash pair at {v:?}"
+            );
+            assert_eq!(Some((fan0, fan1)), aig.and_fanins(v), "{ctx}");
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// AIGER round trips (both formats) preserve semantics and names.
-    #[test]
-    fn aiger_round_trips(recipe in recipe_strategy()) {
-        let (mut aig, nets) = build(5, &recipe);
-        let root = *nets.last().expect("non-empty");
-        let half = nets[nets.len() / 2];
-        aig.add_output("f", root);
-        aig.add_output("g", !half);
-
-        let ascii = eco_aig::parse_aiger_ascii(&eco_aig::write_aiger_ascii(&aig))
-            .expect("ascii parses");
-        let binary = eco_aig::parse_aiger_binary(&eco_aig::write_aiger_binary(&aig))
-            .expect("binary parses");
-        prop_assert_eq!(ascii.input_name(0), "x0");
-        prop_assert_eq!(&binary.outputs()[1].name, "g");
-        for bits in 0u32..32 {
-            let vals: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-            let want = aig.eval(&vals);
-            prop_assert_eq!(&ascii.eval(&vals), &want);
-            prop_assert_eq!(&binary.eval(&vals), &want);
-        }
-    }
-
-    /// Write → parse → write is a fixpoint: the parsed AIG is already in
-    /// AIGER order (inputs first, cone ANDs topological), so re-emitting
-    /// it reproduces the exact bytes. Pins down the varint codec and the
-    /// renumbering pass: any asymmetry shows up as a byte diff.
-    #[test]
-    fn aiger_rewrite_is_identity(recipe in recipe_strategy()) {
-        let (mut aig, nets) = build(5, &recipe);
-        aig.add_output("f", *nets.last().expect("non-empty"));
-        aig.add_output("g", !nets[nets.len() / 2]);
-
-        let text = eco_aig::write_aiger_ascii(&aig);
-        let reparsed = eco_aig::parse_aiger_ascii(&text).expect("ascii parses");
-        prop_assert_eq!(eco_aig::write_aiger_ascii(&reparsed), text);
-
-        let bytes = eco_aig::write_aiger_binary(&aig);
-        let reparsed = eco_aig::parse_aiger_binary(&bytes).expect("binary parses");
-        prop_assert_eq!(eco_aig::write_aiger_binary(&reparsed), bytes);
     }
 }

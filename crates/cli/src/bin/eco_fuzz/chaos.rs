@@ -26,10 +26,10 @@ use std::io::{BufRead, BufReader, Cursor, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use eco_batch::{records_jsonl, run_batch, BatchJob, BatchOptions};
-use eco_core::{faultpoint, ChaosSpec, MemoCache, MemoStore};
+use eco_core::{faultpoint, ChaosSpec, MemoCache, MemoStore, REQUESTS_WAL};
 use eco_serve::{ServeOptions, Server};
 use eco_workgen::campaign::{Campaign, Failure, Outcome};
 use eco_workgen::{contest_suite, request_stream, write_unit, SuiteUnit};
@@ -40,6 +40,11 @@ const RATES: [f64; 4] = [0.05, 0.25, 0.6, 1.0];
 
 /// Responses read from the doomed daemon before SIGKILL.
 const PRE_KILL_READS: usize = 3;
+
+/// How long, and how often, the kill drill polls the doomed daemon's
+/// journal for every request's admit record before the kill.
+const ADMIT_WAIT: Duration = Duration::from_secs(30);
+const ADMIT_POLL: Duration = Duration::from_millis(5);
 
 /// Suite prefix sizes: small fixtures for the tight sweep loop, the
 /// 12-job stream for the kill drill (matching the serve benchmark).
@@ -392,6 +397,23 @@ impl ChaosCampaign {
                 return Err("doomed daemon closed stdout before the kill point".into());
             }
             pre_kill.push(line.trim_end().to_string());
+        }
+        // Kill only once every request is admitted: an admitted request
+        // survives the crash in `requests.wal`, one still unread in the
+        // pipe does not, and the oracle below needs all of them.
+        let admit_deadline = Instant::now() + ADMIT_WAIT;
+        loop {
+            let admitted = REQUESTS_WAL.load(&state).map_or(0, |j| j.admits.len());
+            if admitted >= KILL_UNITS {
+                break;
+            }
+            if Instant::now() >= admit_deadline {
+                let _ = child.kill().and_then(|_| child.wait());
+                return Err(format!(
+                    "daemon admitted {admitted} of {KILL_UNITS} before the kill point"
+                ));
+            }
+            std::thread::sleep(ADMIT_POLL);
         }
         child
             .kill()

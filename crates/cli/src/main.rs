@@ -151,7 +151,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The sequential flow behind `--unroll K`.
-fn run_seq(args: &Args, frames: usize, options: EcoOptions) -> Result<i32, String> {
+fn run_seq(
+    args: &Args,
+    frames: usize,
+    options: EcoOptions,
+    budget: &Budget,
+) -> Result<i32, String> {
     use eco_seq::hub::{read_design, Format};
     use eco_seq::{SeqEcoEngine, SeqEcoError, SeqEcoOptions};
 
@@ -176,7 +181,7 @@ fn run_seq(args: &Args, frames: usize, options: EcoOptions) -> Result<i32, Strin
     };
     let engine = SeqEcoEngine::new(faulty, golden, args.targets.clone(), weights, options)
         .map_err(|e| e.to_string())?;
-    let result = match engine.run() {
+    let result = match engine.run_governed(budget) {
         Ok(r) => r,
         Err(SeqEcoError::Eco(eco_core::EcoError::Unrectifiable(why))) => {
             eprintln!("unrectifiable: {why}");
@@ -224,14 +229,14 @@ fn run(args: &Args) -> Result<i32, String> {
         optimize: args.optimize,
         initial_patch: args.initial,
         jobs: args.jobs,
-        budget: BudgetOptions {
-            timeout: args.timeout,
-            cluster_conflicts: args.conflict_budget,
-        },
         ..Default::default()
     };
+    let budget = Budget::new(&BudgetOptions {
+        timeout: args.timeout,
+        cluster_conflicts: args.conflict_budget,
+    });
     if let Some(frames) = args.unroll {
-        return run_seq(args, frames, options);
+        return run_seq(args, frames, options, &budget);
     }
     let instance = load_job_instance(&JobSpec {
         name: "cli".into(),
@@ -242,7 +247,6 @@ fn run(args: &Args) -> Result<i32, String> {
         budget: None,
     })?;
 
-    let budget = Budget::new(&options.budget);
     let outcome = match EcoEngine::new(instance, options).run_governed(&budget) {
         Ok(o) => o,
         Err(eco_core::EcoError::Unrectifiable(why)) => {

@@ -124,6 +124,26 @@ fn assert_usage_error(cmd: &mut Command, flag: &str) {
     assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
 }
 
+/// A target named twice is refused with exit 1 naming it, in the
+/// combinational and the `--unroll` flow: patching it would put two
+/// drivers on one net.
+#[test]
+fn duplicate_targets_exit_1() {
+    let dir = tmpdir("dup");
+    let f = dir.join("faulty.v");
+    let g = dir.join("golden.v");
+    std::fs::write(&f, FAULTY).expect("write");
+    std::fs::write(&g, GOLDEN).expect("write");
+    for extra in [&[][..], &["--unroll", "2"]] {
+        let mut cmd = bin();
+        cmd.args(["-f", f.to_str().expect("path")])
+            .args(["-g", g.to_str().expect("path")])
+            .args(["-t", "t,t"])
+            .args(extra);
+        assert_usage_error(&mut cmd, "target `t` is declared more than once");
+    }
+}
+
 /// Duration flags reject values no `Duration` (or deadline) can hold
 /// instead of panicking in the conversion.
 #[test]

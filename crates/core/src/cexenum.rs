@@ -496,16 +496,45 @@ mod tests {
         masks
     }
 
+    /// The random-DAG instance of the persisted regression input of
+    /// `tests/prop.rs` (seed 82, 23 gates): its middle live wire cut, with
+    /// every candidate in the pool.
+    fn regression_spec() -> (Workspace, eco_aig::Lit, eco_aig::Lit) {
+        let golden = eco_workgen::circuits::random_dag(5, 23, 3, 82);
+        let e = eco_netlist::elaborate(&golden).expect("generated DAG elaborates");
+        let roots: Vec<_> = e.aig.outputs().iter().map(|o| o.lit).collect();
+        let cone = e.aig.cone_vars(&roots);
+        let live: Vec<&String> = golden
+            .wires
+            .iter()
+            .filter(|w| e.net_lits.get(*w).is_some_and(|l| cone.contains(&l.var())))
+            .collect();
+        let targets = vec![live[live.len() / 2].clone()];
+        let faulty = eco_workgen::cut_targets(&golden, &targets).expect("target is driven");
+        let profile = eco_workgen::WeightProfile::Uniform { lo: 1, hi: 9 };
+        let weights = eco_workgen::assign_weights(&faulty, profile, 82);
+        let inst = EcoInstance::from_netlists("regression", &faulty, &golden, targets, &weights)
+            .expect("valid instance");
+        let mut ws = Workspace::new(&inst);
+        let (t, f, g) = (ws.target_vars[0], ws.f_outs.clone(), ws.g_outs.clone());
+        let onoff = on_off_sets(&mut ws.mgr, &f, &g, t);
+        (ws, onoff.on, onoff.off)
+    }
+
     /// `enumerate_cex` returns exactly the complete projection set, on a
-    /// fresh query and on one whose table earlier probes have filled.
+    /// fresh query and on one whose table earlier probes have filled; and
+    /// probing with every candidate selected leaves no projection exactly
+    /// when the whole pool is feasible. Case 0 is the regression spec,
+    /// case `k > 0` is `random_spec(k - 1)`.
     #[test]
     fn enumeration_matches_brute_force() {
         let mut table_hits = 0;
-        for seed in 0..60u64 {
-            let (ws, on, off) = random_spec(seed);
+        let mut feasible_pools = 0;
+        let specs = std::iter::once(regression_spec()).chain((0..60).map(random_spec));
+        for (case, (ws, on, off)) in specs.enumerate() {
             let pool: Vec<usize> = (0..ws.cands.len()).collect();
             let mut q = RebaseQuery::new(&ws, on, off, pool.clone());
-            let mut rng = eco_aig::SplitMix64::new(seed ^ 0x5eed);
+            let mut rng = eco_aig::SplitMix64::new(case as u64 ^ 0x5eed);
             for probe_no in 0..16 {
                 let mut shuffled = pool.clone();
                 rng.shuffle(&mut shuffled);
@@ -524,10 +553,10 @@ mod tests {
                 let mut masks = got.masks.clone();
                 masks.sort_unstable();
                 masks.dedup();
-                assert_eq!(masks.len(), got.len(), "seed {seed}: repeated projection");
+                assert_eq!(masks.len(), got.len(), "case {case}: repeated projection");
                 assert_eq!(
                     masks, expect,
-                    "seed {seed} probe {probe_no}: hold {hold:?} probe {probe:?} watch {watch:?}"
+                    "case {case} probe {probe_no}: hold {hold:?} probe {probe:?} watch {watch:?}"
                 );
                 let after = q.counts;
                 table_hits += after.table_projections - before.table_projections;
@@ -535,10 +564,25 @@ mod tests {
                 assert_eq!(
                     after.projections - before.projections,
                     got.len() as u64,
-                    "seed {seed}"
+                    "case {case}"
                 );
             }
+            let (probe, hold) = pool.split_first().expect("non-empty pool");
+            let watch = &pool[..pool.len().min(3)];
+            let none =
+                enumerate_cex(&mut q, hold, Some(*probe), watch, 1 << 20).expect("in budget");
+            let feasible = q.feasible(&pool, 1 << 20).expect("in budget");
+            assert_eq!(
+                none.is_empty(),
+                feasible,
+                "case {case}: everything selected"
+            );
+            feasible_pools += usize::from(feasible);
         }
+        assert!(
+            feasible_pools >= 24,
+            "only {feasible_pools} specs have a feasible pool"
+        );
         assert!(
             table_hits > 0,
             "later probes must read projections off the table"

@@ -21,7 +21,7 @@ use eco_aig::{Aig, Lit, Var};
 use eco_fraig::{fraig_classes_stats, fraig_reduce, FraigOptions};
 
 use crate::cluster::{cluster_targets, TargetCluster};
-use crate::govern::{Budget, BudgetOptions, ClusterDiagnosis, ClusterReport};
+use crate::govern::{Budget, ClusterDiagnosis, ClusterReport};
 use crate::localize::{Cut, CutSignal, TapMap};
 use crate::memo::{patch_memo_key, MemoCache};
 use crate::optimize::{optimize_patches, total_cost};
@@ -59,11 +59,6 @@ pub struct EcoOptions {
     /// sequentially (same code path, so results are identical for every
     /// value). Never more threads than clusters are spawned.
     pub jobs: usize,
-    /// Run-wide resource governor: wall-clock deadline and per-cluster
-    /// conflict allowance — the only way to limit a run. Unlimited by
-    /// default: no SAT query is then capped beyond its own fixed budget,
-    /// and no deadline is polled.
-    pub budget: BudgetOptions,
     /// Shared cross-job memo cache ([`MemoCache`]): a complete verified
     /// result is reused across structurally identical instances. Hits
     /// never change results — a cached result is a pure function of its
@@ -82,7 +77,6 @@ impl Default for EcoOptions {
             watch_size: 5,
             precheck_rectifiability: false,
             jobs: 0,
-            budget: BudgetOptions::default(),
             memo: None,
         }
     }
@@ -228,7 +222,8 @@ impl EcoEngine {
         &self.instance
     }
 
-    /// Runs the full flow.
+    /// Runs the full flow with no deadline and no conflict allowance;
+    /// [`EcoEngine::run_governed`] is the one way to limit a run.
     ///
     /// # Errors
     ///
@@ -238,7 +233,7 @@ impl EcoEngine {
     /// [`EcoError::ResourceLimit`] whenever the run degrades to a partial
     /// result (use [`EcoEngine::run_governed`] to receive it instead).
     pub fn run(&self) -> Result<EcoResult, EcoError> {
-        match self.run_governed(&Budget::new(&self.options.budget))? {
+        match self.run_governed(&Budget::unlimited())? {
             EcoOutcome::Complete(result) => Ok(result),
             EcoOutcome::Partial(partial) => Err(EcoError::ResourceLimit(format!(
                 "run degraded to a partial result: {}",
@@ -249,8 +244,9 @@ impl EcoEngine {
 
     /// Runs the full flow under `budget`, returning a graceful
     /// [`EcoOutcome::Partial`] instead of an error when the deadline or
-    /// conflict budget cuts the run short. [`EcoEngine::run`] passes a
-    /// governor built from [`EcoOptions::budget`]; the batch runner
+    /// conflict budget cuts the run short. [`EcoEngine::run`] passes
+    /// [`Budget::unlimited`]; eco-patch builds its governor from its
+    /// `--timeout` and `--conflict-budget` flags, and the batch runner
     /// apportions one run-wide governor across jobs with
     /// [`Budget::child`].
     ///
@@ -940,6 +936,7 @@ fn prune_unused_inputs(aig: &Aig) -> Aig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::BudgetOptions;
     use eco_netlist::{parse_verilog, WeightTable};
     use std::time::Duration;
 
@@ -1153,15 +1150,11 @@ mod tests {
 
     #[test]
     fn zero_conflict_budget_degrades_to_partial() {
-        let options = EcoOptions {
-            budget: BudgetOptions {
-                timeout: None,
-                cluster_conflicts: Some(0),
-            },
-            ..Default::default()
-        };
-        let budget = Budget::new(&options.budget);
-        match EcoEngine::new(two_cluster_instance(), options)
+        let budget = Budget::new(&BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(0),
+        });
+        match EcoEngine::new(two_cluster_instance(), EcoOptions::default())
             .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
@@ -1180,15 +1173,11 @@ mod tests {
 
     #[test]
     fn zero_timeout_reports_deadline_for_every_cluster() {
-        let options = EcoOptions {
-            budget: BudgetOptions {
-                timeout: Some(Duration::ZERO),
-                cluster_conflicts: None,
-            },
-            ..Default::default()
-        };
-        let budget = Budget::new(&options.budget);
-        match EcoEngine::new(two_cluster_instance(), options)
+        let budget = Budget::new(&BudgetOptions {
+            timeout: Some(Duration::ZERO),
+            cluster_conflicts: None,
+        });
+        match EcoEngine::new(two_cluster_instance(), EcoOptions::default())
             .run_governed(&budget)
             .expect("degradation is not a hard error")
         {
@@ -1212,15 +1201,11 @@ mod tests {
         let plain = EcoEngine::new(inst.clone(), EcoOptions::default())
             .run()
             .expect("rectifiable");
-        let options = EcoOptions {
-            budget: BudgetOptions {
-                timeout: None,
-                cluster_conflicts: Some(1 << 30),
-            },
-            ..Default::default()
-        };
-        let budget = Budget::new(&options.budget);
-        match EcoEngine::new(inst, options)
+        let budget = Budget::new(&BudgetOptions {
+            timeout: None,
+            cluster_conflicts: Some(1 << 30),
+        });
+        match EcoEngine::new(inst, EcoOptions::default())
             .run_governed(&budget)
             .expect("rectifiable")
         {

@@ -12,6 +12,9 @@ pub enum EcoError {
     MissingInput(String),
     /// A declared target is not a (pseudo-)input of the faulty circuit.
     UnknownTarget(String),
+    /// A target is declared more than once (each target takes one
+    /// patch driver).
+    DuplicateTarget(String),
     /// The circuits' primary output name sets differ.
     OutputMismatch(String),
     /// No patch over the given targets can rectify the faulty circuit.
@@ -35,6 +38,7 @@ impl fmt::Display for EcoError {
             EcoError::UnknownTarget(n) => {
                 write!(f, "target `{n}` is not an input of the faulty circuit")
             }
+            EcoError::DuplicateTarget(n) => write!(f, "target `{n}` is declared more than once"),
             EcoError::OutputMismatch(n) => {
                 write!(f, "output `{n}` is not present in both circuits")
             }
@@ -68,6 +72,9 @@ mod tests {
         assert!(EcoError::UnknownTarget("t".into())
             .to_string()
             .contains("`t`"));
+        assert!(EcoError::DuplicateTarget("t1".into())
+            .to_string()
+            .contains("`t1`"));
         assert!(EcoError::OutputMismatch("y".into())
             .to_string()
             .contains("`y`"));

@@ -43,9 +43,9 @@ impl EcoInstance {
     ///
     /// # Errors
     ///
-    /// Returns [`EcoError`] if a target is not a faulty input, the input or
-    /// output name sets are inconsistent, or a candidate depends on a
-    /// target.
+    /// Returns [`EcoError`] if a target is not a faulty input or is
+    /// declared twice, the input or output name sets are inconsistent, or
+    /// a candidate depends on a target.
     pub fn new(
         name: impl Into<String>,
         faulty: Aig,
@@ -53,12 +53,15 @@ impl EcoInstance {
         targets: Vec<String>,
         candidates: Vec<BaseCandidate>,
     ) -> Result<Self, EcoError> {
-        let target_set: HashSet<&str> = targets.iter().map(String::as_str).collect();
+        let mut target_set: HashSet<&str> = HashSet::new();
         let mut target_vars: HashSet<Var> = HashSet::new();
         for t in &targets {
             let v = faulty
                 .find_input(t)
                 .ok_or_else(|| EcoError::UnknownTarget(t.clone()))?;
+            if !target_set.insert(t.as_str()) {
+                return Err(EcoError::DuplicateTarget(t.clone()));
+            }
             target_vars.insert(v);
         }
         // Golden inputs must all exist among the faulty X inputs.
@@ -267,6 +270,15 @@ mod tests {
         let w = WeightTable::new(1);
         let err = EcoInstance::from_netlists("u", &f, &g, vec!["zz".into()], &w).unwrap_err();
         assert_eq!(err, EcoError::UnknownTarget("zz".into()));
+    }
+
+    #[test]
+    fn duplicate_target_rejected() {
+        let (f, g) = simple_pair();
+        let w = WeightTable::new(1);
+        let err =
+            EcoInstance::from_netlists("u", &f, &g, vec!["t".into(), "t".into()], &w).unwrap_err();
+        assert_eq!(err, EcoError::DuplicateTarget("t".into()));
     }
 
     #[test]

@@ -273,10 +273,10 @@ pub fn patch_memo_key(inst: &EcoInstance, opts: &EcoOptions) -> (u128, u128) {
         h.word(u64::from(c.lit.code()));
         h.word(c.weight);
     }
-    // Result-relevant engine settings. `jobs`, `budget` and `memo` are
-    // excluded on purpose: jobs never changes results
-    // (tests/determinism.rs) and the memo is only consulted under an
-    // unlimited budget. The Debug rendering of the patch kind is stable.
+    // Result-relevant engine settings. `jobs` and `memo` are excluded on
+    // purpose: jobs never changes results (tests/determinism.rs), and the
+    // memo is only consulted under an unlimited budget. The Debug
+    // rendering of the patch kind is stable.
     h.word(u64::from(opts.localization));
     h.str(&format!("{:?}", opts.initial_patch));
     h.word(u64::from(opts.optimize));
@@ -377,19 +377,15 @@ pub(crate) mod tests {
             );
         }
 
-        let limited = EcoOptions {
+        let shared = EcoOptions {
             jobs: 3,
-            budget: crate::BudgetOptions {
-                timeout: None,
-                cluster_conflicts: Some(7),
-            },
             memo: Some(Arc::new(MemoCache::new())),
             ..Default::default()
         };
         assert_eq!(
             a,
-            patch_memo_key(&instance("one", &["t"]), &limited),
-            "jobs, budget and memo never change a cached result"
+            patch_memo_key(&instance("one", &["t"]), &shared),
+            "jobs and memo never change a cached result"
         );
     }
 

@@ -1,12 +1,16 @@
-// Needs the external `proptest` crate; compiled out by default so the
-// workspace builds offline. Enable with `--features proptest` (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property tests: writer/parser round trips and elaboration semantics on
+//! randomly generated netlists. Each property checks `CASES` random
+//! recipes drawn from one fixed-seed [`SplitMix64`]; a failing case names
+//! its index and its recipe.
 
-//! Property-based tests: writer/parser round trips and elaboration
-//! semantics on randomly generated netlists.
-
+use eco_aig::SplitMix64;
 use eco_netlist::{elaborate, parse_verilog, write_verilog, Gate, GateKind, NetRef, Netlist};
-use proptest::prelude::*;
+
+/// Recipes checked per property.
+const CASES: usize = 96;
+
+/// Seed of every property's generator.
+const SEED: u64 = 0x5eed_ae71;
 
 /// A random flat netlist recipe: gate kinds and operand picks.
 type Recipe = Vec<(u8, usize, usize)>;
@@ -52,44 +56,69 @@ fn build(n_inputs: usize, recipe: &Recipe) -> Netlist {
     nl
 }
 
-fn recipe_strategy() -> impl Strategy<Value = Recipe> {
-    prop::collection::vec((any::<u8>(), 0..64usize, 0..64usize), 1..40)
+/// A recipe of 1 to 39 gates with operand picks below 64.
+fn draw_recipe(rng: &mut SplitMix64) -> Recipe {
+    (0..rng.range_inclusive(1, 39))
+        .map(|_| (rng.next_u64() as u8, rng.index(64), rng.index(64)))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// The input values of exhaustive pattern `bits` over `n` inputs.
+fn pattern(bits: u32, n: usize) -> Vec<bool> {
+    (0..n).map(|i| bits >> i & 1 == 1).collect()
+}
 
-    /// write → parse is the identity on semantics.
-    #[test]
-    fn write_parse_round_trip(recipe in recipe_strategy()) {
+/// write → parse is the identity on semantics.
+#[test]
+fn write_parse_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let nl = build(5, &recipe);
         let text = write_verilog(&nl);
         let back = parse_verilog(&text).expect("written netlist parses");
         let e1 = elaborate(&nl).expect("original elaborates");
         let e2 = elaborate(&back).expect("round trip elaborates");
         for bits in 0u32..32 {
-            let vals: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(e1.aig.eval(&vals), e2.aig.eval(&vals));
+            let vals = pattern(bits, 5);
+            assert_eq!(
+                e1.aig.eval(&vals),
+                e2.aig.eval(&vals),
+                "case {case}: {recipe:?} at {vals:?}"
+            );
         }
     }
+}
 
-    /// netlist → AIG → netlist preserves semantics.
-    #[test]
-    fn aig_round_trip(recipe in recipe_strategy()) {
+/// netlist → AIG → netlist preserves semantics.
+#[test]
+fn aig_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
         let nl = build(5, &recipe);
         let e1 = elaborate(&nl).expect("elaborates");
         let back = eco_netlist::netlist_from_aig(&e1.aig, "rt");
         let e2 = elaborate(&back).expect("round trip elaborates");
         for bits in 0u32..32 {
-            let vals: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(e1.aig.eval(&vals), e2.aig.eval(&vals));
+            let vals = pattern(bits, 5);
+            assert_eq!(
+                e1.aig.eval(&vals),
+                e2.aig.eval(&vals),
+                "case {case}: {recipe:?} at {vals:?}"
+            );
         }
     }
+}
 
-    /// Every named net's literal evaluates consistently with a rebuilt
-    /// output on that net.
-    #[test]
-    fn net_lits_are_consistent(recipe in recipe_strategy(), pick in 0..40usize) {
+/// Every named net's literal evaluates consistently with a rebuilt
+/// output on that net.
+#[test]
+fn net_lits_are_consistent() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let recipe = draw_recipe(&mut rng);
+        let pick = rng.index(40);
         let nl = build(4, &recipe);
         let e = elaborate(&nl).expect("elaborates");
         let wire = &nl.wires[pick % nl.wires.len()];
@@ -106,11 +135,11 @@ proptest! {
         let e2 = elaborate(&nl2).expect("elaborates");
         let probe = e2.aig.find_output("probe").expect("probe output");
         for bits in 0u32..16 {
-            let vals: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(
+            let vals = pattern(bits, 4);
+            assert_eq!(
                 e.aig.eval_lit(lit, &vals),
                 e2.aig.eval(&vals)[probe],
-                "wire {} at {:?}", wire, vals
+                "case {case}: {recipe:?}: wire {wire} at {vals:?}"
             );
         }
     }

@@ -1768,7 +1768,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for round in 0..120 {
+        for round in 0..200 {
             let n = 4 + (next() % 6) as usize; // 4..9 vars
             let m = 3 + (next() % (3 * n as u64)) as usize;
             let mut clauses: Vec<Vec<Lit>> = Vec::new();

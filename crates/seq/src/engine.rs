@@ -21,7 +21,7 @@
 //! is target-tainted in the unrolling) — those runs end with a typed
 //! fold error rather than an unsound patch.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use eco_aig::{Aig, Lit, Var};
 use eco_core::{
@@ -155,6 +155,8 @@ impl SeqEcoEngine {
     /// # Errors
     ///
     /// [`SeqEcoError::MissingTarget`] if a target is not a faulty input;
+    /// [`EcoError::DuplicateTarget`] if one is named twice (checked here so
+    /// the error names the target, not one of its frame copies);
     /// [`SeqEcoError::Seq`] ([`SeqError::ZeroFrames`]) if `frames == 0`.
     pub fn new(
         faulty: SeqNetlist,
@@ -166,9 +168,13 @@ impl SeqEcoEngine {
         if options.frames == 0 {
             return Err(SeqError::ZeroFrames.into());
         }
+        let mut seen = HashSet::new();
         for t in &targets {
             if faulty.aig.find_input(t).is_none() {
                 return Err(SeqEcoError::MissingTarget(t.clone()));
+            }
+            if !seen.insert(t) {
+                return Err(EcoError::DuplicateTarget(t.clone()).into());
             }
         }
         Ok(SeqEcoEngine {
@@ -181,8 +187,17 @@ impl SeqEcoEngine {
     }
 
     /// Runs unroll → combinational rectification → fold-back → sequential
-    /// re-proof, with every solver enrolled in one governor built from the
-    /// engine's own budget options.
+    /// re-proof with no deadline and no conflict allowance.
+    ///
+    /// # Errors
+    ///
+    /// As [`SeqEcoEngine::run_governed`].
+    pub fn run(&self) -> Result<SeqEcoResult, SeqEcoError> {
+        self.run_governed(&Budget::unlimited())
+    }
+
+    /// Runs unroll → combinational rectification → fold-back → sequential
+    /// re-proof, with every solver enrolled in `budget`.
     ///
     /// # Errors
     ///
@@ -192,8 +207,7 @@ impl SeqEcoEngine {
     /// [`SeqEcoError::VerifyUnknown`] when the re-proof ran out of
     /// budget; [`SeqEcoError::Eco`] / [`SeqEcoError::Seq`] on inner
     /// failures.
-    pub fn run(&self) -> Result<SeqEcoResult, SeqEcoError> {
-        let budget = &Budget::new(&self.options.eco.budget);
+    pub fn run_governed(&self, budget: &Budget) -> Result<SeqEcoResult, SeqEcoError> {
         let k = self.options.frames;
         let uf = unroll(&self.faulty, k)?;
         let ug = unroll(&self.golden, k)?;

@@ -598,11 +598,12 @@ impl Server {
 
     /// Serves one request stream from any buffered reader, writing
     /// sequenced responses to `sink` — the stdio transport and the test
-    /// harness. EOF ends the stream (a `shutdown` request additionally
-    /// latches the daemon-wide drain flag); either way the call returns
-    /// only after every admitted job's response was written. The memo
-    /// cache belongs to the `Server`, so a later stream on the same
-    /// daemon starts warm.
+    /// harness. Lines are read as on the socket transport: a line that is
+    /// not UTF-8 gets a `bad-request` answer and the stream goes on. EOF
+    /// ends the stream (a `shutdown` request additionally latches the
+    /// daemon-wide drain flag); either way the call returns only after
+    /// every admitted job's response was written. The memo cache belongs
+    /// to the `Server`, so a later stream on the same daemon starts warm.
     pub fn serve_reader<R: BufRead>(&self, input: R, sink: Box<dyn Write + Send>) -> ServeSummary {
         let t0 = Instant::now();
         let queue = BoundedQueue::new(self.queue_capacity());
@@ -611,19 +612,7 @@ impl Server {
             for _ in 0..self.workers {
                 s.spawn(|| self.supervised_worker(&queue));
             }
-            let mut seq = 0u64;
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let outcome = self.handle_line(line, seq, &conn, &queue);
-                seq += 1;
-                if outcome == LineOutcome::Shutdown {
-                    break;
-                }
-            }
+            self.read_requests(input, &conn, &queue);
             queue.close();
         });
         self.checkpoint();
@@ -696,7 +685,20 @@ impl Server {
         };
         let _ = stream.set_read_timeout(Some(READ_POLL));
         let conn = Arc::new(ConnOut::new(Box::new(writer)));
-        let mut reader = BufReader::new(stream);
+        self.read_requests(BufReader::new(stream), &conn, queue);
+    }
+
+    /// Reads request lines until EOF, a `shutdown` request, a read error,
+    /// or — on a read timeout — a latched drain: the one reader of both
+    /// transports. Lines are bytes up to `\n`, decoded lossily, so a line
+    /// that is not UTF-8 gets a `bad-request` answer and the stream goes
+    /// on; blank lines are skipped without using up a sequence number.
+    fn read_requests<R: BufRead>(
+        &self,
+        mut reader: R,
+        conn: &Arc<ConnOut>,
+        queue: &BoundedQueue<QueuedJob>,
+    ) {
         let mut seq = 0u64;
         let mut buf: Vec<u8> = Vec::new();
         loop {
@@ -707,7 +709,7 @@ impl Server {
                         // Unterminated data: EOF follows on the next read.
                         continue;
                     }
-                    if self.process_line_bytes(&mut buf, &mut seq, &conn, queue)
+                    if self.process_line_bytes(&mut buf, &mut seq, conn, queue)
                         == LineOutcome::Shutdown
                     {
                         return;
@@ -730,7 +732,7 @@ impl Server {
         }
         // A final line without a trailing newline still gets an answer.
         if !buf.is_empty() {
-            self.process_line_bytes(&mut buf, &mut seq, &conn, queue);
+            self.process_line_bytes(&mut buf, &mut seq, conn, queue);
         }
     }
 
@@ -846,6 +848,55 @@ mod tests {
         assert_eq!(lines[2], "{\"id\": 2, \"ok\": true, \"op\": \"ping\"}");
         assert_eq!(summary.bad_requests, 1);
         assert_eq!(summary.served, 0);
+    }
+
+    /// Both transports read requests the same way: a line that is not
+    /// UTF-8 gets a `bad-request` answer and the stream goes on.
+    #[test]
+    fn non_utf8_line_is_a_bad_request_on_both_transports() {
+        let input: &[u8] = b"{\"op\": \"ping\", \"id\": 1}\n\xff\xfe\n\
+                             {\"op\": \"ping\", \"id\": 2}\n{\"op\": \"ping\", \"id\": 3}\n";
+        let server = Server::new(opts(1));
+        let sink = SharedBuf::default();
+        let summary = server.serve_reader(input, Box::new(sink.clone()));
+        let stdio = sink.take();
+        let lines: Vec<&str> = stdio.lines().collect();
+        assert_eq!(lines.len(), 4, "{stdio}");
+        for (line, id) in [(lines[0], 1), (lines[2], 2), (lines[3], 3)] {
+            assert_eq!(
+                line,
+                format!("{{\"id\": {id}, \"ok\": true, \"op\": \"ping\"}}")
+            );
+        }
+        assert!(lines[1].contains("\"error\": \"bad-request\""), "{stdio}");
+        assert_eq!(summary.bad_requests, 1);
+
+        let dir = case_dir("utf8");
+        let sock = dir.join("eco.sock");
+        let server = Arc::new(Server::new(opts(1)));
+        let handle = {
+            let (server, sock) = (Arc::clone(&server), sock.clone());
+            std::thread::spawn(move || server.serve_unix(&sock, &AtomicBool::new(false)).unwrap())
+        };
+        let mut stream = loop {
+            match UnixStream::connect(&sock) {
+                Ok(s) => break s,
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        stream.write_all(input).unwrap();
+        stream
+            .write_all(b"{\"op\": \"shutdown\", \"id\": \"bye\"}\n")
+            .unwrap();
+        let socket: Vec<String> = BufReader::new(stream)
+            .lines()
+            .take(5)
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(socket[..4], lines, "{socket:?}");
+        assert!(socket[4].contains("\"op\": \"shutdown\""), "{socket:?}");
+        assert_eq!(handle.join().unwrap().bad_requests, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use eco::aig::{Lit, Var};
 use eco::core::{
     check_equivalence, cluster_targets, generate_group_patches, Budget, BudgetOptions,
-    ConflictMeter, Cut, EcoEngine, EcoError, EcoInstance, EcoOptions, InitialPatchKind, TapMap,
-    Telemetry, VerifyOutcome, Workspace,
+    ConflictMeter, Cut, EcoEngine, EcoError, EcoInstance, EcoOptions, EcoOutcome, InitialPatchKind,
+    TapMap, Telemetry, VerifyOutcome, Workspace,
 };
 use eco::fraig::{fraig_classes, FraigOptions};
 use eco::netlist::{parse_verilog, WeightTable};
@@ -36,7 +36,7 @@ fn simple_instance() -> (eco::netlist::Netlist, eco::netlist::Netlist, EcoInstan
     (faulty, golden, inst)
 }
 
-/// A one-conflict allowance yields ResourceLimit, not a wrong answer.
+/// A one-conflict allowance yields a partial result, not a wrong answer.
 #[test]
 fn exhausted_verify_budget_is_reported() {
     // Big enough that verification actually needs search: a multiplier.
@@ -51,18 +51,18 @@ fn exhausted_verify_budget_is_reported() {
     });
     let inst = unit.instance().expect("valid");
     let opts = EcoOptions {
-        budget: BudgetOptions {
-            timeout: None,
-            cluster_conflicts: Some(1),
-        },
         optimize: false,
         ..Default::default()
     };
-    match EcoEngine::new(inst, opts).run() {
-        Err(EcoError::ResourceLimit(_)) => {}
+    let budget = Budget::new(&BudgetOptions {
+        timeout: None,
+        cluster_conflicts: Some(1),
+    });
+    match EcoEngine::new(inst, opts).run_governed(&budget) {
+        Ok(EcoOutcome::Partial(_)) => {}
         // A 1-conflict budget may still suffice if propagation alone
         // decides the miters; accept a verified success too.
-        Ok(result) => {
+        Ok(EcoOutcome::Complete(result)) => {
             common::assert_patched_equals_golden(&unit.faulty, &unit.golden, &result);
         }
         Err(other) => panic!("unexpected error: {other}"),
