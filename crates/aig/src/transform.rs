@@ -57,6 +57,17 @@ impl fmt::Display for TransformError {
 
 impl Error for TransformError {}
 
+/// `lit` through a dense per-node translation.
+#[inline]
+fn translate_lit(lits: &[Lit], lit: Lit) -> Lit {
+    lits[lit.var().index() as usize].xor_complement(lit.is_complement())
+}
+
+/// `roots` through a dense per-node translation.
+fn translate(lits: &[Lit], roots: &[Lit]) -> Vec<Lit> {
+    roots.iter().map(|&r| translate_lit(lits, r)).collect()
+}
+
 impl Aig {
     /// Rebuilds the cones of `roots` with each variable in `map` replaced by
     /// the given literal, returning the new root literals.
@@ -119,7 +130,8 @@ impl Aig {
         roots: &[Lit],
         input_map: &HashMap<Var, Lit>,
     ) -> Result<Vec<Lit>, TransformError> {
-        Ok(self.import_map(other, roots, input_map)?.0)
+        let (_, lits) = self.import_cone(other, roots, input_map)?;
+        Ok(translate(&lits, roots))
     }
 
     /// Like [`Aig::import`], but also returns the full translation map
@@ -137,27 +149,38 @@ impl Aig {
         roots: &[Lit],
         input_map: &HashMap<Var, Lit>,
     ) -> Result<(Vec<Lit>, HashMap<Var, Lit>), TransformError> {
-        let mut cache: HashMap<Var, Lit> = HashMap::new();
+        let (cone, lits) = self.import_cone(other, roots, input_map)?;
+        let mut cache: HashMap<Var, Lit> = HashMap::with_capacity(cone.len() + 1);
         cache.insert(Var::CONST, Lit::FALSE);
-        for v in other.cone_vars(roots) {
-            let new_lit = match other.node(v) {
+        cache.extend(cone.iter().map(|&v| (v, lits[v.index() as usize])));
+        Ok((translate(&lits, roots), cache))
+    }
+
+    /// Copies the cones of `roots` from `other` in `other`'s index order.
+    /// Returns the cone and the translation of its variables, indexed by
+    /// `other`'s node index (entries outside the cone are unused).
+    fn import_cone(
+        &mut self,
+        other: &Aig,
+        roots: &[Lit],
+        input_map: &HashMap<Var, Lit>,
+    ) -> Result<(Vec<Var>, Vec<Lit>), TransformError> {
+        let cone = other.cone_vars(roots);
+        let mut lits = vec![Lit::FALSE; other.len()];
+        for &v in &cone {
+            lits[v.index() as usize] = match other.node(v) {
                 Node::Constant => Lit::FALSE,
                 Node::Input { pos } => *input_map.get(&v).ok_or_else(|| {
                     TransformError::UnmappedInput(other.input_name(pos as usize).to_owned())
                 })?,
                 Node::And { fan0, fan1 } => {
-                    let n0 = cache[&fan0.var()].xor_complement(fan0.is_complement());
-                    let n1 = cache[&fan1.var()].xor_complement(fan1.is_complement());
+                    let n0 = translate_lit(&lits, fan0);
+                    let n1 = translate_lit(&lits, fan1);
                     self.try_and(n0, n1)?
                 }
             };
-            cache.insert(v, new_lit);
         }
-        let out = roots
-            .iter()
-            .map(|&r| cache[&r.var()].xor_complement(r.is_complement()))
-            .collect();
-        Ok((out, cache))
+        Ok((cone, lits))
     }
 
     /// Extracts the cones of `roots` into a fresh AIG whose inputs are the

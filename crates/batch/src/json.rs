@@ -5,7 +5,7 @@
 //! unsigned integers, and the `true` / `false` / `null` literals. Every
 //! malformed or truncated input — including a string that ends in a lone
 //! backslash — returns a typed error; the parser never panics on
-//! untrusted bytes (regression-tested in [`tests`]).
+//! untrusted bytes (regression-tested in this module's tests).
 
 use std::fmt;
 

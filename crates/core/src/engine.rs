@@ -32,6 +32,7 @@ use crate::sizeopt::reduce_patch_sizes;
 use crate::synth::InitialPatchKind;
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
 use crate::verify::{check_equivalence, VerifyOutcome};
+use crate::workspace::{merge, Merged};
 use crate::{EcoError, EcoInstance, Workspace};
 
 /// Engine configuration.
@@ -355,38 +356,45 @@ impl EcoEngine {
     /// entry can never be returned as a result.
     fn reverify_patch(&self, result: &EcoResult, budget: &Budget, tel: &Telemetry) -> bool {
         let t0 = Instant::now();
-        let ws = Workspace::new(&self.instance);
-        let mut mgr = ws.mgr.clone();
-        let mut imap: HashMap<Var, Lit> = HashMap::new();
-        for pos in 0..result.patch_aig.num_inputs() {
-            let name = result.patch_aig.input_name(pos);
-            let Some(lit) = ws
-                .cands
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.lit)
-                .or_else(|| ws.x_lit(name))
-            else {
+        let Merged {
+            mut mgr,
+            x,
+            target_vars,
+            f_outs,
+            g_outs,
+            cand_lits,
+        } = merge(&self.instance);
+        // A patch input names a base candidate or, failing that, an `X`
+        // input; the first of each name counts.
+        let cands = self.instance.candidates.iter().map(|c| c.name.as_str());
+        let mut taps: HashMap<&str, Lit> = HashMap::with_capacity(cand_lits.len() + x.len());
+        for (name, lit) in cands.zip(cand_lits).chain(x) {
+            taps.entry(name).or_insert(lit);
+        }
+        let patch = &result.patch_aig;
+        let mut imap: HashMap<Var, Lit> = HashMap::with_capacity(patch.num_inputs());
+        for pos in 0..patch.num_inputs() {
+            let Some(&lit) = taps.get(patch.input_name(pos)) else {
                 return false;
             };
-            imap.insert(result.patch_aig.input_var(pos), lit);
+            imap.insert(patch.input_var(pos), lit);
         }
-        let proots: Vec<Lit> = result.patch_aig.outputs().iter().map(|o| o.lit).collect();
-        let Ok(plits) = mgr.import(&result.patch_aig, &proots, &imap) else {
+        let proots: Vec<Lit> = patch.outputs().iter().map(|o| o.lit).collect();
+        let Ok(plits) = mgr.import(patch, &proots, &imap) else {
             return false;
         };
         let mut tmap: HashMap<Var, Lit> = HashMap::new();
-        for (o, &l) in result.patch_aig.outputs().iter().zip(&plits) {
+        for (o, &l) in patch.outputs().iter().zip(&plits) {
             let Some(k) = self.instance.targets.iter().position(|t| *t == o.name) else {
                 return false;
             };
-            tmap.insert(ws.target_vars[k], l);
+            tmap.insert(target_vars[k], l);
         }
         if tmap.len() != self.instance.targets.len() {
             return false;
         }
-        let patched = mgr.substitute(&ws.f_outs.clone(), &tmap);
-        let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(ws.g_outs.clone()).collect();
+        let patched = mgr.substitute(&f_outs, &tmap);
+        let pairs: Vec<(Lit, Lit)> = patched.into_iter().zip(g_outs).collect();
         let (verdict, stats) =
             check_equivalence(&mut mgr, &pairs, budget.cap(u64::MAX), &budget.ctl());
         if let Some(stats) = stats {

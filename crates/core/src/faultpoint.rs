@@ -1,4 +1,5 @@
-//! Deterministic fault-injection registry for chaos testing.
+//! Deterministic fault-injection registry for chaos testing (a public
+//! module: consult sites live across the workspace).
 //!
 //! Production code consults *named fault points* at the places where the
 //! real world can fail — disk writes, fsync, cache loads, admission,
@@ -19,7 +20,7 @@
 //!
 //! | site | consulted where | injected failure |
 //! |------|-----------------|------------------|
-//! | `io.write` | record-log appends ([`crate::journal`]) | `io::Error` |
+//! | `io.write` | record-log appends ([`LogWriter`](crate::LogWriter)) | `io::Error` |
 //! | `io.fsync` | record-log syncs | `io::Error` |
 //! | `memo.load` | memo-store load, per record | record treated as corrupt |
 //! | `solver.panic` | job execution (batch/serve workers) | `panic!` |

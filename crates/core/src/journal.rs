@@ -100,7 +100,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 // Framed record log.
 
-/// Append handle on a framed record log (see the [module docs](self)).
+/// Append handle on a framed record log (the format [`read_log`] reads).
 #[derive(Debug)]
 pub struct LogWriter {
     file: File,

@@ -61,8 +61,6 @@ mod cexenum;
 mod cluster;
 mod engine;
 mod error;
-/// Deterministic fault-injection registry (public module: consult sites
-/// live across the workspace).
 pub mod faultpoint;
 mod govern;
 mod instance;

@@ -82,9 +82,11 @@ crate::counters! {
     }
 }
 
-/// Sharded, lock-striped memo cache shared across the jobs of a batch run
-/// (see the [module docs](self) for the determinism and soundness
-/// contracts).
+/// Sharded, lock-striped memo cache shared across the jobs of a batch run.
+///
+/// A hit never changes what is computed, only when: a cached result is a
+/// pure function of its [`patch_memo_key`], and the engine re-verifies
+/// it with a fresh SAT miter before returning it.
 #[derive(Debug)]
 pub struct MemoCache {
     shards: Vec<Mutex<Shard>>,

@@ -7,7 +7,7 @@
 //! merges identical subcircuits across the two designs; FRAIG sweeping
 //! (stage 1 of the flow) extends this to semantic equivalence.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use eco_aig::{Aig, Lit, Var};
 
@@ -50,6 +50,100 @@ pub struct Workspace {
     pub input_cand: HashMap<Var, usize>,
 }
 
+/// Both circuits of an instance in one fresh manager, as
+/// [`Workspace::new`] builds them before it registers outputs: all a
+/// verification miter needs (registering outputs adds no nodes). Names
+/// are borrowed from the instance.
+pub(crate) struct Merged<'a> {
+    /// The shared manager, with no outputs registered.
+    pub(crate) mgr: Aig,
+    /// Primary inputs `X`: `(name, manager literal)`.
+    pub(crate) x: Vec<(&'a str, Lit)>,
+    /// Target pseudo-input variables, aligned with `instance.targets`.
+    pub(crate) target_vars: Vec<Var>,
+    /// Faulty output literals `f_j(X, T)`.
+    pub(crate) f_outs: Vec<Lit>,
+    /// Golden output literals `g_j(X)`, aligned with `f_outs`.
+    pub(crate) g_outs: Vec<Lit>,
+    /// Manager literals of `instance.candidates`, in order.
+    pub(crate) cand_lits: Vec<Lit>,
+}
+
+/// Imports both circuits of `instance` into a fresh manager: `X` inputs
+/// in faulty declaration order, then the target pseudo-inputs, then the
+/// faulty output and candidate cones, then the golden output cones.
+///
+/// # Panics
+///
+/// As [`Workspace::new`].
+pub(crate) fn merge(instance: &EcoInstance) -> Merged<'_> {
+    let faulty = &instance.faulty;
+    let golden = &instance.golden;
+    let mut mgr = Aig::new();
+    let mut x = Vec::new();
+    // Names resolve through maps built once; where a name repeats, the
+    // first occurrence wins, as a linear scan would find it.
+    let mut x_lits: HashMap<&str, Lit> = HashMap::with_capacity(faulty.num_inputs());
+
+    // X inputs in faulty declaration order.
+    let mut faulty_map: HashMap<Var, Lit> = HashMap::new();
+    let target_names: HashSet<&str> = instance.targets.iter().map(String::as_str).collect();
+    let mut target_inputs: HashMap<&str, Var> = HashMap::with_capacity(target_names.len());
+    for pos in 0..faulty.num_inputs() {
+        let name = faulty.input_name(pos);
+        if target_names.contains(name) {
+            target_inputs.entry(name).or_insert(faulty.input_var(pos));
+            continue;
+        }
+        let lit = mgr.add_input(name);
+        faulty_map.insert(faulty.input_var(pos), lit);
+        x.push((name, lit));
+        x_lits.entry(name).or_insert(lit);
+    }
+    // Target pseudo-inputs.
+    let mut target_vars = Vec::new();
+    for t in &instance.targets {
+        let fv = target_inputs[t.as_str()];
+        let lit = mgr.add_input(t.clone());
+        faulty_map.insert(fv, lit);
+        target_vars.push(lit.var());
+    }
+
+    // Import faulty outputs and candidate nets in one pass (shared cache).
+    let mut roots: Vec<Lit> = faulty.outputs().iter().map(|o| o.lit).collect();
+    let n_outs = roots.len();
+    roots.extend(instance.candidates.iter().map(|c| c.lit));
+    let mut f_outs = mgr
+        .import(faulty, &roots, &faulty_map)
+        .expect("validated instance maps every faulty input");
+    let cand_lits = f_outs.split_off(n_outs);
+
+    // Import golden outputs (aligned with the faulty output order).
+    let golden_map: HashMap<Var, Lit> = (0..golden.num_inputs())
+        .map(|pos| (golden.input_var(pos), x_lits[golden.input_name(pos)]))
+        .collect();
+    let mut golden_outs: HashMap<&str, Lit> = HashMap::with_capacity(golden.num_outputs());
+    for o in golden.outputs() {
+        golden_outs.entry(&o.name).or_insert(o.lit);
+    }
+    let g_roots: Vec<Lit> = faulty
+        .outputs()
+        .iter()
+        .map(|o| golden_outs[o.name.as_str()])
+        .collect();
+    let g_outs = mgr
+        .import(golden, &g_roots, &golden_map)
+        .expect("validated instance maps every golden input");
+    Merged {
+        mgr,
+        x,
+        target_vars,
+        f_outs,
+        g_outs,
+        cand_lits,
+    }
+}
+
 impl Workspace {
     /// Elaborates `instance` into a fresh combined manager.
     ///
@@ -58,111 +152,60 @@ impl Workspace {
     /// Panics if the instance violates the invariants checked by
     /// [`EcoInstance::new`] (construct instances through that API).
     pub fn new(instance: &EcoInstance) -> Self {
-        let mut mgr = Aig::new();
-        let mut x = Vec::new();
-
-        // X inputs in faulty declaration order.
-        let mut faulty_map: HashMap<Var, Lit> = HashMap::new();
-        let target_names: Vec<&str> = instance.targets.iter().map(String::as_str).collect();
-        for pos in 0..instance.faulty.num_inputs() {
-            let name = instance.faulty.input_name(pos);
-            if target_names.contains(&name) {
-                continue;
-            }
-            let lit = mgr.add_input(name.to_owned());
-            faulty_map.insert(instance.faulty.input_var(pos), lit);
-            x.push((name.to_owned(), lit));
-        }
-        // Target pseudo-inputs.
-        let mut target_vars = Vec::new();
-        for t in &instance.targets {
-            let fv = instance.faulty.find_input(t).expect("validated target");
-            let lit = mgr.add_input(t.clone());
-            faulty_map.insert(fv, lit);
-            target_vars.push(lit.var());
-        }
-
-        // Import faulty outputs and candidate nets in one pass (shared cache).
-        let mut roots: Vec<Lit> = instance.faulty.outputs().iter().map(|o| o.lit).collect();
-        let n_outs = roots.len();
-        roots.extend(instance.candidates.iter().map(|c| c.lit));
-        let imported = mgr
-            .import(&instance.faulty, &roots, &faulty_map)
-            .expect("validated instance maps every faulty input");
-        let f_outs: Vec<Lit> = imported[..n_outs].to_vec();
-        let cands: Vec<WsCandidate> = instance
+        let m = merge(instance);
+        let cands = instance
             .candidates
             .iter()
-            .zip(&imported[n_outs..])
-            .map(|(c, &lit)| WsCandidate {
+            .zip(m.cand_lits)
+            .map(|(c, lit)| WsCandidate {
                 name: c.name.clone(),
                 lit,
                 weight: c.weight,
             })
             .collect();
-
-        // Import golden outputs (aligned with the faulty output order).
-        let mut golden_map: HashMap<Var, Lit> = HashMap::new();
-        for pos in 0..instance.golden.num_inputs() {
-            let name = instance.golden.input_name(pos);
-            let lit = x
+        let ws = Workspace {
+            mgr: m.mgr,
+            x: m.x.into_iter().map(|(n, l)| (n.to_owned(), l)).collect(),
+            target_vars: m.target_vars,
+            out_names: instance
+                .faulty
+                .outputs()
                 .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, l)| *l)
-                .expect("validated golden input");
-            golden_map.insert(instance.golden.input_var(pos), lit);
-        }
-        let out_names: Vec<String> = instance
-            .faulty
-            .outputs()
-            .iter()
-            .map(|o| o.name.clone())
-            .collect();
-        let g_roots: Vec<Lit> = out_names
-            .iter()
-            .map(|n| {
-                let idx = instance.golden.find_output(n).expect("validated output");
-                instance.golden.output_lit(idx)
-            })
-            .collect();
-        let g_outs = mgr
-            .import(&instance.golden, &g_roots, &golden_map)
-            .expect("validated instance maps every golden input");
+                .map(|o| o.name.clone())
+                .collect(),
+            f_outs: m.f_outs,
+            g_outs: m.g_outs,
+            cands,
+            input_cand: HashMap::new(),
+        };
+        ws.with_fraig_outputs()
+    }
 
-        // Register outputs for FRAIG coverage.
-        for (name, &lit) in out_names.iter().zip(&f_outs) {
-            mgr.add_output(name.clone(), lit);
+    /// Registers the outputs FRAIG sweeping covers — faulty outputs
+    /// (original names), golden outputs (`__g__<name>`), base candidates
+    /// (`__c__<name>`) — and indexes [`Workspace::input_cand`].
+    fn with_fraig_outputs(mut self) -> Self {
+        for (name, &lit) in self.out_names.iter().zip(&self.f_outs) {
+            self.mgr.add_output(name.clone(), lit);
         }
-        for (name, &lit) in out_names.iter().zip(&g_outs) {
-            mgr.add_output(format!("__g__{name}"), lit);
+        for (name, &lit) in self.out_names.iter().zip(&self.g_outs) {
+            self.mgr.add_output(format!("__g__{name}"), lit);
         }
-        for (i, c) in cands.iter().enumerate() {
-            let _ = i;
-            mgr.add_output(format!("__c__{}", c.name), c.lit);
+        for c in &self.cands {
+            self.mgr.add_output(format!("__c__{}", c.name), c.lit);
         }
-
-        let mut input_cand: HashMap<Var, usize> = HashMap::new();
-        for (idx, c) in cands.iter().enumerate() {
-            if c.lit.is_complement() || !mgr.is_input(c.lit.var()) {
+        for (idx, c) in self.cands.iter().enumerate() {
+            if c.lit.is_complement() || !self.mgr.is_input(c.lit.var()) {
                 continue;
             }
-            match input_cand.get(&c.lit.var()) {
-                Some(&old) if cands[old].weight <= c.weight => {}
+            match self.input_cand.get(&c.lit.var()) {
+                Some(&old) if self.cands[old].weight <= c.weight => {}
                 _ => {
-                    input_cand.insert(c.lit.var(), idx);
+                    self.input_cand.insert(c.lit.var(), idx);
                 }
             }
         }
-        Workspace {
-            mgr,
-            x,
-            target_vars,
-            out_names,
-            f_outs,
-            g_outs,
-            cands,
-            input_cand,
-        }
+        self
     }
 
     /// Extracts a self-contained sub-workspace for one target cluster.
@@ -216,51 +259,26 @@ impl Workspace {
             })
             .collect();
 
-        // Same output registration layout as `new`, for FRAIG coverage.
         let out_names: Vec<String> = cluster
             .outputs
             .iter()
             .map(|&j| self.out_names[j].clone())
             .collect();
-        for (name, &lit) in out_names.iter().zip(&f_outs) {
-            mgr.add_output(name.clone(), lit);
-        }
-        for (name, &lit) in out_names.iter().zip(&g_outs) {
-            mgr.add_output(format!("__g__{name}"), lit);
-        }
-        for c in &cands {
-            mgr.add_output(format!("__c__{}", c.name), c.lit);
-        }
-
-        let mut input_cand: HashMap<Var, usize> = HashMap::new();
-        for (idx, c) in cands.iter().enumerate() {
-            if c.lit.is_complement() || !mgr.is_input(c.lit.var()) {
-                continue;
-            }
-            match input_cand.get(&c.lit.var()) {
-                Some(&old) if cands[old].weight <= c.weight => {}
-                _ => {
-                    input_cand.insert(c.lit.var(), idx);
-                }
-            }
-        }
         let local = crate::TargetCluster {
             targets: cluster.targets.clone(),
             outputs: (0..n).collect(),
         };
-        (
-            Workspace {
-                mgr,
-                x,
-                target_vars,
-                out_names,
-                f_outs,
-                g_outs,
-                cands,
-                input_cand,
-            },
-            local,
-        )
+        let sub = Workspace {
+            mgr,
+            x,
+            target_vars,
+            out_names,
+            f_outs,
+            g_outs,
+            cands,
+            input_cand: HashMap::new(),
+        };
+        (sub.with_fraig_outputs(), local)
     }
 
     /// Number of primary outputs `m`.

@@ -64,94 +64,119 @@ pub struct Elaboration {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn elaborate(netlist: &Netlist) -> Result<Elaboration, ElaborateError> {
+    let (aig, nets) = elaborate_nets(netlist)?;
+    let net_lits = nets.into_iter().map(|(n, l)| (n.to_owned(), l)).collect();
+    Ok(Elaboration { aig, net_lits })
+}
+
+/// Every net's literal under its name borrowed from the netlist: inputs in
+/// declaration order, then gate outputs in gate order. Names are unique.
+pub type BorrowedNets<'a> = Vec<(&'a str, Lit)>;
+
+/// [`elaborate`] without the owned name map: the AIG plus
+/// [`BorrowedNets`].
+///
+/// # Errors
+///
+/// See [`ElaborateError`].
+pub fn elaborate_nets(netlist: &Netlist) -> Result<(Aig, BorrowedNets<'_>), ElaborateError> {
+    /// Where a net's value comes from.
+    #[derive(Clone, Copy)]
+    enum Net {
+        Input(Lit),
+        Gate(usize),
+    }
+    /// Depth-first state of a gate; a built gate carries its literal.
+    #[derive(Clone, Copy)]
+    enum Mark {
+        Unvisited,
+        Visiting,
+        Done(Lit),
+    }
+
     let mut aig = Aig::new();
-    let mut net_lits: HashMap<String, Lit> = HashMap::new();
+    // Every net by its borrowed name: inputs first, then gate outputs.
+    let mut by_name: HashMap<&str, Net> =
+        HashMap::with_capacity(netlist.inputs.len() + netlist.gates.len());
     for name in &netlist.inputs {
         let lit = aig.add_input(name.clone());
-        if net_lits.insert(name.clone(), lit).is_some() {
+        if by_name.insert(name, Net::Input(lit)).is_some() {
             return Err(ElaborateError::MultipleDrivers(name.clone()));
         }
     }
-
-    // Driver map: net -> gate index.
-    let mut driver: HashMap<&str, usize> = HashMap::new();
     for (i, g) in netlist.gates.iter().enumerate() {
-        if net_lits.contains_key(&g.output) || driver.insert(&g.output, i).is_some() {
+        if by_name.insert(&g.output, Net::Gate(i)).is_some() {
             return Err(ElaborateError::MultipleDrivers(g.output.clone()));
         }
     }
 
-    // Iterative DFS elaboration with cycle detection.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Visiting,
-        Done,
-    }
-    let mut marks: HashMap<usize, Mark> = HashMap::new();
+    // Iterative DFS elaboration with cycle detection. The order in which
+    // gates are built fixes the AIG's node numbering, which the memo key
+    // and the solver's variable numbering depend on: it must not change.
+    let mut marks = vec![Mark::Unvisited; netlist.gates.len()];
     // Elaborate every gate — including dangling logic not reaching any
     // output. ECO flows rely on this: the faulty design keeps obsolete
     // "spare" logic around, and those nets must exist as patch candidates.
-    let mut roots: Vec<usize> = Vec::with_capacity(netlist.gates.len());
+    let mut roots: Vec<usize> = Vec::with_capacity(netlist.outputs.len() + netlist.gates.len());
     for out in &netlist.outputs {
-        if net_lits.contains_key(out.as_str()) {
-            continue;
+        match by_name.get(out.as_str()) {
+            Some(Net::Input(_)) => {}
+            Some(&Net::Gate(gi)) => roots.push(gi),
+            None => return Err(ElaborateError::UndrivenOutput(out.clone())),
         }
-        roots.push(
-            *driver
-                .get(out.as_str())
-                .ok_or_else(|| ElaborateError::UndrivenOutput(out.clone()))?,
-        );
     }
     roots.extend(0..netlist.gates.len());
+    let mut stack: Vec<usize> = Vec::new();
+    let mut ins: Vec<Lit> = Vec::new();
     for start in roots {
-        let mut stack: Vec<usize> = vec![start];
+        stack.push(start);
         while let Some(&gi) = stack.last() {
-            match marks.get(&gi) {
-                Some(Mark::Done) => {
+            let gate = &netlist.gates[gi];
+            match marks[gi] {
+                Mark::Done(_) => {
                     stack.pop();
-                    continue;
                 }
-                Some(Mark::Visiting) => {
+                Mark::Visiting => {
                     // All dependencies resolved (or cycle).
-                    let gate = &netlist.gates[gi];
-                    let mut ready = true;
+                    ins.clear();
                     for input in &gate.inputs {
-                        if let NetRef::Named(n) = input {
-                            if !net_lits.contains_key(n) {
-                                ready = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ready {
-                        let lit = build_gate(&mut aig, gate, &net_lits);
-                        net_lits.insert(gate.output.clone(), lit);
-                        marks.insert(gi, Mark::Done);
-                        stack.pop();
-                    } else {
-                        return Err(ElaborateError::CombinationalCycle(gate.output.clone()));
-                    }
-                }
-                None => {
-                    marks.insert(gi, Mark::Visiting);
-                    let gate = &netlist.gates[gi];
-                    for input in &gate.inputs {
-                        let n = match input {
-                            NetRef::Named(n) => n,
-                            NetRef::Const(_) => continue,
+                        let lit = match input {
+                            NetRef::Const(b) => Lit::FALSE.xor_complement(*b),
+                            // Every named input was found when the gate
+                            // was first visited.
+                            NetRef::Named(n) => match by_name[n.as_str()] {
+                                Net::Input(lit) => lit,
+                                Net::Gate(di) => match marks[di] {
+                                    Mark::Done(lit) => lit,
+                                    _ => {
+                                        return Err(ElaborateError::CombinationalCycle(
+                                            gate.output.clone(),
+                                        ))
+                                    }
+                                },
+                            },
                         };
-                        if net_lits.contains_key(n) {
+                        ins.push(lit);
+                    }
+                    marks[gi] = Mark::Done(build_gate(&mut aig, gate.kind, &ins));
+                    stack.pop();
+                }
+                Mark::Unvisited => {
+                    marks[gi] = Mark::Visiting;
+                    for input in &gate.inputs {
+                        let NetRef::Named(n) = input else {
                             continue;
-                        }
-                        let &di = driver
-                            .get(n.as_str())
-                            .ok_or_else(|| ElaborateError::Undriven(n.clone()))?;
-                        match marks.get(&di) {
-                            Some(Mark::Visiting) => {
-                                return Err(ElaborateError::CombinationalCycle(n.clone()))
-                            }
-                            Some(Mark::Done) => {}
-                            None => stack.push(di),
+                        };
+                        match by_name.get(n.as_str()) {
+                            None => return Err(ElaborateError::Undriven(n.clone())),
+                            Some(Net::Input(_)) => {}
+                            Some(&Net::Gate(di)) => match marks[di] {
+                                Mark::Done(_) => {}
+                                Mark::Visiting => {
+                                    return Err(ElaborateError::CombinationalCycle(n.clone()))
+                                }
+                                Mark::Unvisited => stack.push(di),
+                            },
                         }
                     }
                 }
@@ -159,32 +184,42 @@ pub fn elaborate(netlist: &Netlist) -> Result<Elaboration, ElaborateError> {
         }
     }
 
+    // Every gate is built now.
+    let built = |gi: usize| match marks[gi] {
+        Mark::Done(lit) => lit,
+        _ => unreachable!("every gate is elaborated"),
+    };
     for out in &netlist.outputs {
-        let lit = net_lits[out.as_str()];
+        let lit = match by_name[out.as_str()] {
+            Net::Input(lit) => lit,
+            Net::Gate(gi) => built(gi),
+        };
         aig.add_output(out.clone(), lit);
     }
-    Ok(Elaboration { aig, net_lits })
-}
-
-fn build_gate(aig: &mut Aig, gate: &Gate, net_lits: &HashMap<String, Lit>) -> Lit {
-    let ins: Vec<Lit> = gate
+    let inputs = netlist
         .inputs
         .iter()
-        .map(|r| match r {
-            NetRef::Named(n) => net_lits[n.as_str()],
-            NetRef::Const(false) => Lit::FALSE,
-            NetRef::Const(true) => Lit::TRUE,
-        })
-        .collect();
-    match gate.kind {
+        .zip(aig.inputs())
+        .map(|(n, v)| (n.as_str(), v.pos()));
+    let gates = netlist
+        .gates
+        .iter()
+        .enumerate()
+        .map(|(gi, g)| (g.output.as_str(), built(gi)));
+    let nets = inputs.chain(gates).collect();
+    Ok((aig, nets))
+}
+
+fn build_gate(aig: &mut Aig, kind: GateKind, ins: &[Lit]) -> Lit {
+    match kind {
         GateKind::Buf => ins[0],
         GateKind::Not => !ins[0],
-        GateKind::And => aig.and_many(&ins),
-        GateKind::Nand => !aig.and_many(&ins),
-        GateKind::Or => aig.or_many(&ins),
-        GateKind::Nor => !aig.or_many(&ins),
-        GateKind::Xor => aig.xor_many(&ins),
-        GateKind::Xnor => !aig.xor_many(&ins),
+        GateKind::And => aig.and_many(ins),
+        GateKind::Nand => !aig.and_many(ins),
+        GateKind::Or => aig.or_many(ins),
+        GateKind::Nor => !aig.or_many(ins),
+        GateKind::Xor => aig.xor_many(ins),
+        GateKind::Xnor => !aig.xor_many(ins),
     }
 }
 

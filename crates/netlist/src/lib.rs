@@ -8,8 +8,8 @@
 //!   `assign`, `1'b0`/`1'b1` constants) — [`parse_verilog`] /
 //!   [`write_verilog`];
 //! * elaboration into an [`eco_aig::Aig`] with cycle/driver checking —
-//!   [`elaborate`] — and the reverse mapping [`netlist_from_aig`] used to
-//!   emit patch netlists;
+//!   [`elaborate`], or [`elaborate_nets`] with borrowed net names — and
+//!   the reverse mapping [`netlist_from_aig`] used to emit patch netlists;
 //! * per-signal weight files — [`parse_weights`] / [`write_weights`];
 //! * flat combinational BLIF — [`parse_blif`] / [`write_blif`].
 //!
@@ -40,7 +40,9 @@ pub use crate::blif::{
     parse_blif, parse_blif_seq, write_blif, write_blif_seq, BlifLatch, BlifModel, LatchInit,
     ParseBlifError, SeqBlifModel,
 };
-pub use crate::convert::{elaborate, netlist_from_aig, ElaborateError, Elaboration};
+pub use crate::convert::{
+    elaborate, elaborate_nets, netlist_from_aig, BorrowedNets, ElaborateError, Elaboration,
+};
 pub use crate::parse::{parse_verilog, ParseNetlistError};
 pub use crate::weights::{parse_weights, write_weights, ParseWeightsError, WeightTable};
 pub use crate::write::write_verilog;

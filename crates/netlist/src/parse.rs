@@ -38,15 +38,25 @@ impl fmt::Display for ParseNetlistError {
 
 impl Error for ParseNetlistError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow from the source text: only the names a
+/// [`Netlist`] keeps are copied, when the parser stores them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Const(bool),
     LParen,
     RParen,
     Comma,
     Semi,
     Eq,
+}
+
+/// A token with its 1-based line.
+type Lexed<'a> = (Tok<'a>, usize);
+
+/// A character after the first of a plain identifier.
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '$' | '[' | ']' | '.')
 }
 
 struct Lexer<'a> {
@@ -71,208 +81,282 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.src[self.pos..].chars().next()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
+    /// The character at the cursor. ASCII bytes are taken as they are;
+    /// only other bytes are decoded as UTF-8.
+    #[inline]
+    fn peek(&self) -> Option<char> {
+        match *self.src.as_bytes().get(self.pos)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.src[self.pos..].chars().next(),
         }
-        Some(c)
     }
 
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+    /// Advances over the characters `keep` accepts and returns them.
+    /// `keep` never accepts a newline, so the line does not change.
+    #[inline]
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.pos;
+        while let Some(c) = self.peek().filter(|&c| keep(c)) {
+            debug_assert_ne!(c, '\n');
+            self.pos += c.len_utf8();
+        }
+        &self.src[start..self.pos]
+    }
+
+    /// Moves the cursor to `end`, counting the newlines passed.
+    fn skip_to(&mut self, end: usize) {
+        let passed = &self.src.as_bytes()[self.pos..end];
+        self.line += passed.iter().filter(|&&b| b == b'\n').count();
+        self.pos = end;
     }
 
     fn skip_trivia(&mut self) -> Result<(), ParseNetlistError> {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match (b, bytes.get(self.pos + 1)) {
+                (b'\n', _) => {
+                    self.pos += 1;
+                    self.line += 1;
                 }
-                Some('/') => {
-                    let rest = &self.src[self.pos..];
-                    if rest.starts_with("//") {
-                        while let Some(c) = self.bump() {
-                            if c == '\n' {
-                                break;
-                            }
-                        }
-                    } else if rest.starts_with("/*") {
-                        self.bump();
-                        self.bump();
-                        loop {
-                            match self.bump() {
-                                Some('*') if self.peek() == Some('/') => {
-                                    self.bump();
-                                    break;
-                                }
-                                Some(_) => {}
-                                None => return Err(self.error("unterminated block comment")),
-                            }
-                        }
-                    } else {
-                        return Ok(());
+                (b'/', Some(b'/')) => {
+                    let end = bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |i| self.pos + i + 1);
+                    self.skip_to(end);
+                }
+                (b'/', Some(b'*')) => match self.src[self.pos + 2..].find("*/") {
+                    Some(i) => self.skip_to(self.pos + 2 + i + 2),
+                    None => {
+                        self.skip_to(bytes.len());
+                        return Err(self.error("unterminated block comment"));
                     }
-                }
-                _ => return Ok(()),
+                },
+                _ => match self.peek() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => break,
+                },
             }
+        }
+        Ok(())
+    }
+
+    /// `1'b0` / `1'b1` (also written `1'h0` / `1'h1`).
+    fn literal(&mut self) -> Result<Tok<'a>, ParseNetlistError> {
+        match self.take_while(|c| c.is_alphanumeric() || c == '\'') {
+            "1'b0" | "1'h0" => Ok(Tok::Const(false)),
+            "1'b1" | "1'h1" => Ok(Tok::Const(true)),
+            other => Err(self.error(format!("unsupported literal `{other}`"))),
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<(Tok, usize)>, ParseNetlistError> {
+    /// Consumes a one-byte punctuation token.
+    fn punct(&mut self, tok: Tok<'a>) -> Tok<'a> {
+        self.pos += 1;
+        tok
+    }
+
+    /// The next token, or `None` at the end of the text. After an error
+    /// the lexer stands at the end, so each error is reported once.
+    fn next_tok(&mut self) -> Result<Option<Lexed<'a>>, ParseNetlistError> {
+        let tok = self.lex();
+        if tok.is_err() {
+            self.pos = self.src.len();
+        }
+        tok
+    }
+
+    fn lex(&mut self) -> Result<Option<Lexed<'a>>, ParseNetlistError> {
         self.skip_trivia()?;
         let line = self.line;
-        let c = match self.peek() {
-            Some(c) => c,
-            None => return Ok(None),
+        let Some(c) = self.peek() else {
+            return Ok(None);
         };
         let tok = match c {
-            '(' => {
-                self.bump();
-                Tok::LParen
-            }
-            ')' => {
-                self.bump();
-                Tok::RParen
-            }
-            ',' => {
-                self.bump();
-                Tok::Comma
-            }
-            ';' => {
-                self.bump();
-                Tok::Semi
-            }
-            '=' => {
-                self.bump();
-                Tok::Eq
-            }
+            '(' => self.punct(Tok::LParen),
+            ')' => self.punct(Tok::RParen),
+            ',' => self.punct(Tok::Comma),
+            ';' => self.punct(Tok::Semi),
+            '=' => self.punct(Tok::Eq),
             '\\' => {
                 // Escaped identifier: up to whitespace.
-                self.bump();
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_whitespace() {
-                        break;
-                    }
-                    self.bump();
-                }
-                Tok::Ident(self.src[start..self.pos].to_string())
+                self.pos += 1;
+                Tok::Ident(self.take_while(|c| !c.is_whitespace()))
             }
-            c if c.is_ascii_digit() => {
-                // Expect 1'b0 / 1'b1.
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric() || c == '\'' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                match &self.src[start..self.pos] {
-                    "1'b0" | "1'h0" => Tok::Const(false),
-                    "1'b1" | "1'h1" => Tok::Const(true),
-                    other => return Err(self.error(format!("unsupported literal `{other}`"))),
-                }
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric()
-                        || c == '_'
-                        || c == '$'
-                        || c == '['
-                        || c == ']'
-                        || c == '.'
-                    {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Tok::Ident(self.src[start..self.pos].to_string())
-            }
-            other => return Err(self.error(format!("unexpected character `{other}`"))),
+            c if c.is_ascii_digit() => self.literal()?,
+            c if c.is_alphanumeric() || c == '_' => Tok::Ident(self.take_while(is_ident_char)),
+            c => return Err(self.error(format!("unexpected character `{c}`"))),
         };
         Ok(Some((tok, line)))
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    idx: usize,
+/// Recursive-descent parser over a one-token lookahead: tokens are lexed
+/// as the grammar asks for them, and none is copied or kept past its use.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, lexed but not yet consumed.
+    ahead: Option<Lexed<'a>>,
+    /// Line of the last token lexed (0 before the first): an error past
+    /// the last token reports that token's line.
+    last_line: usize,
 }
 
-impl Parser {
-    fn error_at(&self, message: impl Into<String>) -> ParseNetlistError {
-        let line = self
-            .toks
-            .get(self.idx.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |t| t.1);
-        ParseNetlistError {
-            line,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.idx).map(|t| &t.0)
-    }
-
-    fn next(&mut self) -> Result<Tok, ParseNetlistError> {
-        let t = self
-            .toks
-            .get(self.idx)
-            .cloned()
-            .ok_or_else(|| self.error_at("unexpected end of input"))?;
-        self.idx += 1;
-        Ok(t.0)
-    }
-
-    fn expect(&mut self, want: Tok) -> Result<(), ParseNetlistError> {
-        let got = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            self.idx -= 1;
-            Err(self.error_at(format!("expected {want:?}, found {got:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseNetlistError> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            other => {
-                self.idx -= 1;
-                Err(self.error_at(format!("expected identifier, found {other:?}")))
+impl<'a> Parser<'a> {
+    fn peek_lexed(&mut self) -> Result<Option<Lexed<'a>>, ParseNetlistError> {
+        if self.ahead.is_none() {
+            self.ahead = self.lexer.next_tok()?;
+            if let Some((_, line)) = self.ahead {
+                self.last_line = line;
             }
         }
+        Ok(self.ahead)
     }
 
-    fn ident_list(&mut self) -> Result<Vec<String>, ParseNetlistError> {
-        let mut out = vec![self.ident()?];
-        while self.peek() == Some(&Tok::Comma) {
-            self.next()?;
-            out.push(self.ident()?);
+    fn peek(&mut self) -> Result<Option<Tok<'a>>, ParseNetlistError> {
+        Ok(self.peek_lexed()?.map(|t| t.0))
+    }
+
+    fn next(&mut self) -> Result<Lexed<'a>, ParseNetlistError> {
+        self.peek_lexed()?;
+        self.ahead.take().ok_or_else(|| ParseNetlistError {
+            line: self.last_line,
+            message: "unexpected end of input".into(),
+        })
+    }
+
+    /// An error at the next token (or at the last one, at the end of the
+    /// text). A lexical error in that next token takes its place.
+    fn error_ahead(&mut self, message: impl Into<String>) -> ParseNetlistError {
+        match self.peek_lexed() {
+            Ok(_) => ParseNetlistError {
+                line: self.last_line,
+                message: message.into(),
+            },
+            Err(e) => e,
         }
-        self.expect(Tok::Semi)?;
-        Ok(out)
+    }
+
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseNetlistError> {
+        match self.next()? {
+            (got, _) if got == want => Ok(()),
+            (got, line) => Err(ParseNetlistError {
+                line,
+                message: format!("expected {want:?}, found {got:?}"),
+            }),
+        }
+    }
+
+    fn ident(&mut self) -> Result<&'a str, ParseNetlistError> {
+        match self.next()? {
+            (Tok::Ident(s), _) => Ok(s),
+            (other, line) => Err(ParseNetlistError {
+                line,
+                message: format!("expected identifier, found {other:?}"),
+            }),
+        }
+    }
+
+    /// `<ident> {, <ident>} ;`, appended to `out`.
+    fn ident_list(&mut self, out: &mut Vec<String>) -> Result<(), ParseNetlistError> {
+        out.push(self.ident()?.to_owned());
+        while self.peek()? == Some(Tok::Comma) {
+            self.next()?;
+            out.push(self.ident()?.to_owned());
+        }
+        self.expect(Tok::Semi)
     }
 
     fn netref(&mut self) -> Result<NetRef, ParseNetlistError> {
         match self.next()? {
-            Tok::Ident(s) => Ok(NetRef::Named(s)),
-            Tok::Const(b) => Ok(NetRef::Const(b)),
-            other => {
-                self.idx -= 1;
-                Err(self.error_at(format!("expected net, found {other:?}")))
+            (Tok::Ident(s), _) => Ok(NetRef::Named(s.to_owned())),
+            (Tok::Const(b), _) => Ok(NetRef::Const(b)),
+            (other, line) => Err(ParseNetlistError {
+                line,
+                message: format!("expected net, found {other:?}"),
+            }),
+        }
+    }
+
+    fn module(&mut self) -> Result<Netlist, ParseNetlistError> {
+        if self.ident()? != "module" {
+            return Err(self.error_ahead("expected `module`"));
+        }
+        let mut nl = Netlist::new(self.ident()?);
+        // Port list (names only; direction comes from declarations).
+        self.expect(Tok::LParen)?;
+        if self.peek()? != Some(Tok::RParen) {
+            self.ident()?;
+            while self.peek()? == Some(Tok::Comma) {
+                self.next()?;
+                self.ident()?;
+            }
+        }
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Semi)?;
+
+        loop {
+            match self.ident()? {
+                "endmodule" => return Ok(nl),
+                "input" => self.ident_list(&mut nl.inputs)?,
+                "output" => self.ident_list(&mut nl.outputs)?,
+                "wire" => self.ident_list(&mut nl.wires)?,
+                "assign" => {
+                    let output = self.ident()?.to_owned();
+                    self.expect(Tok::Eq)?;
+                    let rhs = self.netref()?;
+                    self.expect(Tok::Semi)?;
+                    nl.gates.push(Gate {
+                        kind: GateKind::Buf,
+                        name: None,
+                        output,
+                        inputs: vec![rhs],
+                    });
+                }
+                gate_kw => {
+                    let Some(kind) = GateKind::from_keyword(gate_kw) else {
+                        return Err(self.error_ahead(format!("unknown primitive `{gate_kw}`")));
+                    };
+                    // Optional instance name before '('.
+                    let name = match self.peek()? {
+                        Some(Tok::Ident(_)) => Some(self.ident()?.to_owned()),
+                        _ => None,
+                    };
+                    self.expect(Tok::LParen)?;
+                    let output = self.ident()?.to_owned();
+                    let mut inputs = Vec::new();
+                    while self.peek()? == Some(Tok::Comma) {
+                        self.next()?;
+                        inputs.push(self.netref()?);
+                    }
+                    self.expect(Tok::RParen)?;
+                    self.expect(Tok::Semi)?;
+                    if inputs.is_empty() {
+                        return Err(
+                            self.error_ahead(format!("gate `{gate_kw}` needs at least one input"))
+                        );
+                    }
+                    if matches!(kind, GateKind::Buf | GateKind::Not) && inputs.len() != 1 {
+                        return Err(
+                            self.error_ahead(format!("`{gate_kw}` takes exactly one input"))
+                        );
+                    }
+                    nl.gates.push(Gate {
+                        kind,
+                        name,
+                        output,
+                        inputs,
+                    });
+                }
             }
         }
     }
 }
 
 /// Parses one module of the structural Verilog subset.
+///
+/// The text is read in one pass. The whole text must lex, also past
+/// `endmodule`, and a lexical error anywhere outranks a grammar error.
 ///
 /// # Errors
 ///
@@ -289,83 +373,14 @@ impl Parser {
 /// # Ok::<(), eco_netlist::ParseNetlistError>(())
 /// ```
 pub fn parse_verilog(src: &str) -> Result<Netlist, ParseNetlistError> {
-    let mut lexer = Lexer::new(src);
-    let mut toks = Vec::new();
-    while let Some(t) = lexer.next_tok()? {
-        toks.push(t);
-    }
-    let mut p = Parser { toks, idx: 0 };
-
-    let kw = p.ident()?;
-    if kw != "module" {
-        return Err(p.error_at("expected `module`"));
-    }
-    let mut nl = Netlist::new(p.ident()?);
-    // Port list (names only; direction comes from declarations).
-    p.expect(Tok::LParen)?;
-    if p.peek() != Some(&Tok::RParen) {
-        let _ = p.ident()?;
-        while p.peek() == Some(&Tok::Comma) {
-            p.next()?;
-            let _ = p.ident()?;
-        }
-    }
-    p.expect(Tok::RParen)?;
-    p.expect(Tok::Semi)?;
-
-    loop {
-        let kw = p.ident()?;
-        match kw.as_str() {
-            "endmodule" => break,
-            "input" => nl.inputs.extend(p.ident_list()?),
-            "output" => nl.outputs.extend(p.ident_list()?),
-            "wire" => nl.wires.extend(p.ident_list()?),
-            "assign" => {
-                let lhs = p.ident()?;
-                p.expect(Tok::Eq)?;
-                let rhs = p.netref()?;
-                p.expect(Tok::Semi)?;
-                nl.gates.push(Gate {
-                    kind: GateKind::Buf,
-                    name: None,
-                    output: lhs,
-                    inputs: vec![rhs],
-                });
-            }
-            gate_kw => {
-                let kind = GateKind::from_keyword(gate_kw)
-                    .ok_or_else(|| p.error_at(format!("unknown primitive `{gate_kw}`")))?;
-                // Optional instance name before '('.
-                let name = if matches!(p.peek(), Some(Tok::Ident(_))) {
-                    Some(p.ident()?)
-                } else {
-                    None
-                };
-                p.expect(Tok::LParen)?;
-                let output = p.ident()?;
-                let mut inputs = Vec::new();
-                while p.peek() == Some(&Tok::Comma) {
-                    p.next()?;
-                    inputs.push(p.netref()?);
-                }
-                p.expect(Tok::RParen)?;
-                p.expect(Tok::Semi)?;
-                if inputs.is_empty() {
-                    return Err(p.error_at(format!("gate `{gate_kw}` needs at least one input")));
-                }
-                if matches!(kind, GateKind::Buf | GateKind::Not) && inputs.len() != 1 {
-                    return Err(p.error_at(format!("`{gate_kw}` takes exactly one input")));
-                }
-                nl.gates.push(Gate {
-                    kind,
-                    name,
-                    output,
-                    inputs,
-                });
-            }
-        }
-    }
-    Ok(nl)
+    let mut p = Parser {
+        lexer: Lexer::new(src),
+        ahead: None,
+        last_line: 0,
+    };
+    let parsed = p.module();
+    while p.lexer.next_tok()?.is_some() {}
+    parsed
 }
 
 #[cfg(test)]
@@ -448,5 +463,47 @@ endmodule
     fn empty_port_list() {
         let n = parse_verilog("module m (); endmodule").expect("parse");
         assert_eq!(n.num_gates(), 0);
+    }
+
+    #[test]
+    fn non_ascii_identifiers_and_comments() {
+        let n = parse_verilog(
+            "// ☃ comment\nmodule m (é, y); /* ¬\n */ input é; output y; buf g (y, é); endmodule",
+        )
+        .expect("parse");
+        assert_eq!(n.inputs, vec!["é"]);
+        let err = parse_verilog("module m (y);\noutput y; ☃").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unexpected character `☃`");
+    }
+
+    #[test]
+    fn crlf_line_endings_count_lines() {
+        let src = "module m (a, y);\r\ninput a;\r\noutput y;\r\nfoo (y, a);\r\nendmodule\r\n";
+        assert_eq!(parse_verilog(src).unwrap_err().line, 4);
+    }
+
+    #[test]
+    fn escaped_identifier_at_end_of_input() {
+        let err = parse_verilog("module m (y); output y; assign y = \\ab").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: unexpected end of input");
+        let err = parse_verilog("module m (y);\noutput y; assign y =\n\\").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: unexpected end of input");
+    }
+
+    /// A lexical error anywhere outranks a grammar error earlier in the
+    /// text, and text after `endmodule` must still lex.
+    #[test]
+    fn lexical_errors_outrank_grammar_errors() {
+        let err = parse_verilog("module m (y) output y;\n@").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unexpected character `@`");
+        let err = parse_verilog("module m (y) output y;\n/* open").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unterminated block comment");
+        let err = parse_verilog("module m (); endmodule\n\n#").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: unexpected character `#`");
+        let err = parse_verilog("module m (y) output y;").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: expected Semi, found Ident(\"output\")"
+        );
     }
 }

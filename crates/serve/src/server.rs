@@ -17,12 +17,12 @@
 //! ```
 //!
 //! * **Admission control** — run requests go through a
-//!   [`BoundedQueue`]: beyond capacity the push comes straight back and
+//!   `BoundedQueue`: beyond capacity the push comes straight back and
 //!   the client gets a typed `busy` refusal instead of unbounded queue
 //!   growth; after drain starts the queue is closed and refusals say
 //!   `draining`.
 //! * **Determinism** — each connection's responses pass through a
-//!   sequencer ([`ConnOut`]) that writes them in *request* order no
+//!   sequencer (`ConnOut`) that writes them in *request* order no
 //!   matter which worker finishes first, and run responses carry only
 //!   scheduling-independent record fields, so a replayed request stream
 //!   produces byte-identical response bytes for any worker count.

@@ -36,7 +36,8 @@ extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
 }
 
-/// Registers [`raise_term`] for `SIGTERM` and `SIGINT`. Idempotent.
+/// Registers the handler that raises [`term_flag`] for `SIGTERM` and
+/// `SIGINT`. Idempotent.
 pub fn install_term_handler() {
     // SAFETY: `signal` is the ISO C registration call present in every
     // unix libc; `raise_term` is an `extern "C" fn(i32)` matching the

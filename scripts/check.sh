@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the tier-1 test suite, the tests of the
-# standalone benchmark package (ecobench/), the differential campaigns
-# and the seq smoke. Run from anywhere; operates on the workspace root.
+# Repo gate: formatting, lints, warning-free rustdoc, the tier-1 test
+# suite, the tests of the standalone benchmark package (ecobench/), the
+# differential campaigns and the seq smoke. Run from anywhere; operates
+# on the workspace root.
 # The default gate leaves the working tree unchanged.
 #
 # The campaigns step runs every differential campaign through eco-fuzz
@@ -98,6 +99,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --no-deps --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
