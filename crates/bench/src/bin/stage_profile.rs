@@ -34,7 +34,7 @@ fn main() {
                 "== {} {} wall={:?} cost={}",
                 unit.spec.name, tag, wall, r.cost
             );
-            println!("{}", r.telemetry);
+            println!("{}", r.telemetry.with_peak_rss());
         }
     }
 }

@@ -41,6 +41,7 @@ use std::time::Duration;
 use eco_batch::{load_job_instance, JobSpec};
 use eco_core::{
     parse_timeout, Budget, BudgetOptions, EcoEngine, EcoOptions, EcoOutcome, InitialPatchKind,
+    TelemetrySnapshot,
 };
 use eco_netlist::{netlist_from_aig, parse_weights, write_verilog, WeightTable};
 
@@ -50,6 +51,18 @@ enum StatsFormat {
     Off,
     Text,
     Json,
+}
+
+impl StatsFormat {
+    /// Prints `telemetry` to stderr in this format, with the peak RSS
+    /// read now.
+    fn print(self, telemetry: &TelemetrySnapshot) {
+        match self {
+            StatsFormat::Off => {}
+            StatsFormat::Text => eprint!("{}", telemetry.clone().with_peak_rss()),
+            StatsFormat::Json => eprintln!("{}", telemetry.clone().with_peak_rss().to_json()),
+        }
+    }
 }
 
 struct Args {
@@ -210,11 +223,7 @@ fn run_seq(
             result.frames, result.cost, result.size
         );
     }
-    match args.stats {
-        StatsFormat::Off => {}
-        StatsFormat::Text => eprint!("{}", result.comb.telemetry),
-        StatsFormat::Json => eprintln!("{}", result.comb.telemetry.to_json()),
-    }
+    args.stats.print(&result.comb.telemetry);
     let text = write_verilog(&netlist_from_aig(&result.patch_aig, "patch"));
     match &args.output {
         Some(p) => std::fs::write(p, text).map_err(|e| format!("{p}: {e}"))?,
@@ -262,11 +271,7 @@ fn run(args: &Args) -> Result<i32, String> {
             if !args.quiet {
                 eprint!("{}", eco_core::PartialReport(&partial));
             }
-            match args.stats {
-                StatsFormat::Off => {}
-                StatsFormat::Text => eprint!("{}", partial.telemetry),
-                StatsFormat::Json => eprintln!("{}", partial.telemetry.to_json()),
-            }
+            args.stats.print(&partial.telemetry);
             if args.allow_partial {
                 let text = write_verilog(&netlist_from_aig(&partial.patch_aig, "patch"));
                 match &args.output {
@@ -281,11 +286,7 @@ fn run(args: &Args) -> Result<i32, String> {
     if !args.quiet {
         eprint!("{}", eco_core::Report(&result));
     }
-    match args.stats {
-        StatsFormat::Off => {}
-        StatsFormat::Text => eprint!("{}", result.telemetry),
-        StatsFormat::Json => eprintln!("{}", result.telemetry.to_json()),
-    }
+    args.stats.print(&result.telemetry);
     let text = write_verilog(&netlist_from_aig(&result.patch_aig, "patch"));
     match &args.output {
         Some(p) => std::fs::write(p, text).map_err(|e| format!("{p}: {e}"))?,

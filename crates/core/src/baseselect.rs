@@ -49,9 +49,10 @@ fn cost_of(ws: &Workspace, q: &RebaseQuery, base: &[usize]) -> u64 {
 /// `conflict_budget`; a query that exhausts it ends the selection with
 /// the cheapest base found so far.
 ///
-/// # Panics
-///
-/// Panics if `initial_base` is infeasible for `q`.
+/// `initial_base` must be feasible for `q`; the caller has proved it.
+/// It is not re-checked here, in any build: a check is one more solve on
+/// `q`, and it would make debug builds search differently from release
+/// builds.
 pub fn select_base(
     ws: &Workspace,
     q: &mut RebaseQuery,
@@ -59,11 +60,6 @@ pub fn select_base(
     watch_size: usize,
     conflict_budget: u64,
 ) -> SelectedBase {
-    debug_assert_ne!(
-        q.feasible(initial_base, conflict_budget),
-        Some(false),
-        "initial base must be feasible"
-    );
     let pool_weights: Vec<u64> = q.pool().iter().map(|&i| ws.cands[i].weight).collect();
     let weight = move |i: usize| pool_weights[i];
 

@@ -449,14 +449,24 @@ pub struct TelemetrySnapshot {
     pub governor: GovernorTotals,
     /// Memo-cache lookups.
     pub memo: MemoTotals,
-    /// Peak resident-set size in bytes at snapshot time, `None` when the
-    /// platform does not expose it (see [`peak_rss_bytes`]).
+    /// Peak resident-set size in bytes, read by the report that prints
+    /// it ([`TelemetrySnapshot::with_peak_rss`]); `None` until then, and
+    /// when the platform does not expose it (see [`peak_rss_bytes`]).
     pub peak_rss_bytes: Option<u64>,
     /// Structured events, in recording order.
     pub events: Vec<TelemetryEvent>,
 }
 
 impl TelemetrySnapshot {
+    /// This snapshot with the process's peak RSS read now, for a report
+    /// that prints it. Runs never read it themselves: the read parses
+    /// `/proc/self/status`, which would cost every run, memo hits
+    /// included.
+    pub fn with_peak_rss(mut self) -> Self {
+        self.peak_rss_bytes = peak_rss_bytes();
+        self
+    }
+
     /// Nanoseconds recorded for `stage`.
     pub fn stage_nanos(&self, stage: Stage) -> u64 {
         self.stage_ns[stage.index()]
@@ -614,13 +624,11 @@ impl Telemetry {
         self.update(|t| t.events.push(event));
     }
 
-    /// Copies the totals into an immutable snapshot, with the process's
-    /// peak RSS at this moment.
+    /// Copies the totals into an immutable snapshot. Its
+    /// `peak_rss_bytes` stays `None`: a report that prints the peak reads
+    /// it then (see [`TelemetrySnapshot::with_peak_rss`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            peak_rss_bytes: peak_rss_bytes(),
-            ..self.update(|t| t.clone())
-        }
+        self.update(|t| t.clone())
     }
 }
 

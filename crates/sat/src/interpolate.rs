@@ -354,7 +354,8 @@ mod tests {
         // solver must keep only the label-sound techniques (subsumption
         // with tracked partial interpolants; vivification and BVE skip),
         // so the Craig contract must hold on every UNSAT sample.
-        let _aggressive = crate::solver::inprocessing_tests::Aggressive::force();
+        use crate::solver::inprocessing_tests::{same_with_collection, Aggressive};
+        let _aggressive = Aggressive::force();
         let mut state = 0x0123456789abcdefu64;
         let mut next = move || {
             state ^= state << 13;
@@ -364,7 +365,7 @@ mod tests {
         };
         let mut unsat_seen = 0;
         let mut inprocessed = 0u64;
-        for _ in 0..400 {
+        for sample in 0..400 {
             let n = 4 + (next() % 5) as usize; // 4..8 vars
             let m = 6 + (next() % (4 * n as u64)) as usize;
             let mut q = ItpSolver::new();
@@ -384,14 +385,18 @@ mod tests {
                 q.add_clause(&lits, label);
             }
             let clauses = q.clauses.clone();
-            let outcome = q
-                .solve_on(Solver::eliminating(), u64::MAX)
-                .expect("unbounded solve completes");
-            if let ItpOutcome::Unsat(itp) = outcome {
-                unsat_seen += 1;
-                check_interpolant(n, &clauses, &itp);
-            }
-            let stats = q.last_stats();
+            // Collection never changes the outcome, interpolant included.
+            let (_, stats, unsat) = same_with_collection(&format!("sample {sample}"), || {
+                let outcome = q
+                    .solve_on(Solver::eliminating(), u64::MAX)
+                    .expect("unbounded solve completes");
+                let unsat = matches!(outcome, ItpOutcome::Unsat(_));
+                if let ItpOutcome::Unsat(itp) = &outcome {
+                    check_interpolant(n, &clauses, itp);
+                }
+                (format!("{outcome:?}"), q.last_stats(), unsat)
+            });
+            unsat_seen += usize::from(unsat);
             inprocessed += stats.subsumed_clauses;
             assert_eq!(stats.vivified_clauses, 0, "vivification must skip itp mode");
             assert_eq!(stats.eliminated_vars, 0, "BVE must skip itp mode");

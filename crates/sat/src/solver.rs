@@ -95,7 +95,7 @@ const SCHEDULE: Schedule = Schedule {
 const SUBSUME_BUDGET: u64 = 200_000;
 /// Per-pass vivification budget, counted in probe propagations.
 const VIVIFY_BUDGET: u64 = 50_000;
-/// Per-pass BVE budget, counted in resolvent constructions.
+/// Per-pass BVE budget, counted in clause pairs tried.
 const BVE_BUDGET: u64 = 50_000;
 
 /// The schedule solvers follow: always [`SCHEDULE`] outside this crate's
@@ -116,6 +116,23 @@ fn schedule() -> Schedule {
         .unwrap_or(SCHEDULE)
 }
 
+/// Whether `garbage` dead literals in an arena of `arena` literals are
+/// worth collecting: once they are half of it.
+#[cfg(not(test))]
+#[inline]
+fn collection_due(garbage: usize, arena: usize) -> bool {
+    garbage > 0 && 2 * garbage >= arena
+}
+
+/// Unit tests may force collection on or off on their own thread (see
+/// `inprocessing_tests::Collect`).
+#[cfg(test)]
+fn collection_due(garbage: usize, arena: usize) -> bool {
+    inprocessing_tests::COLLECT
+        .with(|f| f.get())
+        .unwrap_or(garbage > 0 && 2 * garbage >= arena)
+}
+
 /// Which side of the interpolation partition a clause belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClauseLabel {
@@ -126,7 +143,7 @@ pub enum ClauseLabel {
 }
 
 /// Aggregate search statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Conflicts encountered.
     pub conflicts: u64,
@@ -171,15 +188,24 @@ struct Watcher {
     blocker: Lit,
 }
 
-struct Clause {
-    lits: Vec<Lit>,
+/// One stored clause. Its literals are `arena[start..start + len]`; its
+/// reference (`cref`) is its index among the stored clauses, which stay
+/// in creation order.
+#[derive(Clone, Copy)]
+struct ClauseHeader {
+    /// Offset of the first literal in the arena.
+    start: u32,
+    /// Number of literals.
+    len: u32,
     /// Partial interpolant (meaningful only when interpolation is enabled).
     itp: ALit,
-    /// Learned (vs original) clause.
-    learnt: bool,
     /// Activity for the reduce-DB heuristic.
     activity: f32,
-    /// Lazily deleted by [`Solver::reduce_db`]; watchers skip dead clauses.
+    /// Learned (vs original) clause.
+    learnt: bool,
+    /// Deleted. Propagation drops the clause's watchers when it meets
+    /// them, and the next collection reclaims the clause unless it is
+    /// still a reason.
     dead: bool,
 }
 
@@ -212,7 +238,16 @@ struct ItpCtx {
 /// assert_eq!(s.unsat_core(), &[y.neg()]);
 /// ```
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// The literals of every stored clause, back to back in creation
+    /// order.
+    arena: Vec<Lit>,
+    /// One header per stored clause, indexed by clause reference.
+    headers: Vec<ClauseHeader>,
+    /// Clauses ever stored, dead and collected ones included; the
+    /// inprocessing size gate counts these.
+    stored: usize,
+    /// Arena literals of dead clauses not yet collected.
+    garbage: usize,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     polarity: Vec<bool>,
@@ -249,6 +284,10 @@ pub struct Solver {
     solve_calls: u64,
     next_inprocess_solve: u64,
     next_inprocess_conflicts: u64,
+    /// Scratch in which added clauses are sorted.
+    add_buf: Vec<Lit>,
+    /// The last conflict's learned clause; the buffer is reused.
+    learnt_buf: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -279,7 +318,10 @@ impl Solver {
 
     fn build(bve: bool, first_solve: u64) -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            headers: Vec::new(),
+            stored: 0,
+            garbage: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             polarity: Vec::new(),
@@ -308,6 +350,8 @@ impl Solver {
             solve_calls: 0,
             next_inprocess_solve: first_solve,
             next_inprocess_conflicts: schedule().conflict_interval,
+            add_buf: Vec::new(),
+            learnt_buf: Vec::new(),
         }
     }
 
@@ -353,9 +397,11 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Number of stored clauses (original + learned).
+    /// Number of clauses stored so far (original, learned and derived by
+    /// inprocessing), deleted ones included. Dropped tautologies were
+    /// never stored.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.stored
     }
 
     /// Search statistics so far.
@@ -391,7 +437,7 @@ impl Solver {
     /// Panics if clauses were already added.
     pub fn enable_interpolation(&mut self, var_in_b: Vec<bool>, shared: &[Var]) {
         assert!(
-            self.clauses.is_empty(),
+            self.stored == 0,
             "interpolation must be enabled before adding clauses"
         );
         let mut aig = Aig::new();
@@ -500,19 +546,24 @@ impl Solver {
                 .all(|l| !self.eliminated[l.var().index() as usize]),
             "clause mentions an eliminated variable (freeze it before enabling BVE)"
         );
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable_by_key(|l| l.code());
-        lits.dedup();
-        for w in lits.windows(2) {
-            if w[0].var() == w[1].var() {
-                // Tautology: dropping it preserves both satisfiability and
-                // interpolant validity.
-                return true;
-            }
-        }
-        let itp = label.map_or(ALit::FALSE, |lbl| self.leaf_itp(&lits, lbl));
-        let cref = self.clauses.len() as u32;
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        // A tautology is dropped: that preserves both satisfiability and
+        // interpolant validity.
+        let ok = !normalize(&mut buf) || {
+            let itp = label.map_or(ALit::FALSE, |lbl| self.leaf_itp(&buf, lbl));
+            self.store_clause(&mut buf, itp, false, 0.0)
+        };
+        self.add_buf = buf;
+        ok
+    }
 
+    /// Stores a sorted, duplicate-free clause at level 0: it watches two
+    /// non-false literals when it has them, and a clause with one is
+    /// asserted and propagated. Returns `false` once the clause set is
+    /// unsatisfiable.
+    fn store_clause(&mut self, lits: &mut [Lit], itp: ALit, learnt: bool, activity: f32) -> bool {
         if lits.is_empty() {
             self.ok = false;
             if let Some(ctx) = self.itp.as_mut() {
@@ -520,7 +571,6 @@ impl Solver {
             }
             return false;
         }
-
         // Prefer non-false literals in the watch positions.
         let mut k = 0;
         for i in 0..lits.len() {
@@ -532,27 +582,18 @@ impl Solver {
                 }
             }
         }
-        let n_nonfalse = k;
-        self.clauses.push(Clause {
-            lits,
-            itp,
-            learnt: false,
-            activity: 0.0,
-            dead: false,
-        });
-        let clause_len = self.clauses[cref as usize].lits.len();
-
-        if clause_len >= 2 {
+        let cref = self.push_clause(lits, itp, learnt, activity);
+        if lits.len() >= 2 {
             self.attach(cref);
         }
-        match n_nonfalse {
+        match k {
             0 => {
                 // Conflicts with level-0 assignments: derive the empty clause.
                 self.finalize_unsat(cref);
                 false
             }
             1 => {
-                let first = self.clauses[cref as usize].lits[0];
+                let first = lits[0];
                 if self.value(first) == LBool::Undef {
                     self.enqueue(first, Some(cref));
                     // Propagate eagerly so later adds see the consequences.
@@ -567,9 +608,44 @@ impl Solver {
         }
     }
 
+    /// Appends a clause to the arena, unwatched, and returns its
+    /// reference.
+    fn push_clause(&mut self, lits: &[Lit], itp: ALit, learnt: bool, activity: f32) -> u32 {
+        let cref = u32::try_from(self.headers.len()).expect("clause references fit in u32");
+        let start = self.arena.len();
+        let end = u32::try_from(start + lits.len()).expect("clause arena fits u32 offsets");
+        self.arena.extend_from_slice(lits);
+        self.headers.push(ClauseHeader {
+            start: start as u32,
+            len: end - start as u32,
+            itp,
+            activity,
+            learnt,
+            dead: false,
+        });
+        self.stored += 1;
+        if learnt {
+            self.n_learnt_alive += 1;
+        }
+        cref
+    }
+
+    /// The literals of the clause with header `h`.
+    #[inline]
+    fn lits_of(&self, h: &ClauseHeader) -> &[Lit] {
+        let start = h.start as usize;
+        &self.arena[start..start + h.len as usize]
+    }
+
+    /// The literals of clause `cref`.
+    #[inline]
+    fn clause(&self, cref: u32) -> &[Lit] {
+        self.lits_of(&self.headers[cref as usize])
+    }
+
     fn attach(&mut self, cref: u32) {
-        let c = &self.clauses[cref as usize];
-        let (l0, l1) = (c.lits[0], c.lits[1]);
+        let c = self.clause(cref);
+        let (l0, l1) = (c[0], c[1]);
         self.watches[l0.code() as usize].push(Watcher { cref, blocker: l1 });
         self.watches[l1.code() as usize].push(Watcher { cref, blocker: l0 });
     }
@@ -582,9 +658,8 @@ impl Solver {
             Some(c) => c,
             None => return,
         };
-        let mut itp = self.clauses[confl as usize].itp;
-        for j in 0..self.clauses[confl as usize].lits.len() {
-            let q = self.clauses[confl as usize].lits[j];
+        let mut itp = self.headers[confl as usize].itp;
+        for &q in self.clause(confl) {
             debug_assert_eq!(self.value(q), LBool::False);
             debug_assert_eq!(self.level[q.var().index() as usize], 0);
             let sub = self.l0_itp(&mut ctx, q.var());
@@ -605,10 +680,9 @@ impl Solver {
             if ctx.l0_cache[x.index() as usize].is_some() {
                 continue;
             }
-            let cref =
-                self.reason[x.index() as usize].expect("level-0 literal has a reason") as usize;
-            let mut t = self.clauses[cref].itp;
-            for &q in &self.clauses[cref].lits {
+            let cref = self.reason[x.index() as usize].expect("level-0 literal has a reason");
+            let mut t = self.headers[cref as usize].itp;
+            for &q in self.clause(cref) {
                 if q.var() != x {
                     let sub = ctx.l0_cache[q.var().index() as usize]
                         .expect("antecedent precedes in trail");
@@ -680,47 +754,43 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                let cref = w.cref as usize;
-                if self.clauses[cref].dead {
-                    continue; // drop the watcher
-                }
+                // A true blocker keeps the watcher without reading the
+                // clause.
                 if self.value(w.blocker) == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let h = self.headers[w.cref as usize];
+                if h.dead {
+                    continue; // drop the watcher
                 }
-                let first = self.clauses[cref].lits[0];
+                let start = h.start as usize;
+                let end = start + h.len as usize;
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
+                }
+                debug_assert_eq!(self.arena[start + 1], false_lit);
+                let first = self.arena[start];
+                let kept = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
                 if first != w.blocker && self.value(first) == LBool::True {
-                    ws[j] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                    ws[j] = kept;
                     j += 1;
                     continue;
                 }
-                for k in 2..self.clauses[cref].lits.len() {
-                    let lk = self.clauses[cref].lits[k];
+                for k in start + 2..end {
+                    let lk = self.arena[k];
                     if self.value(lk) != LBool::False {
-                        self.clauses[cref].lits.swap(1, k);
-                        self.watches[lk.code() as usize].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                        self.arena.swap(start + 1, k);
+                        self.watches[lk.code() as usize].push(kept);
                         continue 'watchers;
                     }
                 }
                 // Unit or conflicting.
-                ws[j] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
+                ws[j] = kept;
                 j += 1;
                 if self.value(first) == LBool::False {
                     conflict = Some(w.cref);
@@ -760,13 +830,14 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: usize) {
-        if !self.clauses[cref].learnt {
+        let h = &mut self.headers[cref];
+        if !h.learnt {
             return;
         }
-        self.clauses[cref].activity += self.cla_inc;
-        if self.clauses[cref].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+        h.activity += self.cla_inc;
+        if h.activity > 1e20 {
+            for h in &mut self.headers {
+                h.activity *= 1e-20;
             }
             self.cla_inc *= 1e-20;
         }
@@ -781,73 +852,70 @@ impl Solver {
     /// Sound in interpolation mode too: dropping a clause only weakens the
     /// respective partition, and both directions of the Craig contract are
     /// preserved under weakening. Locked (reason) clauses are kept because
-    /// level-0 interpolant chains may still traverse them.
+    /// level-0 interpolant chains may still traverse them. Once dead
+    /// clauses fill half the clause store, their memory is reclaimed.
     pub fn simplify(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "simplify only at level 0");
-        let locked: std::collections::HashSet<u32> =
-            self.reason.iter().flatten().copied().collect();
-        for i in 0..self.clauses.len() {
-            if self.clauses[i].dead || locked.contains(&(i as u32)) {
+        let locked = self.locked_clauses();
+        for cref in 0..self.headers.len() as u32 {
+            if self.headers[cref as usize].dead || locked[cref as usize] {
                 continue;
             }
-            let satisfied = self.clauses[i].lits.iter().any(|&l| {
+            let satisfied = self.clause(cref).iter().any(|&l| {
                 self.value(l) == LBool::True && self.level[l.var().index() as usize] == 0
             });
             if satisfied {
-                self.clauses[i].dead = true;
-                if self.clauses[i].learnt {
-                    self.n_learnt_alive -= 1;
-                }
+                self.kill_clause(cref);
                 self.stats.deleted += 1;
             }
         }
+        self.collect_if_wasteful();
     }
 
-    /// Deletes the lower-activity half of the unlocked learned clauses.
-    ///
-    /// Deletion is lazy: clauses are marked dead and their watchers are
-    /// dropped the next time propagation touches them. Reason ("locked")
-    /// clauses are kept — both for propagation correctness and because the
-    /// interpolation level-0 chains may revisit them.
+    /// Deletes the lower-activity half of the unlocked learned clauses,
+    /// then collects if dead clauses fill half the arena. Reason
+    /// ("locked") clauses are kept, both for propagation correctness and
+    /// because the interpolation level-0 chains may revisit them.
     fn reduce_db(&mut self) {
-        let mut cands: Vec<usize> = Vec::new();
-        let locked: std::collections::HashSet<u32> =
-            self.reason.iter().flatten().copied().collect();
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.learnt && !c.dead && c.lits.len() > 2 && !locked.contains(&(i as u32)) {
-                cands.push(i);
-            }
-        }
+        let locked = self.locked_clauses();
+        let mut cands: Vec<u32> = (0..self.headers.len() as u32)
+            .filter(|&i| {
+                let h = &self.headers[i as usize];
+                h.learnt && !h.dead && h.len > 2 && !locked[i as usize]
+            })
+            .collect();
         cands.sort_by(|&a, &b| {
-            self.clauses[a]
+            self.headers[a as usize]
                 .activity
-                .partial_cmp(&self.clauses[b].activity)
+                .partial_cmp(&self.headers[b as usize].activity)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         for &i in cands.iter().take(cands.len() / 2) {
-            self.clauses[i].dead = true;
-            self.n_learnt_alive -= 1;
+            self.kill_clause(i);
             self.stats.deleted += 1;
         }
+        self.collect_if_wasteful();
     }
 
     /// First-UIP conflict analysis; returns (learned clause, backtrack
-    /// level, partial interpolant of the learned clause).
+    /// level, partial interpolant of the learned clause). The clause is
+    /// [`Solver::learnt_buf`], lent to the caller.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32, ALit) {
         let mut ictx = self.itp.take();
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)];
-        let mut cleanup: Vec<Var> = Vec::new();
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit::from_code(0));
         let mut path = 0u32;
         let mut idx = self.trail.len();
         let mut cur = confl as usize;
         let mut skip_first = false;
         let dl = self.decision_level();
-        let mut itp = ictx.as_ref().map_or(ALit::FALSE, |_| self.clauses[cur].itp);
+        let mut itp = ictx.as_ref().map_or(ALit::FALSE, |_| self.headers[cur].itp);
         loop {
             self.bump_clause(cur);
-            let start = usize::from(skip_first);
-            for ji in start..self.clauses[cur].lits.len() {
-                let q = self.clauses[cur].lits[ji];
+            let h = self.headers[cur];
+            for ji in usize::from(skip_first)..h.len as usize {
+                let q = self.arena[h.start as usize + ji];
                 let v = q.var();
                 let lvl = self.level[v.index() as usize];
                 if lvl == 0 {
@@ -860,7 +928,6 @@ impl Solver {
                 }
                 if !self.seen[v.index() as usize] {
                     self.seen[v.index() as usize] = true;
-                    cleanup.push(v);
                     self.bump_var(v);
                     if lvl >= dl {
                         path += 1;
@@ -884,43 +951,43 @@ impl Solver {
                 break;
             }
             cur = self.reason[v.index() as usize].expect("UIP-side literal has a reason") as usize;
-            debug_assert_eq!(self.clauses[cur].lits[0], p);
+            debug_assert_eq!(self.clause(cur as u32)[0], p);
             skip_first = true;
             if let Some(ctx) = ictx.as_mut() {
-                let r_itp = self.clauses[cur].itp;
+                let r_itp = self.headers[cur].itp;
                 itp = Self::combine(ctx, itp, r_itp, v);
             }
         }
+        // The walk cleared `seen` for every conflict-level variable, so it
+        // now marks exactly the variables of `learnt[1..]`.
+        //
         // Local conflict-clause minimization: a literal is redundant if its
         // reason's other literals are all *still in the clause* (or level
-        // 0). Each removal is one more resolution, tracked in the
-        // interpolant. The "still in the clause" restriction (rather than
-        // MiniSat's "was marked seen") matters for interpolation: allowing
-        // a removed literal to justify a later removal re-introduces it in
-        // the true resolvent, which the single-combine bookkeeping below
-        // would not account for.
-        let mut removed: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut kept: Vec<Lit> = Vec::with_capacity(learnt.len());
-        kept.push(learnt[0]);
-        for &q in &learnt[1..] {
+        // 0): a removed literal's variable leaves `seen`. Each removal is
+        // one more resolution, tracked in the interpolant. The "still in
+        // the clause" restriction (rather than MiniSat's "was marked seen")
+        // matters for interpolation: allowing a removed literal to justify
+        // a later removal re-introduces it in the true resolvent, which the
+        // single-combine bookkeeping below would not account for.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let q = learnt[i];
             let v = q.var();
             let redundant = match self.reason[v.index() as usize] {
                 None => false,
-                Some(r) => self.clauses[r as usize].lits[1..].iter().all(|&l| {
-                    (self.seen[l.var().index() as usize] && !removed.contains(&l.var().index()))
-                        || self.level[l.var().index() as usize] == 0
+                Some(r) => self.clause(r)[1..].iter().all(|&l| {
+                    self.seen[l.var().index() as usize] || self.level[l.var().index() as usize] == 0
                 }),
             };
             if redundant {
                 self.stats.minimized += 1;
-                removed.insert(v.index());
+                self.seen[v.index() as usize] = false;
                 if let Some(ctx) = ictx.as_mut() {
-                    let r = self.reason[v.index() as usize].expect("checked") as usize;
+                    let r = self.reason[v.index() as usize].expect("checked");
                     // Resolve away q, plus any level-0 literals its reason
                     // introduces.
-                    let mut t = Self::combine(ctx, itp, self.clauses[r].itp, v);
-                    for j in 1..self.clauses[r].lits.len() {
-                        let l = self.clauses[r].lits[j];
+                    let mut t = Self::combine(ctx, itp, self.headers[r as usize].itp, v);
+                    for &l in &self.clause(r)[1..] {
                         if self.level[l.var().index() as usize] == 0 {
                             let sub = self.l0_itp(ctx, l.var());
                             t = Self::combine(ctx, t, sub, l.var());
@@ -929,12 +996,13 @@ impl Solver {
                     itp = t;
                 }
             } else {
-                kept.push(q);
+                learnt[kept] = q;
+                kept += 1;
             }
         }
-        let mut learnt = kept;
-        for v in cleanup {
-            self.seen[v.index() as usize] = false;
+        learnt.truncate(kept);
+        for q in &learnt[1..] {
+            self.seen[q.var().index() as usize] = false;
         }
         let bt = if learnt.len() == 1 {
             0
@@ -971,8 +1039,9 @@ impl Solver {
             match self.reason[x.index() as usize] {
                 None => self.core.push(self.trail[i]),
                 Some(cref) => {
-                    let c = &self.clauses[cref as usize];
-                    for &l in &c.lits[1..] {
+                    let h = &self.headers[cref as usize];
+                    let start = h.start as usize;
+                    for &l in &self.arena[start + 1..start + h.len as usize] {
                         if self.level[l.var().index() as usize] > 0 {
                             self.seen[l.var().index() as usize] = true;
                         }
@@ -1012,21 +1081,13 @@ impl Solver {
                 }
                 let (learnt, bt, itp) = self.analyze(confl);
                 self.cancel_until(bt);
-                let cref = self.clauses.len() as u32;
-                let asserting = learnt[0];
-                let len = learnt.len();
-                self.clauses.push(Clause {
-                    lits: learnt,
-                    itp,
-                    learnt: true,
-                    activity: self.cla_inc,
-                    dead: false,
-                });
-                self.stats.learned += 1;
-                self.n_learnt_alive += 1;
-                if len >= 2 {
+                let cref = self.push_clause(&learnt, itp, true, self.cla_inc);
+                if learnt.len() >= 2 {
                     self.attach(cref);
                 }
+                let asserting = learnt[0];
+                self.learnt_buf = learnt;
+                self.stats.learned += 1;
                 self.enqueue(asserting, Some(cref));
                 self.decay_var_activity();
                 self.decay_clause_activity();
@@ -1061,7 +1122,7 @@ impl Solver {
                 if next.is_none() {
                     next = self.pick_branch();
                     if next.is_none() {
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
                         return LBool::True;
                     }
                     self.stats.decisions += 1;
@@ -1112,7 +1173,8 @@ impl Solver {
                 .all(|l| !self.eliminated[l.var().index() as usize]),
             "assumption over an eliminated variable (freeze it before enabling BVE)"
         );
-        self.assumptions = assumptions.to_vec();
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
         self.solve_calls += 1;
         self.maybe_inprocess();
         if !self.ok {
@@ -1162,6 +1224,126 @@ impl Solver {
         }
     }
 
+    // ---- Clause storage --------------------------------------------------
+    //
+    // Every clause lives in one literal arena, in creation order, behind a
+    // fixed-size header; a clause reference is the header's index. Killing
+    // a clause only marks it dead (deletions are counted where clauses are
+    // killed). Dead clauses are reclaimed in bulk, at the points that kill
+    // many at once (after `simplify`, `reduce_db` and each inprocessing
+    // round), once their literals fill half the arena. Collection never
+    // changes the search: survivors and every watch list keep their
+    // order, and a dead clause that is still some variable's reason is
+    // kept, since interpolation reads level-0 reasons (`l0_itp`).
+
+    /// Per clause reference: is the clause some variable's reason?
+    fn locked_clauses(&self) -> Vec<bool> {
+        let mut locked = vec![false; self.headers.len()];
+        for &r in self.reason.iter().flatten() {
+            locked[r as usize] = true;
+        }
+        locked
+    }
+
+    /// Marks a clause dead, maintaining the learnt-alive count.
+    fn kill_clause(&mut self, cref: u32) {
+        let h = &mut self.headers[cref as usize];
+        debug_assert!(!h.dead);
+        h.dead = true;
+        self.garbage += h.len as usize;
+        if h.learnt {
+            self.n_learnt_alive -= 1;
+        }
+    }
+
+    /// Collects once dead clauses hold half of the arena's literals.
+    fn collect_if_wasteful(&mut self) {
+        if collection_due(self.garbage, self.arena.len()) {
+            self.collect_garbage();
+        }
+    }
+
+    /// Compacts the arena in place: drops every dead clause that is no
+    /// longer a reason and the watchers of every dead clause, keeping the
+    /// order of the survivors and of each watch list, and renumbers
+    /// clause references.
+    fn collect_garbage(&mut self) {
+        const GONE: u32 = u32::MAX;
+        let mut remap = vec![GONE; self.headers.len()];
+        for &r in self.reason.iter().flatten() {
+            remap[r as usize] = 0; // kept: renumbered below
+        }
+        let (mut kept, mut top) = (0, 0);
+        for (cref, slot) in remap.iter_mut().enumerate() {
+            let h = self.headers[cref];
+            if h.dead && *slot == GONE {
+                continue;
+            }
+            let start = h.start as usize;
+            self.arena.copy_within(start..start + h.len as usize, top);
+            self.headers[kept] = ClauseHeader {
+                start: top as u32,
+                ..h
+            };
+            *slot = kept as u32;
+            kept += 1;
+            top += h.len as usize;
+        }
+        self.headers.truncate(kept);
+        self.arena.truncate(top);
+        // Kept dead clauses are level-0 reasons, which stay reasons for
+        // good: they are not garbage any more.
+        self.garbage = 0;
+        for r in self.reason.iter_mut().flatten() {
+            *r = remap[*r as usize];
+        }
+        let headers = &self.headers;
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                let to = remap[w.cref as usize];
+                w.cref = to;
+                to != GONE && !headers[to as usize].dead
+            });
+        }
+        #[cfg(test)]
+        inprocessing_tests::check_clause_store(self);
+    }
+
+    /// A flat occurrence index over the live clauses `keep` accepts: the
+    /// clauses with a literal of key `k` are `flat[at[k]..at[k + 1]]`, in
+    /// clause order. Returns `(at, flat)`.
+    fn occurrences(
+        &self,
+        n_keys: usize,
+        keep: impl Fn(&ClauseHeader) -> bool,
+        key: impl Fn(Lit) -> usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let kept = || {
+            (0u32..)
+                .zip(&self.headers)
+                .filter(|(_, h)| !h.dead && keep(h))
+        };
+        let mut at = vec![0u32; n_keys + 1];
+        for (_, h) in kept() {
+            for &l in self.lits_of(h) {
+                at[key(l) + 1] += 1;
+            }
+        }
+        for k in 0..n_keys {
+            at[k + 1] += at[k];
+        }
+        let mut next = at.clone();
+        let mut flat = vec![0u32; at[n_keys] as usize];
+        for (cref, h) in kept() {
+            for &l in self.lits_of(h) {
+                let slot = &mut next[key(l)];
+                flat[*slot as usize] = cref;
+                *slot += 1;
+            }
+        }
+        (at, flat)
+    }
+
     // ---- Inprocessing ----------------------------------------------------
     //
     // Runs between Luby restarts and at `solve_limited` entry (incremental
@@ -1191,7 +1373,7 @@ impl Solver {
         let schedule = schedule();
         self.next_inprocess_solve = self.solve_calls + schedule.solve_interval;
         self.next_inprocess_conflicts = self.stats.conflicts + schedule.conflict_interval;
-        if self.clauses.len() < schedule.min_clauses {
+        if self.stored < schedule.min_clauses {
             return;
         }
         self.inprocess();
@@ -1200,7 +1382,7 @@ impl Solver {
     /// One inprocessing round: top-level simplification, then
     /// (self-)subsumption, then — outside interpolation mode —
     /// vivification and (on an [`Solver::eliminating`] solver) bounded
-    /// variable elimination.
+    /// variable elimination; then collection, if due.
     fn inprocess(&mut self) {
         self.simplify();
         self.subsume_pass();
@@ -1210,11 +1392,7 @@ impl Solver {
                 self.bve_pass();
             }
         }
-    }
-
-    /// Indices of clauses currently acting as propagation reasons.
-    fn locked_clauses(&self) -> std::collections::HashSet<u32> {
-        self.reason.iter().flatten().copied().collect()
+        self.collect_if_wasteful();
     }
 
     /// Adds a clause derived by inprocessing: the interpolant is supplied
@@ -1226,74 +1404,12 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable_by_key(|l| l.code());
-        lits.dedup();
-        for w in lits.windows(2) {
-            if w[0].var() == w[1].var() {
-                return true;
-            }
-        }
-        let cref = self.clauses.len() as u32;
-        if lits.is_empty() {
-            self.ok = false;
-            if let Some(ctx) = self.itp.as_mut() {
-                ctx.final_itp = Some(itp);
-            }
-            return false;
-        }
-        let mut k = 0;
-        for i in 0..lits.len() {
-            if self.value(lits[i]) != LBool::False {
-                lits.swap(k, i);
-                k += 1;
-                if k == 2 {
-                    break;
-                }
-            }
-        }
-        let n_nonfalse = k;
-        self.clauses.push(Clause {
-            lits,
-            itp,
-            learnt,
-            activity,
-            dead: false,
-        });
-        if learnt {
-            self.n_learnt_alive += 1;
-        }
-        if self.clauses[cref as usize].lits.len() >= 2 {
-            self.attach(cref);
-        }
-        match n_nonfalse {
-            0 => {
-                self.finalize_unsat(cref);
-                false
-            }
-            1 => {
-                let first = self.clauses[cref as usize].lits[0];
-                if self.value(first) == LBool::Undef {
-                    self.enqueue(first, Some(cref));
-                    if let Some(confl) = self.propagate() {
-                        self.finalize_unsat(confl);
-                        return false;
-                    }
-                }
-                true
-            }
-            _ => true,
-        }
-    }
-
-    /// Marks a clause dead, maintaining the learnt-alive count.
-    fn kill_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        debug_assert!(!c.dead);
-        c.dead = true;
-        if c.learnt {
-            self.n_learnt_alive -= 1;
-        }
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        let ok = !normalize(&mut buf) || self.store_clause(&mut buf, itp, learnt, activity);
+        self.add_buf = buf;
+        ok
     }
 
     /// Forward subsumption and self-subsumption over the stored clauses,
@@ -1306,70 +1422,70 @@ impl Solver {
         const MAX_SUBSUMER_LEN: usize = 20;
         let locked = self.locked_clauses();
         let n_codes = self.assigns.len() * 2;
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); n_codes];
-        let mut cands: Vec<u32> = Vec::new();
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.dead || c.lits.len() > MAX_SUBSUMER_LEN {
-                continue;
-            }
-            for &l in &c.lits {
-                occ[l.code() as usize].push(i as u32);
-            }
-            cands.push(i as u32);
-        }
+        let short = |h: &ClauseHeader| h.len as usize <= MAX_SUBSUMER_LEN;
+        let (occ_at, occ) = self.occurrences(n_codes, short, |l| l.code() as usize);
+        let occ_of = |l: Lit| {
+            &occ[occ_at[l.code() as usize] as usize..occ_at[l.code() as usize + 1] as usize]
+        };
         // Variable-based signatures so a flipped literal still matches.
         let sig = |lits: &[Lit]| -> u64 {
             lits.iter()
                 .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
         };
-        let sigs: Vec<u64> = self
-            .clauses
-            .iter()
-            .map(|c| if c.dead { 0 } else { sig(&c.lits) })
-            .collect();
-        cands.sort_by_key(|&i| self.clauses[i as usize].lits.len());
+        let mut sigs = vec![0u64; self.headers.len()];
+        let mut cands: Vec<u32> = Vec::new();
+        for (cref, h) in (0u32..).zip(&self.headers) {
+            if !h.dead && short(h) {
+                sigs[cref as usize] = sig(self.lits_of(h));
+                cands.push(cref);
+            }
+        }
+        cands.sort_by_key(|&i| self.headers[i as usize].len);
         let mut budget = SUBSUME_BUDGET;
         // Scratch marker per literal code, stamped per subsumer.
         let mut mark: Vec<u32> = vec![0; n_codes];
         let mut stamp = 0u32;
+        let mut c_lits: Vec<Lit> = Vec::new();
+        let mut strengthened: Vec<Lit> = Vec::new();
         'outer: for &ci in &cands {
             if budget == 0 || !self.ok {
                 break;
             }
-            if self.clauses[ci as usize].dead {
+            if self.headers[ci as usize].dead {
                 continue;
             }
-            let c_lits = self.clauses[ci as usize].lits.clone();
-            let c_sig = sig(&c_lits);
+            c_lits.clear();
+            c_lits.extend_from_slice(self.clause(ci));
+            let c_sig = sigs[ci as usize];
             stamp += 1;
             for &l in &c_lits {
                 mark[l.code() as usize] = stamp;
             }
+            let hits = |d: &[Lit]| {
+                d.iter()
+                    .filter(|l| mark[l.code() as usize] == stamp)
+                    .count()
+            };
             // Forward subsumption: scan the occurrence list of C's rarest
             // literal for clauses D ⊇ C.
             let lmin = c_lits
                 .iter()
                 .copied()
-                .min_by_key(|l| occ[l.code() as usize].len())
+                .min_by_key(|&l| occ_of(l).len())
                 .expect("non-empty clause");
-            for &di in &occ[lmin.code() as usize] {
+            for &di in occ_of(lmin) {
                 if di == ci || budget == 0 {
                     continue;
                 }
-                let d = &self.clauses[di as usize];
-                if d.dead || d.lits.len() < c_lits.len() || (c_sig & !sigs[di as usize]) != 0 {
+                let d = self.headers[di as usize];
+                if d.dead || (d.len as usize) < c_lits.len() || (c_sig & !sigs[di as usize]) != 0 {
                     continue;
                 }
-                if locked.contains(&di) {
+                if locked[di as usize] {
                     continue;
                 }
-                budget = budget.saturating_sub(d.lits.len() as u64);
-                let hits = d
-                    .lits
-                    .iter()
-                    .filter(|l| mark[l.code() as usize] == stamp)
-                    .count();
-                if hits == c_lits.len() {
+                budget = budget.saturating_sub(u64::from(d.len));
+                if hits(self.lits_of(&d)) == c_lits.len() {
                     self.kill_clause(di);
                     self.stats.subsumed_clauses += 1;
                 }
@@ -1377,48 +1493,37 @@ impl Solver {
             // Self-subsumption: for each literal l of C, a clause D with
             // ¬l whose remaining literals cover C∖{l} loses ¬l.
             for &l in &c_lits {
-                if self.clauses[ci as usize].dead {
+                if self.headers[ci as usize].dead {
                     continue 'outer;
                 }
-                for &di in &occ[(!l).code() as usize] {
+                for &di in occ_of(!l) {
                     if budget == 0 {
                         continue 'outer;
                     }
-                    let d = &self.clauses[di as usize];
+                    let d = self.headers[di as usize];
                     if d.dead
-                        || d.lits.len() < c_lits.len()
+                        || (d.len as usize) < c_lits.len()
                         || (c_sig & !sigs[di as usize]) != 0
-                        || locked.contains(&di)
+                        || locked[di as usize]
                     {
                         continue;
                     }
-                    budget = budget.saturating_sub(d.lits.len() as u64);
-                    let hits = d
-                        .lits
-                        .iter()
-                        .filter(|q| mark[q.code() as usize] == stamp)
-                        .count();
-                    if hits != c_lits.len() - 1 {
+                    budget = budget.saturating_sub(u64::from(d.len));
+                    if hits(self.lits_of(&d)) != c_lits.len() - 1 {
                         continue;
                     }
                     // Resolve C ⊗ D on var(l): the resolvent is D ∖ {¬l}.
-                    let new_lits: Vec<Lit> = d.lits.iter().copied().filter(|&q| q != !l).collect();
-                    debug_assert_eq!(new_lits.len(), d.lits.len() - 1);
-                    let new_itp = if self.itp.is_some() {
-                        let mut ctx = self.itp.take().expect("checked");
-                        let c_itp = self.clauses[ci as usize].itp;
-                        let d_itp = self.clauses[di as usize].itp;
-                        let itp = Self::combine(&mut ctx, c_itp, d_itp, l.var());
-                        self.itp = Some(ctx);
-                        itp
-                    } else {
-                        ALit::FALSE
+                    strengthened.clear();
+                    strengthened.extend(self.lits_of(&d).iter().copied().filter(|&q| q != !l));
+                    debug_assert_eq!(strengthened.len(), d.len as usize - 1);
+                    let c_itp = self.headers[ci as usize].itp;
+                    let new_itp = match self.itp.as_mut() {
+                        Some(ctx) => Self::combine(ctx, c_itp, d.itp, l.var()),
+                        None => ALit::FALSE,
                     };
-                    let learnt = self.clauses[di as usize].learnt;
-                    let act = self.clauses[di as usize].activity;
                     self.kill_clause(di);
                     self.stats.subsumed_clauses += 1;
-                    if !self.add_derived_clause(&new_lits, new_itp, learnt, act) {
+                    if !self.add_derived_clause(&strengthened, new_itp, d.learnt, d.activity) {
                         return;
                     }
                 }
@@ -1438,32 +1543,31 @@ impl Solver {
         const MAX_VIVIFY_LEN: usize = 32;
         let locked = self.locked_clauses();
         let mut budget = VIVIFY_BUDGET;
-        let cands: Vec<u32> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                !c.dead
-                    && (3..=MAX_VIVIFY_LEN).contains(&c.lits.len())
-                    && !locked.contains(&(*i as u32))
+        let cands: Vec<u32> = (0u32..)
+            .zip(&self.headers)
+            .filter(|&(i, h)| {
+                !h.dead && (3..=MAX_VIVIFY_LEN).contains(&(h.len as usize)) && !locked[i as usize]
             })
-            .map(|(i, _)| i as u32)
+            .map(|(i, _)| i)
             .collect();
+        let mut lits: Vec<Lit> = Vec::new();
+        let mut new_lits: Vec<Lit> = Vec::new();
         for ci in cands {
             if budget == 0 || !self.ok {
                 break;
             }
-            if self.clauses[ci as usize].dead {
+            let h = self.headers[ci as usize];
+            if h.dead {
                 continue;
             }
-            let lits = self.clauses[ci as usize].lits.clone();
-            // Detach C so it cannot propagate in its own probe; probing
-            // derives C's replacement from F∖{C}. The arena entry stays
-            // dead (watchers drop lazily) and a fresh clause is attached
-            // below.
+            lits.clear();
+            lits.extend_from_slice(self.lits_of(&h));
+            // Kill C so it cannot propagate in its own probe; probing
+            // derives C's replacement from F∖{C}, which is stored as a
+            // fresh clause below.
             self.kill_clause(ci);
             let props_before = self.stats.propagations;
-            let mut new_lits: Vec<Lit> = Vec::with_capacity(lits.len());
+            new_lits.clear();
             for &l in &lits {
                 match self.value(l) {
                     LBool::True => {
@@ -1489,9 +1593,7 @@ impl Solver {
             if new_lits.len() < lits.len() {
                 self.stats.vivified_clauses += 1;
             }
-            let learnt = self.clauses[ci as usize].learnt;
-            let act = self.clauses[ci as usize].activity;
-            if !self.add_derived_clause(&new_lits, ALit::FALSE, learnt, act) {
+            if !self.add_derived_clause(&new_lits, ALit::FALSE, h.learnt, h.activity) {
                 break;
             }
         }
@@ -1504,88 +1606,93 @@ impl Solver {
     /// preserved, which is why callers must freeze every variable they
     /// later assume, re-mention, or read (see [`Solver::freeze_var`]).
     /// Plain mode only.
+    ///
+    /// Each pair's resolvent is measured with literal marks; resolvents
+    /// are only built for a variable the pass eliminates.
     fn bve_pass(&mut self) {
         debug_assert!(self.itp.is_none());
         const MAX_OCCS: usize = 10;
         const MAX_RESOLVENT_LEN: usize = 24;
         let n_vars = self.assigns.len();
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); n_vars];
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.dead {
-                continue;
-            }
-            for &l in &c.lits {
-                occ[l.var().index() as usize].push(i as u32);
-            }
-        }
+        let (at, flat) = self.occurrences(n_vars, |_| true, |l| l.var().index() as usize);
+        let mut occs = VarOccs::new(at, flat);
         let mut assumed = vec![false; n_vars];
         for l in &self.assumptions {
             assumed[l.var().index() as usize] = true;
         }
         let mut budget = BVE_BUDGET;
-        for v in 0..n_vars {
+        // Scratch marker per literal code, stamped per positive clause.
+        let mut mark: Vec<u32> = vec![0; 2 * n_vars];
+        let mut stamp = 0u32;
+        let (mut pos, mut neg, mut learnt_occs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut resolvent: Vec<Lit> = Vec::new();
+        for (v, &is_assumed) in assumed.iter().enumerate() {
             if budget == 0 || !self.ok {
                 break;
             }
-            if self.frozen[v] || self.eliminated[v] || assumed[v] || self.assigns[v] != LBool::Undef
+            if self.frozen[v] || self.eliminated[v] || is_assumed || self.assigns[v] != LBool::Undef
             {
                 continue;
             }
             let var = Var::new(v as u32);
-            let mut pos: Vec<u32> = Vec::new();
-            let mut neg: Vec<u32> = Vec::new();
-            let mut learnt_occs: Vec<u32> = Vec::new();
-            for &ci in &occ[v] {
-                let c = &self.clauses[ci as usize];
-                if c.dead {
-                    continue;
+            pos.clear();
+            neg.clear();
+            learnt_occs.clear();
+            occs.for_each(v, |ci| {
+                let h = &self.headers[ci as usize];
+                if h.dead {
+                    return;
                 }
-                if c.learnt {
+                if h.learnt {
                     learnt_occs.push(ci);
-                } else if c.lits.contains(&var.pos()) {
+                } else if self.lits_of(h).contains(&var.pos()) {
                     pos.push(ci);
                 } else {
                     neg.push(ci);
                 }
-            }
+            });
             if pos.is_empty() && neg.is_empty() {
                 continue;
             }
             if pos.len() > MAX_OCCS || neg.len() > MAX_OCCS {
                 continue;
             }
-            // Build all non-tautological resolvents; reject the variable
-            // if any is too long or the set grows the clause count.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
+            // Measure every pair's resolvent; reject the variable if one
+            // is too long or the non-tautological ones outnumber the
+            // clauses they replace. One budget unit per pair tried.
+            let mut resolvents = 0;
             let mut reject = false;
             'pairs: for &cp in &pos {
+                stamp += 1;
+                for &l in self.clause(cp) {
+                    mark[l.code() as usize] = stamp;
+                }
+                let cp_len = self.headers[cp as usize].len as usize - 1;
                 for &cn in &neg {
                     budget = budget.saturating_sub(1);
-                    let mut r: Vec<Lit> = self.clauses[cp as usize]
-                        .lits
-                        .iter()
-                        .copied()
-                        .filter(|&l| l != var.pos())
-                        .chain(
-                            self.clauses[cn as usize]
-                                .lits
-                                .iter()
-                                .copied()
-                                .filter(|&l| l != var.neg()),
-                        )
-                        .collect();
-                    r.sort_unstable_by_key(|l| l.code());
-                    r.dedup();
-                    let taut = r.windows(2).any(|w| w[0].var() == w[1].var());
+                    let mut len = cp_len;
+                    let mut taut = false;
+                    for &l in self.clause(cn) {
+                        if l == var.neg() {
+                            continue;
+                        }
+                        if mark[(!l).code() as usize] == stamp {
+                            taut = true;
+                            break;
+                        }
+                        if mark[l.code() as usize] != stamp {
+                            len += 1;
+                        }
+                    }
                     if taut {
                         continue;
                     }
-                    if r.len() > MAX_RESOLVENT_LEN {
+                    if len > MAX_RESOLVENT_LEN {
                         reject = true;
                         break 'pairs;
                     }
-                    resolvents.push(r);
-                    if resolvents.len() > pos.len() + neg.len() {
+                    resolvents += 1;
+                    if resolvents > pos.len() + neg.len() {
                         reject = true;
                         break 'pairs;
                     }
@@ -1600,26 +1707,92 @@ impl Solver {
             }
             // Commit: drop every clause mentioning v (learnt ones are
             // merely implied, so dropping them is sound), then add the
-            // resolvents.
+            // resolvents, built from the dead clauses' literals.
             self.eliminated[v] = true;
             self.stats.eliminated_vars += 1;
-            for &ci in pos.iter().chain(neg.iter()).chain(learnt_occs.iter()) {
+            for &ci in pos.iter().chain(&neg).chain(&learnt_occs) {
                 self.kill_clause(ci);
                 self.stats.deleted += 1;
             }
-            for r in resolvents {
-                let cref = self.clauses.len() as u32;
-                if !self.add_derived_clause(&r, ALit::FALSE, false, 0.0) {
-                    return;
-                }
-                // The resolvent may itself have been dropped (tautology)
-                // or appended; register occurrences for later variables.
-                if (cref as usize) < self.clauses.len() {
-                    for &l in &self.clauses[cref as usize].lits.clone() {
-                        occ[l.var().index() as usize].push(cref);
+            for &cp in &pos {
+                for &cn in &neg {
+                    resolvent.clear();
+                    resolvent.extend(self.clause(cp).iter().filter(|&&l| l != var.pos()));
+                    resolvent.extend(self.clause(cn).iter().filter(|&&l| l != var.neg()));
+                    if !normalize(&mut resolvent) {
+                        continue;
+                    }
+                    let cref = self.headers.len() as u32;
+                    if !self.add_derived_clause(&resolvent, ALit::FALSE, false, 0.0) {
+                        return;
+                    }
+                    // Register the stored resolvent for later variables.
+                    if (cref as usize) < self.headers.len() {
+                        for &l in self.clause(cref) {
+                            occs.push(l.var().index() as usize, cref);
+                        }
                     }
                 }
             }
+        }
+    }
+}
+
+/// Sorts a clause's literals by code and drops duplicates. Returns
+/// `false` if the clause is a tautology.
+fn normalize(buf: &mut Vec<Lit>) -> bool {
+    buf.sort_unstable_by_key(|l| l.code());
+    buf.dedup();
+    !buf.windows(2).any(|w| w[0].var() == w[1].var())
+}
+
+/// BVE's occurrence lists: per variable, the clauses that mention it, in
+/// clause order. The clauses stored when the pass starts sit in one flat
+/// index; the resolvents it adds are chained per variable behind them.
+struct VarOccs {
+    /// `flat[at[v]..at[v + 1]]`: variable `v`'s clauses at pass start.
+    at: Vec<u32>,
+    flat: Vec<u32>,
+    /// Per variable: its first and last added entry, or [`VarOccs::NIL`].
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Added entries: a clause reference and the variable's next entry.
+    added: Vec<(u32, u32)>,
+}
+
+impl VarOccs {
+    const NIL: u32 = u32::MAX;
+
+    fn new(at: Vec<u32>, flat: Vec<u32>) -> Self {
+        let n = at.len() - 1;
+        VarOccs {
+            at,
+            flat,
+            first: vec![Self::NIL; n],
+            last: vec![Self::NIL; n],
+            added: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, v: usize, cref: u32) {
+        let e = self.added.len() as u32;
+        self.added.push((cref, Self::NIL));
+        match self.last[v] {
+            Self::NIL => self.first[v] = e,
+            l => self.added[l as usize].1 = e,
+        }
+        self.last[v] = e;
+    }
+
+    fn for_each(&self, v: usize, mut f: impl FnMut(u32)) {
+        for &cref in &self.flat[self.at[v] as usize..self.at[v + 1] as usize] {
+            f(cref);
+        }
+        let mut e = self.first[v];
+        while e != Self::NIL {
+            let (cref, next) = self.added[e as usize];
+            f(cref);
+            e = next;
         }
     }
 }
@@ -1907,7 +2080,9 @@ mod tests {
             .map(|seed| (40, random_3sat(seed)))
             .chain(std::iter::once({
                 let s = pigeonhole(7);
-                let clauses = s.clauses.iter().map(|c| c.lits.clone()).collect();
+                let clauses = (0..s.headers.len() as u32)
+                    .map(|c| s.clause(c).to_vec())
+                    .collect();
                 (s.num_vars(), clauses)
             }))
             .collect();
@@ -2124,6 +2299,8 @@ pub(crate) mod inprocessing_tests {
     thread_local! {
         /// The schedule [`schedule`] returns on this thread, if forced.
         pub(super) static FORCED: Cell<Option<Schedule>> = const { Cell::new(None) };
+        /// What [`collection_due`] answers on this thread, if forced.
+        pub(super) static COLLECT: Cell<Option<bool>> = const { Cell::new(None) };
     }
 
     /// Inprocessing before every solve and every 20 conflicts, with no
@@ -2149,6 +2326,92 @@ pub(crate) mod inprocessing_tests {
     impl Drop for Aggressive {
         fn drop(&mut self) {
             FORCED.with(|f| f.set(None));
+        }
+    }
+
+    /// Forces clause collection to run at every opportunity (`true`) or
+    /// never (`false`) on this thread while the guard lives.
+    pub(crate) struct Collect;
+
+    impl Collect {
+        pub(crate) fn force(always: bool) -> Collect {
+            COLLECT.with(|f| f.set(Some(always)));
+            Collect
+        }
+    }
+
+    impl Drop for Collect {
+        fn drop(&mut self) {
+            COLLECT.with(|f| f.set(None));
+        }
+    }
+
+    /// Runs `run` with collection never running, then at every
+    /// opportunity, asserts both give the same outcome, and returns it.
+    pub(crate) fn same_with_collection<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        mut run: impl FnMut() -> T,
+    ) -> T {
+        let never = {
+            let _never = Collect::force(false);
+            run()
+        };
+        let always = {
+            let _always = Collect::force(true);
+            run()
+        };
+        assert_eq!(never, always, "{what}: collection changed the outcome");
+        never
+    }
+
+    /// The clause store's invariants after a collection: the headers tile
+    /// the arena in order, no garbage is left, every live clause of two or
+    /// more literals is watched by exactly its first two, no watcher names
+    /// a dead clause, and every reason clause has the literal it implied
+    /// first.
+    pub(super) fn check_clause_store(s: &Solver) {
+        let mut top = 0;
+        for h in &s.headers {
+            assert_eq!(h.start as usize, top, "headers tile the arena");
+            top += h.len as usize;
+        }
+        assert_eq!(top, s.arena.len());
+        assert_eq!(s.garbage, 0);
+        let mut watched_by: Vec<Vec<u32>> = vec![Vec::new(); s.headers.len()];
+        for (code, ws) in (0u32..).zip(&s.watches) {
+            for w in ws {
+                assert!(
+                    !s.headers[w.cref as usize].dead,
+                    "watcher of dead clause {}",
+                    w.cref
+                );
+                watched_by[w.cref as usize].push(code);
+            }
+        }
+        for (cref, h) in (0u32..).zip(&s.headers) {
+            let lits = s.clause(cref);
+            let mut want = match lits {
+                [a, b, ..] if !h.dead => vec![a.code(), b.code()],
+                _ => Vec::new(),
+            };
+            want.sort_unstable();
+            let got = &mut watched_by[cref as usize];
+            got.sort_unstable();
+            assert_eq!(
+                *got, want,
+                "clause {cref} {lits:?}: watched by literal codes"
+            );
+        }
+        for (v, reason) in s.reason.iter().enumerate() {
+            if let Some(r) = *reason {
+                let first = s.clause(r)[0];
+                assert_eq!(
+                    first.var().index() as usize,
+                    v,
+                    "reason {r} implies its first literal"
+                );
+                assert_eq!(s.value(first), LBool::True);
+            }
         }
     }
 
@@ -2210,8 +2473,90 @@ pub(crate) mod inprocessing_tests {
         }
     }
 
+    /// Subsumption derives a unit after taking its locked set, the unit
+    /// makes a clause a level-0 reason, and the same pass then kills that
+    /// clause. Collection keeps it: in interpolation mode `l0_itp` reads
+    /// it when a later clause conflicts at level 0, and the interpolant
+    /// meets the Craig contract.
+    #[test]
+    fn collection_keeps_a_reason_killed_mid_pass() {
+        let _aggressive = Aggressive::force();
+        let [a, b, e] = [0, 1, 2].map(Var::new);
+        // (a ∨ b) strengthens (¬a ∨ b) to the unit b, which makes (¬b ∨ e)
+        // the reason of e; then (b ∨ e) strengthens (¬b ∨ e) to e, which
+        // kills that reason.
+        let clauses = [
+            (vec![a.pos(), b.pos()], ClauseLabel::A),
+            (vec![a.neg(), b.pos()], ClauseLabel::A),
+            (vec![b.pos(), e.pos()], ClauseLabel::B),
+            (vec![b.neg(), e.pos()], ClauseLabel::B),
+            (vec![e.neg()], ClauseLabel::B),
+        ];
+        let (first, last) = clauses.split_at(4);
+        for itp_mode in [false, true] {
+            let what = format!("interpolation {itp_mode}");
+            let itp = same_with_collection(&what, || {
+                let mut s = Solver::new();
+                for _ in 0..3 {
+                    s.new_var();
+                }
+                if itp_mode {
+                    s.enable_interpolation(vec![false, true, true], &[b]);
+                }
+                let add = |s: &mut Solver, (c, label): &(Vec<Lit>, ClauseLabel)| {
+                    if itp_mode {
+                        s.add_clause_labeled(c, *label)
+                    } else {
+                        s.add_clause(c)
+                    }
+                };
+                for c in first {
+                    assert!(add(&mut s, c));
+                }
+                assert_eq!(s.solve(&[]), Some(true), "{what}");
+                let reason = s.reason[e.index() as usize].expect("e is implied at level 0");
+                assert!(
+                    s.headers[reason as usize].dead,
+                    "{what}: the pass killed e's reason"
+                );
+                assert!(!add(&mut s, &last[0]), "{what}");
+                assert_eq!(s.solve(&[]), Some(false), "{what}");
+                let stats = s.stats();
+                assert_eq!(stats.subsumed_clauses, 2, "{what}");
+                let itp = s
+                    .interpolant()
+                    .map(|(aig, root)| [false, true].map(|bv| aig.eval_lit(root, &[bv])));
+                (itp, stats)
+            })
+            .0;
+            let Some(itp) = itp else {
+                assert!(!itp_mode, "interpolation mode yields an interpolant");
+                continue;
+            };
+            // Craig: A ⊨ I(b), and I(b) ∧ B is unsatisfiable.
+            for bits in 0u32..8 {
+                let val = |v: Var| bits >> v.index() & 1 == 1;
+                let side = |label: ClauseLabel| {
+                    clauses
+                        .iter()
+                        .filter(|(_, l)| *l == label)
+                        .all(|(c, _)| c.iter().any(|l| val(l.var()) != l.is_negated()))
+                };
+                let i = itp[usize::from(val(b))];
+                assert!(
+                    !side(ClauseLabel::A) || i,
+                    "A holds but I fails at {bits:03b}"
+                );
+                assert!(
+                    !side(ClauseLabel::B) || !i,
+                    "I and B both hold at {bits:03b}"
+                );
+            }
+        }
+    }
+
     /// Vivification, subsumption and BVE leave one-shot answers equal to
-    /// brute force.
+    /// brute force; collection leaves models and statistics as they are.
     #[test]
     fn inprocessing_preserves_oneshot_answers() {
         let _aggressive = Aggressive::force();
@@ -2221,15 +2566,19 @@ pub(crate) mod inprocessing_tests {
             let cnf = random_cnf(&mut next, 8, 30);
             let want = brute_force(8, &cnf, &[]);
             for (leg, build) in LEGS.into_iter().enumerate() {
-                let mut s = build();
-                for _ in 0..8 {
-                    s.new_var();
-                }
-                for c in &cnf {
-                    s.add_clause(c);
-                }
-                assert_eq!(s.solve(&[]), Some(want), "case {case} leg {leg}: {cnf:?}");
-                fired.add(leg, s.stats());
+                let what = format!("case {case} leg {leg}");
+                let (_, stats) = same_with_collection(&what, || {
+                    let mut s = build();
+                    for _ in 0..8 {
+                        s.new_var();
+                    }
+                    for c in &cnf {
+                        s.add_clause(c);
+                    }
+                    assert_eq!(s.solve(&[]), Some(want), "{what}: {cnf:?}");
+                    (s.model.clone(), s.stats())
+                });
+                fired.add(leg, stats);
             }
         }
         fired.check();
@@ -2239,7 +2588,8 @@ pub(crate) mod inprocessing_tests {
     /// (the Eq.-12 query's pattern), agree with brute force. The BVE leg
     /// freezes the variables it assumes, adds clauses over and reads
     /// models of, as [`Solver::eliminating`] requires; models must satisfy
-    /// the assumptions, and on the plain leg every clause.
+    /// the assumptions, and on the plain leg every clause. Collection
+    /// leaves answers, models, cores and statistics as they are.
     #[test]
     fn inprocessing_preserves_incremental_answers() {
         const FROZEN: usize = 5;
@@ -2257,43 +2607,50 @@ pub(crate) mod inprocessing_tests {
                 })
                 .collect();
             for (leg, build) in LEGS.into_iter().enumerate() {
-                let mut s = build();
-                for v in 0..8 {
-                    s.new_var();
-                    if v < FROZEN {
-                        s.freeze_var(Var::new(v as u32));
-                    }
-                }
-                let mut cnf = base.clone();
-                for c in &cnf {
-                    s.add_clause(c);
-                }
-                for (round, (assumptions, extra)) in rounds.iter().enumerate() {
-                    let want = brute_force(8, &cnf, assumptions);
-                    let got = s.solve(assumptions);
-                    assert_eq!(got, Some(want), "case {case} leg {leg} round {round}");
-                    if want {
-                        for &l in assumptions {
-                            assert_eq!(s.model_value(l), LBool::True, "case {case} leg {leg}");
+                let what = format!("case {case} leg {leg}");
+                let (_, stats) = same_with_collection(&what, || {
+                    let mut s = build();
+                    for v in 0..8 {
+                        s.new_var();
+                        if v < FROZEN {
+                            s.freeze_var(Var::new(v as u32));
                         }
-                        if leg == 0 {
-                            for c in &cnf {
-                                let sat = c.iter().any(|&l| s.model_value(l) == LBool::True);
-                                assert!(sat, "case {case}: model violates {c:?}");
+                    }
+                    let mut cnf = base.clone();
+                    for c in &cnf {
+                        s.add_clause(c);
+                    }
+                    let mut answers = Vec::new();
+                    for (round, (assumptions, extra)) in rounds.iter().enumerate() {
+                        let want = brute_force(8, &cnf, assumptions);
+                        let got = s.solve(assumptions);
+                        assert_eq!(got, Some(want), "{what} round {round}");
+                        if want {
+                            for &l in assumptions {
+                                assert_eq!(s.model_value(l), LBool::True, "{what}");
+                            }
+                            if leg == 0 {
+                                for c in &cnf {
+                                    let sat = c.iter().any(|&l| s.model_value(l) == LBool::True);
+                                    assert!(sat, "{what}: model violates {c:?}");
+                                }
                             }
                         }
+                        answers.push((got, s.model.clone(), s.unsat_core().to_vec()));
+                        s.add_clause(extra);
+                        cnf.push(extra.clone());
                     }
-                    s.add_clause(extra);
-                    cnf.push(extra.clone());
-                }
-                fired.add(leg, s.stats());
+                    (answers, s.stats())
+                });
+                fired.add(leg, stats);
             }
         }
         fired.check();
     }
 
     /// Random Tseitin-encoded AIG miters: answers equal exhaustive
-    /// evaluation, and every SAT model's inputs satisfy the miter.
+    /// evaluation, and every SAT model's inputs satisfy the miter, with
+    /// and without collection.
     #[test]
     fn inprocessing_agrees_on_tseitin_miters() {
         use eco_aig::Aig;
@@ -2325,28 +2682,32 @@ pub(crate) mod inprocessing_tests {
                 mgr.eval_lit(miter, &inputs)
             });
             for (leg, build) in LEGS.into_iter().enumerate() {
-                let mut s = build();
-                let mut map: HashMap<eco_aig::Var, Lit> = HashMap::new();
-                let roots = crate::encode_cone(&mgr, &[miter], &mut map, &mut s);
-                // The model's input values are read back below.
-                for (&v, &sl) in &map {
-                    if mgr.input_pos(v).is_some() {
-                        s.freeze_var(sl.var());
+                let what = format!("case {case} leg {leg}");
+                let (_, stats) = same_with_collection(&what, || {
+                    let mut s = build();
+                    let mut map: HashMap<eco_aig::Var, Lit> = HashMap::new();
+                    let roots = crate::encode_cone(&mgr, &[miter], &mut map, &mut s);
+                    // The model's input values are read back below.
+                    for (&v, &sl) in &map {
+                        if mgr.input_pos(v).is_some() {
+                            s.freeze_var(sl.var());
+                        }
                     }
-                }
-                s.add_clause(&[roots[0]]);
-                let got = s.solve(&[]);
-                assert_eq!(got, Some(want), "case {case} leg {leg}");
-                if want {
+                    s.add_clause(&[roots[0]]);
+                    let got = s.solve(&[]);
+                    assert_eq!(got, Some(want), "{what}");
                     let mut inputs = vec![false; mgr.num_inputs()];
                     for (&v, &sl) in &map {
                         if let Some(pos) = mgr.input_pos(v) {
                             inputs[pos] = s.model_value(sl) == LBool::True;
                         }
                     }
-                    assert!(mgr.eval_lit(miter, &inputs), "case {case} leg {leg}: model");
-                }
-                fired.add(leg, s.stats());
+                    if want {
+                        assert!(mgr.eval_lit(miter, &inputs), "{what}: model");
+                    }
+                    (inputs, s.stats())
+                });
+                fired.add(leg, stats);
             }
         }
         fired.check();

@@ -10,7 +10,7 @@ mod common;
 
 use eco::aig::write_aiger_ascii;
 use eco::batch::{load_job_instance, JobSpec};
-use eco::core::{EcoEngine, EcoOptions};
+use eco::core::{render_counters, EcoEngine, EcoOptions};
 use eco::workgen::{contest_suite, write_unit};
 
 fn fast_subset() -> Vec<&'static str> {
@@ -46,8 +46,13 @@ fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Asserts `(cost, size, FNV-1a-64 of the ASCII AIGER patch)` of every
-/// pinned unit under `options`.
-fn assert_pinned(options: EcoOptions, pinned: &[(&str, u64, usize, u64)]) {
+/// pinned unit under `options`, and, for the units `search` names, the
+/// run's `sat:` and `select:` counter lines as `--stats` prints them.
+fn assert_pinned(
+    options: EcoOptions,
+    pinned: &[(&str, u64, usize, u64)],
+    search: &[(&str, &str, &str)],
+) {
     for unit in contest_suite() {
         let Some(&(name, cost, size, digest)) = pinned.iter().find(|p| p.0 == unit.spec.name)
         else {
@@ -63,12 +68,29 @@ fn assert_pinned(options: EcoOptions, pinned: &[(&str, u64, usize, u64)]) {
             (cost, size, digest),
             "{name}: (cost, size, patch digest) moved"
         );
+        if let Some(&(_, sat, select)) = search.iter().find(|p| p.0 == name) {
+            let t = &result.telemetry;
+            assert_eq!(
+                (
+                    render_counters(&t.sat.fields(), false),
+                    render_counters(&t.select.fields(), false)
+                ),
+                (sat.to_string(), select.to_string()),
+                "{name}: SAT or selection counters moved"
+            );
+        }
     }
 }
 
 /// Speed work must not move the output: cost, size and the ASCII AIGER
 /// bytes of the patch stay pinned on the fast subset plus unit17 (the
 /// slowest unit) and unit19.
+///
+/// The same runs pin the search: every SAT counter and every
+/// base-selection counter ([`SEARCH_PINS`]). Work that should only move
+/// time or memory, such as solver data structures or buffers, leaves
+/// them as they are. A change that means to move the search re-pins them
+/// on purpose and says so in CHANGES.md, as it must for patches.
 #[test]
 fn patch_bytes_are_pinned() {
     assert_pinned(
@@ -85,8 +107,63 @@ fn patch_bytes_are_pinned() {
             ("unit17", 53, 7, 0x39ea_603b_78f7_f295),
             ("unit19", 14, 6, 0xe726_5bf9_cca0_209f),
         ],
+        SEARCH_PINS,
     );
 }
+
+/// `(unit, sat: line, select: line)` of [`patch_bytes_are_pinned`]'s runs.
+const SEARCH_PINS: &[(&str, &str, &str)] = &[
+    (
+        "unit01",
+        "solvers 5  conflicts 221  decisions 985  propagations 4849  restarts 0  learned 219  vivified_clauses 0  subsumed_clauses 0  eliminated_vars 0",
+        "probes 91  projections 208  table_projections 190  sat_models 18  unsat_proofs 91",
+    ),
+    (
+        "unit02",
+        "solvers 4  conflicts 18  decisions 781  propagations 2755  restarts 0  learned 17  vivified_clauses 0  subsumed_clauses 0  eliminated_vars 0",
+        "probes 192  projections 183  table_projections 173  sat_models 10  unsat_proofs 192",
+    ),
+    (
+        "unit03",
+        "solvers 4  conflicts 0  decisions 469  propagations 3615  restarts 0  learned 0  vivified_clauses 111  subsumed_clauses 0  eliminated_vars 41",
+        "probes 202  projections 194  table_projections 192  sat_models 2  unsat_proofs 202",
+    ),
+    (
+        "unit04",
+        "solvers 5  conflicts 996  decisions 5882  propagations 45766  restarts 1  learned 995  vivified_clauses 58  subsumed_clauses 104  eliminated_vars 312",
+        "probes 198  projections 1150  table_projections 1071  sat_models 79  unsat_proofs 198",
+    ),
+    (
+        "unit06",
+        "solvers 8  conflicts 136  decisions 4778  propagations 50044  restarts 0  learned 132  vivified_clauses 124  subsumed_clauses 74  eliminated_vars 876",
+        "probes 480  projections 264  table_projections 255  sat_models 9  unsat_proofs 480",
+    ),
+    (
+        "unit10",
+        "solvers 5  conflicts 100  decisions 4502  propagations 36765  restarts 0  learned 99  vivified_clauses 69  subsumed_clauses 66  eliminated_vars 442",
+        "probes 432  projections 432  table_projections 422  sat_models 10  unsat_proofs 432",
+    ),
+    (
+        "unit12",
+        "solvers 4  conflicts 43  decisions 1152  propagations 13882  restarts 0  learned 42  vivified_clauses 53  subsumed_clauses 4  eliminated_vars 270",
+        "probes 200  projections 168  table_projections 157  sat_models 11  unsat_proofs 200",
+    ),
+    (
+        "unit15",
+        "solvers 5  conflicts 663  decisions 4013  propagations 18566  restarts 0  learned 662  vivified_clauses 2  subsumed_clauses 4  eliminated_vars 372",
+        "probes 240  projections 736  table_projections 700  sat_models 36  unsat_proofs 240",
+    ),
+    (
+        "unit17",
+        "solvers 30  conflicts 2481  decisions 13262  propagations 3401457  restarts 0  learned 2467  vivified_clauses 1789  subsumed_clauses 10235  eliminated_vars 22981",
+        "probes 1063  projections 2132  table_projections 2027  sat_models 105  unsat_proofs 1063",
+    ),
+    (
+        "unit19",
+        "solvers 5  conflicts 126  decisions 6970  propagations 65736  restarts 0  learned 125  vivified_clauses 135  subsumed_clauses 59  eliminated_vars 777",
+        "probes 417  projections 288  table_projections 280  sat_models 8  unsat_proofs 417",
+    ),
+];
 
 /// Loading must not move the instance. Every suite unit, written to disk
 /// and read back through `load_job_instance` (the path eco-batch and
@@ -272,6 +349,7 @@ fn baseline_patch_bytes_are_pinned() {
             ("unit17", 145, 97, 0x92eb_c2e2_9f31_fa9d),
             ("unit19", 1400, 27, 0xc8ec_59e1_2d59_a890),
         ],
+        &[],
     );
 }
 
