@@ -1,5 +1,13 @@
 //! Regenerates Table 2: cost / size / time, baseline vs ours, 20 units.
+//!
+//! ```text
+//! table2 [--stress] [unitNN ...]
+//! ```
+//!
+//! Names select units of the suite (`--stress`: the stress suite); a
+//! name that is neither is a usage error (exit 1).
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use eco_core::{render_counters, EcoEngine, EcoOptions};
@@ -30,7 +38,7 @@ fn run(unit: &eco_workgen::SuiteUnit, opts: EcoOptions) -> (u64, usize, f64) {
     (result.cost, result.size, t0.elapsed().as_secs_f64())
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut only: Vec<String> = std::env::args().skip(1).collect();
     let stress = only.iter().any(|a| a == "--stress");
     only.retain(|a| a != "--stress");
@@ -39,6 +47,16 @@ fn main() {
     } else {
         contest_suite()
     };
+    if let Some(name) = only
+        .iter()
+        .find(|&name| !units.iter().any(|u| &u.spec.name == name))
+    {
+        let suite = if stress { "stress" } else { "Table-2" };
+        eprintln!(
+            "table2: no unit `{name}` in the {suite} suite (usage: table2 [--stress] [unitNN ...])"
+        );
+        return ExitCode::from(1);
+    }
     let mut rows = Vec::new();
     for unit in units {
         if !only.is_empty() && !only.contains(&unit.spec.name) {
@@ -135,4 +153,5 @@ fn main() {
         println!("\nratios are baseline/ours (paper reports winner/ours; >1 means ours is better)");
         println!("* = difficult unit (paper's units 6, 10, 11, 19 analogues)");
     }
+    ExitCode::SUCCESS
 }

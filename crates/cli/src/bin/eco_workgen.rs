@@ -33,11 +33,11 @@
 //! `--seq N` (N latch-bearing cases — alternating shift-register banks
 //! and random sequential DAGs — each emitted as golden/faulty BTOR2 +
 //! latch-BLIF pairs with `.weights` and `.targets` files for `eco-patch
-//! --unroll`; the combinational manifest layer does not apply),
-//! `--scale <100k|500k|1m>` (two scale AIGs — a deep datapath and a wide
-//! random DAG — emitted as binary AIGER `scale_<shape>_<preset>.aig`;
-//! these skip the Verilog layer, so no manifest entries are written).
-//! `--count N` truncates the emitted list.
+//! --unroll`; the combinational manifest layer does not apply).
+//! `--count N` caps the number of cases written. `--seed` applies to
+//! `--fuzz` and `--seq`; `--count`, `--manifest` and `--requests` to
+//! every mode but `--seq`. A flag the selected mode does not read, or a
+//! second mode, is a usage error.
 //!
 //! Exit codes: 0 — ok, 1 — usage or I/O error.
 
@@ -46,20 +46,38 @@ use std::process::ExitCode;
 
 use eco_workgen::fuzz::gen_case;
 use eco_workgen::{
-    contest_suite, deep_datapath_aig, gen_seq_unit, manifest_toml, request_stream, scale_preset,
-    stress_suite, wide_random_aig, write_fuzz_case, write_seq_unit, write_unit, ManifestEntry,
-    ScalePreset,
+    contest_suite, gen_seq_unit, manifest_toml, request_stream, stress_suite, write_fuzz_case,
+    write_seq_unit, write_unit, ManifestEntry,
 };
 
-const USAGE: &str = "usage: eco-workgen --out <dir> [--suite | --stress | --fuzz N | --seq N | \
---scale <100k|500k|1m>] [--seed S] [--count N] [--manifest <path>] [--requests <path>] [-q]";
+const USAGE: &str = "usage: eco-workgen --out <dir> [--suite | --stress | --fuzz N | --seq N] \
+[--seed S] [--count N] [--manifest <path>] [--requests <path>] [-q]";
 
 enum Mode {
     Suite,
     Stress,
     Fuzz(u64),
     Seq(u64),
-    Scale(&'static ScalePreset),
+}
+
+impl Mode {
+    fn flag(&self) -> &'static str {
+        match self {
+            Mode::Suite => "--suite",
+            Mode::Stress => "--stress",
+            Mode::Fuzz(_) => "--fuzz",
+            Mode::Seq(_) => "--seq",
+        }
+    }
+
+    /// Whether this mode reads `flag` (`--out` and `-q` apply to all).
+    fn reads(&self, flag: &str) -> bool {
+        match self {
+            Mode::Suite | Mode::Stress => matches!(flag, "--count" | "--manifest" | "--requests"),
+            Mode::Fuzz(_) => matches!(flag, "--seed" | "--count" | "--manifest" | "--requests"),
+            Mode::Seq(_) => flag == "--seed",
+        }
+    }
 }
 
 struct Args {
@@ -72,10 +90,15 @@ struct Args {
     quiet: bool,
 }
 
+fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} expects a number, got `{v}`"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut out = None;
-    let mut mode = Mode::Suite;
-    let mut seed = 1u64;
+    let mut modes = Vec::new();
+    let mut seed = None;
     let mut count = None;
     let mut manifest = None;
     let mut requests = None;
@@ -85,42 +108,12 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
         match a.as_str() {
             "--out" | "-o" => out = Some(PathBuf::from(value("--out")?)),
-            "--suite" => mode = Mode::Suite,
-            "--stress" => mode = Mode::Stress,
-            "--fuzz" => {
-                let v = value("--fuzz")?;
-                mode = Mode::Fuzz(
-                    v.parse()
-                        .map_err(|_| format!("--fuzz expects a count, got `{v}`"))?,
-                );
-            }
-            "--seq" => {
-                let v = value("--seq")?;
-                mode = Mode::Seq(
-                    v.parse()
-                        .map_err(|_| format!("--seq expects a count, got `{v}`"))?,
-                );
-            }
-            "--scale" => {
-                let v = value("--scale")?;
-                mode = Mode::Scale(
-                    scale_preset(&v)
-                        .ok_or_else(|| format!("--scale expects 100k, 500k or 1m, got `{v}`"))?,
-                );
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed expects a number, got `{v}`"))?;
-            }
-            "--count" => {
-                let v = value("--count")?;
-                count = Some(
-                    v.parse()
-                        .map_err(|_| format!("--count expects a number, got `{v}`"))?,
-                );
-            }
+            "--suite" => modes.push(Mode::Suite),
+            "--stress" => modes.push(Mode::Stress),
+            "--fuzz" => modes.push(Mode::Fuzz(number("--fuzz", value("--fuzz")?)?)),
+            "--seq" => modes.push(Mode::Seq(number("--seq", value("--seq")?)?)),
+            "--seed" => seed = Some(number("--seed", value("--seed")?)?),
+            "--count" => count = Some(number("--count", value("--count")?)?),
             "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
             "--requests" => requests = Some(PathBuf::from(value("--requests")?)),
             "-q" | "--quiet" => quiet = true,
@@ -131,10 +124,27 @@ fn parse_args() -> Result<Args, String> {
     let Some(out) = out else {
         return Err(USAGE.to_string());
     };
+    if let [first, second, ..] = modes.as_slice() {
+        return Err(format!(
+            "{} and {} both select a mode\n{USAGE}",
+            first.flag(),
+            second.flag()
+        ));
+    }
+    let mode = modes.pop().unwrap_or(Mode::Suite);
+    let given = [
+        ("--seed", seed.is_some()),
+        ("--count", count.is_some()),
+        ("--manifest", manifest.is_some()),
+        ("--requests", requests.is_some()),
+    ];
+    if let Some((flag, _)) = given.iter().find(|&&(f, set)| set && !mode.reads(f)) {
+        return Err(format!("{flag} does not apply to {}\n{USAGE}", mode.flag()));
+    }
     Ok(Args {
         out,
         mode,
-        seed,
+        seed: seed.unwrap_or(1),
         count,
         manifest,
         requests,
@@ -158,32 +168,6 @@ fn run(args: &Args) -> Result<(), String> {
             for unit in &units {
                 entries.push(write_unit(&args.out, unit).map_err(io_err)?);
             }
-        }
-        Mode::Scale(preset) => {
-            // Scale AIGs bypass the Verilog/manifest layer entirely.
-            for (shape, aig) in [
-                (
-                    "datapath",
-                    deep_datapath_aig(preset.inputs, preset.ands, preset.seed),
-                ),
-                (
-                    "randdag",
-                    wide_random_aig(preset.inputs, preset.ands, preset.seed),
-                ),
-            ] {
-                let path = args.out.join(format!("scale_{shape}_{}.aig", preset.name));
-                std::fs::write(&path, eco_aig::write_aiger_binary(&aig))
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                if !args.quiet {
-                    eprintln!(
-                        "wrote {} ({} inputs, {} ANDs)",
-                        path.display(),
-                        aig.num_inputs(),
-                        aig.num_ands()
-                    );
-                }
-            }
-            return Ok(());
         }
         Mode::Seq(n) => {
             // Sequential cases bypass the combinational manifest layer.
@@ -215,6 +199,7 @@ fn run(args: &Args) -> Result<(), String> {
             return Ok(());
         }
         Mode::Fuzz(n) => {
+            let n = args.count.map_or(n, |c| n.min(c as u64));
             let mut emitted = 0u64;
             let mut seed = args.seed;
             // Some seeds yield no cuttable target; advance past them.
@@ -224,9 +209,6 @@ fn run(args: &Args) -> Result<(), String> {
                     emitted += 1;
                 }
                 seed = seed.wrapping_add(1);
-            }
-            if let Some(c) = args.count {
-                entries.truncate(c);
             }
         }
     }

@@ -96,12 +96,79 @@ fn a_run_that_checks_nothing_is_a_usage_error() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+fn workgen(args: &[&str], out: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_eco-workgen"))
+        .args(args)
+        .arg("--out")
+        .arg(out)
+        .output()
+        .expect("run eco-workgen")
+}
+
+/// Retired modes are unknown arguments, and a flag the selected mode
+/// does not read is refused, naming the flag and the mode; neither run
+/// writes anything.
 #[test]
 fn workgen_no_longer_runs_the_chaos_campaign() {
-    let out = Command::new(env!("CARGO_BIN_EXE_eco-workgen"))
-        .args(["--chaos-campaign", "--out", "unused"])
-        .output()
-        .expect("run eco-workgen");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    let dir = std::env::temp_dir().join(format!("eco-workgen-test-refused-{}", std::process::id()));
+    for (args, message) in [
+        ("--chaos-campaign", "unknown argument `--chaos-campaign`"),
+        ("--scale 100k", "unknown argument `--scale`"),
+        (
+            "--seq 2 --manifest m.toml --requests r.jsonl",
+            "--manifest does not apply to --seq",
+        ),
+        (
+            "--seq 2 --requests r.jsonl",
+            "--requests does not apply to --seq",
+        ),
+        ("--seq 2 --count 1", "--count does not apply to --seq"),
+        ("--suite --seed 3", "--seed does not apply to --suite"),
+        ("--stress --seed 3", "--seed does not apply to --stress"),
+        ("--seed 3", "--seed does not apply to --suite"),
+        ("--suite --fuzz 3", "--suite and --fuzz both select a mode"),
+    ] {
+        let out = workgen(&args.split(' ').collect::<Vec<_>>(), &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?} wrote {}", dir.display());
+    }
+}
+
+/// `--fuzz N --count C` writes min(N, C) cases, and the manifest lists
+/// each case written: three files per job.
+#[test]
+fn workgen_fuzz_count_caps_the_cases_written() {
+    let dir = std::env::temp_dir().join(format!("eco-workgen-test-count-{}", std::process::id()));
+    let manifest = dir.join("m.toml");
+    let out = workgen(
+        &[
+            "--fuzz",
+            "3",
+            "--count",
+            "1",
+            "--manifest",
+            manifest.to_str().expect("utf-8"),
+            "-q",
+        ],
+        &dir,
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let jobs = std::fs::read_to_string(&manifest)
+        .expect("manifest written")
+        .matches("[[job]]")
+        .count();
+    assert_eq!(jobs, 1);
+    let cases = std::fs::read_dir(&dir)
+        .expect("read out dir")
+        .filter(|e| e.as_ref().expect("entry").path() != manifest)
+        .count();
+    assert_eq!(cases, 3 * jobs, "files besides the manifest");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

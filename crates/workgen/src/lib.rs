@@ -32,7 +32,6 @@ mod emit;
 mod fault;
 pub mod fuzz;
 pub mod roundtrip;
-pub mod scale;
 pub mod seqgen;
 mod suite;
 
@@ -43,9 +42,6 @@ pub use crate::emit::{
 pub use crate::fault::{
     assign_weights, break_untouched_output, cut_targets, scramble_dangling, FaultError,
     WeightProfile,
-};
-pub use crate::scale::{
-    deep_datapath_aig, scale_preset, wide_random_aig, ScalePreset, SCALE_PRESETS,
 };
 pub use crate::seqgen::{
     gen_seq_unit, inject_seq_faults, random_seq_dag, seq_weights, shift_register_datapath,

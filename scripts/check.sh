@@ -1,9 +1,18 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, warning-free rustdoc, the tier-1 test
-# suite, the tests of the standalone benchmark package (ecobench/), the
-# differential campaigns and the seq smoke. Run from anywhere; operates
-# on the workspace root.
-# The default gate leaves the working tree unchanged.
+# Repo gate: formatting, lints, warning-free rustdoc, the paper-table
+# harnesses, the tier-1 test suite, the tests of the standalone
+# benchmark package (ecobench/), the differential campaigns and the seq
+# smoke. Run from anywhere; operates on the workspace root. Every step
+# writes its files under one temporary directory, removed on exit, so
+# the gate leaves the working tree unchanged.
+#
+# The paper-table step runs the release table2 harness and the three
+# ablation harnesses (seconds). Each expects every run to rectify and
+# verify, so a clean pass checks the 20 suite units under the baseline
+# and default options, and the ablation settings: localization off, the
+# Watch window beta in {1, 3, 5, 8}, and the on-set, negated off-set
+# and interpolant initial patches with the optimizer off. It prints each
+# harness's wall time, and table2 must refuse an unknown unit name.
 #
 # The campaigns step runs every differential campaign through eco-fuzz
 # (seconds): it replays the tests/corpus regression set, then runs 200
@@ -17,11 +26,6 @@
 # verdicts and sweep counters exactly. All start at seed 1; any failure
 # fails the gate with the failing seed printed, and `eco-fuzz --campaign
 # <name> --case <seed>` reruns it.
-#
-# --bench-smoke additionally runs the simulation and FRAIG-sweep benches
-# with a single sample each, so hot-path regressions (a bench that panics,
-# an accidental O(n^2) blowup) fail fast without the cost of a real
-# measurement run.
 #
 # --degrade-smoke additionally drives the eco-patch binary against a
 # starvation budget (zero deadline, one-conflict allowance) and asserts
@@ -44,13 +48,6 @@
 # error, and the second replays all 12 jobs with none. It prints the
 # cold and warm pass wall times.
 #
-# --scale-smoke additionally emits the 100k-gate scale AIGs end-to-end
-# through eco-workgen --scale, then runs the release scale harness on
-# the 100k preset under a governor deadline. When a checked-in
-# crates/bench/BENCH_scale.json exists, simulation throughput is
-# compared against it and a >20% regression fails the gate; the 100k
-# rows of the tracked file are refreshed on success.
-#
 # --serve-smoke additionally exercises the eco-serve daemon end to end:
 # a 12-job request stream (from eco-workgen --requests) is replayed cold
 # then warm against one daemon over a unix socket. The warm replay must
@@ -62,9 +59,6 @@
 # SIGTERM, exit 0, socket file removed, all admitted jobs answered). It
 # prints the cold and warm throughput and p50/p99 round-trip latencies.
 #
-# Of all the steps, only the scale smoke's bootstrap (no checked-in
-# crates/bench/BENCH_scale.json yet) writes a tracked file.
-#
 # The seq smoke is also part of the DEFAULT gate (seconds): it generates
 # a latch-bearing case with eco-workgen --seq, rectifies it through
 # eco-patch --unroll at several frame depths (generate → unroll →
@@ -75,24 +69,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench_smoke=0
 degrade_smoke=0
 batch_smoke=0
-scale_smoke=0
 serve_smoke=0
 seq_smoke=1
 for arg in "$@"; do
   case "$arg" in
-    --bench-smoke) bench_smoke=1 ;;
     --degrade-smoke) degrade_smoke=1 ;;
     --batch-smoke) batch_smoke=1 ;;
-    --scale-smoke) scale_smoke=1 ;;
     --serve-smoke) serve_smoke=1 ;;
     --seq-smoke) seq_smoke=1 ;;
     --no-seq-smoke) seq_smoke=0 ;;
-    *) echo "usage: $0 [--bench-smoke] [--degrade-smoke] [--batch-smoke] [--scale-smoke] [--serve-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--degrade-smoke] [--batch-smoke] [--serve-smoke] [--no-seq-smoke]" >&2; exit 2 ;;
   esac
 done
+
+gtmp="$(mktemp -d)"
+trap 'rm -rf "$gtmp"' EXIT
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -105,6 +98,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
+
+echo "== paper tables: table2 and the three ablation harnesses"
+mkdir "$gtmp/tables"
+for bin in table2 ablation_localization ablation_watch ablation_synthesis; do
+  t0=$(date +%s%N)
+  target/release/$bin > "$gtmp/tables/$bin.txt" 2>&1 \
+    || { echo "paper tables: $bin failed"; cat "$gtmp/tables/$bin.txt"; exit 1; }
+  echo "paper tables: $bin $((($(date +%s%N) - t0) / 1000000)) ms"
+done
+set +e
+target/release/table2 unit99 > "$gtmp/tables/unit99.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "paper tables: table2 unit99 exited $rc, expected usage error 1"; cat "$gtmp/tables/unit99.txt"; exit 1; }
 
 echo "== cargo test -q"
 cargo test -q --workspace
@@ -143,8 +150,8 @@ echo "chaos campaign repeats: $(sweep_counters "$chaos_again" | tr '\n' ' ')"
 
 if [ "$seq_smoke" -eq 1 ]; then
   echo "== seq smoke: generate -> unroll -> rectify -> fold -> verify at several depths"
-  sqtmp="$(mktemp -d)"
-  trap 'rm -rf "${sqtmp:-}"' EXIT
+  sqtmp="$gtmp/seq"
+  mkdir "$sqtmp"
   target/release/eco-workgen --seq 1 --out "$sqtmp" --seed 5 -q
 
   # seq000 is the first shift-register unit (seed 5: 4 latches, 1
@@ -185,17 +192,10 @@ if [ "$seq_smoke" -eq 1 ]; then
   echo "seq smoke: ok"
 fi
 
-if [ "$bench_smoke" -eq 1 ]; then
-  echo "== bench smoke (1 sample): sim_throughput"
-  ECO_BENCH_SAMPLES=1 cargo bench -p eco-bench --bench sim_throughput
-  echo "== bench smoke (1 sample): fraig_sweep"
-  ECO_BENCH_SAMPLES=1 cargo bench -p eco-bench --bench fraig_sweep
-fi
-
 if [ "$degrade_smoke" -eq 1 ]; then
   echo "== degrade smoke: starved eco-patch run must exit 4 with a well-formed partial result"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "${sqtmp:-}" "$tmp"' EXIT
+  tmp="$gtmp/degrade"
+  mkdir "$tmp"
   # A tiny two-cluster workload: two independent targets, each cut to a
   # floating pseudo-input in the faulty circuit.
   cat > "$tmp/golden.v" <<'EOF'
@@ -254,8 +254,8 @@ fi
 
 if [ "$batch_smoke" -eq 1 ]; then
   echo "== batch smoke: 12-job manifest, cold + warm over one shared memo cache"
-  btmp="$(mktemp -d)"
-  trap 'rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}"' EXIT
+  btmp="$gtmp/batch"
+  mkdir "$btmp"
   target/release/eco-workgen --suite --count 12 --out "$btmp" --manifest "$btmp/manifest.toml" -q
 
   run_batch() {
@@ -329,50 +329,15 @@ if [ "$batch_smoke" -eq 1 ]; then
   echo "batch smoke: cold ${cold_ns}ns, warm ${warm_ns}ns, memo $memo"
 fi
 
-if [ "$scale_smoke" -eq 1 ]; then
-  echo "== scale smoke: 100k preset end-to-end under a 300s governor deadline"
-  stmp="$(mktemp -d)"
-  trap 'rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}"' EXIT
-
-  # The generator CLI path: both 100k AIGs must emit and re-parse.
-  target/release/eco-workgen --scale 100k --out "$stmp" -q
-  for shape in datapath randdag; do
-    [ -s "$stmp/scale_${shape}_100k.aig" ] \
-      || { echo "scale smoke: missing scale_${shape}_100k.aig"; exit 1; }
-  done
-
-  # The harness itself, gated against the tracked baseline when present
-  # (exit 3 = >20% throughput regression).
-  baseline_args=()
-  if [ -s crates/bench/BENCH_scale.json ]; then
-    baseline_args=(--baseline crates/bench/BENCH_scale.json)
-  fi
-  set +e
-  target/release/scale --presets 100k --timeout-s 300 \
-    --json "$stmp/BENCH_scale_100k.json" "${baseline_args[@]}"
-  rc=$?
-  set -e
-  [ "$rc" -ne 3 ] && [ "$rc" -eq 0 ] \
-    || { echo "scale smoke: scale harness failed (exit $rc)"; exit 1; }
-  grep -q '"name": "scale/datapath_100k"' "$stmp/BENCH_scale_100k.json" \
-    || { echo "scale smoke: dump missing datapath row"; cat "$stmp/BENCH_scale_100k.json"; exit 1; }
-
-  # Refresh the tracked file's 100k rows only when no baseline existed
-  # yet (bootstrap); otherwise the full-preset run owns the file.
-  if [ ! -s crates/bench/BENCH_scale.json ]; then
-    target/release/scale --json crates/bench/BENCH_scale.json
-  fi
-  echo "scale smoke: ok"
-fi
-
 if [ "$serve_smoke" -eq 1 ]; then
   echo "== serve smoke: daemon cold+warm 12-job replay, worker-count determinism, drain"
-  svtmp="$(mktemp -d)"
+  svtmp="$gtmp/serve"
+  mkdir "$svtmp"
   serve_pids=""
   serve_cleanup() {
     # shellcheck disable=SC2086
     [ -n "$serve_pids" ] && kill $serve_pids 2> /dev/null || true
-    rm -rf "${sqtmp:-}" "${tmp:-}" "${btmp:-}" "${stmp:-}" "${svtmp:-}"
+    rm -rf "$gtmp"
   }
   trap serve_cleanup EXIT
   target/release/eco-workgen --suite --count 12 --out "$svtmp/cases" \
