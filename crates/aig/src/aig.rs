@@ -388,15 +388,6 @@ impl Aig {
         self.outputs.len() - 1
     }
 
-    /// Replaces the literal driving output `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn set_output(&mut self, idx: usize, lit: Lit) {
-        self.outputs[idx].lit = lit;
-    }
-
     /// Removes all outputs (the logic itself is retained).
     pub fn clear_outputs(&mut self) {
         self.outputs.clear();
@@ -684,8 +675,6 @@ mod tests {
         let idx = g.add_output("f", f);
         assert_eq!(g.find_output("f"), Some(idx));
         assert_eq!(g.output_lit(idx), f);
-        g.set_output(idx, !f);
-        assert_eq!(g.output_lit(idx), !f);
         assert_eq!(g.find_output("nope"), None);
     }
 

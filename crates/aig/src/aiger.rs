@@ -6,14 +6,14 @@
 //! exactly; only the variable numbering differs, since AIGER requires
 //! inputs first.
 //!
-//! Two API levels:
-//!
-//! * [`parse_aiger_ascii`] / [`write_aiger_ascii`] (and the binary pair)
-//!   handle the combinational subset — files with latches are rejected;
-//! * [`parse_aiger_ascii_seq`] / [`write_aiger_ascii_seq`] (and the
-//!   binary pair) additionally carry latches as [`AigerLatch`] records:
-//!   each latch's current state is an ordinary input of the returned
-//!   [`Aig`], and its next-state function is a literal of the same AIG.
+//! Each variant has one reader and one writer: [`parse_aiger_ascii`] /
+//! [`write_aiger_ascii`] and [`parse_aiger_binary`] /
+//! [`write_aiger_binary`]. Latches travel as [`Latch`] records beside
+//! the [`Aig`]: each latch's current state is an ordinary input of the
+//! AIG, and its next-state function is a literal of the same AIG. A
+//! combinational design is one without latches: write it with `&[]`,
+//! and a caller that cannot take latches checks that a parse returned
+//! none.
 //!
 //! Only the canonical ("reencoded") variable order is accepted: inputs
 //! `1..=I`, latch states `I+1..=I+L`, ANDs after. Both writers emit that
@@ -65,30 +65,34 @@ fn err(message: impl Into<String>) -> ParseAigerError {
     }
 }
 
-/// Initial value of an AIGER latch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AigerInit {
-    /// Resets to 0 (the AIGER default).
+/// Reset value of a latch at cycle 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LatchInit {
+    /// Resets to 0: AIGER's default init, BLIF `init-val` 0, a BTOR2
+    /// `init` to zero.
     Zero,
-    /// Resets to 1.
+    /// Resets to 1: AIGER init 1, BLIF `init-val` 1, a BTOR2 `init` to
+    /// one.
     One,
-    /// Uninitialized: the first-cycle value is free (encoded in AIGER as
-    /// an init field equal to the latch's own literal).
+    /// Uninitialized, so the first-cycle value is free: an AIGER init
+    /// equal to the latch's own literal, BLIF `init-val` 2, 3 or absent,
+    /// a BTOR2 state without `init`.
     DontCare,
 }
 
-/// A latch of a sequential AIGER file.
+/// A latch of a sequential design, the one record every latch-carrying
+/// format reads and writes.
 ///
 /// `state` is an input variable of the accompanying [`Aig`] holding the
 /// current-state value; `next` is the next-state literal in the same AIG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AigerLatch {
+pub struct Latch {
     /// Current-state variable (an input of the AIG).
     pub state: Var,
     /// Next-state literal.
     pub next: Lit,
     /// Reset value.
-    pub init: AigerInit,
+    pub init: LatchInit,
 }
 
 /// Marker for nodes outside the emitted cone in the renumbering table.
@@ -100,7 +104,7 @@ const UNMAPPED: u32 = u32::MAX;
 /// Nodes outside the reachable cone stay [`UNMAPPED`]; a dense table
 /// beats a `HashMap` here because emission touches every mapped node at
 /// least twice.
-fn renumber(aig: &Aig, pis: &[Var], latches: &[AigerLatch]) -> (Vec<u32>, Vec<Var>) {
+fn renumber(aig: &Aig, pis: &[Var], latches: &[Latch]) -> (Vec<u32>, Vec<Var>) {
     let mut map = vec![UNMAPPED; aig.len()];
     map[Var::CONST.index() as usize] = 0;
     let mut next: u32 = 1;
@@ -133,8 +137,8 @@ fn map_lit(map: &[u32], lit: Lit) -> u32 {
 
 /// Primary-input vars: every AIG input that is not a latch state, in
 /// input-position order. Panics if a latch state is not an input — the
-/// sequential writers require validated designs.
-fn split_inputs(aig: &Aig, latches: &[AigerLatch]) -> Vec<Var> {
+/// writers require validated designs.
+fn split_inputs(aig: &Aig, latches: &[Latch]) -> Vec<Var> {
     let states: HashSet<Var> = latches.iter().map(|l| l.state).collect();
     for l in latches {
         assert!(
@@ -152,16 +156,16 @@ fn split_inputs(aig: &Aig, latches: &[AigerLatch]) -> Vec<Var> {
 /// Formats one latch definition's `next [init]` tail (shared by both
 /// writers): the init field is omitted for the default 0, `1` for
 /// init-to-1, and the latch's own literal for uninitialized.
-fn latch_tail(map: &[u32], state_lit: u32, l: &AigerLatch) -> String {
+fn latch_tail(map: &[u32], state_lit: u32, l: &Latch) -> String {
     let next = map_lit(map, l.next);
     match l.init {
-        AigerInit::Zero => format!("{next}"),
-        AigerInit::One => format!("{next} 1"),
-        AigerInit::DontCare => format!("{next} {state_lit}"),
+        LatchInit::Zero => format!("{next}"),
+        LatchInit::One => format!("{next} 1"),
+        LatchInit::DontCare => format!("{next} {state_lit}"),
     }
 }
 
-fn symbol_table(aig: &Aig, pis: &[Var], latches: &[AigerLatch]) -> String {
+fn symbol_table(aig: &Aig, pis: &[Var], latches: &[Latch]) -> String {
     use fmt::Write as _;
     let mut s = String::new();
     let name = |v: Var| {
@@ -180,18 +184,13 @@ fn symbol_table(aig: &Aig, pis: &[Var], latches: &[AigerLatch]) -> String {
     s
 }
 
-/// Writes the reachable logic as ASCII AIGER (`aag`), including a symbol
-/// table with the input and output names.
-pub fn write_aiger_ascii(aig: &Aig) -> String {
-    write_aiger_ascii_seq(aig, &[])
-}
-
-/// Writes a latch-bearing design as ASCII AIGER (`aag`).
+/// Writes the reachable logic of a design as ASCII AIGER (`aag`),
+/// including a symbol table with the input, latch and output names.
 ///
 /// Latch current states must be input variables of `aig`; they are
 /// emitted after the primary inputs, with `l<k>` symbol-table entries
-/// carrying their names.
-pub fn write_aiger_ascii_seq(aig: &Aig, latches: &[AigerLatch]) -> String {
+/// carrying their names. A combinational design passes `&[]`.
+pub fn write_aiger_ascii(aig: &Aig, latches: &[Latch]) -> String {
     use fmt::Write as _;
     let pis = split_inputs(aig, latches);
     let (map, ands) = renumber(aig, &pis, latches);
@@ -220,15 +219,10 @@ pub fn write_aiger_ascii_seq(aig: &Aig, latches: &[AigerLatch]) -> String {
     s
 }
 
-/// Writes the reachable logic as binary AIGER (`aig`), including a symbol
-/// table.
-pub fn write_aiger_binary(aig: &Aig) -> Vec<u8> {
-    write_aiger_binary_seq(aig, &[])
-}
-
-/// Writes a latch-bearing design as binary AIGER (`aig`). See
-/// [`write_aiger_ascii_seq`] for the latch conventions.
-pub fn write_aiger_binary_seq(aig: &Aig, latches: &[AigerLatch]) -> Vec<u8> {
+/// Writes the reachable logic of a design as binary AIGER (`aig`),
+/// including a symbol table. See [`write_aiger_ascii`] for the latch
+/// conventions.
+pub fn write_aiger_binary(aig: &Aig, latches: &[Latch]) -> Vec<u8> {
     let pis = split_inputs(aig, latches);
     let (map, ands) = renumber(aig, &pis, latches);
     let (i, l, a) = (pis.len(), latches.len(), ands.len());
@@ -344,11 +338,11 @@ struct LatchDef {
     init: Option<u32>,
 }
 
-fn parse_latch_init(state_lit: u32, def: &LatchDef) -> Result<AigerInit, ParseAigerError> {
+fn parse_latch_init(state_lit: u32, def: &LatchDef) -> Result<LatchInit, ParseAigerError> {
     match def.init {
-        None | Some(0) => Ok(AigerInit::Zero),
-        Some(1) => Ok(AigerInit::One),
-        Some(x) if x == state_lit => Ok(AigerInit::DontCare),
+        None | Some(0) => Ok(LatchInit::Zero),
+        Some(1) => Ok(LatchInit::One),
+        Some(x) if x == state_lit => Ok(LatchInit::DontCare),
         Some(x) => Err(err(format!("invalid latch init literal {x}"))),
     }
 }
@@ -361,7 +355,7 @@ fn build(
     and_defs: &[(u32, u32, u32)],
     out_lits: &[u32],
     symbols: &HashMap<String, String>,
-) -> Result<(Aig, Vec<AigerLatch>), ParseAigerError> {
+) -> Result<(Aig, Vec<Latch>), ParseAigerError> {
     let mut aig = Aig::new();
     // lits[v] = our literal for AIGER variable v.
     let mut lits: Vec<Option<Lit>> = vec![None; header.m as usize + 1];
@@ -393,6 +387,12 @@ fn build(
         if lhs % 2 != 0 {
             return Err(err("AND left-hand side must be even"));
         }
+        if lhs / 2 > header.m {
+            return Err(err(format!(
+                "AND literal {lhs} exceeds 2M = {}",
+                2 * u64::from(header.m)
+            )));
+        }
         if r0 >= lhs || r1 >= lhs {
             return Err(err("AND right-hand sides must precede the definition"));
         }
@@ -410,7 +410,7 @@ fn build(
     for (k, def) in latch_defs.iter().enumerate() {
         let state_lit = (header.i + u32::try_from(k).expect("latch count fits in u32") + 1) * 2;
         let state = resolve(&lits, state_lit)?.var();
-        latches.push(AigerLatch {
+        latches.push(Latch {
             state,
             next: resolve(&lits, def.next)?,
             init: parse_latch_init(state_lit, def)?,
@@ -440,46 +440,30 @@ fn parse_symbols<'a>(lines: impl Iterator<Item = &'a str>) -> HashMap<String, St
     symbols
 }
 
-fn reject_latches((aig, latches): (Aig, Vec<AigerLatch>)) -> Result<Aig, ParseAigerError> {
-    if latches.is_empty() {
-        Ok(aig)
-    } else {
-        Err(err("latches are not supported (combinational only)"))
-    }
-}
-
-/// Parses ASCII AIGER (`aag`), combinational subset.
+/// Parses ASCII AIGER (`aag`).
+///
+/// Latch current states become input variables of the returned [`Aig`]
+/// (after the primary inputs, named from `l<k>` symbol entries when
+/// present); their next-state literals and init values are returned as
+/// [`Latch`] records in file order, empty for a combinational file.
 ///
 /// # Errors
 ///
-/// Returns [`ParseAigerError`] on malformed headers, latches, forward
-/// references, or redefinitions.
+/// Returns [`ParseAigerError`] on malformed headers, non-canonical
+/// input/latch numbering, forward AND references, AND literals beyond
+/// the header's M, or redefinitions.
 ///
 /// # Examples
 ///
 /// ```
 /// let text = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\no0 y\n";
-/// let aig = eco_aig::parse_aiger_ascii(text)?;
+/// let (aig, latches) = eco_aig::parse_aiger_ascii(text)?;
+/// assert!(latches.is_empty());
 /// assert_eq!(aig.eval(&[true, true]), vec![true]);
 /// assert_eq!(aig.eval(&[true, false]), vec![false]);
 /// # Ok::<(), eco_aig::ParseAigerError>(())
 /// ```
-pub fn parse_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
-    reject_latches(parse_aiger_ascii_seq(text)?)
-}
-
-/// Parses ASCII AIGER (`aag`) including latches.
-///
-/// Latch current states become input variables of the returned [`Aig`]
-/// (after the primary inputs, named from `l<k>` symbol entries when
-/// present); their next-state literals and init values are returned as
-/// [`AigerLatch`] records in file order.
-///
-/// # Errors
-///
-/// Returns [`ParseAigerError`] on malformed headers, non-canonical
-/// input/latch numbering, forward AND references, or redefinitions.
-pub fn parse_aiger_ascii_seq(text: &str) -> Result<(Aig, Vec<AigerLatch>), ParseAigerError> {
+pub fn parse_aiger_ascii(text: &str) -> Result<(Aig, Vec<Latch>), ParseAigerError> {
     let mut lines = text.lines();
     let header_line = lines.next().ok_or_else(|| err("empty input"))?;
     let rest = text.len().saturating_sub(header_line.len() + 1);
@@ -541,24 +525,14 @@ pub fn parse_aiger_ascii_seq(text: &str) -> Result<(Aig, Vec<AigerLatch>), Parse
     build(&header, &latch_defs, &and_defs, &out_lits, &symbols)
 }
 
-/// Parses binary AIGER (`aig`), combinational subset.
-///
-/// # Errors
-///
-/// Returns [`ParseAigerError`] on malformed headers, latches, or corrupt
-/// delta encodings.
-pub fn parse_aiger_binary(data: &[u8]) -> Result<Aig, ParseAigerError> {
-    reject_latches(parse_aiger_binary_seq(data)?)
-}
-
-/// Parses binary AIGER (`aig`) including latches. See
-/// [`parse_aiger_ascii_seq`] for the latch conventions.
+/// Parses binary AIGER (`aig`). See [`parse_aiger_ascii`] for the latch
+/// conventions.
 ///
 /// # Errors
 ///
 /// Returns [`ParseAigerError`] on malformed headers or corrupt delta
 /// encodings.
-pub fn parse_aiger_binary_seq(data: &[u8]) -> Result<(Aig, Vec<AigerLatch>), ParseAigerError> {
+pub fn parse_aiger_binary(data: &[u8]) -> Result<(Aig, Vec<Latch>), ParseAigerError> {
     let header_end = data
         .iter()
         .position(|&b| b == b'\n')
@@ -645,7 +619,7 @@ mod tests {
     }
 
     /// A 2-bit shift register with an XOR feedback tap and one output.
-    fn seq_sample() -> (Aig, Vec<AigerLatch>) {
+    fn seq_sample() -> (Aig, Vec<Latch>) {
         let mut aig = Aig::new();
         let d = aig.add_input("d");
         let s0 = aig.add_input("s0");
@@ -654,18 +628,24 @@ mod tests {
         let q = aig.and(s0, s1);
         aig.add_output("q", q);
         let latches = vec![
-            AigerLatch {
+            Latch {
                 state: s0.var(),
                 next: fb,
-                init: AigerInit::Zero,
+                init: LatchInit::Zero,
             },
-            AigerLatch {
+            Latch {
                 state: s1.var(),
                 next: s0,
-                init: AigerInit::One,
+                init: LatchInit::One,
             },
         ];
         (aig, latches)
+    }
+
+    /// The design of a combinational parse, which must carry no latches.
+    fn comb((aig, latches): (Aig, Vec<Latch>)) -> Aig {
+        assert!(latches.is_empty(), "unexpected latches {latches:?}");
+        aig
     }
 
     fn check_equal(x: &Aig, y: &Aig) {
@@ -680,8 +660,8 @@ mod tests {
     #[test]
     fn ascii_round_trip() {
         let aig = sample();
-        let text = write_aiger_ascii(&aig);
-        let back = parse_aiger_ascii(&text).expect("parses");
+        let text = write_aiger_ascii(&aig, &[]);
+        let back = comb(parse_aiger_ascii(&text).expect("parses"));
         check_equal(&aig, &back);
         assert_eq!(back.input_name(0), "a");
         assert_eq!(back.outputs()[1].name, "g");
@@ -690,8 +670,8 @@ mod tests {
     #[test]
     fn binary_round_trip() {
         let aig = sample();
-        let bytes = write_aiger_binary(&aig);
-        let back = parse_aiger_binary(&bytes).expect("parses");
+        let bytes = write_aiger_binary(&aig, &[]);
+        let back = comb(parse_aiger_binary(&bytes).expect("parses"));
         check_equal(&aig, &back);
         assert_eq!(back.input_name(2), "c");
     }
@@ -699,8 +679,8 @@ mod tests {
     #[test]
     fn ascii_and_binary_agree() {
         let aig = sample();
-        let from_ascii = parse_aiger_ascii(&write_aiger_ascii(&aig)).expect("ascii");
-        let from_bin = parse_aiger_binary(&write_aiger_binary(&aig)).expect("binary");
+        let from_ascii = comb(parse_aiger_ascii(&write_aiger_ascii(&aig, &[])).expect("ascii"));
+        let from_bin = comb(parse_aiger_binary(&write_aiger_binary(&aig, &[])).expect("binary"));
         check_equal(&from_ascii, &from_bin);
     }
 
@@ -711,11 +691,11 @@ mod tests {
         aig.add_output("zero", Lit::FALSE);
         aig.add_output("one", Lit::TRUE);
         aig.add_output("pass", a);
-        let text = write_aiger_ascii(&aig);
-        let back = parse_aiger_ascii(&text).expect("parses");
+        let text = write_aiger_ascii(&aig, &[]);
+        let back = comb(parse_aiger_ascii(&text).expect("parses"));
         assert_eq!(back.eval(&[false]), vec![false, true, false]);
         assert_eq!(back.eval(&[true]), vec![false, true, true]);
-        let back = parse_aiger_binary(&write_aiger_binary(&aig)).expect("parses");
+        let back = comb(parse_aiger_binary(&write_aiger_binary(&aig, &[])).expect("parses"));
         assert_eq!(back.eval(&[true]), vec![false, true, true]);
     }
 
@@ -723,26 +703,27 @@ mod tests {
     fn rejects_malformed_input() {
         assert!(parse_aiger_ascii("").is_err());
         assert!(parse_aiger_ascii("nope 1 1 0 0 0\n").is_err());
-        // Latches rejected by the combinational entry point.
-        assert!(parse_aiger_ascii("aag 1 0 1 0 0\n2 2\n").is_err());
         // M != I + L + A.
         assert!(parse_aiger_ascii("aag 5 2 0 0 1\n2\n4\n6 2 4\n").is_err());
         // Forward reference.
         assert!(parse_aiger_ascii("aag 3 1 0 1 2\n2\n4\n4 6 2\n6 2 2\n").is_err());
         // Odd lhs.
         assert!(parse_aiger_ascii("aag 2 1 0 0 1\n2\n5 2 2\n").is_err());
+        // An AND lhs beyond 2M is refused, not used as a table index.
+        let e = parse_aiger_ascii("aag 1 0 0 1 1\n2\n4 0 0\n").expect_err("lhs > 2M");
+        assert!(e.message.contains("AND literal 4"), "{e}");
         // Truncated binary.
         assert!(parse_aiger_binary(b"aig 2 1 0 0 1\n\x80").is_err());
         assert!(parse_aiger_binary(b"no newline").is_err());
         // Sequential: truncated latch section.
-        assert!(parse_aiger_ascii_seq("aag 1 0 1 0 0\n").is_err());
+        assert!(parse_aiger_ascii("aag 1 0 1 0 0\n").is_err());
         // Non-canonical latch state literal.
-        assert!(parse_aiger_ascii_seq("aag 2 1 1 0 0\n2\n6 2\n").is_err());
+        assert!(parse_aiger_ascii("aag 2 1 1 0 0\n2\n6 2\n").is_err());
         // Bogus init literal.
-        assert!(parse_aiger_ascii_seq("aag 1 0 1 0 0\n2 2 7\n").is_err());
+        assert!(parse_aiger_ascii("aag 1 0 1 0 0\n2 2 7\n").is_err());
         // Next literal out of range.
-        assert!(parse_aiger_ascii_seq("aag 1 0 1 0 0\n2 9\n").is_err());
-        assert!(parse_aiger_binary_seq(b"aig 1 0 1 0 0\n").is_err());
+        assert!(parse_aiger_ascii("aag 1 0 1 0 0\n2 9\n").is_err());
+        assert!(parse_aiger_binary(b"aig 1 0 1 0 0\n").is_err());
     }
 
     /// Header counts the input cannot hold are refused before any table
@@ -750,38 +731,35 @@ mod tests {
     /// gigabytes (or exceed the node limit).
     #[test]
     fn oversized_headers_are_refused_before_allocating() {
-        let refused = |result: Result<(Aig, Vec<AigerLatch>), ParseAigerError>, what: &str| {
+        let refused = |result: Result<(Aig, Vec<Latch>), ParseAigerError>, what: &str| {
             let e = result.expect_err("oversized header must be refused");
             assert!(e.message.contains(what), "{e}");
         };
         // M beyond the node limit, in a one-line binary file.
         refused(
-            parse_aiger_binary_seq(b"aig 4000000000 4000000000 0 0 0\n"),
+            parse_aiger_binary(b"aig 4000000000 4000000000 0 0 0\n"),
             "node limit",
         );
         // 3·10^9 latch lines declared by a one-line ASCII file.
         refused(
-            parse_aiger_ascii_seq("aag 3000000000 0 3000000000 0 0\n"),
+            parse_aiger_ascii("aag 3000000000 0 3000000000 0 0\n"),
             "node limit",
         );
         // Within the node limit, but more lines than the text holds.
         refused(
-            parse_aiger_ascii_seq("aag 1000000 1000000 0 0 0\n2\n4\n"),
+            parse_aiger_ascii("aag 1000000 1000000 0 0 0\n2\n4\n"),
             "only 4 bytes follow",
         );
         refused(
-            parse_aiger_binary_seq(b"aig 1000 0 1000 0 0\n2\n"),
+            parse_aiger_binary(b"aig 1000 0 1000 0 0\n2\n"),
             "only 2 bytes follow",
         );
         // Binary inputs take no bytes: bounded by the stated limit.
         let over = format!("aig {0} {0} 0 0 0\n", MAX_BINARY_INPUTS + 1);
-        refused(
-            parse_aiger_binary_seq(over.as_bytes()),
-            "binary input limit",
-        );
+        refused(parse_aiger_binary(over.as_bytes()), "binary input limit");
         // The limit itself and minimal files still parse.
         let at = format!("aig {0} {0} 0 1 0\n0\n", MAX_BINARY_INPUTS);
-        let aig = parse_aiger_binary(at.as_bytes()).expect("at the input limit");
+        let aig = comb(parse_aiger_binary(at.as_bytes()).expect("at the input limit"));
         assert_eq!(aig.num_inputs(), MAX_BINARY_INPUTS as usize);
         assert!(
             parse_aiger_ascii("aag 1 1 0 1 0\n2\n2").is_ok(),
@@ -793,24 +771,24 @@ mod tests {
     #[test]
     fn seq_ascii_round_trip_is_byte_fixpoint() {
         let (aig, latches) = seq_sample();
-        let text = write_aiger_ascii_seq(&aig, &latches);
-        let (back, back_latches) = parse_aiger_ascii_seq(&text).expect("parses");
+        let text = write_aiger_ascii(&aig, &latches);
+        let (back, back_latches) = parse_aiger_ascii(&text).expect("parses");
         assert_eq!(back_latches.len(), 2);
-        assert_eq!(back_latches[0].init, AigerInit::Zero);
-        assert_eq!(back_latches[1].init, AigerInit::One);
+        assert_eq!(back_latches[0].init, LatchInit::Zero);
+        assert_eq!(back_latches[1].init, LatchInit::One);
         // Latch names survive via l<k> symbol entries.
         let pos = back.input_pos(back_latches[0].state).expect("input");
         assert_eq!(back.input_name(pos), "s0");
-        assert_eq!(write_aiger_ascii_seq(&back, &back_latches), text);
+        assert_eq!(write_aiger_ascii(&back, &back_latches), text);
     }
 
     #[test]
     fn seq_binary_round_trip_is_byte_fixpoint() {
         let (aig, latches) = seq_sample();
-        let bytes = write_aiger_binary_seq(&aig, &latches);
-        let (back, back_latches) = parse_aiger_binary_seq(&bytes).expect("parses");
+        let bytes = write_aiger_binary(&aig, &latches);
+        let (back, back_latches) = parse_aiger_binary(&bytes).expect("parses");
         assert_eq!(back_latches.len(), 2);
-        assert_eq!(write_aiger_binary_seq(&back, &back_latches), bytes);
+        assert_eq!(write_aiger_binary(&back, &back_latches), bytes);
     }
 
     #[test]
@@ -818,14 +796,14 @@ mod tests {
         let mut aig = Aig::new();
         let s = aig.add_input("s");
         aig.add_output("q", !s);
-        let latches = vec![AigerLatch {
+        let latches = vec![Latch {
             state: s.var(),
             next: !s,
-            init: AigerInit::DontCare,
+            init: LatchInit::DontCare,
         }];
-        let text = write_aiger_ascii_seq(&aig, &latches);
-        let (_, back_latches) = parse_aiger_ascii_seq(&text).expect("parses");
-        assert_eq!(back_latches[0].init, AigerInit::DontCare);
+        let text = write_aiger_ascii(&aig, &latches);
+        let (_, back_latches) = parse_aiger_ascii(&text).expect("parses");
+        assert_eq!(back_latches[0].init, LatchInit::DontCare);
     }
 
     /// Seeded random AIGs round-trip through both formats: write → parse
@@ -860,14 +838,14 @@ mod tests {
                 }
                 aig.add_output(format!("y{k}"), o);
             }
-            let text = write_aiger_ascii(&aig);
-            let bytes = write_aiger_binary(&aig);
-            let from_ascii = parse_aiger_ascii(&text).expect("ascii parses");
-            let from_bin = parse_aiger_binary(&bytes).expect("binary parses");
+            let text = write_aiger_ascii(&aig, &[]);
+            let bytes = write_aiger_binary(&aig, &[]);
+            let from_ascii = comb(parse_aiger_ascii(&text).expect("ascii parses"));
+            let from_bin = comb(parse_aiger_binary(&bytes).expect("binary parses"));
             // Write → parse → write is a fixpoint: the parsed AIG is
             // already in AIGER order, so re-emission is byte-identical.
-            assert_eq!(write_aiger_ascii(&from_ascii), text, "seed {seed}");
-            assert_eq!(write_aiger_binary(&from_bin), bytes, "seed {seed}");
+            assert_eq!(write_aiger_ascii(&from_ascii, &[]), text, "seed {seed}");
+            assert_eq!(write_aiger_binary(&from_bin, &[]), bytes, "seed {seed}");
             for pos in 0..aig.num_inputs() {
                 assert_eq!(from_ascii.input_name(pos), aig.input_name(pos));
                 assert_eq!(from_bin.input_name(pos), aig.input_name(pos));
@@ -899,9 +877,9 @@ mod tests {
         let far = aig.and(b, acc);
         aig.add_output("f", far);
         aig.add_output("g", !acc);
-        let bytes = write_aiger_binary(&aig);
-        let back = parse_aiger_binary(&bytes).expect("parses");
-        assert_eq!(write_aiger_binary(&back), bytes);
+        let bytes = write_aiger_binary(&aig, &[]);
+        let back = comb(parse_aiger_binary(&bytes).expect("parses"));
+        assert_eq!(write_aiger_binary(&back, &[]), bytes);
         assert_eq!(back.num_inputs(), 2);
         for bits in 0u32..4 {
             let vals = vec![bits & 1 == 1, bits >> 1 == 1];
@@ -915,7 +893,7 @@ mod tests {
         // y = ¬(¬(¬s ∧ d0) ∧ ¬(s ∧ d1)).
         let text = "aag 6 3 0 1 3\n2\n4\n6\n13\n8 3 4\n10 2 6\n12 9 11\n\
                     i0 s\ni1 d0\ni2 d1\no0 y\n";
-        let aig = parse_aiger_ascii(text).expect("parses");
+        let aig = comb(parse_aiger_ascii(text).expect("parses"));
         for s in [false, true] {
             for d0 in [false, true] {
                 for d1 in [false, true] {
@@ -935,9 +913,9 @@ mod tests {
     fn external_handwritten_seq_file() {
         // state' = ¬state, q = state, init 0.
         let text = "aag 1 0 1 1 0\n2 3\n2\nl0 t\no0 q\n";
-        let (aig, latches) = parse_aiger_ascii_seq(text).expect("parses");
+        let (aig, latches) = parse_aiger_ascii(text).expect("parses");
         assert_eq!(latches.len(), 1);
-        assert_eq!(latches[0].init, AigerInit::Zero);
+        assert_eq!(latches[0].init, LatchInit::Zero);
         assert_eq!(latches[0].next, !aig.outputs()[0].lit);
     }
 }

@@ -1,6 +1,6 @@
 //! Cone extraction, support computation, levels, and fanout analysis.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::{Aig, Lit, Var};
 
@@ -102,35 +102,6 @@ impl Aig {
             .max()
             .unwrap_or(0)
     }
-
-    /// Computes, for every node, the set of output indices in whose
-    /// transitive fanin cone the node lies (i.e. the outputs reachable from
-    /// the node). Returned as a map only for nodes reaching at least one
-    /// output.
-    pub fn reachable_outputs(&self) -> HashMap<Var, Vec<usize>> {
-        // Walk each output cone separately; total work is O(sum of cones).
-        let mut map: HashMap<Var, Vec<usize>> = HashMap::new();
-        for (idx, out) in self.outputs().iter().enumerate() {
-            for v in self.cone_vars(&[out.lit]) {
-                map.entry(v).or_default().push(idx);
-            }
-        }
-        map
-    }
-
-    /// Computes the fanout count of every variable (uses by ANDs plus uses
-    /// by outputs).
-    pub fn fanout_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.len()];
-        for (_, fan0, fan1) in self.iter_ands() {
-            counts[fan0.var().index() as usize] += 1;
-            counts[fan1.var().index() as usize] += 1;
-        }
-        for out in self.outputs() {
-            counts[out.lit.var().index() as usize] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn reachable_outputs_map() {
-        let (aig, a, _, c, _) = sample();
-        let reach = aig.reachable_outputs();
-        assert_eq!(reach[&a.var()], vec![0, 1]);
-        assert_eq!(reach[&c.var()], vec![0]);
-    }
-
-    #[test]
     fn cone_respects_cut() {
         let mut aig = Aig::new();
         let a = aig.add_input("a");
@@ -202,14 +165,5 @@ mod tests {
         assert!(vars.contains(&n.var()));
         assert!(!vars.contains(&b.var()));
         assert_eq!(aig.count_cone_ands_to_cut(&[n], &cut), 1);
-    }
-
-    #[test]
-    fn fanout_counts_include_outputs() {
-        let (aig, a, _, _, f) = sample();
-        let counts = aig.fanout_counts();
-        // `a` feeds and(a,b) plus two xor ANDs = 3.
-        assert_eq!(counts[a.var().index() as usize], 3);
-        assert_eq!(counts[f.var().index() as usize], 1);
     }
 }

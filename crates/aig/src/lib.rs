@@ -22,8 +22,14 @@
 //! * 64-way parallel simulation ([`Aig::simulate`]) for FRAIG signatures,
 //!   with an arena-backed incremental engine ([`IncrementalSim`]) that
 //!   appends counterexample columns and re-simulates only what changed;
-//! * Graphviz export ([`Aig::to_dot`]) and AIGER interchange
-//!   ([`parse_aiger_ascii`], [`write_aiger_binary`], ...).
+//! * the one latch record of the workspace ([`Latch`], [`LatchInit`]):
+//!   a latch's current state is an input of the AIG and its next state a
+//!   literal of it, so every latch-carrying format (AIGER here, BLIF in
+//!   `eco-netlist`, BTOR2 in `eco-seq`) reads and writes the same record;
+//! * Graphviz export ([`Aig::to_dot`]) and AIGER interchange, one reader
+//!   and one writer per variant ([`parse_aiger_ascii`] /
+//!   [`write_aiger_ascii`], [`parse_aiger_binary`] /
+//!   [`write_aiger_binary`]), latches included.
 //!
 //! # Examples
 //!
@@ -57,9 +63,8 @@ mod transform;
 
 pub use crate::aig::{Aig, Output};
 pub use crate::aiger::{
-    parse_aiger_ascii, parse_aiger_ascii_seq, parse_aiger_binary, parse_aiger_binary_seq,
-    write_aiger_ascii, write_aiger_ascii_seq, write_aiger_binary, write_aiger_binary_seq,
-    AigerInit, AigerLatch, ParseAigerError, MAX_BINARY_INPUTS,
+    parse_aiger_ascii, parse_aiger_binary, write_aiger_ascii, write_aiger_binary, Latch, LatchInit,
+    ParseAigerError, MAX_BINARY_INPUTS,
 };
 pub use crate::fp::FpHasher;
 pub use crate::lit::{Lit, Var};

@@ -52,18 +52,10 @@ impl SimVectors {
         self.node_words(lit.var()).iter().map(move |&w| w ^ mask)
     }
 
-    /// Writes the simulation words of a literal into `out` (cleared
-    /// first), reusing its capacity.
-    pub fn lit_words_into(&self, lit: Lit, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.lit_words_iter(lit));
-    }
-
     /// Returns the simulation words of a literal (complement applied).
     ///
-    /// Allocates; prefer [`SimVectors::node_words`],
-    /// [`SimVectors::lit_words_iter`], or [`SimVectors::lit_words_into`]
-    /// on hot paths.
+    /// Allocates; prefer [`SimVectors::node_words`] or
+    /// [`SimVectors::lit_words_iter`] on hot paths.
     pub fn lit_words(&self, lit: Lit) -> Vec<u64> {
         self.lit_words_iter(lit).collect()
     }
@@ -522,9 +514,7 @@ mod tests {
         assert_eq!(sim.lit_words(a)[0], 0b1010);
         assert_eq!(sim.lit_words(!a)[0], !0b1010u64);
         assert_eq!(sim.node_words(a.var()), &[0b1010]);
-        let mut buf = vec![99; 7];
-        sim.lit_words_into(!a, &mut buf);
-        assert_eq!(buf, vec![!0b1010u64]);
+        assert_eq!(sim.lit_words_iter(!a).collect::<Vec<_>>(), vec![!0b1010u64]);
     }
 
     #[test]

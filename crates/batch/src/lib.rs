@@ -75,7 +75,9 @@ pub mod report;
 mod runner;
 
 pub use crate::manifest::{job_spec_from_json, JobSpec, Manifest, ManifestError};
-pub use crate::report::{exit_code, record_from_json, record_json, records_jsonl, stats_json};
+pub use crate::report::{
+    exit_code, record_fields, record_from_json, record_json, records_jsonl, stats_json,
+};
 pub use crate::runner::{
     execute_job, job_budget, job_fingerprint, load_job_instance, load_jobs, panic_record,
     run_batch, BatchJob, BatchOptions, BatchOutcome, JobRecord, JobStatus,

@@ -11,13 +11,12 @@ use eco_core::{peak_rss_bytes, render_counters, JsonObj};
 use crate::json::{self, Value};
 use crate::runner::{BatchOutcome, JobRecord, JobStatus};
 
-/// Renders one job record as a single-line JSON object (no trailing
-/// newline).
-pub fn record_json(record: &JobRecord) -> String {
-    JsonObj::new()
-        .u64("pass", record.pass as u64)
-        .u64("job", record.index as u64)
-        .str("name", &record.name)
+/// Appends a job record's scheduling-independent fields (`name`,
+/// `status`, `targets`, `patches`, `cost`, `size`, `verified`, `detail`)
+/// to `obj`: the one rendering of a record, shared by [`record_json`]
+/// and eco-serve's `run` response.
+pub fn record_fields(obj: JsonObj, record: &JobRecord) -> JsonObj {
+    obj.str("name", &record.name)
         .str("status", record.status.tag())
         .u64("targets", record.targets as u64)
         .u64("patches", record.patches as u64)
@@ -25,7 +24,15 @@ pub fn record_json(record: &JobRecord) -> String {
         .u64("size", record.size)
         .bool("verified", record.verified)
         .str("detail", &record.detail)
-        .build()
+}
+
+/// Renders one job record as a single-line JSON object (no trailing
+/// newline).
+pub fn record_json(record: &JobRecord) -> String {
+    let obj = JsonObj::new()
+        .u64("pass", record.pass as u64)
+        .u64("job", record.index as u64);
+    record_fields(obj, record).build()
 }
 
 /// Parses a [`record_json`] line back into a [`JobRecord`] — the

@@ -262,7 +262,8 @@ fn is_verilog(path: &Path) -> Result<bool, String> {
     }
 }
 
-/// Reads a circuit into an AIG plus its net map.
+/// Reads a combinational circuit into an AIG plus its net map; a BLIF
+/// file with latches is an error.
 fn read_circuit(
     path: &Path,
     verilog: bool,
@@ -274,6 +275,14 @@ fn read_circuit(
         Ok((e.aig, e.net_lits))
     } else {
         let m = parse_blif(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        if !m.latches.is_empty() {
+            return Err(format!(
+                "{}: the combinational flow takes no latches, and this design has {} \
+                 (rectify latch designs with eco-patch --unroll K)",
+                path.display(),
+                m.latches.len()
+            ));
+        }
         Ok((m.aig, m.net_lits))
     }
 }

@@ -343,6 +343,23 @@ fn unroll_mode_patches_a_latch_design() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(1));
+
+    // Without `--unroll` the combinational loader refuses the latches,
+    // naming the file, its latch count and the flag that takes them.
+    let out = bin()
+        .args(["-f", f.to_str().expect("path")])
+        .args(["-g", g.to_str().expect("path")])
+        .args(["-t", "w"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("faulty.blif: ")
+            && stderr.contains("this design has 2 ")
+            && stderr.contains("--unroll"),
+        "stderr: {stderr}"
+    );
 }
 
 /// Runs eco-patch on the FAULTY/GOLDEN pair with `extra` flags and

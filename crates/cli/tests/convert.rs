@@ -34,10 +34,15 @@ fn eval_file(path: &PathBuf, vals: &[bool]) -> Vec<bool> {
                 .expect("blif parses")
                 .aig
         }
-        Some("aag") => eco_aig::parse_aiger_ascii(&std::fs::read_to_string(path).expect("read"))
-            .expect("aag parses"),
+        Some("aag") => {
+            eco_aig::parse_aiger_ascii(&std::fs::read_to_string(path).expect("read"))
+                .expect("aag parses")
+                .0
+        }
         Some("aig") => {
-            eco_aig::parse_aiger_binary(&std::fs::read(path).expect("read")).expect("aig parses")
+            eco_aig::parse_aiger_binary(&std::fs::read(path).expect("read"))
+                .expect("aig parses")
+                .0
         }
         Some("btor2") => {
             eco_seq::parse_btor2(&std::fs::read_to_string(path).expect("read"))

@@ -271,12 +271,6 @@ impl Cut {
     pub fn frontier_vars(&self) -> HashSet<Var> {
         self.node_map.keys().copied().collect()
     }
-
-    /// Total weight of all cut signals (upper bound on patch cost before
-    /// base optimization).
-    pub fn total_weight(&self) -> u64 {
-        self.signals.iter().map(|s| s.weight).sum()
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +359,7 @@ mod tests {
         let tap = TapMap::build(&ws, &classes);
         let cut = Cut::frontier(&ws, &tap, &[ws.g_outs[0]]);
         // w has weight 2, c has default 10 → total 12 (vs 30 over a,b,c).
-        assert_eq!(cut.total_weight(), 12);
+        assert_eq!(cut.signals.iter().map(|s| s.weight).sum::<u64>(), 12);
         let _ = cluster_targets(&ws);
     }
 }

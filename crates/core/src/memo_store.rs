@@ -115,7 +115,7 @@ pub(crate) fn encode_memo_entry(key: u128, entry: &Entry) -> Vec<u8> {
         }
         e.u64(patch.size as u64);
     }
-    e.bytes(&write_aiger_binary(&result.patch_aig));
+    e.bytes(&write_aiger_binary(&result.patch_aig, &[]));
     e.0
 }
 
@@ -150,7 +150,12 @@ pub(crate) fn decode_memo_entry(payload: &[u8]) -> Option<(u128, Entry)> {
             size: psize,
         });
     }
-    let patch_aig = parse_aiger_binary(d.bytes()?).ok()?;
+    // A patch circuit is combinational: a payload carrying latches is not
+    // a patch record.
+    let (patch_aig, latches) = parse_aiger_binary(d.bytes()?).ok()?;
+    if !latches.is_empty() {
+        return None;
+    }
     let result = EcoResult {
         patches,
         patch_aig,
@@ -391,15 +396,28 @@ mod tests {
     fn undecodable_journal_record_is_skipped_not_fatal() {
         let dir = tmpdir("undecodable");
         let store = MemoStore::open(&dir).expect("open");
+        // A well-framed patch record whose circuit carries a latch (a
+        // toggle flip-flop): the pinned record with its AIGER payload
+        // swapped. A patch is combinational, so it must not load.
+        let entry = Entry {
+            check: PIN_CHECK,
+            result: Box::new(tiny_result()),
+        };
+        let pinned = encode_memo_entry(PIN_KEY, &entry);
+        let aiger_len = write_aiger_binary(&entry.result.patch_aig, &[]).len();
+        let mut latched = Enc(pinned[..pinned.len() - 4 - aiger_len].to_vec());
+        latched.bytes(b"aig 1 0 1 1 0\n3\n2\n");
+        assert!(decode_memo_entry(&latched.0).is_none());
         {
             let mut wal = LogWriter::open_append(&dir.join("memo.wal"), &MEMO_MAGIC).expect("wal");
             wal.append(b"\xffgarbage-payload").expect("append");
+            wal.append(&latched.0).expect("append");
         }
         let cache = MemoCache::new();
         let cache_stats_before = cache.stats();
         let stats = store.load_into(&cache);
         assert_eq!(stats.loaded, 0);
-        assert_eq!(stats.skipped, 1);
+        assert_eq!(stats.skipped, 2);
         assert_eq!(cache.stats().entries, cache_stats_before.entries);
         let _ = std::fs::remove_dir_all(&dir);
     }

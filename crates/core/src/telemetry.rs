@@ -391,15 +391,6 @@ impl JsonObj {
         self
     }
 
-    /// Adds an array of escaped strings.
-    pub fn str_arr(self, key: &str, items: &[String]) -> Self {
-        let rendered: Vec<String> = items
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(s)))
-            .collect();
-        self.arr(key, &rendered)
-    }
-
     /// Renders the object.
     pub fn build(self) -> String {
         format!("{{{}}}", self.fields.join(", "))
@@ -819,12 +810,12 @@ mod tests {
             .bool("ok", true)
             .str("s", "a\"b\\c\nd")
             .raw("o", &JsonObj::new().u64("x", 1).build())
-            .str_arr("l", &["p".into(), "q\"r".into()])
+            .arr("l", &["\"p\"".into(), "1".into()])
             .build();
         assert_eq!(
             js,
             "{\"n\": 7, \"t\": 1.5, \"ok\": true, \"s\": \"a\\\"b\\\\c\\nd\", \
-             \"o\": {\"x\": 1}, \"l\": [\"p\", \"q\\\"r\"]}"
+             \"o\": {\"x\": 1}, \"l\": [\"p\", 1]}"
         );
     }
 }

@@ -290,11 +290,6 @@ impl Workspace {
     pub fn x_lit(&self, name: &str) -> Option<Lit> {
         self.x.iter().find(|(n, _)| n == name).map(|(_, l)| *l)
     }
-
-    /// The set of `X` input variables.
-    pub fn x_vars(&self) -> Vec<Var> {
-        self.x.iter().map(|(_, l)| l.var()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -391,6 +386,6 @@ mod tests {
         let ws = Workspace::new(&inst);
         assert_eq!(ws.cands.len(), 1);
         assert_eq!(ws.x_lit("a"), Some(ws.x[0].1));
-        assert_eq!(ws.x_vars().len(), 1);
+        assert_eq!(ws.x.len(), 1);
     }
 }

@@ -5,19 +5,19 @@
 //! continuations (`\`) and `#` comments are handled. Hierarchy
 //! (`.subckt`/`.gate`) is rejected.
 //!
-//! Two API levels mirror the AIGER support in `eco-aig`:
-//! [`parse_blif`]/[`write_blif`] handle the combinational subset
-//! (`.latch` rejected), while [`parse_blif_seq`]/[`write_blif_seq`]
-//! carry latches: each latch's current state becomes an ordinary input
-//! of the elaborated AIG, with its next-state literal and [`LatchInit`]
-//! reset value recorded in a [`BlifLatch`]. The sequential writer emits
-//! a canonical form, so write → parse → write is a byte-level fixpoint.
+//! One reader, [`parse_blif`], and one writer, [`write_blif`], carry
+//! latches as the [`Latch`] records of `eco-aig`: each latch's current
+//! state becomes an ordinary input of the elaborated AIG, with its
+//! next-state literal and [`LatchInit`] reset value beside it. A
+//! combinational model is one without latches; a caller that cannot
+//! take latches checks [`BlifModel::latches`]. The writer emits a
+//! canonical form, so write → parse → write is a byte-level fixpoint.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use eco_aig::{Aig, Lit, Var};
+use eco_aig::{Aig, Latch, LatchInit, Lit, Var};
 
 /// Error produced when BLIF text cannot be parsed or elaborated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,47 +41,14 @@ impl Error for ParseBlifError {}
 pub struct BlifModel {
     /// Model name.
     pub name: String,
-    /// The elaborated AIG (inputs/outputs in declaration order).
-    pub aig: Aig,
-    /// Literal of every defined net.
-    pub net_lits: HashMap<String, Lit>,
-}
-
-/// Reset value of a BLIF latch (the `.latch` init field).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LatchInit {
-    /// Resets to 0 (`init-val` 0).
-    Zero,
-    /// Resets to 1 (`init-val` 1).
-    One,
-    /// Don't care / unknown (`init-val` 2 or 3, or absent).
-    DontCare,
-}
-
-/// A latch of a sequential BLIF model: current state `state` is an input
-/// of the elaborated AIG, `next` its next-state literal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlifLatch {
-    /// Net name of the latch output (the current-state input).
-    pub state: String,
-    /// Next-state literal in the elaborated AIG.
-    pub next: Lit,
-    /// Reset value.
-    pub init: LatchInit,
-}
-
-/// A parsed-and-elaborated sequential BLIF model.
-#[derive(Clone, Debug)]
-pub struct SeqBlifModel {
-    /// Model name.
-    pub name: String,
-    /// The elaborated AIG; latch states are inputs after the declared
-    /// primary inputs.
+    /// The elaborated AIG: inputs and outputs in declaration order, with
+    /// latch states as inputs after the declared primary inputs.
     pub aig: Aig,
     /// Literal of every defined net (including latch states).
     pub net_lits: HashMap<String, Lit>,
-    /// Latches in `.latch` declaration order.
-    pub latches: Vec<BlifLatch>,
+    /// Latches in `.latch` declaration order; empty for a combinational
+    /// model.
+    pub latches: Vec<Latch>,
 }
 
 #[derive(Debug)]
@@ -101,45 +68,6 @@ struct LatchDef {
     line: usize,
 }
 
-/// Parses a combinational BLIF model into an AIG.
-///
-/// # Errors
-///
-/// Returns [`ParseBlifError`] on unsupported constructs (including
-/// `.latch` — use [`parse_blif_seq`] for sequential models), malformed
-/// covers, undefined nets, cycles, or multiple drivers.
-///
-/// # Examples
-///
-/// ```
-/// let text = ".model m\n.inputs a b c\n.outputs y\n\
-///             .names a b w\n11 1\n.names w c y\n10 1\n01 1\n.end\n";
-/// let model = eco_netlist::parse_blif(text)?;
-/// // y = (a&b) XOR c
-/// assert_eq!(model.aig.eval(&[true, true, false]), vec![true]);
-/// assert_eq!(model.aig.eval(&[true, true, true]), vec![false]);
-/// # Ok::<(), eco_netlist::ParseBlifError>(())
-/// ```
-pub fn parse_blif(text: &str) -> Result<BlifModel, ParseBlifError> {
-    // Report `.latch` at its own line before any elaboration error the
-    // sequential parse might hit first.
-    for (i, raw) in text.lines().enumerate() {
-        let content = raw.split('#').next().unwrap_or("");
-        if content.split_whitespace().next() == Some(".latch") {
-            return Err(ParseBlifError {
-                line: i + 1,
-                message: ".latch is not supported (combinational only)".into(),
-            });
-        }
-    }
-    let m = parse_blif_seq(text)?;
-    Ok(BlifModel {
-        name: m.name,
-        aig: m.aig,
-        net_lits: m.net_lits,
-    })
-}
-
 /// Parses a BLIF model, latches included, into an AIG plus latch records.
 ///
 /// `.latch` lines follow the BLIF grammar `input output [type control]
@@ -155,7 +83,20 @@ pub fn parse_blif(text: &str) -> Result<BlifModel, ParseBlifError> {
 /// Returns [`ParseBlifError`] on unsupported constructs, malformed
 /// covers or latch lines, undefined nets, combinational cycles, or
 /// multiple drivers.
-pub fn parse_blif_seq(text: &str) -> Result<SeqBlifModel, ParseBlifError> {
+///
+/// # Examples
+///
+/// ```
+/// let text = ".model m\n.inputs a b c\n.outputs y\n\
+///             .names a b w\n11 1\n.names w c y\n10 1\n01 1\n.end\n";
+/// let model = eco_netlist::parse_blif(text)?;
+/// assert!(model.latches.is_empty());
+/// // y = (a&b) XOR c
+/// assert_eq!(model.aig.eval(&[true, true, false]), vec![true]);
+/// assert_eq!(model.aig.eval(&[true, true, true]), vec![false]);
+/// # Ok::<(), eco_netlist::ParseBlifError>(())
+/// ```
+pub fn parse_blif(text: &str) -> Result<BlifModel, ParseBlifError> {
     let err = |line: usize, m: &str| ParseBlifError {
         line,
         message: m.to_string(),
@@ -323,9 +264,11 @@ pub fn parse_blif_seq(text: &str) -> Result<SeqBlifModel, ParseBlifError> {
             return Err(err(0, &format!("net `{n}` declared twice")));
         }
     }
+    let mut state_vars = Vec::with_capacity(latch_defs.len());
     for l in &latch_defs {
         let n = &l.state;
         let lit = aig.add_input(n.clone());
+        state_vars.push(lit.var());
         if net_lits.insert(n.clone(), lit).is_some() {
             return Err(err(
                 l.line,
@@ -389,15 +332,15 @@ pub fn parse_blif_seq(text: &str) -> Result<SeqBlifModel, ParseBlifError> {
         net_lits.insert(def.output.clone(), lit);
     }
     let mut latches = Vec::with_capacity(latch_defs.len());
-    for l in &latch_defs {
+    for (l, &state) in latch_defs.iter().zip(&state_vars) {
         let &next = net_lits.get(l.next.as_str()).ok_or_else(|| {
             err(
                 l.line,
                 &format!("latch input `{}` is never defined", l.next),
             )
         })?;
-        latches.push(BlifLatch {
-            state: l.state.clone(),
+        latches.push(Latch {
+            state,
             next,
             init: l.init,
         });
@@ -408,7 +351,7 @@ pub fn parse_blif_seq(text: &str) -> Result<SeqBlifModel, ParseBlifError> {
             .ok_or_else(|| err(0, &format!("output `{n}` is never defined")))?;
         aig.add_output(n.clone(), lit);
     }
-    Ok(SeqBlifModel {
+    Ok(BlifModel {
         name: if name.is_empty() { "top".into() } else { name },
         aig,
         net_lits,
@@ -452,27 +395,21 @@ fn build_sop(aig: &mut Aig, def: &SopDef, net_lits: &HashMap<String, Lit>) -> Re
     Ok(union.xor_complement(!out_val))
 }
 
-/// Writes the reachable logic of an AIG as flat BLIF.
+/// Writes the reachable logic of a design as flat BLIF, with a `.latch`
+/// line per latch.
 ///
 /// AND nodes become two-input covers with complement handling in the
-/// pattern plane; outputs get buffer/inverter covers. Internal nets are
-/// named `n<k>`.
-pub fn write_blif(aig: &Aig, model_name: &str) -> String {
-    write_blif_seq(aig, model_name, &[])
-}
-
-/// Writes a latch-bearing design as flat BLIF with `.latch` lines.
-///
-/// Each latch is `(state, next, init)`: `state` must be an input
-/// variable of `aig` (its name becomes the latch output net), `next` a
-/// literal of `aig`. The emitted form is canonical — internal nets are
-/// named `n<k>` in emission order, latch-next inverters `ln<k>` — so
-/// write → [`parse_blif_seq`] → write is a byte-level fixpoint.
-pub fn write_blif_seq(aig: &Aig, model_name: &str, latches: &[(Var, Lit, LatchInit)]) -> String {
+/// pattern plane; outputs get buffer/inverter covers. Each latch's
+/// `state` must be an input variable of `aig` (its name becomes the
+/// latch output net) and `next` a literal of `aig`; a combinational
+/// design passes `&[]`. The emitted form is canonical — internal nets
+/// are named `n<k>` in emission order, latch-next inverters `ln<k>` —
+/// so write → [`parse_blif`] → write is a byte-level fixpoint.
+pub fn write_blif(aig: &Aig, model_name: &str, latches: &[Latch]) -> String {
     use fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, ".model {model_name}");
-    let states: std::collections::HashSet<Var> = latches.iter().map(|&(v, _, _)| v).collect();
+    let states: std::collections::HashSet<Var> = latches.iter().map(|l| l.state).collect();
     let input_names: Vec<&str> = aig
         .inputs()
         .iter()
@@ -489,7 +426,7 @@ pub fn write_blif_seq(aig: &Aig, model_name: &str, latches: &[(Var, Lit, LatchIn
     }
 
     let mut roots: Vec<Lit> = aig.outputs().iter().map(|o| o.lit).collect();
-    roots.extend(latches.iter().map(|&(_, next, _)| next));
+    roots.extend(latches.iter().map(|l| l.next));
     let mut name_of: HashMap<Var, String> = HashMap::new();
     name_of.insert(Var::CONST, "__const0".to_string());
     for (p, &v) in aig.inputs().iter().enumerate() {
@@ -522,7 +459,7 @@ pub fn write_blif_seq(aig: &Aig, model_name: &str, latches: &[(Var, Lit, LatchIn
     // net by name, with `ln<k>` inverter/constant covers emitted below
     // for literals that have no positive-net name.
     let mut aux_covers: Vec<String> = Vec::new();
-    for (k, &(state, next, init)) in latches.iter().enumerate() {
+    for (k, &Latch { state, next, init }) in latches.iter().enumerate() {
         let state_name = name_of[&state].clone();
         let next_name = if next.var() == Var::CONST || next.is_complement() {
             let mut j = k;
@@ -663,7 +600,6 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_and_malformed() {
-        assert!(parse_blif(".model m\n.latch a b\n.end\n").is_err());
         assert!(parse_blif(".model m\n.subckt foo\n.end\n").is_err());
         assert!(parse_blif(".model m\n.inputs a\n.outputs y\n11 1\n.end\n").is_err());
         assert!(parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1\n.end\n").is_err());
@@ -683,19 +619,17 @@ mod tests {
     #[test]
     fn rejects_malformed_latches() {
         // Too few tokens.
-        assert!(parse_blif_seq(".model m\n.latch a\n.end\n").is_err());
+        assert!(parse_blif(".model m\n.latch a\n.end\n").is_err());
         // Bad init value.
-        assert!(parse_blif_seq(".model m\n.inputs a\n.latch a s 9\n.end\n").is_err());
+        assert!(parse_blif(".model m\n.inputs a\n.latch a s 9\n.end\n").is_err());
         // Bad latch type.
-        assert!(parse_blif_seq(".model m\n.inputs a c\n.latch a s xx c 0\n.end\n").is_err());
+        assert!(parse_blif(".model m\n.inputs a c\n.latch a s xx c 0\n.end\n").is_err());
         // Undefined next net.
-        assert!(parse_blif_seq(".model m\n.latch ghost s 0\n.end\n").is_err());
+        assert!(parse_blif(".model m\n.latch ghost s 0\n.end\n").is_err());
         // State double-driven by a cover.
-        assert!(
-            parse_blif_seq(".model m\n.inputs a\n.latch a s 0\n.names a s\n1 1\n.end\n").is_err()
-        );
+        assert!(parse_blif(".model m\n.inputs a\n.latch a s 0\n.names a s\n1 1\n.end\n").is_err());
         // State declared twice.
-        assert!(parse_blif_seq(".model m\n.inputs a\n.latch a s 0\n.latch a s 1\n.end\n").is_err());
+        assert!(parse_blif(".model m\n.inputs a\n.latch a s 0\n.latch a s 1\n.end\n").is_err());
     }
 
     #[test]
@@ -704,9 +638,9 @@ mod tests {
         let text = ".model sr\n.inputs d\n.outputs q\n\
                     .latch d s0 0\n.latch s0 s1 1\n\
                     .names s1 q\n1 1\n.end\n";
-        let m = parse_blif_seq(text).expect("parses");
+        let m = parse_blif(text).expect("parses");
         assert_eq!(m.latches.len(), 2);
-        assert_eq!(m.latches[0].state, "s0");
+        assert_eq!(m.latches[0].state, m.net_lits["s0"].var());
         assert_eq!(m.latches[0].init, LatchInit::Zero);
         assert_eq!(m.latches[1].init, LatchInit::One);
         // Latch states elaborate as inputs: d, s0, s1.
@@ -719,7 +653,7 @@ mod tests {
         // Toggle: t' = !t.
         let text = ".model tog\n.outputs q\n.latch nt t 0\n\
                     .names t nt\n0 1\n.names t q\n1 1\n.end\n";
-        let m = parse_blif_seq(text).expect("parses");
+        let m = parse_blif(text).expect("parses");
         assert_eq!(m.latches.len(), 1);
         assert_eq!(m.latches[0].next, !m.net_lits["t"]);
     }
@@ -733,19 +667,22 @@ mod tests {
         let fb = aig.xor(d, s1);
         let q = aig.and(s0, s1);
         aig.add_output("q", q);
-        let latches = vec![
-            (s0.var(), fb, LatchInit::Zero),
-            (s1.var(), !s0, LatchInit::DontCare),
+        let latches = [
+            Latch {
+                state: s0.var(),
+                next: fb,
+                init: LatchInit::Zero,
+            },
+            Latch {
+                state: s1.var(),
+                next: !s0,
+                init: LatchInit::DontCare,
+            },
         ];
-        let text = write_blif_seq(&aig, "sr", &latches);
-        let m = parse_blif_seq(&text).expect("round trip parses");
+        let text = write_blif(&aig, "sr", &latches);
+        let m = parse_blif(&text).expect("round trip parses");
         assert_eq!(m.latches.len(), 2);
-        let back_latches: Vec<(Var, Lit, LatchInit)> = m
-            .latches
-            .iter()
-            .map(|l| (m.net_lits[&l.state].var(), l.next, l.init))
-            .collect();
-        assert_eq!(write_blif_seq(&m.aig, "sr", &back_latches), text);
+        assert_eq!(write_blif(&m.aig, "sr", &m.latches), text);
     }
 
     /// Inputs named like generated nets (`n<k>` — e.g. a cut ECO target
@@ -764,16 +701,15 @@ mod tests {
         // A cut target fed straight back out: input `n0` is also the
         // output `n0`, which must not get a self-driving buffer cover.
         aig.add_output("n0", n0);
-        let latches = vec![(s.var(), !g, LatchInit::Zero)];
-        let text = write_blif_seq(&aig, "clash", &latches);
-        let m = parse_blif_seq(&text).expect("no multiple drivers");
+        let latches = [Latch {
+            state: s.var(),
+            next: !g,
+            init: LatchInit::Zero,
+        }];
+        let text = write_blif(&aig, "clash", &latches);
+        let m = parse_blif(&text).expect("no multiple drivers");
         assert_eq!(m.latches.len(), 1);
-        let back: Vec<(Var, Lit, LatchInit)> = m
-            .latches
-            .iter()
-            .map(|l| (m.net_lits[&l.state].var(), l.next, l.init))
-            .collect();
-        assert_eq!(write_blif_seq(&m.aig, "clash", &back), text);
+        assert_eq!(write_blif(&m.aig, "clash", &m.latches), text);
     }
 
     #[test]
@@ -787,8 +723,9 @@ mod tests {
         aig.add_output("f", f);
         aig.add_output("nf", !f);
         aig.add_output("k1", Lit::TRUE);
-        let text = write_blif(&aig, "rt");
+        let text = write_blif(&aig, "rt", &[]);
         let back = parse_blif(&text).expect("round trip parses");
+        assert!(back.latches.is_empty());
         for bits in 0u32..8 {
             let vals: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(aig.eval(&vals), back.aig.eval(&vals), "{vals:?}");

@@ -11,7 +11,9 @@
 //!   [`elaborate`], or [`elaborate_nets`] with borrowed net names — and
 //!   the reverse mapping [`netlist_from_aig`] used to emit patch netlists;
 //! * per-signal weight files — [`parse_weights`] / [`write_weights`];
-//! * flat combinational BLIF — [`parse_blif`] / [`write_blif`].
+//! * flat BLIF with `.latch` lines, read and written with the latch
+//!   record of `eco-aig` ([`eco_aig::Latch`]) — [`parse_blif`] /
+//!   [`write_blif`].
 //!
 //! # Examples
 //!
@@ -36,10 +38,7 @@ mod weights;
 mod write;
 
 pub use crate::ast::{Gate, GateKind, NetRef, Netlist};
-pub use crate::blif::{
-    parse_blif, parse_blif_seq, write_blif, write_blif_seq, BlifLatch, BlifModel, LatchInit,
-    ParseBlifError, SeqBlifModel,
-};
+pub use crate::blif::{parse_blif, write_blif, BlifModel, ParseBlifError};
 pub use crate::convert::{
     elaborate, elaborate_nets, netlist_from_aig, BorrowedNets, ElaborateError, Elaboration,
 };

@@ -136,7 +136,7 @@ impl ItpSolver {
     }
 
     /// Variables occurring in both partitions, in index order.
-    pub fn shared_vars(&self) -> Vec<Var> {
+    fn shared_vars(&self) -> Vec<Var> {
         let (in_a, in_b) = self.occurrence_flags();
         (0..self.n_vars)
             .filter(|&i| in_a[i as usize] && in_b[i as usize])

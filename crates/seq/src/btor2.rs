@@ -18,10 +18,9 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use eco_aig::{Aig, Lit, Var};
-use eco_netlist::LatchInit;
+use eco_aig::{Aig, Latch, LatchInit, Lit, Var};
 
-use crate::netlist::{Latch, SeqNetlist};
+use crate::netlist::SeqNetlist;
 
 /// Error produced when BTOR2 text cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]

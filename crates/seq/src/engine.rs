@@ -360,8 +360,7 @@ fn fold_patch(patch: &Aig, chosen: &[(String, usize)]) -> Result<Aig, SeqError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Latch;
-    use eco_netlist::LatchInit;
+    use eco_aig::{Latch, LatchInit};
 
     /// Golden: 2-stage shift register `s0' = d, s1' = s0`, output
     /// `q = s0 & s1` through named net `w`.

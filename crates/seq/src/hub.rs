@@ -18,17 +18,15 @@ use std::error::Error;
 use std::fmt;
 
 use eco_aig::{
-    parse_aiger_ascii_seq, parse_aiger_binary_seq, write_aiger_ascii_seq, write_aiger_binary_seq,
-    Aig, AigerInit, AigerLatch, Lit,
+    parse_aiger_ascii, parse_aiger_binary, write_aiger_ascii, write_aiger_binary, Aig, Lit,
 };
 use eco_netlist::{
-    elaborate, netlist_from_aig, parse_blif_seq, parse_verilog, write_blif_seq, write_verilog,
-    LatchInit,
+    elaborate, netlist_from_aig, parse_blif, parse_verilog, write_blif, write_verilog,
 };
 use eco_sat::{encode_cone, ClauseSink};
 
 use crate::btor2::{parse_btor2, write_btor2};
-use crate::netlist::{Latch, SeqNetlist};
+use crate::netlist::SeqNetlist;
 
 /// A supported interchange format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,7 +46,7 @@ pub enum Format {
 }
 
 /// The formats the hub knows, as shown in error messages.
-pub const SUPPORTED_EXTENSIONS: &str = ".v, .blif, .aag, .aig, .btor2, .cnf";
+const SUPPORTED_EXTENSIONS: &str = ".v, .blif, .aag, .aig, .btor2, .cnf";
 
 impl Format {
     /// Resolves a format from a file path's extension.
@@ -199,42 +197,15 @@ pub fn read_design(format: Format, data: &[u8]) -> Result<SeqNetlist, HubError> 
             Ok(SeqNetlist::from_comb(name, elab.aig, elab.net_lits))
         }
         Format::Blif => {
-            let model = parse_blif_seq(text(data)?).map_err(parse_err)?;
-            let latches = model
-                .latches
-                .iter()
-                .map(|l| {
-                    let state = model
-                        .aig
-                        .find_input(&l.state)
-                        .expect("parser registers latch states as inputs");
-                    Latch {
-                        state,
-                        next: l.next,
-                        init: l.init,
-                    }
-                })
-                .collect();
-            SeqNetlist::new(model.name, model.aig, latches, model.net_lits).map_err(parse_err)
+            let model = parse_blif(text(data)?).map_err(parse_err)?;
+            SeqNetlist::new(model.name, model.aig, model.latches, model.net_lits).map_err(parse_err)
         }
         Format::AigerAscii | Format::AigerBinary => {
-            let (aig, aiger_latches) = if format == Format::AigerAscii {
-                parse_aiger_ascii_seq(text(data)?).map_err(parse_err)?
+            let (aig, latches) = if format == Format::AigerAscii {
+                parse_aiger_ascii(text(data)?).map_err(parse_err)?
             } else {
-                parse_aiger_binary_seq(data).map_err(parse_err)?
+                parse_aiger_binary(data).map_err(parse_err)?
             };
-            let latches = aiger_latches
-                .iter()
-                .map(|l| Latch {
-                    state: l.state,
-                    next: l.next,
-                    init: match l.init {
-                        AigerInit::Zero => LatchInit::Zero,
-                        AigerInit::One => LatchInit::One,
-                        AigerInit::DontCare => LatchInit::DontCare,
-                    },
-                })
-                .collect();
             let nets = io_net_lits(&aig);
             SeqNetlist::new("top", aig, latches, nets).map_err(parse_err)
         }
@@ -253,29 +224,11 @@ pub fn write_design(format: Format, design: &SeqNetlist) -> Result<Vec<u8>, HubE
     if !design.is_combinational() && !format.sequential() {
         return Err(HubError::SequentialUnsupported(format));
     }
-    let latches: Vec<(eco_aig::Var, Lit, LatchInit)> = design
-        .latches
-        .iter()
-        .map(|l| (l.state, l.next, l.init))
-        .collect();
-    let aiger_latches: Vec<AigerLatch> = design
-        .latches
-        .iter()
-        .map(|l| AigerLatch {
-            state: l.state,
-            next: l.next,
-            init: match l.init {
-                LatchInit::Zero => AigerInit::Zero,
-                LatchInit::One => AigerInit::One,
-                LatchInit::DontCare => AigerInit::DontCare,
-            },
-        })
-        .collect();
     Ok(match format {
         Format::Verilog => write_verilog(&netlist_from_aig(&design.aig, &design.name)).into_bytes(),
-        Format::Blif => write_blif_seq(&design.aig, &design.name, &latches).into_bytes(),
-        Format::AigerAscii => write_aiger_ascii_seq(&design.aig, &aiger_latches).into_bytes(),
-        Format::AigerBinary => write_aiger_binary_seq(&design.aig, &aiger_latches),
+        Format::Blif => write_blif(&design.aig, &design.name, &design.latches).into_bytes(),
+        Format::AigerAscii => write_aiger_ascii(&design.aig, &design.latches).into_bytes(),
+        Format::AigerBinary => write_aiger_binary(&design.aig, &design.latches),
         Format::Btor2 => write_btor2(design).into_bytes(),
         Format::Cnf => write_cnf(&design.aig).into_bytes(),
     })
@@ -332,27 +285,41 @@ fn write_cnf(aig: &Aig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Latch;
+    use eco_aig::{Latch, LatchInit};
 
+    /// One latch of each reset value: s0' = d ^ s0 (0), s1' = s0 (1),
+    /// s2' = !s1 (don't care), with outputs reading every state.
     fn sample() -> SeqNetlist {
         let mut aig = Aig::new();
         let d = aig.add_input("d");
         let s0 = aig.add_input("s0");
+        let s1 = aig.add_input("s1");
+        let s2 = aig.add_input("s2");
         let q = aig.xor(d, s0);
+        let r = aig.xor(s1, s2);
         aig.add_output("q", q);
+        aig.add_output("r", r);
         let nets = HashMap::from([
             ("d".to_string(), d),
             ("s0".to_string(), s0),
+            ("s1".to_string(), s1),
+            ("s2".to_string(), s2),
             ("q".to_string(), q),
+            ("r".to_string(), r),
         ]);
+        let latch = |state: Lit, next, init| Latch {
+            state: state.var(),
+            next,
+            init,
+        };
         SeqNetlist::new(
             "t",
             aig,
-            vec![Latch {
-                state: s0.var(),
-                next: q,
-                init: LatchInit::Zero,
-            }],
+            vec![
+                latch(s0, q, LatchInit::Zero),
+                latch(s1, s0, LatchInit::One),
+                latch(s2, !s1, LatchInit::DontCare),
+            ],
             nets,
         )
         .expect("valid")
@@ -369,7 +336,17 @@ mod tests {
         ] {
             let bytes = write_design(fmt, &d).expect("writes");
             let back = read_design(fmt, &bytes).expect("reads");
-            assert_eq!(back.latches.len(), 1, "{fmt:?}");
+            // The records come back in order, with their inits and names.
+            let inits: Vec<LatchInit> = back.latches.iter().map(|l| l.init).collect();
+            assert_eq!(
+                inits,
+                [LatchInit::Zero, LatchInit::One, LatchInit::DontCare],
+                "{fmt:?}"
+            );
+            let names: Vec<&str> = (0..back.latches.len())
+                .map(|k| back.latch_name(k))
+                .collect();
+            assert_eq!(names, ["s0", "s1", "s2"], "{fmt:?}");
             for bits in 0u32..16 {
                 let stim: Vec<Vec<bool>> = (0..4).map(|f| vec![bits >> f & 1 == 1]).collect();
                 assert_eq!(d.simulate(&stim), back.simulate(&stim), "{fmt:?} {bits:#b}");

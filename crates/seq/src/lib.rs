@@ -5,12 +5,13 @@
 //!
 //! * [`SeqNetlist`] — a sequential netlist model: an [`eco_aig::Aig`]
 //!   whose latch current states are ordinary inputs, plus [`Latch`]
-//!   records (next-state literal, [`LatchInit`] reset value) and a
+//!   records (next-state literal, [`LatchInit`] reset value; the one
+//!   latch record, defined in `eco-aig` and re-exported here) and a
 //!   name → literal map for every named net;
-//! * parsers/writers for BTOR2 ([`parse_btor2`] / [`write_btor2`]) and
-//!   latch-BLIF ([`parse_blif_seq`] / [`write_blif_seq`], re-exported
-//!   from `eco-netlist`), joining the sequential AIGER support in
-//!   `eco-aig`;
+//! * a BTOR2 reader and writer ([`parse_btor2`] / [`write_btor2`]) on
+//!   the same record, joining the BLIF reader and writer of
+//!   `eco-netlist` and the AIGER ones of `eco-aig`: one reader and one
+//!   writer per format, each carrying latches;
 //! * a deterministic k-frame unroller ([`unroll`]) expanding a design
 //!   into the combinational AIG with frame-indexed net names (`n@f`),
 //!   kept for fold-back;
@@ -32,6 +33,6 @@ mod unroll;
 pub use crate::btor2::{parse_btor2, write_btor2, ParseBtor2Error};
 pub use crate::engine::{SeqEcoEngine, SeqEcoError, SeqEcoOptions, SeqEcoResult};
 pub use crate::hub::{read_design, write_design, Format, HubError};
-pub use crate::netlist::{Latch, SeqError, SeqNetlist};
+pub use crate::netlist::{SeqError, SeqNetlist};
 pub use crate::unroll::{unroll, unroll_miter, Unrolled};
-pub use eco_netlist::{parse_blif_seq, write_blif_seq, LatchInit};
+pub use eco_aig::{Latch, LatchInit};

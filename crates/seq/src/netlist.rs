@@ -1,8 +1,9 @@
 //! The sequential netlist model.
 //!
 //! A [`SeqNetlist`] is an [`Aig`] whose latch current states are ordinary
-//! inputs, plus [`Latch`] records giving each state's next-state literal
-//! and reset value, and a name → literal map for every named net. All
+//! inputs, plus [`Latch`] records (the one latch record of `eco-aig`)
+//! giving each state's next-state literal and reset value, and a
+//! name → literal map for every named net. All
 //! sequential structure lives *beside* the AIG, so every combinational
 //! algorithm in the workspace (FRAIG, SAT, the ECO engine) applies
 //! unchanged to the unrolled form.
@@ -11,20 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use eco_aig::{Aig, Lit, TransformError, Var};
-use eco_netlist::LatchInit;
-
-/// A latch: the current state is the input variable `state` of the
-/// owning AIG; `next` is the next-state literal in the same AIG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Latch {
-    /// Current-state variable (an input of the AIG).
-    pub state: Var,
-    /// Next-state literal.
-    pub next: Lit,
-    /// Reset value at cycle 0.
-    pub init: LatchInit,
-}
+use eco_aig::{Aig, Latch, LatchInit, Lit, TransformError, Var};
 
 /// Error produced by sequential-netlist construction and surgery.
 #[derive(Clone, Debug, PartialEq, Eq)]

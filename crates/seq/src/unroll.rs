@@ -17,8 +17,7 @@
 
 use std::collections::HashMap;
 
-use eco_aig::{Aig, Lit};
-use eco_netlist::LatchInit;
+use eco_aig::{Aig, LatchInit, Lit};
 
 use crate::netlist::{SeqError, SeqNetlist};
 
@@ -138,8 +137,7 @@ pub fn unroll_miter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Latch;
-    use eco_aig::write_aiger_ascii;
+    use eco_aig::{write_aiger_ascii, Latch};
 
     fn sample() -> SeqNetlist {
         let mut aig = Aig::new();
@@ -250,8 +248,8 @@ mod tests {
     #[test]
     fn unrolling_is_deterministic() {
         let sr = sample();
-        let a = write_aiger_ascii(&unroll(&sr, 4).expect("unrolls").aig);
-        let b = write_aiger_ascii(&unroll(&sr, 4).expect("unrolls").aig);
+        let a = write_aiger_ascii(&unroll(&sr, 4).expect("unrolls").aig, &[]);
+        let b = write_aiger_ascii(&unroll(&sr, 4).expect("unrolls").aig, &[]);
         assert_eq!(a, b);
     }
 

@@ -33,7 +33,7 @@
 //! `memo` object with the shared cache's `hits`, `misses`, `insertions`,
 //! `evictions`, `fallbacks` and `entries`.
 
-use eco_batch::{job_spec_from_json, json, JobRecord, JobSpec};
+use eco_batch::{job_spec_from_json, json, record_fields, JobRecord, JobSpec};
 use eco_core::{render_counters, JsonObj};
 
 use crate::ServeSummary;
@@ -134,17 +134,7 @@ fn response(id: &json::Value, ok: bool) -> JsonObj {
 /// The deterministic `run` response: the echoed id plus exactly the
 /// scheduling-independent job-record fields of the batch JSONL report.
 pub fn run_response(id: &json::Value, record: &JobRecord) -> String {
-    response(id, true)
-        .str("op", "run")
-        .str("name", &record.name)
-        .str("status", record.status.tag())
-        .u64("targets", record.targets as u64)
-        .u64("patches", record.patches as u64)
-        .u64("cost", record.cost)
-        .u64("size", record.size)
-        .bool("verified", record.verified)
-        .str("detail", &record.detail)
-        .build()
+    record_fields(response(id, true).str("op", "run"), record).build()
 }
 
 /// A typed refusal (`busy`, `draining`, or `bad-request`).

@@ -395,6 +395,99 @@ mod tests {
         }
     }
 
+    /// One seeded mutation of `bytes`: a bit flip, a truncation, a
+    /// duplicated span, or a decimal number replaced by `u32::MAX`.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut SplitMix64) {
+        if bytes.is_empty() {
+            return;
+        }
+        let at = rng.index(bytes.len());
+        match rng.below(4) {
+            0 => bytes[at] ^= 1u8 << rng.below(8),
+            1 => bytes.truncate(at),
+            2 => {
+                let end = (at + 1 + rng.index(16)).min(bytes.len());
+                let span = bytes[at..end].to_vec();
+                let to = rng.index(bytes.len() + 1);
+                bytes.splice(to..to, span);
+            }
+            _ => {
+                // The first digit run at or after `at`, if any.
+                let Some(start) = bytes[at..].iter().position(u8::is_ascii_digit) else {
+                    return;
+                };
+                let start = at + start;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|b| !b.is_ascii_digit())
+                    .map_or(bytes.len(), |n| start + n);
+                bytes.splice(start..end, u32::MAX.to_string().into_bytes());
+            }
+        }
+    }
+
+    /// Seeded byte mutations of three generated designs in each of the
+    /// four latch-carrying formats: no reader panics, and neither does
+    /// any writer on a design that parsed.
+    #[test]
+    fn mutated_latch_formats_never_panic() {
+        const PER_SOURCE: usize = 1000;
+        let designs = [
+            shift_register_datapath(2, 3, 5),
+            random_seq_dag(3, 8, 2, 6),
+            random_seq_dag(4, 14, 3, 7),
+        ];
+        let latch_formats = [
+            Format::Blif,
+            Format::AigerAscii,
+            Format::AigerBinary,
+            Format::Btor2,
+        ];
+        let every_format = [
+            Format::Verilog,
+            Format::Blif,
+            Format::AigerAscii,
+            Format::AigerBinary,
+            Format::Btor2,
+            Format::Cnf,
+        ];
+        let mut rng = SplitMix64::new(0x6d75_7461_7465);
+        let (mut parsed, mut panics) = (0, Vec::new());
+        for (i, design) in designs.iter().enumerate() {
+            for fmt in latch_formats {
+                let clean = write_design(fmt, design).expect("writes");
+                for k in 0..PER_SOURCE {
+                    let mut bytes = clean.clone();
+                    for _ in 0..1 + rng.index(3) {
+                        mutate(&mut bytes, &mut rng);
+                    }
+                    let run = std::panic::catch_unwind(|| {
+                        let back = read_design(fmt, &bytes).ok()?;
+                        for &out in &every_format {
+                            let _ = write_design(out, &back);
+                        }
+                        Some(())
+                    });
+                    match run {
+                        Ok(read) => parsed += usize::from(read.is_some()),
+                        Err(_) => panics.push(format!(
+                            "design {i}, {fmt:?}, case {k}: {:?}",
+                            String::from_utf8_lossy(&bytes)
+                        )),
+                    }
+                }
+            }
+        }
+        assert!(
+            panics.is_empty(),
+            "{} mutated inputs panicked; first: {}",
+            panics.len(),
+            panics[0]
+        );
+        let total = designs.len() * latch_formats.len() * PER_SOURCE;
+        assert!(0 < parsed && parsed < total, "{parsed} of {total} parsed");
+    }
+
     #[test]
     fn campaign_smoke_is_clean() {
         let report = crate::campaign::run(&mut FormatCampaign, 0x5eed, 12, true);

@@ -20,9 +20,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use eco_aig::{Aig, Lit, SplitMix64, Var};
-use eco_netlist::{write_weights, LatchInit, WeightTable};
+use eco_netlist::{write_weights, WeightTable};
 use eco_seq::hub::{write_design, Format};
-use eco_seq::{Latch, SeqNetlist};
+use eco_seq::{Latch, LatchInit, SeqNetlist};
 
 use std::collections::HashMap;
 

@@ -63,9 +63,11 @@
 # a latch-bearing case with eco-workgen --seq, rectifies it through
 # eco-patch --unroll at several frame depths (generate → unroll →
 # rectify → fold → verify, exit 0 each time), asserts the folded patch
-# parses and carries no frame-indexed names, cross-checks the format hub
-# with a byte-fixpoint conversion cycle, and prints unroll-depth wall
-# times, frames/sec, and patch sizes. Skip it with --no-seq-smoke.
+# parses and carries no frame-indexed names, checks through eco-convert
+# that every latch writer is a byte fixpoint through its own reader
+# (btor2 -> btor2, and btor2 -> X -> X for X in blif, aag, aig, each hop
+# keeping the case's 4 latches), and prints unroll-depth wall times,
+# frames/sec, and patch sizes. Skip it with --no-seq-smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -178,17 +180,23 @@ if [ "$seq_smoke" -eq 1 ]; then
     echo "seq/unroll$k: cold eco-patch process wall ${wall} ns, ${fps} frames/s, patch size $size ANDs"
   done
 
-  # Format-hub cross-checks: the canonical BTOR2 writer is a byte
-  # fixpoint through its own parser, and the design survives a blif hop
-  # with its latches intact.
+  # Format-hub cross-checks: every latch writer is a byte fixpoint
+  # through its own reader, and every hop keeps the 4 latches.
   target/release/eco-convert -i "$sqtmp/seq000_golden.btor2" -o "$sqtmp/rt.btor2" 2> /dev/null \
     || { echo "seq smoke: btor2 -> btor2 conversion failed"; exit 1; }
   cmp -s "$sqtmp/seq000_golden.btor2" "$sqtmp/rt.btor2" \
     || { echo "seq smoke: btor2 -> btor2 is not a byte fixpoint"; diff "$sqtmp/seq000_golden.btor2" "$sqtmp/rt.btor2" || true; exit 1; }
-  target/release/eco-convert -i "$sqtmp/seq000_golden.btor2" -o "$sqtmp/rt.blif" 2> "$sqtmp/convert.txt" \
-    || { echo "seq smoke: btor2 -> blif conversion failed"; cat "$sqtmp/convert.txt"; exit 1; }
-  grep -q '4 latches' "$sqtmp/convert.txt" \
-    || { echo "seq smoke: conversion lost latches"; cat "$sqtmp/convert.txt"; exit 1; }
+  for f in blif aag aig; do
+    log="$sqtmp/convert_$f.txt"
+    target/release/eco-convert -i "$sqtmp/seq000_golden.btor2" -o "$sqtmp/rt.$f" 2> "$log" \
+      || { echo "seq smoke: btor2 -> $f conversion failed"; cat "$log"; exit 1; }
+    target/release/eco-convert -i "$sqtmp/rt.$f" -o "$sqtmp/rt2.$f" 2>> "$log" \
+      || { echo "seq smoke: $f -> $f conversion failed"; cat "$log"; exit 1; }
+    cmp -s "$sqtmp/rt.$f" "$sqtmp/rt2.$f" \
+      || { echo "seq smoke: $f -> $f is not a byte fixpoint"; exit 1; }
+    [ "$(grep -c '4 latches' "$log")" -eq 2 ] \
+      || { echo "seq smoke: a $f hop lost latches"; cat "$log"; exit 1; }
+  done
   echo "seq smoke: ok"
 fi
 

@@ -62,7 +62,7 @@ fn assert_pinned(
         let result = EcoEngine::new(inst, options.clone())
             .run()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let bytes = write_aiger_ascii(&result.patch_aig);
+        let bytes = write_aiger_ascii(&result.patch_aig, &[]);
         assert_eq!(
             (result.cost, result.size, fnv1a64(bytes.as_bytes())),
             (cost, size, digest),
